@@ -431,15 +431,13 @@ def _cmd_check(ns):
             ),
         }
     if comb is not None and comb.firm:
-        if samp is not None:
-            agree = (
-                samp.counterexample is None
-                if comb.equiprojective
-                else samp.k is None or not samp.equiprojective
+        # sampling is one-sided: a counterexample or another k refutes a
+        # firm yes, but finding no counterexample says nothing about a no
+        if samp is not None and comb.equiprojective:
+            _require(
+                samp.equiprojective and samp.k == comb.k,
+                "firm verdict contradicted by sampling",
             )
-            if comb.equiprojective and samp.equiprojective and comb.k != samp.k:
-                agree = False
-            _require(agree, "firm verdict contradicted by sampling")
         verdict, k, method, code = comb.equiprojective, comb.k, "combinatorial", EXIT_OK
         firm = True
     elif samp is not None and not samp.equiprojective:

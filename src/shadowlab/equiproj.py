@@ -75,18 +75,6 @@ def _edge_direction(p, edge):
     return la.sub(p.vertices[b], p.vertices[a])
 
 
-def _image_in_boundary(p, face, w, poly):
-    # the whole face image must sit inside the hull boundary, not just
-    # touch it at a vertex
-    pts = [w.coords(p.vertices[i]) for i in face.vertex_ids]
-    if not all(sh.on_hull_boundary(q, poly) for q in pts):
-        return False
-    lo = min(pts)
-    hi = max(pts)
-    mid = ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2)
-    return sh.on_hull_boundary(mid, poly)
-
-
 def _order_chain(pairs, eidx):
     """Edge ids of a vertex-pair chain, ordered along the path."""
     if not pairs:
@@ -163,13 +151,7 @@ def _planar_witness(p, cid):
     f1, f2 = classes[cid].direction_plane.basis
     for q in range(len(classes) + 1):
         u1 = la.add(f1, la.scale(f2, q))
-        good = True
-        for k, cls in enumerate(classes):
-            dv = sh.class_degeneracy_det(p, (u1,), cls.direction_plane)
-            if (dv == 0) != (k == cid):
-                good = False
-                break
-        if good:
+        if tuple(sh.degenerate_classes(p, (u1,))) == (cid,):
             return (u1,)
     raise GeometryError("planar witness grid exhausted, polytope data broken")
 
@@ -188,10 +170,8 @@ def _draw_witness(p, cid, rng):
     rows = tuple(rows)
     if la.rank(rows) != d - 2:
         return None
-    for k, cls in enumerate(classes):
-        dv = sh.class_degeneracy_det(p, rows, cls.direction_plane)
-        if (dv == 0) != (k == cid):
-            return None
+    if tuple(sh.degenerate_classes(p, rows)) != (cid,):
+        return None
     if la.intersect(la.Subspace(rows), classes[cid].direction_plane).dim != 1:
         # the whole face plane fell into the orthogonal span; members
         # would project to points, not boundary edges
@@ -201,12 +181,11 @@ def _draw_witness(p, cid, rng):
 
 def _boundary_members(p, cid, rows):
     faces = pt.k_faces(p, 2)
-    w = sh.ProjectionPlane.from_orthogonal(rows)
-    poly = sh.shadow(p, w)
+    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
     out = [
         fid
         for fid in pt.parallel_classes(p)[cid].member_ids
-        if _image_in_boundary(p, faces[fid], w, poly)
+        if sh.in_boundary(frame, faces[fid].vertex_ids)
     ]
     return tuple(sorted(out))
 
@@ -520,9 +499,8 @@ def definitions_equivalence_check(p, seed=0, trials=48):
             k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(rows)).k
             for t in (-eps / 2, eps / 2):
                 moved = probe.rows_at(t)
-                for k, other in enumerate(classes):
-                    if sh.class_degeneracy_det(p, moved, other.direction_plane) == 0:
-                        raise GeometryError("un-degenerated plane still degenerates")
+                if next(sh.degenerate_classes(p, moved), None) is not None:
+                    raise GeometryError("un-degenerated plane still degenerates")
                 w = sh.ProjectionPlane.from_orthogonal(moved)
                 if sh.shadow(p, w).k != k_here:
                     matches = False

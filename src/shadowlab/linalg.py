@@ -64,9 +64,13 @@ def is_zero_vec(u):
 
 
 def int_row(row):
-    """Scale a rational row to integers; returns (ints, multiplier)."""
-    mult = lcm(*(as_rat(x).denominator for x in row)) if row else 1
-    return [int(x * mult) for x in (as_rat(y) for y in row)], mult
+    """Scale a rational row to integers by a positive multiplier.
+
+    Returns (ints, multiplier); integer entries are taken as they are.
+    """
+    row = [x if isinstance(x, int) else as_rat(x) for x in row]
+    mult = lcm(*(x.denominator for x in row))
+    return [int(x * mult) for x in row], mult
 
 
 def det(m):

@@ -36,13 +36,20 @@ class Face:
 
 
 class ParallelClass:
-    """All 2-faces sharing one direction plane."""
+    """All 2-faces sharing one direction plane.
 
-    __slots__ = ("member_ids", "direction_plane")
+    int_rows is the direction plane's basis with each row scaled to
+    integers by a positive factor, for the exact integer tests.
+    """
+
+    __slots__ = ("member_ids", "direction_plane", "int_rows")
 
     def __init__(self, member_ids, direction_plane):
         self.member_ids = tuple(member_ids)
         self.direction_plane = direction_plane
+        self.int_rows = tuple(
+            tuple(la.int_row(b)[0]) for b in direction_plane.basis
+        )
 
     def __repr__(self):
         return f"ParallelClass(members={self.member_ids})"
@@ -82,16 +89,21 @@ class Polytope:
     def int_vertices(self):
         """Vertices scaled by a common multiplier to integer tuples."""
         if self._int_vertices is None:
-            mult = lcm(*(x.denominator for p in self.vertices for x in p))
-            pts = tuple(
-                tuple(int(x * mult) for x in p) for p in self.vertices
-            )
-            self._int_vertices = (pts, mult)
+            self._int_vertices = int_points(self.vertices)
         return self._int_vertices
 
     def __repr__(self):
         name = self.label or "polytope"
         return f"Polytope({name}, d={self.dim}, vertices={len(self.vertices)})"
+
+
+def int_points(points):
+    """Rational points scaled by one positive multiplier to integers.
+
+    Returns (tuple of integer tuples, multiplier).
+    """
+    mult = lcm(*(x.denominator for p in points for x in p))
+    return tuple(tuple(int(x * mult) for x in p) for p in points), mult
 
 
 def _affine_rank(points):
@@ -201,8 +213,7 @@ def build(vertices, label=None, facet_normals=None):
     if _affine_rank(pts) != d:
         raise PolytopeError("vertex set is not full-dimensional")
 
-    mult = lcm(*(x.denominator for p in pts for x in p))
-    pts_int = [tuple(int(x * mult) for x in p) for p in pts]
+    pts_int, mult = int_points(pts)
 
     if facet_normals is None:
         found = _scan_facets(pts_int)
@@ -234,6 +245,7 @@ def build(vertices, label=None, facet_normals=None):
         Face(tight, d - 1, span) for tight, span, _n, _o in facets
     )
     poly = Polytope(pts, label, face_objs)
+    poly._int_vertices = (pts_int, mult)
     poly._facet_planes = tuple(
         (normal, offset) for _t, _s, normal, offset in facets
     )

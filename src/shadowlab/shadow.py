@@ -1,17 +1,28 @@
 """Planar projections: shadow polygons, degeneration tests, sampling.
 
-All 2D work happens in the frame of the plane's basis: the frame
-coordinates are an affine image of the true orthogonal projection, so
-hull combinatorics, collinearity and boundary containment are
-unchanged, and everything stays rational.
+Decisions run in an integer frame. A plane keeps its basis rows and its
+orthogonal rows scaled to integers by positive factors; a vertex,
+scaled by the polytope's common multiplier, has as integer image its
+two dot products with the integer basis rows. The public frame
+coordinates (those of the orthogonal projection in the plane's basis)
+are the image of that integer pair under a linear map of positive
+determinant: the inverse Gram matrix composed with positive scalings.
+Hull vertices, their counterclockwise order, fibers, collinearity and
+boundary containment are therefore the same in both frames, so hulls
+and boundary tests run on integer pairs and only the k hull points are
+mapped back to public coordinates. Everything stays exact.
 """
 
 import random
 from collections import namedtuple
+from fractions import Fraction
+from operator import mul
 
+from . import kernels
 from . import linalg as la
 from . import polytope as pt
 from .errors import (
+    DegenerateBasisError,
     DegenerateShadowError,
     DimensionError,
     InadmissiblePlaneError,
@@ -20,10 +31,19 @@ from .errors import (
 )
 
 
-class ProjectionPlane:
-    """A 2-plane W together with its exact orthogonal complement."""
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
-    __slots__ = ("basis", "complement", "_gram_inv")
+
+class ProjectionPlane:
+    """A 2-plane W together with its exact orthogonal complement.
+
+    int_basis and int_complement are the basis and complement rows,
+    each scaled to integers by a positive factor, so the integer frame
+    keeps the orientation of the public one.
+    """
+
+    __slots__ = ("basis", "complement", "int_basis", "int_complement", "_unmap")
 
     def __init__(self, basis):
         if not isinstance(basis, la.Subspace):
@@ -33,7 +53,13 @@ class ProjectionPlane:
         self.basis = basis
         ortho = la.kernel_basis(basis.basis)
         self.complement = la.Subspace(ortho, ambient=basis.ambient)
-        self._gram_inv = None
+        (a1, c1), (a2, c2) = (la.int_row(b) for b in basis.basis)
+        self.int_basis = (tuple(a1), tuple(a2))
+        self.int_complement = tuple(tuple(la.int_row(r)[0]) for r in ortho)
+        # with A = diag(c1, c2) B and G the Gram matrix of A, the frame
+        # coordinates G_B^-1 B v are diag(c1, c2) adj(G) A v / det G
+        g00, g01, g11 = _dot(a1, a1), _dot(a1, a2), _dot(a2, a2)
+        self._unmap = (c1 * g11, -c1 * g01, -c2 * g01, c2 * g00, g00 * g11 - g01 * g01)
 
     @classmethod
     def from_orthogonal(cls, vectors):
@@ -48,21 +74,35 @@ class ProjectionPlane:
     def ambient(self):
         return self.basis.ambient
 
+    def image(self, x):
+        """Integer image of an integer vector."""
+        a1, a2 = self.int_basis
+        if len(x) != len(a1):
+            raise DimensionError("vector has wrong ambient dimension")
+        return (_dot(a1, x), _dot(a2, x))
+
+    def image_coords(self, q, mult):
+        """Frame coordinates of v = x / mult, given its integer image q."""
+        m00, m01, m10, m11, det = self._unmap
+        den = det * mult
+        return (
+            Fraction(m00 * q[0] + m01 * q[1], den),
+            Fraction(m10 * q[0] + m11 * q[1], den),
+        )
+
     def coords(self, v):
         """Frame coordinates of the projection of v onto the plane."""
-        b1, b2 = self.basis.basis
-        if self._gram_inv is None:
-            g = ((la.dot(b1, b1), la.dot(b1, b2)), (la.dot(b2, b1), la.dot(b2, b2)))
-            self._gram_inv = la.inverse(g)
-        r1 = la.dot(b1, v)
-        r2 = la.dot(b2, v)
-        gi = self._gram_inv
-        return (gi[0][0] * r1 + gi[0][1] * r2, gi[1][0] * r1 + gi[1][1] * r2)
+        x, mult = la.int_row(v)
+        return self.image_coords(self.image(x), mult)
 
 
 ShadowPolygon = namedtuple(
     "ShadowPolygon", ["hull_vertex_ids", "points", "k", "fibers"]
 )
+
+# Integer images of every vertex, in vertex order, and the strict ccw
+# hull of those images.
+HullFrame = namedtuple("HullFrame", ["images", "hull"])
 
 Admissibility = namedtuple("Admissibility", ["ok", "violating_class"])
 
@@ -102,6 +142,16 @@ def project(p, w):
     return [w.coords(v) for v in p.vertices]
 
 
+def int_images(p, w):
+    """Integer images of the vertices, in vertex order, and the multiplier."""
+    # a Polytope caches its integer vertices; any other vertex holder
+    # is scaled on the spot
+    pts, mult = (
+        p.int_vertices() if isinstance(p, pt.Polytope) else pt.int_points(p.vertices)
+    )
+    return [w.image(x) for x in pts], mult
+
+
 def strict_hull_2d(points):
     """Counterclockwise strict convex hull of distinct 2D points."""
     pts = sorted(points)
@@ -120,30 +170,50 @@ def strict_hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def shadow(p, w):
-    """Exact shadow polygon of p on the plane w."""
-    images = project(p, w)
-    fibers = {}
-    for vid, q in enumerate(images):
-        fibers.setdefault(q, []).append(vid)
-    hull = strict_hull_2d(fibers.keys())
+def _polygon(points):
+    hull = strict_hull_2d(points)
     if len(hull) < 3:
         raise DegenerateShadowError(
             "vertex images are collinear; input cannot be full-dimensional"
         )
-    ids = tuple(min(fibers[q]) for q in hull)
+    return hull
+
+
+def shadow(p, w):
+    """Exact shadow polygon of p on the plane w.
+
+    The cycle starts at the lexicographically smallest public point.
+    """
+    images, mult = int_images(p, w)
+    fibers = {}
+    for vid, q in enumerate(images):
+        fibers.setdefault(q, []).append(vid)
+    hull = _polygon(fibers)
+    points = [w.image_coords(q, mult) for q in hull]
+    s = points.index(min(points))
+    hull = hull[s:] + hull[:s]
+    ids = tuple(fibers[q][0] for q in hull)
     fib = tuple(tuple(fibers[q]) for q in hull)
-    return ShadowPolygon(ids, tuple(hull), len(hull), fib)
+    return ShadowPolygon(ids, tuple(points[s:] + points[:s]), len(hull), fib)
 
 
-def hull_edges(poly):
-    """Closed edges of a ShadowPolygon as point pairs, cyclic order."""
-    pts = poly.points
-    return [(pts[i], pts[(i + 1) % poly.k]) for i in range(poly.k)]
+def hull_frame(p, w):
+    """Integer images of p's vertices and their hull, for boundary tests."""
+    images = int_images(p, w)[0]
+    return HullFrame(images, _polygon(set(images)))
 
 
-def on_hull_boundary(q, poly):
-    return any(on_segment(q, a, b) for a, b in hull_edges(poly))
+def in_boundary(frame, vertex_ids):
+    """Whether the convex hull of these vertices' images lies in the
+    shadow boundary.
+
+    A convex set inside the boundary of a strictly convex polygon lies
+    in one closed edge, so all images must share one.
+    """
+    pts = [frame.images[i] for i in vertex_ids]
+    hull = frame.hull
+    edges = zip(hull, hull[1:] + hull[:1])
+    return any(all(on_segment(q, a, b) for q in pts) for a, b in edges)
 
 
 def class_degeneracy_det(p, ortho_rows, direction_plane):
@@ -158,13 +228,29 @@ def class_degeneracy_det(p, ortho_rows, direction_plane):
     return la.det(rows)
 
 
+def degenerate_classes(p, rows):
+    """Ids of the classes degenerating for the orthogonal span of rows.
+
+    A class degenerates when det(rows | its direction plane) is zero.
+    The rows are scaled to integers once and the class planes come
+    from the polytope's integer rows; positive factors keep every zero.
+    Lazy and in class order, so next() stops at the first.
+    """
+    ints = tuple(tuple(la.int_row(r)[0]) for r in rows)
+    if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
+        raise DimensionError("stacked family is not square")
+    classes = pt.parallel_classes(p)
+    return (
+        cid
+        for cid, cls in enumerate(classes)
+        if kernels.det_int(ints + cls.int_rows) == 0
+    )
+
+
 def is_admissible(p, w):
     """Exact admissibility with the first violating class on failure."""
-    ortho = w.complement.basis
-    for cid, cls in enumerate(pt.parallel_classes(p)):
-        if class_degeneracy_det(p, ortho, cls.direction_plane) == 0:
-            return Admissibility(False, cid)
-    return Admissibility(True, None)
+    cid = next(degenerate_classes(p, w.int_complement), None)
+    return Admissibility(cid is None, cid)
 
 
 def degeneration_report(p, w):
@@ -175,25 +261,23 @@ def degeneration_report(p, w):
     edge of the shadow. Boundary contact (touching the hull anywhere)
     is reported alongside containment for each degenerate member.
     """
-    classes = pt.parallel_classes(p)
     degenerating = []
-    poly = None
+    frame = None
     faces = pt.k_faces(p, 2) if p.dim >= 3 else []
-    for cid, cls in enumerate(classes):
-        mat = [w.coords(b) for b in cls.direction_plane.basis]
-        prank = la.rank(mat)
-        if prank >= 2:
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        g, h = (w.image(f) for f in cls.int_rows)
+        prank = 2 if cross2((0, 0), g, h) else int(any(g + h))
+        if prank == 2:
             continue
-        if poly is None:
-            poly = shadow(p, w)
-        edges = hull_edges(poly)
+        if frame is None:
+            images = int_images(p, w)[0]
+            ids = shadow(p, w).hull_vertex_ids
+            frame = HullFrame(images, [images[i] for i in ids])
         members = []
         for fid in cls.member_ids:
-            imgs = {w.coords(p.vertices[i]) for i in faces[fid].vertex_ids}
-            contained = any(
-                all(on_segment(q, a, b) for q in imgs) for a, b in edges
-            )
-            touches = any(on_hull_boundary(q, poly) for q in imgs)
+            vids = faces[fid].vertex_ids
+            contained = in_boundary(frame, vids)
+            touches = any(in_boundary(frame, (i,)) for i in vids)
             members.append(MemberDegeneration(fid, contained, touches))
         degenerating.append(ClassDegeneration(cid, prank, members))
     cond_i = not degenerating
@@ -224,9 +308,10 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
         budget -= 1
         b1 = tuple(rng.randint(-grid_bound, grid_bound) for _ in range(d))
         b2 = tuple(rng.randint(-grid_bound, grid_bound) for _ in range(d))
-        if la.rank((la.as_vec(b1), la.as_vec(b2))) != 2:
+        try:
+            w = ProjectionPlane((b1, b2))
+        except DegenerateBasisError:
             continue
-        w = ProjectionPlane((b1, b2))
         if is_admissible(p, w).ok:
             out.append(w)
     return out

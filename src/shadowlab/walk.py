@@ -20,6 +20,7 @@ from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
 from .errors import (
+    DegenerateBasisError,
     DimensionError,
     GeometryError,
     InadmissiblePlaneError,
@@ -275,11 +276,9 @@ def reference_isometry(p):
 
     etas = _etas(moved)
     rows = tuple(la.unit(d, i) for i in range(1, d - 1))
-    for cid, cls in enumerate(pt.parallel_classes(moved)):
-        if sh.class_degeneracy_det(moved, rows, cls.direction_plane) == 0:
-            raise WalkError(
-                f"reference orthogonal span degenerates class {cid}"
-            )
+    cid = next(sh.degenerate_classes(moved, rows), None)
+    if cid is not None:
+        raise WalkError(f"reference orthogonal span degenerates class {cid}")
     return q, etas
 
 
@@ -295,11 +294,9 @@ def _ortho_rows(p, span):
 
 
 def _require_admissible(p, rows, what):
-    for cid, cls in enumerate(pt.parallel_classes(p)):
-        if sh.class_degeneracy_det(p, rows, cls.direction_plane) == 0:
-            raise InadmissiblePlaneError(
-                f"{what} span degenerates class {cid}"
-            )
+    cid = next(sh.degenerate_classes(p, rows), None)
+    if cid is not None:
+        raise InadmissiblePlaneError(f"{what} span degenerates class {cid}")
 
 
 def _segment_roots(seg, classes, skip=None):
@@ -708,7 +705,8 @@ def verify_walk(p, plan):
         try:
             before = segs[i - 1].span_at(t)
             after = segs[i].span_at(t)
-        except Exception:
+        except DegenerateBasisError:
+            # a dependent family at the junction; free_at reports it
             continue
         if before != after:
             violations.append(f"junction spans differ between {i - 1} and {i}")
@@ -717,16 +715,6 @@ def verify_walk(p, plan):
     if [tuple(e) for e in listed] != [tuple(e) for e in events]:
         violations.append("plan event log disagrees with the recomputation")
     return WalkCertificate(not violations, tuple(events), tuple(violations))
-
-
-def _face_image_on_boundary(p, face, w, poly):
-    pts = [w.coords(p.vertices[i]) for i in face.vertex_ids]
-    if not all(sh.on_hull_boundary(q, poly) for q in pts):
-        return False
-    lo = min(pts)
-    hi = max(pts)
-    mid = ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2)
-    return sh.on_hull_boundary(mid, poly)
 
 
 def _class_of_face(p, face_id):
@@ -755,25 +743,23 @@ def _validate_visibility_witness(p, face_id, other_id, rows):
             raise ParameterError("paired faces must be distinct")
         if _class_of_face(p, other_id) != cid:
             raise ParameterError("paired faces must share a parallel class")
-    for k, cls in enumerate(pt.parallel_classes(p)):
-        dv = sh.class_degeneracy_det(p, rows, cls.direction_plane)
-        if k == cid and dv != 0:
+    # the first class, in class order, on the wrong side of the test
+    wrong = set(sh.degenerate_classes(p, rows)) ^ {cid}
+    if wrong:
+        k = min(wrong)
+        if k == cid:
             raise ParameterError(
                 f"witness does not degenerate the class of face {face_id}"
             )
-        if k != cid and dv == 0:
-            raise ParameterError(
-                f"witness degenerates foreign class {k} as well"
-            )
+        raise ParameterError(f"witness degenerates foreign class {k} as well")
     inter = la.intersect(la.Subspace(rows), faces[face_id].span)
     if inter.dim != 1:
         raise GeometryError("face projects to a point at the witness")
     u1 = la.primitive(inter.basis[0])
-    w = sh.ProjectionPlane.from_orthogonal(rows)
-    poly = sh.shadow(p, w)
+    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
     pair = (face_id,) if other_id is None else (face_id, other_id)
     for fid in pair:
-        if not _face_image_on_boundary(p, faces[fid], w, poly):
+        if not sh.in_boundary(frame, faces[fid].vertex_ids):
             raise GeometryError(f"face {fid} is not visible at the witness")
     return cid, u1
 
@@ -848,26 +834,22 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
 def boundary_chains(p, face_id, w):
     """Visible and invisible edge chains of a 2-face for one plane.
 
-    An edge is visible when both endpoint images and the midpoint image
-    lie on the shadow boundary. Fixed points are the face vertices
+    An edge is visible when its image lies in the shadow boundary, that
+    is in one closed hull edge. Fixed points are the face vertices
     meeting exactly one visible edge.
     """
     faces = pt.k_faces(p, 2)
     if not 0 <= face_id < len(faces):
         raise ParameterError(f"no 2-face with id {face_id}")
     face = faces[face_id]
-    poly = sh.shadow(p, w)
+    frame = sh.hull_frame(p, w)
     visible = []
     invisible = []
     for e in pt.face_edges(p, face):
-        a, b = e.vertex_ids
-        pa = w.coords(p.vertices[a])
-        pb = w.coords(p.vertices[b])
-        mid = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-        if all(sh.on_hull_boundary(q, poly) for q in (pa, pb, mid)):
-            visible.append((a, b))
+        if sh.in_boundary(frame, e.vertex_ids):
+            visible.append(e.vertex_ids)
         else:
-            invisible.append((a, b))
+            invisible.append(e.vertex_ids)
     degree = {}
     for a, b in visible:
         degree[a] = degree.get(a, 0) + 1

@@ -251,6 +251,36 @@ def test_check_hypercube_best_effort():
     assert r["combinatorial"]["unresolved_count"] > 0
 
 
+def stub_deciders(monkeypatch, comb, samp):
+    monkeypatch.setattr(cli.eq, "is_equiprojective_combinatorial", lambda p, seed: comb)
+    monkeypatch.setattr(cli.eq, "is_equiprojective_sampled", lambda p, seed, trials: samp)
+
+
+def test_check_firm_no_stands_without_sampled_counterexample(monkeypatch):
+    # sampling cannot prove a yes, so a run without a counterexample
+    # does not contradict a firm combinatorial no
+    comb = cli.eq.CombinatorialVerdict(False, None, True, (), (), None)
+    samp = cli.eq.SampledVerdict(True, 6, None, 64)
+    stub_deciders(monkeypatch, comb, samp)
+    code, r = report(["check", "--polytope", CUBE_JSON, "--mode", "both"])
+    assert code == 0
+    assert r["equiprojective"] is False
+    assert r["k"] is None
+    assert r["method"] == "combinatorial"
+    assert r["firm"] is True
+
+
+def test_check_firm_yes_contradicted_by_sampled_counterexample(monkeypatch):
+    comb = cli.eq.CombinatorialVerdict(True, 6, True, (), (), None)
+    wa = cli.sh.ProjectionPlane(((1, 2, 0), (0, 1, 3)))
+    wb = cli.sh.ProjectionPlane(((1, 0, 0), (0, 1, 1)))
+    samp = cli.eq.SampledVerdict(False, None, (wa, 6, wb, 4), 64)
+    stub_deciders(monkeypatch, comb, samp)
+    code, _, err = go(["check", "--polytope", CUBE_JSON, "--mode", "both"])
+    assert code == 3
+    assert "contradicted by sampling" in err
+
+
 def test_check_trials_validation():
     assert go(["check", "--polytope", CUBE_JSON, "--mode", "sampled", "--trials", "1"])[0] == 1
 

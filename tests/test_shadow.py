@@ -5,9 +5,10 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import shadowlab.families as fam
 import shadowlab.linalg as la
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
@@ -377,3 +378,130 @@ def test_sampled_shadows_match_hull_oracle(seed):
     oracle = oracle_hull_2d(sh.project(CUBE, w))
     assert poly.k == len(oracle)
     assert set(poly.points) == set(oracle)
+
+
+# ------------------------------------------- integer frame against Fractions
+
+ZOO = (
+    CUBE,
+    HYPERCUBE,
+    fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+    fam.zonotope(fam.random_generators(5, 4, 4)),
+    fam.zonotope(fam.random_generators(6, 5, 8)),
+    fam.pn_polytope(4),
+    fam.perturbed_hypercube(Fr(1, 100)),
+)
+
+
+def wrap_hull(points):
+    """Strict ccw hull by gift wrapping from the lexicographic minimum.
+
+    Deliberately not the library's monotone chain; oracle_hull_2d is
+    cubic in the point count, too slow for the 62-vertex zonotope.
+    """
+    pts = sorted(set(points))
+    hull = [pts[0]]
+    while True:
+        cur = hull[-1]
+        nxt = None
+        for q in pts:
+            if q == cur:
+                continue
+            if nxt is None:
+                nxt = q
+                continue
+            turn = sh.cross2(cur, nxt, q)
+            # q right of cur->nxt, or further along the same ray
+            if turn < 0 or (turn == 0 and sh.on_segment(nxt, cur, q)):
+                nxt = q
+        if nxt == hull[0]:
+            return hull
+        hull.append(nxt)
+
+
+def fraction_shadow(p, w):
+    """Hull ids, points and fibers in the Gram frame, as shadow() gives them."""
+    images = [la.gram_coords(v, w.basis.basis) for v in p.vertices]
+    assert sh.project(p, w) == images
+    hull = wrap_hull(images)
+    if len(p.vertices) <= 16:
+        assert set(hull) == set(oracle_hull_2d(images))
+    fibers = tuple(
+        tuple(i for i, q in enumerate(images) if q == h) for h in hull
+    )
+    return images, tuple(f[0] for f in fibers), tuple(hull), fibers
+
+
+def fraction_report(p, w, images, hull):
+    """(class id, projected rank, member flags) per degenerating class."""
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    faces = pt.k_faces(p, 2)
+    out = []
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        g, h = (la.gram_coords(b, w.basis.basis) for b in cls.direction_plane.basis)
+        if g[0] * h[1] - g[1] * h[0] != 0:
+            continue
+        prank = 1 if any(g + h) else 0
+        members = []
+        for fid in cls.member_ids:
+            imgs = [images[i] for i in faces[fid].vertex_ids]
+            contained = any(
+                all(sh.on_segment(q, a, b) for q in imgs) for a, b in edges
+            )
+            touches = any(sh.on_segment(q, a, b) for q in imgs for a, b in edges)
+            members.append((fid, contained, touches))
+        out.append((cid, prank, members))
+    return out
+
+
+@st.composite
+def zoo_planes(draw):
+    """A zoo polytope with a random plane, or an inadmissible one whose
+    orthogonal span holds a vector of a class direction plane, or in
+    d >= 4 the whole plane (that class then projects to a point)."""
+    p = draw(st.sampled_from(ZOO))
+    d = p.dim
+    entry = st.integers(min_value=-9, max_value=9)
+    kind = draw(st.sampled_from(("random", "vector", "plane")))
+    if kind == "random":
+        rows = [draw(st.tuples(*[entry] * d)) for _ in range(2)]
+        assume(la.rank(rows) == 2)
+        return p, sh.ProjectionPlane(rows)
+    classes = pt.parallel_classes(p)
+    f1, f2 = draw(st.sampled_from(classes)).direction_plane.basis
+    if kind == "plane" and d >= 4:
+        rows = [f1, f2]
+    else:
+        a, b = draw(entry), draw(entry)
+        assume(a or b)
+        rows = [la.add(la.scale(f1, a), la.scale(f2, b))]
+    rows += [draw(st.tuples(*[entry] * d)) for _ in range(d - 2 - len(rows))]
+    assume(la.rank(rows) == d - 2)
+    return p, sh.ProjectionPlane.from_orthogonal(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=zoo_planes())
+def test_integer_frame_matches_fraction_frame(case):
+    p, w = case
+    images, ids, points, fibers = fraction_shadow(p, w)
+    poly = sh.shadow(p, w)
+    assert poly.k == len(points)
+    assert poly.hull_vertex_ids == ids
+    assert poly.points == points
+    assert poly.fibers == fibers
+
+    want = fraction_report(p, w, images, list(points))
+    report = sh.degeneration_report(p, w)
+    got = [
+        (c.class_id, c.projected_rank,
+         [(m.face_id, m.contained_in_edge, m.touches_hull) for m in c.members])
+        for c in report.degenerating
+    ]
+    assert got == want
+    assert report.condition_i == (not want)
+    assert report.condition_ii == (
+        not any(flags[1] for _c, _r, ms in want for flags in ms)
+    )
+    first = want[0][0] if want else None
+    assert sh.is_admissible(p, w) == (not want, first)

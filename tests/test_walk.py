@@ -469,6 +469,29 @@ def test_verify_detects_junction_mismatch():
     assert any("junction spans differ" in v for v in cert.violations)
 
 
+def test_verify_reports_dependent_junction_as_rank_loss():
+    # the row vanishes at the junction t=1/2, so span_at cannot build
+    # the junction span there; free_at names the rank loss instead
+    a = wk.WalkSegment(((1, 2, 3),), ((-2, -4, -6),), (0, Fr(1, 2)))
+    b = wk.WalkSegment(((-1, -2, -3),), ((2, 4, 6),), (Fr(1, 2), 1))
+    ident = la.identity(3)
+    cert = wk.verify_walk(CUBE, wk.WalkPlan((a, b), (), ident, ident))
+    assert not cert.valid
+    assert any("loses rank at t=1/2" in v for v in cert.violations)
+
+
+def test_verify_lets_junction_programming_errors_through(monkeypatch):
+    def broken(self, t):
+        raise TypeError("synthetic")
+
+    a = wk.WalkSegment(((1, 2, 3),), ((0, 0, 0),), (0, Fr(1, 2)))
+    b = wk.WalkSegment(((1, 2, 3),), ((0, 0, 0),), (Fr(1, 2), 1))
+    ident = la.identity(3)
+    monkeypatch.setattr(wk.WalkSegment, "span_at", broken)
+    with pytest.raises(TypeError, match="synthetic"):
+        wk.verify_walk(CUBE, wk.WalkPlan((a, b), (), ident, ident))
+
+
 def test_verify_detects_rank_loss():
     cid = class_id_by_span(TESS, ((0, 0, 1, 0), (0, 0, 0, 1)))
     seg = wk.WalkSegment(
