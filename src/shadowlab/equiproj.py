@@ -348,6 +348,8 @@ def compensation_partition(p, certs, flip=False):
     compatibility graph splits into groups of at most four nodes; each
     group is matched exhaustively. Returns a CompensationPairing, or
     an Obstruction naming the first group without a perfect matching.
+    A larger group means broken face data and raises GeometryError
+    before the exhaustive matching can blow up.
     """
     nodes = []
     for cert in certs:
@@ -366,6 +368,10 @@ def compensation_partition(p, certs, flip=False):
     pairs = []
     for key in sorted(groups):
         idx = tuple(groups[key])
+        if len(idx) > 4:
+            raise GeometryError(
+                f"compensation group of {len(idx)} edge-2-faces, at most 4 expected"
+            )
         if len(idx) % 2:
             return Obstruction(
                 nodes, idx, "odd number of edge-2-faces in the group"

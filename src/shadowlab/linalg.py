@@ -167,10 +167,12 @@ def kernel_basis(m, ncols=None):
     return basis
 
 
-def solve_square(a, b):
-    """Solve a x = b for square a; returns None when a is singular."""
-    n = len(a)
-    rows = [list(as_vec(r)) + [as_rat(b[i])] for i, r in enumerate(a)]
+def _gauss_jordan(rows, n):
+    """Reduce the left n x n block of augmented rows to the identity.
+
+    Works in place; returns the rows, or None when the block is
+    singular.
+    """
     for col in range(n):
         piv = None
         for i in range(col, n):
@@ -187,29 +189,28 @@ def solve_square(a, b):
             if i != col and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], pc)]
+    return rows
+
+
+def solve_square(a, b):
+    """Solve a x = b for square a; returns None when a is singular."""
+    n = len(a)
+    rows = _gauss_jordan(
+        [list(as_vec(r)) + [as_rat(b[i])] for i, r in enumerate(a)], n
+    )
+    if rows is None:
+        return None
     return tuple(rows[i][n] for i in range(n))
 
 
 def inverse(m):
     """Matrix inverse; returns None when singular."""
     n = len(m)
-    rows = [list(as_vec(r)) + list(unit(n, i)) for i, r in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ONE / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        pc = rows[col]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pc)]
+    rows = _gauss_jordan(
+        [list(as_vec(r)) + list(unit(n, i)) for i, r in enumerate(m)], n
+    )
+    if rows is None:
+        return None
     return tuple(tuple(r[n:]) for r in rows)
 
 
@@ -385,17 +386,27 @@ def generalized_cross(vectors):
 
     Component j is the signed cofactor of the matrix whose rows are the
     inputs; the zero vector comes back exactly when they are dependent.
+    The cofactors are integer determinants of the rows scaled to
+    integers, so integer rows give integer components.
     """
     k = len(vectors)
     d = len(vectors[0]) if vectors else 0
     if k != d - 1:
         raise DimensionError("need d-1 vectors in dimension d")
+    rows = []
+    denom = 1
+    for v in vectors:
+        ints, mult = int_row(v)
+        rows.append(ints)
+        denom *= mult
     out = []
     for j in range(d):
-        minor = tuple(tuple(v[c] for c in range(d) if c != j) for v in vectors)
-        term = det(minor)
+        minor = [[r[c] for c in range(d) if c != j] for r in rows]
+        term = kernels.det_int(minor)
         out.append(term if j % 2 == 0 else -term)
-    return tuple(out)
+    if denom == 1:
+        return tuple(out)
+    return tuple(Fraction(x, denom) for x in out)
 
 
 def rat_str(x):

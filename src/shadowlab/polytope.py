@@ -1,16 +1,20 @@
 """V-representation polytopes with exact face enumeration.
 
-A Polytope is a validated full-dimensional vertex list. Faces are
-computed on demand and cached: facets by brute force over supporting
-hyperplanes, lower faces by closing facet vertex sets under
-intersection, parallel classes of 2-faces by span equality, and
-proscribed directions as the pairwise span intersections (edge
-directions included).
+A Polytope is a validated full-dimensional vertex list. Facets are
+found when it is built, by gift wrapping on integer coordinates (Chand
+and Kapur 1970; Swart 1985): from one facet, each ridge is pivoted to
+the facet on its other side, and a facet's ridges are the facets of its
+own point set, found the same way one dimension down. The work grows
+with the number of faces, not with the C(n, d) subsets of n points.
+Other faces are computed on demand and cached: lower faces by closing
+facet vertex sets under intersection, parallel classes of 2-faces by
+span equality, and proscribed directions as the pairwise span
+intersections (edge directions included).
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul, sub
 
 from . import kernels
 from . import linalg as la
@@ -114,17 +118,6 @@ def _affine_rank(points):
     return la.rank(rows)
 
 
-def _int_cross(rows):
-    """Integer normal orthogonal to d-1 integer rows (cofactor signs)."""
-    d = len(rows[0])
-    out = []
-    for j in range(d):
-        minor = [[r[c] for c in range(d) if c != j] for r in rows]
-        term = kernels.det_int(minor)
-        out.append(term if j % 2 == 0 else -term)
-    return out
-
-
 def _canonical_facet(normal, offset):
     g = gcd(*normal, offset)
     if g:
@@ -133,37 +126,110 @@ def _canonical_facet(normal, offset):
     return normal, offset
 
 
-def _scan_facets(pts_int):
-    """All supporting hyperplanes through d of the given integer points.
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
-    Returns a dict mapping frozenset(tight ids) -> (normal, offset) with
-    the point set on the side normal . x <= offset.
+
+def _independent(rows, candidates, limit):
+    """rows extended by each candidate that raises the rank, up to limit rows."""
+    rows = list(rows)
+    for r in candidates:
+        if len(rows) == limit:
+            break
+        if kernels.rank_int(rows + [r]) > len(rows):
+            rows.append(r)
+    return rows
+
+
+def _pivot(pts, normal, offset, m, mo):
+    """Rotate a supporting hyperplane about a codimension-2 flat.
+
+    The hyperplane normal . x = offset supports pts (a dict of integer
+    points) from above; m . x <= mo holds on its tight points, with
+    equality on the flat. Among the points below it, with
+    h = offset - normal . p > 0, the rotation first meets those that
+    maximise g / h, g = m . p - mo; candidates are compared by
+    cross-multiplying. Returns the new normal and offset, primitive
+    together, and the ids met.
     """
-    n = len(pts_int)
-    d = len(pts_int[0])
-    found = {}
-    for subset in combinations(range(n), d):
-        base = pts_int[subset[0]]
-        rows = [
-            [pts_int[i][j] - base[j] for j in range(d)] for i in subset[1:]
-        ]
-        normal = _int_cross(rows)
-        if not any(normal):
+    best_g, best_h, met = 0, 0, []
+    for i, p in pts.items():
+        h = offset - _dot(normal, p)
+        if not h:
             continue
-        offset = sum(a * b for a, b in zip(normal, base))
-        lo, hi = kernels.sign_range(pts_int, normal, offset)
-        if lo < 0 and hi > 0:
-            continue
-        if hi > 0:
-            normal = [-x for x in normal]
-            offset = -offset
-        tight = frozenset(
-            i
-            for i, p in enumerate(pts_int)
-            if sum(a * b for a, b in zip(normal, p)) == offset
-        )
-        if tight not in found:
-            found[tight] = _canonical_facet(normal, offset)
+        g = _dot(m, p) - mo
+        if not met or g * best_h > best_g * h:
+            best_g, best_h, met = g, h, [i]
+        elif g * best_h == best_g * h:
+            met.append(i)
+    new = [best_g * a + best_h * b for a, b in zip(normal, m)]
+    new, off = _canonical_facet(new, best_g * offset + best_h * mo)
+    return tuple(new), off, met
+
+
+def _first_facet(pts):
+    """One facet of full-dimensional integer points: (tight ids, normal, offset).
+
+    Starts from the supporting hyperplane -x_0 <= -min x_0 and pivots
+    until the tight points have affine rank d-1.
+    """
+    k = len(next(iter(pts.values())))
+    lo = min(p[0] for p in pts.values())
+    normal, offset = (-1,) + (0,) * (k - 1), -lo
+    tight = [i for i, p in pts.items() if p[0] == lo]
+    units = [tuple(int(j == c) for j in range(k)) for c in range(k)]
+    while True:
+        base = pts[tight[0]]
+        diffs = [tuple(map(sub, pts[i], base)) for i in tight[1:]]
+        rows = _independent([normal], diffs, k)
+        if len(rows) == k:
+            return frozenset(tight), normal, offset
+        # a direction orthogonal to the normal and the tight face: the
+        # rotation towards it keeps the tight face on the hyperplane
+        m = la.generalized_cross(_independent(rows, units, k - 1))
+        normal, offset, met = _pivot(pts, normal, offset, m, _dot(m, base))
+        tight += met
+
+
+def _hull_facets(pts, memo):
+    """Facets of full-dimensional integer points, by gift wrapping.
+
+    pts maps point ids to integer coordinates. Returns a dict mapping
+    frozenset(tight ids) -> (normal, offset), with every point on the
+    side normal . x <= offset and normal, offset primitive together.
+    A facet's ridges are the facets of its own points with the last
+    coordinate where its normal is nonzero dropped. That choice keeps
+    the lexicographically first coordinates on which the face projects
+    one to one, whichever facet it is reached from, so memo keys the
+    results by id set alone: every ridge is met from two facets.
+    """
+    k = len(next(iter(pts.values())))
+    if not k:
+        # a point's only facet is the empty face, cut out by 0 <= 1
+        return {frozenset(): ((), 1)}
+    key = frozenset(pts)
+    if key in memo:
+        return memo[key]
+    tight, normal, offset = _first_facet(pts)
+    found = {tight: (normal, offset)}
+    queue = [tight]
+    pivoted = set()
+    while queue:
+        tight = queue.pop()
+        normal, offset = found[tight]
+        c = max(j for j in range(k) if normal[j])
+        face = {i: p[:c] + p[c + 1 :] for i, p in pts.items() if i in tight}
+        for ridge, (m, mo) in _hull_facets(face, memo).items():
+            # the facet on the other side of a ridge is found once
+            if ridge in pivoted:
+                continue
+            pivoted.add(ridge)
+            nxt, off, met = _pivot(pts, normal, offset, m[:c] + (0,) + m[c:], mo)
+            nxt_tight = ridge.union(met)
+            if nxt_tight not in found:
+                found[nxt_tight] = (nxt, off)
+                queue.append(nxt_tight)
+    memo[key] = found
     return found
 
 
@@ -194,11 +260,11 @@ def build(vertices, label=None, facet_normals=None):
     """Validate a vertex list and return a Polytope.
 
     Raises PolytopeError on: fewer than d+1 points, affine rank below d,
-    duplicate points, or a listed point that is not extreme. When
-    facet_normals is given it must be a complete family of outer facet
-    normal candidates (up to sign and scale); the quadratic-size scan is
-    then skipped. Candidates are individually verified against the
-    point set, completeness is the caller's responsibility.
+    duplicate points, or a listed point that is not extreme. Facets are
+    gift-wrapped unless facet_normals is given: it must then be a
+    complete family of outer facet normal candidates (up to sign and
+    scale). Candidates are individually verified against the point set,
+    completeness is the caller's responsibility.
     """
     pts = tuple(la.as_vec(p) for p in vertices)
     if not pts:
@@ -216,7 +282,7 @@ def build(vertices, label=None, facet_normals=None):
     pts_int, mult = int_points(pts)
 
     if facet_normals is None:
-        found = _scan_facets(pts_int)
+        found = _hull_facets(dict(enumerate(pts_int)), {})
     else:
         found = _facets_from_candidates(pts_int, facet_normals)
 

@@ -251,6 +251,20 @@ def test_check_hypercube_best_effort():
     assert r["combinatorial"]["unresolved_count"] > 0
 
 
+
+def test_check_generated_5d_zonotope_finishes(tmp_path):
+    # 62 vertices in d=5: C(62, 5) vertex subsets would be needed to
+    # find the facets by trying every d-subset
+    path = tmp_path / "zono.json"
+    code, _, _ = go(
+        ["generate", "--family", "zonotope", "--count", "6", "--dim", "5", "--out", str(path)]
+    )
+    assert code == 0
+    code, r = report(["check", "--polytope", str(path), "--mode", "combinatorial"])
+    assert code in (0, 2)
+    assert r["vertex_count"] == 62
+    assert r["k"] == 12
+
 def stub_deciders(monkeypatch, comb, samp):
     monkeypatch.setattr(cli.eq, "is_equiprojective_combinatorial", lambda p, seed: comb)
     monkeypatch.setattr(cli.eq, "is_equiprojective_sampled", lambda p, seed, trials: samp)

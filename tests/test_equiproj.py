@@ -291,6 +291,15 @@ def test_cube_partition_against_matching_oracle():
     assert oracle_has_perfect_matching(CUBE, nodes)
 
 
+
+def test_partition_rejects_oversize_group(monkeypatch):
+    # six edge-2-faces of one face along one edge direction: exhaustive
+    # matching is only meant for groups of at most four
+    node = eq.EdgeTwoFace(0, 0, None, 1)
+    monkeypatch.setattr(eq, "orient", lambda p, cert, flip=False: (node,) * 6)
+    with pytest.raises(GeometryError, match="group of 6 edge-2-faces"):
+        eq.compensation_partition(CUBE, CUBE_CERTS[:1])
+
 def test_tetrahedron_partition_obstructed():
     out = eq.compensation_partition(TETRA, TETRA_CERTS)
     assert isinstance(out, eq.Obstruction)

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowlab import families as fam
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab.errors import ParameterError, PolytopeError
@@ -323,3 +324,68 @@ def test_build_agrees_with_oracle_on_random_points(pts):
     else:
         with pytest.raises(PolytopeError):
             pt.build(pts)
+
+
+# ------------------------------------------------- gift-wrapped facets
+
+point4 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+
+
+def oracle_all_extreme(pts, fsets):
+    """Whether every point is a vertex: its smallest face is itself."""
+    d = len(pts[0])
+    for i in range(len(pts)):
+        on = [fs for fs in fsets if i in fs]
+        if not on:
+            return False
+        members = [pts[q] for q in sorted(frozenset.intersection(*on))]
+        rows = [[q[j] - members[0][j] for j in range(d)] for q in members[1:]]
+        if oracle_rank(rows) != 0:
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(point4, min_size=5, max_size=9, unique=True))
+def test_build_agrees_with_oracle_on_random_points_4d(pts):
+    # a 3x3x3x3 grid makes coplanar points and non-simplicial facets common
+    rows = [[q[j] - pts[0][j] for j in range(4)] for q in pts[1:]]
+    if oracle_rank(rows) < 4:
+        with pytest.raises(PolytopeError):
+            pt.build(pts)
+        return
+    fsets = oracle_facets(pts)
+    if oracle_all_extreme(pts, fsets):
+        got = {frozenset(f.vertex_ids) for f in pt.facets(pt.build(pts))}
+        assert got == fsets
+    else:
+        with pytest.raises(PolytopeError):
+            pt.build(pts)
+
+
+def test_gift_wrapping_matches_trusted_normals():
+    zoo = [
+        fam.zonotope(fam.random_generators(m, d, i))
+        for m, d, i in ((5, 4, 4), (6, 4, 7), (6, 5, 8))
+    ] + [fam.hyperprism_pnd(2, 5, 0)]
+    for trusted in zoo:
+        wrapped = pt.build(trusted.vertices)
+        assert [f.vertex_ids for f in pt.facets(wrapped)] == [
+            f.vertex_ids for f in pt.facets(trusted)
+        ]
+        assert wrapped._facet_planes == trusted._facet_planes
+
+
+def test_gift_wrapping_matches_oracle_on_zoo():
+    for p in (fam.pn_polytope(4), fam.perturbed_hypercube(Fr(1, 100))):
+        got = {frozenset(f.vertex_ids) for f in pt.facets(pt.build(p.vertices))}
+        assert got == oracle_facets(p.vertices)
+    # oracle_facets would fit C(32, 5) hyperplanes here; the 5-cube's
+    # facets are the ten sets x_j = b
+    pts = cube_vertices(5)
+    want = {
+        frozenset(i for i, v in enumerate(pts) if v[j] == b)
+        for j in range(5)
+        for b in (0, 1)
+    }
+    assert {frozenset(f.vertex_ids) for f in pt.facets(pt.build(pts))} == want
