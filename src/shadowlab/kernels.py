@@ -1,73 +1,111 @@
-"""Dispatch layer selecting the compiled integer kernels when safe.
+"""Integer matrix kernels.
 
-The compiled core accumulates in 128 bits, so it is only used when every
-entry is small enough that all Bareiss intermediates (which are minors of
-the input) stay below 2**62; the caps below come from the Hadamard bound
-n**(n/2) * M**n < 2**62. Larger inputs fall back to the pure Python
-kernels, which work on arbitrary precision integers.
-
-Set SHADOWLAB_PURE=1 to force the pure implementation.
+Every exact determinant and rank in the package funnels through these
+functions after denominators are cleared. They work on Python's
+arbitrary-precision integers, so results are exact at any magnitude.
 """
 
-import os
-
-from . import _kernels_py as _py
-
-_compiled = None
-if os.environ.get("SHADOWLAB_PURE") != "1":
-    try:
-        from . import _core as _compiled
-    except ImportError:
-        _compiled = None
-
-USING_COMPILED = _compiled is not None
-
-# max |entry| admissible per elimination size
-_CAPS = {
-    0: 1 << 30,
-    1: 1 << 30,
-    2: 1 << 30,
-    3: 1 << 19,
-    4: 1 << 14,
-    5: 1 << 11,
-    6: 1 << 9,
-    7: 1 << 7,
-    8: 1 << 6,
-}
-
-
-def _within(rows, size):
-    cap = _CAPS.get(size)
-    if cap is None:
-        return False
-    for r in rows:
-        for x in r:
-            if x > cap or -x > cap:
-                return False
-    return True
+# Read by the benchmark's run header (bench/run.py); always False.
+USING_COMPILED = False
 
 
 def det_int(rows):
-    if _compiled is not None and _within(rows, len(rows)):
-        return _compiled.det_int(rows)
-    return _py.det_int(rows)
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    The empty matrix has determinant 1. All intermediate divisions are
+    exact, so the result is an exact integer.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    for r in m:
+        if len(r) != n:
+            raise ValueError("determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        rk = m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            mik = ri[k]
+            for j in range(k + 1, n):
+                # Bareiss update: exact division by the previous pivot.
+                ri[j] = (pivot * ri[j] - mik * rk[j]) // prev
+            ri[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def rank_int(rows):
-    if _compiled is not None and rows and len(rows) <= 64:
-        size = min(len(rows), len(rows[0]))
-        if len(rows[0]) <= 12 and _within(rows, size):
-            return _compiled.rank_int(rows)
-    return _py.rank_int(rows)
+    """Rank of a rectangular integer matrix, fraction-free elimination."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    if nrows == 0:
+        return 0
+    ncols = len(m[0])
+    for r in m:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = None
+        for i in range(rank, nrows):
+            if m[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][col]
+        rk = m[rank]
+        for i in range(rank + 1, nrows):
+            ri = m[i]
+            mic = ri[col]
+            for j in range(col + 1, ncols):
+                q, rem = divmod(pivot * ri[j] - mic * rk[j], prev)
+                if rem:
+                    raise AssertionError("fraction-free update was not exact")
+                ri[j] = q
+            ri[col] = 0
+        prev = pivot
+        rank += 1
+    return rank
 
 
+# Traced by the benchmark (bench/spans.py); no package code calls it.
 def sign_range(points, normal, offset):
-    if (
-        _compiled is not None
-        and len(normal) <= 12
-        and -(1 << 62) < offset < (1 << 62)
-        and _within([normal], 2)
-        and _within(points, 2)
-    ):
-        return _compiled.sign_range(points, normal, offset)
-    return _py.sign_range(points, normal, offset)
+    """Extreme signs of n.x - offset over integer points.
+
+    Returns (lo, hi) with lo = min observed sign and hi = max observed
+    sign, each one of -1, 0, +1. Exits early once both strict signs have
+    been seen, so a zero after that point may go unreported.
+    """
+    lo = 0
+    hi = 0
+    for p in points:
+        s = -offset
+        for a, b in zip(p, normal):
+            s += a * b
+        if s < 0:
+            lo = -1
+            if hi > 0:
+                break
+        elif s > 0:
+            hi = 1
+            if lo < 0:
+                break
+    return lo, hi

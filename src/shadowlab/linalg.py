@@ -2,8 +2,7 @@
 
 Vectors are tuples of Fraction and matrices are tuples of such rows.
 Determinants and ranks clear denominators row by row and run on the
-integer kernels, so the compiled core (when present) accelerates every
-exact test in the package.
+integer kernels.
 """
 
 from fractions import Fraction

@@ -296,6 +296,8 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
     """
     if count < 1:
         raise ParameterError("count must be at least 1")
+    if grid_bound < 0:
+        raise ParameterError("grid_bound must be at least 0")
     rng = random.Random(rng_seed)
     budget = 1000 * count
     out = []

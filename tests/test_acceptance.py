@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import conftest
+import shadowlab.cli as cli
 import shadowlab.equiproj as eq
 import shadowlab.families as fam
 import shadowlab.linalg as la
@@ -162,28 +163,6 @@ def test_criterion_05_verdict_cross_validation(small_zoo, zonotopes):
     assert time.monotonic() - start < 180
 
 
-def _estranged_subset(p, face_ids, need):
-    faces = pt.k_faces(p, 2)
-    chosen = []
-
-    def rec(i):
-        if len(chosen) == need:
-            return True
-        if i == len(face_ids):
-            return False
-        f = face_ids[i]
-        if all(
-            la.intersect(faces[f].span, faces[g].span).dim == 0 for g in chosen
-        ):
-            chosen.append(f)
-            if rec(i + 1):
-                return True
-            chosen.pop()
-        return rec(i + 1)
-
-    return tuple(chosen) if rec(0) else None
-
-
 def _degenerating_faces(p, w):
     faces = pt.k_faces(p, 2)
     out = []
@@ -200,12 +179,12 @@ def test_criterion_06_estranged_degenerations():
         w = sh.ProjectionPlane((la.unit(4, 0), la.unit(4, 1)))
         degenerating = _degenerating_faces(p, w)
         assert len(degenerating) >= n
-        assert _estranged_subset(p, degenerating, n) is not None
+        assert cli._estranged_subset(p, degenerating, n) is not None
     # documented seed for the 5-dimensional hyper-prism: 0
     q = fam.hyperprism_pnd(2, 5, 0)
     w = sh.ProjectionPlane((la.unit(5, 0), la.unit(5, 1)))
     degenerating = _degenerating_faces(q, w)
-    assert _estranged_subset(q, degenerating, 2) is not None
+    assert cli._estranged_subset(q, degenerating, 2) is not None
     assert time.monotonic() - start < 30
 
 

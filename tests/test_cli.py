@@ -133,6 +133,12 @@ def test_shadow_usage_errors():
     assert go(["shadow", "--polytope", CUBE_JSON, "--plane", "[[0.5,0,0],[0,1,0]]"])[0] == 1
 
 
+def test_shadow_negative_grid_bound_is_usage_error():
+    code, out, err = go(["shadow", "--polytope", CUBE_JSON, "--grid-bound", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "grid_bound" in err
+
+
 def test_shadow_sampling_failure_is_undecided(monkeypatch):
     def boom(*a, **kw):
         raise SamplingError("budget exhausted")

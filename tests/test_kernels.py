@@ -1,11 +1,8 @@
-"""Integer kernel tests: pure implementation, dispatch, compiled twin."""
-
-from fractions import Fraction
+"""Integer kernel tests against the definitions and sympy oracles."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowlab import _kernels_py as pure
 from shadowlab import kernels
 from oracles import oracle_det, oracle_rank
 
@@ -19,63 +16,57 @@ def square(n):
 
 
 def test_det_identity():
-    assert pure.det_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    assert kernels.det_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
 
 def test_det_repeated_row_is_zero():
-    assert pure.det_int([[1, 2, 3], [1, 2, 3], [0, 1, 0]]) == 0
+    assert kernels.det_int([[1, 2, 3], [1, 2, 3], [0, 1, 0]]) == 0
 
 
 def test_det_quarter_turn():
-    assert pure.det_int([[0, 1], [-1, 0]]) == 1
+    assert kernels.det_int([[0, 1], [-1, 0]]) == 1
 
 
 def test_det_empty_matrix():
-    assert pure.det_int([]) == 1
+    assert kernels.det_int([]) == 1
 
 
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
-        pure.det_int([[1, 2, 3], [4, 5, 6]])
+        kernels.det_int([[1, 2, 3], [4, 5, 6]])
 
 
 def test_rank_zero_matrix():
-    assert pure.rank_int([[0, 0, 0], [0, 0, 0]]) == 0
+    assert kernels.rank_int([[0, 0, 0], [0, 0, 0]]) == 0
 
 
 def test_rank_identity():
-    assert pure.rank_int([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 4
+    assert kernels.rank_int([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 4
 
 
 def test_rank_proportional_rows():
-    assert pure.rank_int([[2, 4, 6], [1, 2, 3]]) == 1
+    assert kernels.rank_int([[2, 4, 6], [1, 2, 3]]) == 1
 
 
 def test_rank_empty():
-    assert pure.rank_int([]) == 0
+    assert kernels.rank_int([]) == 0
 
 
 def test_sign_range_split():
     pts = [(1, 0), (-1, 0), (0, 5)]
-    assert pure.sign_range(pts, (1, 0), 0) == (-1, 1)
+    assert kernels.sign_range(pts, (1, 0), 0) == (-1, 1)
 
 
 def test_sign_range_supporting():
     pts = [(0, 0), (1, 0), (1, 1)]
-    lo, hi = pure.sign_range(pts, (0, 1), 1)
+    lo, hi = kernels.sign_range(pts, (0, 1), 1)
     assert (lo, hi) == (-1, 0)
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=5).flatmap(square))
 def test_det_matches_oracle(m):
-    assert pure.det_int(m) == oracle_det(m)
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=5).flatmap(square))
-def test_det_dispatch_matches_pure(m):
-    assert kernels.det_int(m) == pure.det_int(m)
+    assert kernels.det_int(m) == oracle_det(m)
 
 
 @settings(deadline=None)
@@ -83,15 +74,7 @@ def test_det_dispatch_matches_pure(m):
     st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=6)
 )
 def test_rank_matches_oracle(m):
-    assert pure.rank_int(m) == oracle_rank(m)
-
-
-@settings(deadline=None)
-@given(
-    st.lists(st.lists(small_int, min_size=4, max_size=4), min_size=1, max_size=8)
-)
-def test_rank_dispatch_matches_pure(m):
-    assert kernels.rank_int(m) == pure.rank_int(m)
+    assert kernels.rank_int(m) == oracle_rank(m)
 
 
 @settings(deadline=None)
@@ -104,33 +87,15 @@ def test_det_row_swap_flips_sign(m, data):
         return
     swapped = [list(r) for r in m]
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    assert pure.det_int(swapped) == -pure.det_int(m)
+    assert kernels.det_int(swapped) == -kernels.det_int(m)
 
 
 def test_dispatch_handles_huge_entries():
-    # beyond the compiled caps: must fall back to pure and stay exact
+    # far beyond 2**62: arbitrary-precision arithmetic stays exact
     big = 10**40
     m = [[big, 1], [1, big]]
     assert kernels.det_int(m) == big * big - 1
     assert kernels.rank_int(m) == 2
-
-
-def test_compiled_twin_agrees_when_present():
-    if not kernels.USING_COMPILED:
-        pytest.skip("compiled core not built")
-    from shadowlab import _core
-
-    cases = [
-        [[3]],
-        [[0, 1], [-1, 0]],
-        [[2, 7, 1], [0, 3, 9], [5, 5, 5]],
-        [[0, 0, 2, 1], [1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 4]],
-    ]
-    for m in cases:
-        assert _core.det_int(m) == pure.det_int(m)
-        assert _core.rank_int(m) == pure.rank_int(m)
-    pts = [(3, -1, 2), (0, 0, 0), (-5, 4, 1)]
-    assert _core.sign_range(pts, (1, 2, 3), 2) == pure.sign_range(pts, (1, 2, 3), 2)
 
 
 @settings(deadline=None)
@@ -140,7 +105,7 @@ def test_compiled_twin_agrees_when_present():
     small_int,
 )
 def test_sign_range_matches_definition(pts, normal, offset):
-    lo, hi = pure.sign_range(pts, normal, offset)
+    lo, hi = kernels.sign_range(pts, normal, offset)
     signs = set()
     for p in pts:
         s = sum(a * b for a, b in zip(p, normal)) - offset
@@ -148,5 +113,3 @@ def test_sign_range_matches_definition(pts, normal, offset):
     # early exit may under-report zeros but never strict signs
     assert (-1 in signs) == (lo == -1)
     assert (1 in signs) == (hi == 1)
-    if kernels.USING_COMPILED:
-        assert kernels.sign_range(pts, normal, offset) == (lo, hi)

@@ -306,6 +306,8 @@ def test_sample_admissible_hypercube_seed7_all_octagons():
 def test_sample_admissible_errors():
     with pytest.raises(ParameterError):
         sh.sample_admissible(CUBE, 1, 0)
+    with pytest.raises(ParameterError):
+        sh.sample_admissible(CUBE, 1, 1, grid_bound=-1)
     # zero grid leaves only rank-0 candidates, so the budget runs out
     with pytest.raises(SamplingError):
         sh.sample_admissible(CUBE, 1, 1, grid_bound=0)
