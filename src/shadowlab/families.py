@@ -86,6 +86,18 @@ def prism(base, height, label=None):
     return p
 
 
+# a zonotope is built as the hull of all 2^m subset sums of its m
+# generators, so m is capped well above any family in use (6 at most)
+MAX_GENERATORS = 16
+
+
+def _check_generator_count(m):
+    if m > MAX_GENERATORS:
+        raise ParameterError(
+            f"{m} generators exceed the cap of {MAX_GENERATORS}"
+        )
+
+
 class ZonotopeSpec:
     """Validated generator family for a sum of segments."""
 
@@ -95,6 +107,7 @@ class ZonotopeSpec:
         gens = tuple(la.as_vec(g) for g in generators)
         if len(gens) < 2:
             raise ParameterError("need at least two generators")
+        _check_generator_count(len(gens))
         d = len(gens[0])
         if any(len(g) != d for g in gens):
             raise DimensionError("generators of mixed dimensions")
@@ -111,20 +124,6 @@ class ZonotopeSpec:
     @property
     def dim(self):
         return len(self.generators[0])
-
-
-def _zonotope_normals(gens, d):
-    """Every facet normal of the zonotope, possibly with extras.
-
-    A facet of a sum of segments lies in a hyperplane spanned by
-    generators, so the cross products of independent (d-1)-subsets
-    cover all facet normals.
-    """
-    cands = set()
-    for subset in combinations(gens, d - 1):
-        if la.rank(subset) == d - 1:
-            cands.add(la.primitive(la.generalized_cross(subset)))
-    return sorted(cands)
 
 
 def _subset_sums(gens):
@@ -146,29 +145,8 @@ def zonotope(spec, label=None):
     d = spec.dim
     if la.rank(gens) != d:
         raise ParameterError("generators do not span the ambient space")
-    sums = _subset_sums(gens)
-    normals = _zonotope_normals(gens, d)
-    # a sum is a vertex iff its supporting facet normals span R^d
-    tight_sets = []
-    for nv in normals:
-        vals = [la.dot(nv, q) for q in sums]
-        hi, lo = max(vals), min(vals)
-        tight_sets.append((nv, vals, hi, lo))
-    verts = []
-    for idx, q in enumerate(sums):
-        supp = []
-        for nv, vals, hi, lo in tight_sets:
-            if vals[idx] == hi:
-                supp.append(nv)
-            if vals[idx] == lo:
-                supp.append(la.neg(nv))
-        if la.rank(supp) == d:
-            verts.append(q)
-    p = pt.build(
-        verts,
-        label=label or f"zonotope-{len(gens)}g{d}d",
-        facet_normals=normals,
-    )
+    # the vertices are the subset sums that hull() keeps
+    p = pt.hull(_subset_sums(gens), label=label or f"zonotope-{len(gens)}g{d}d")
     for w in sh.sample_admissible(p, 0, 4):
         if sh.shadow(p, w).k != 2 * len(gens):
             raise PolytopeError(
@@ -183,6 +161,7 @@ def random_generators(count, dim, seed):
         raise ParameterError("dimension must be at least 2")
     if count < dim:
         raise ParameterError("need at least dim generators to span")
+    _check_generator_count(count)
     rng = random.Random(f"generators:{seed}")
     chosen = []
     budget = 64 * count
@@ -327,16 +306,6 @@ def hyperprism_pnd(n, d, seed):
         rho = tuple(Fraction(rng.randint(-50, 50), 1000) for _ in range(k))
         g = la.add(la.unit(k, k - 1), rho)
         bottom = [v + (la.ZERO,) for v in p.vertices]
-        # facets of a prism: bottom, top, and one extrusion per old
-        # facet, its normal made orthogonal to the edge vector g
-        cands = [la.unit(k, k - 1)]
-        for normal, _off in p._facet_planes:
-            alpha = -la.dot(normal, g[:-1]) / g[-1]
-            cands.append(tuple(normal) + (alpha,))
-        p = pt.build(
-            bottom + [la.add(v, g) for v in bottom],
-            label=f"pnd-{n}d{k}",
-            facet_normals=cands,
-        )
+        p = pt.build(bottom + [la.add(v, g) for v in bottom], label=f"pnd-{n}d{k}")
     _triangle_self_test(p, spec, f" (seed {seed}; try another seed)")
     return p

@@ -1,11 +1,13 @@
 """V-representation polytopes with exact face enumeration.
 
-A Polytope is a validated full-dimensional vertex list. Facets are
-found when it is built, by gift wrapping on integer coordinates (Chand
-and Kapur 1970; Swart 1985): from one facet, each ridge is pivoted to
-the facet on its other side, and a facet's ridges are the facets of its
-own point set, found the same way one dimension down. The work grows
-with the number of faces, not with the C(n, d) subsets of n points.
+A Polytope is a validated full-dimensional vertex list: build() takes
+the vertices themselves, hull() any point cloud, of which it keeps the
+vertices. Both find the facets one way, by gift wrapping on integer
+coordinates (Chand and Kapur 1970; Swart 1985): from one facet, each
+ridge is pivoted to the facet on its other side, and a facet's ridges
+are the facets of its own point set, found the same way one dimension
+down. The work grows with the number of faces, not with the C(n, d)
+subsets of n points.
 Other faces are computed on demand and cached: lower faces by closing
 facet vertex sets under intersection, parallel classes of 2-faces by
 span equality, and proscribed directions as the pairwise span
@@ -77,7 +79,7 @@ class ProscribedDirection:
 
 
 class Polytope:
-    """Immutable vertex list plus cached face data. Use build()."""
+    """Immutable vertex list plus cached face data. Use build() or hull()."""
 
     def __init__(self, vertices, label, facets):
         self.vertices = vertices
@@ -233,40 +235,16 @@ def _hull_facets(pts, memo):
     return found
 
 
-def _facets_from_candidates(pts_int, normals):
-    """Supporting hyperplanes from a caller-supplied complete normal family.
+def hull(points, label=None):
+    """The convex hull of a point cloud, as a Polytope.
 
-    For each candidate direction both extremes are taken; candidates
-    are trusted to cover every facet normal of the hull (the caller
-    must guarantee that), tightness rank is still verified later.
+    The points are validated as build() validates them and gift-wrapped
+    once. A point is a vertex iff the normals of the facets through it
+    span R^d: the vertices are kept, in input order, and the other
+    points dropped. Raises PolytopeError on: fewer than d+1 points,
+    affine rank below d, or duplicate points.
     """
-    found = {}
-    for raw in normals:
-        normal = list(la.primitive(raw))
-        for sign in (1, -1):
-            nv = [sign * x for x in normal]
-            hi = max(sum(a * b for a, b in zip(nv, p)) for p in pts_int)
-            tight = frozenset(
-                i
-                for i, p in enumerate(pts_int)
-                if sum(a * b for a, b in zip(nv, p)) == hi
-            )
-            if tight not in found:
-                found[tight] = _canonical_facet(nv, hi)
-    return found
-
-
-def build(vertices, label=None, facet_normals=None):
-    """Validate a vertex list and return a Polytope.
-
-    Raises PolytopeError on: fewer than d+1 points, affine rank below d,
-    duplicate points, or a listed point that is not extreme. Facets are
-    gift-wrapped unless facet_normals is given: it must then be a
-    complete family of outer facet normal candidates (up to sign and
-    scale). Candidates are individually verified against the point set,
-    completeness is the caller's responsibility.
-    """
-    pts = tuple(la.as_vec(p) for p in vertices)
+    pts = tuple(la.as_vec(p) for p in points)
     if not pts:
         raise PolytopeError("no vertices given")
     d = len(pts[0])
@@ -280,41 +258,58 @@ def build(vertices, label=None, facet_normals=None):
         raise PolytopeError("vertex set is not full-dimensional")
 
     pts_int, mult = int_points(pts)
+    found = _hull_facets(dict(enumerate(pts_int)), {})
+    facets = [(tuple(sorted(t)), normal, off) for t, (normal, off) in found.items()]
 
-    if facet_normals is None:
-        found = _hull_facets(dict(enumerate(pts_int)), {})
-    else:
-        found = _facets_from_candidates(pts_int, facet_normals)
-
-    # facet tight sets must be (d-1)-dimensional
-    facets = []
-    for tight, (normal, offset) in found.items():
-        members = [pts[i] for i in sorted(tight)]
-        if _affine_rank(members) != d - 1:
-            continue
-        span = la.span_of(
-            [la.sub(q, members[0]) for q in members[1:]], ambient=d
-        )
-        facets.append((tuple(sorted(tight)), span, tuple(normal), offset))
-    facets.sort(key=lambda f: f[0])
-
-    # a listed point is extreme iff its incident facet normals span R^d
-    incident = {i: [] for i in range(len(pts))}
-    for tight, _, normal, _off in facets:
-        for i in tight:
+    incident = [[] for _ in pts]
+    for ids, normal, _off in facets:
+        for i in ids:
             incident[i].append(normal)
-    for i in range(len(pts)):
-        if kernels.rank_int(incident[i]) != d:
-            raise PolytopeError(f"point {i} is not a vertex of the hull")
+    keep = [i for i in range(len(pts)) if kernels.rank_int(incident[i]) == d]
+    if len(keep) < len(pts):
+        # renumber the vertices and move the planes from the cloud's
+        # multiplier to theirs: a dropped point may carry the largest
+        # denominator
+        new_id = {i: j for j, i in enumerate(keep)}
+        pts = tuple(pts[i] for i in keep)
+        pts_int, v_mult = int_points(pts)
+        facets = [
+            (
+                tuple(new_id[i] for i in ids if i in new_id),
+                *_canonical_facet([mult * x for x in normal], v_mult * off),
+            )
+            for ids, normal, off in facets
+        ]
+        mult = v_mult
+    facets.sort()
 
-    face_objs = tuple(
-        Face(tight, d - 1, span) for tight, span, _n, _o in facets
-    )
-    poly = Polytope(pts, label, face_objs)
+    faces = []
+    for ids, _n, _o in facets:
+        base = pts_int[ids[0]]
+        diffs = (tuple(map(sub, pts_int[i], base)) for i in ids[1:])
+        rows = _independent([], diffs, d - 1)
+        if len(rows) < d - 1:
+            raise PolytopeError(f"facet {ids} is not {d - 1}-dimensional")
+        faces.append(Face(ids, d - 1, la.span_of(rows, ambient=d)))
+    poly = Polytope(pts, label, tuple(faces))
     poly._int_vertices = (pts_int, mult)
-    poly._facet_planes = tuple(
-        (normal, offset) for _t, _s, normal, offset in facets
-    )
+    poly._facet_planes = tuple((tuple(n), off) for _i, n, off in facets)
+    return poly
+
+
+def build(vertices, label=None):
+    """Validate a vertex list and return a Polytope.
+
+    This is hull() on the list, which must lose no point: raises
+    PolytopeError on fewer than d+1 points, affine rank below d,
+    duplicate points, or a listed point that is not a vertex.
+    """
+    vertices = tuple(vertices)
+    poly = hull(vertices, label)
+    if len(poly.vertices) < len(vertices):
+        kept = set(poly.vertices)
+        i = next(i for i, q in enumerate(vertices) if la.as_vec(q) not in kept)
+        raise PolytopeError(f"point {i} is not a vertex of the hull")
     return poly
 
 

@@ -88,6 +88,9 @@ def test_generate_usage_errors():
     assert go(["generate", "--family", "zonotope"])[0] == 1
     assert go(["generate", "--family", "perturbed-hypercube", "--epsilon", "1/2"])[0] == 1
     assert go(["generate", "--family", "zonotope", "--generators", "[[1,0],[2,0]]"])[0] == 1
+    code, out, err = go(["generate", "--family", "zonotope", "--count", "17", "--dim", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "17 generators exceed the cap of 16" in err
 
 
 # ---------------------------------------------------------------- shadow

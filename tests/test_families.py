@@ -250,6 +250,16 @@ def test_zonotope_spec_validation():
         fam.ZonotopeSpec(((1,), (2,)))
 
 
+def test_zonotope_generator_count_is_capped():
+    # 2^17 subset sums would be built; the count is refused first
+    gens = [(1, i) for i in range(fam.MAX_GENERATORS + 1)]
+    fam.ZonotopeSpec(gens[:-1])
+    with pytest.raises(ParameterError, match="17 generators exceed the cap of 16"):
+        fam.zonotope(gens)
+    with pytest.raises(ParameterError, match="17 generators exceed the cap of 16"):
+        fam.random_generators(17, 2, 0)
+
+
 def test_zonotope_rejects_non_spanning_generators():
     with pytest.raises(ParameterError):
         fam.zonotope(((1, 0, 0), (0, 1, 0)))

@@ -2,8 +2,10 @@
 
 from fractions import Fraction as Fr
 from itertools import combinations, product
+from math import comb, gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from shadowlab import families as fam
@@ -51,6 +53,29 @@ def test_build_rejects_edge_midpoint():
     pts = cube_vertices() + [(Fr(1, 2), 0, 0)]
     with pytest.raises(PolytopeError, match="not a vertex"):
         pt.build(pts)
+
+
+def test_hull_keeps_the_vertices_of_a_cloud():
+    cube = [tuple(2 * x for x in v) for v in product((0, 1), repeat=3)]
+    centre, midpoint, inner = (1, 1, 1), (1, 0, 0), (Fr(1, 3), Fr(2, 5), Fr(3, 11))
+    # the midpoint of edge 0-4 comes second, so dropping it reorders the
+    # facets: x0 = 0 sorts after x1 = 0 and x2 = 0 by cloud ids, first by
+    # vertex ids
+    cloud = cube[:1] + [midpoint] + cube[1:3] + [centre] + cube[3:5] + [inner] + cube[5:]
+    got, want = pt.hull(cloud), pt.build(cube)
+    assert got.vertices == want.vertices
+    assert [f.vertex_ids for f in pt.facets(got)] == [
+        f.vertex_ids for f in pt.facets(want)
+    ]
+    assert [f.span.basis for f in pt.facets(got)] == [
+        f.span.basis for f in pt.facets(want)
+    ]
+    # the planes and integer vertices are on the vertices' scale, not on
+    # the cloud's (the inner point has denominators 3, 5 and 11)
+    assert got._facet_planes == want._facet_planes
+    assert got.int_vertices() == want.int_vertices() == (tuple(cube), 1)
+    with pytest.raises(PolytopeError, match="^point 1 is not a vertex of the hull$"):
+        pt.build(cloud)
 
 
 def test_build_rejects_duplicates():
@@ -363,21 +388,34 @@ def test_build_agrees_with_oracle_on_random_points_4d(pts):
             pt.build(pts)
 
 
-def test_gift_wrapping_matches_trusted_normals():
-    zoo = [
-        fam.zonotope(fam.random_generators(m, d, i))
-        for m, d, i in ((5, 4, 4), (6, 4, 7), (6, 5, 8))
-    ] + [fam.hyperprism_pnd(2, 5, 0)]
-    for trusted in zoo:
-        wrapped = pt.build(trusted.vertices)
-        assert [f.vertex_ids for f in pt.facets(wrapped)] == [
-            f.vertex_ids for f in pt.facets(trusted)
-        ]
-        assert wrapped._facet_planes == trusted._facet_planes
+def primitive_normal(rows):
+    """The primitive integer normal of d-1 independent rows, by sympy."""
+    (ns,) = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).nullspace()
+    scale = sympy.ilcm(*(x.q for x in ns))
+    ints = [int(x * scale) for x in ns]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def test_zonotope_facets_are_spanned_by_generators():
+    # every facet of a zonotope is spanned by d-1 generators, and generic
+    # generators give each (d-1)-subset two opposite facets
+    for m, d, seed in ((5, 4, 4), (6, 4, 7), (6, 5, 8)):
+        gens = fam.random_generators(m, d, seed)
+        crosses = {primitive_normal(sub) for sub in combinations(gens, d - 1)}
+        want = crosses | {tuple(-x for x in c) for c in crosses}
+        assert len(want) == 2 * comb(m, d - 1)
+        p = fam.zonotope(gens)
+        assert sorted(n for n, _off in p._facet_planes) == sorted(want)
 
 
 def test_gift_wrapping_matches_oracle_on_zoo():
-    for p in (fam.pn_polytope(4), fam.perturbed_hypercube(Fr(1, 100))):
+    # hyperprism_pnd(2, 5, 0): 12 points in d=5, so 792 oracle fits
+    for p in (
+        fam.pn_polytope(4),
+        fam.perturbed_hypercube(Fr(1, 100)),
+        fam.hyperprism_pnd(2, 5, 0),
+    ):
         got = {frozenset(f.vertex_ids) for f in pt.facets(pt.build(p.vertices))}
         assert got == oracle_facets(p.vertices)
     # oracle_facets would fit C(32, 5) hyperplanes here; the 5-cube's
