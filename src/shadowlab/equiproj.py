@@ -9,24 +9,29 @@ split into compensating pairs: parallel edges, opposite orientations,
 on the same ordered face pair or on the swapped one. The sampled
 decider simply compares shadow sizes over many admissible planes.
 
-Certificates are proofs: every emitted witness is re-validated with
-exact arithmetic. Absence of a certificate is proof only in dimension
-3, where the witness space is a plane and the search grid provably
-covers it; in higher dimensions an exhausted search is reported as
-such and verdicts that depend on it carry firm=False.
+Visible configurations are enumerated exactly, in every dimension.
+Let P be a class's direction plane. A projection plane degenerating
+only that class holds exactly one line c orthogonal to P, and c
+decides visibility: a member is visible iff it lies in the face of p
+that maximises or minimises c. So the configurations are constant on the
+cells of the common refinement of the normal fans of Q and -Q, where Q
+is the projection of p along P; that refinement is the normal fan of
+the difference body Q + (-Q) (Ziegler, Lectures on Polytopes, Prop.
+7.12), whose proper faces are enumerated one by one. A cell lying in
+another class's orthogonal complement degenerates that class too and
+is skipped; every other cell has an exact witness plane. Certificates
+are proofs: every emitted witness is re-validated with exact
+arithmetic, and the absence of one is a proof as well.
 """
 
-import random
 from collections import namedtuple
-from fractions import Fraction
+from operator import mul, sub
 
 from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
 from . import walk as wk
 from .errors import GeometryError, ParameterError
-
-_CLASS_BUDGET = 48
 
 EdgeTwoFace = namedtuple(
     "EdgeTwoFace", ["edge_id", "face_id", "partner_id", "orientation"]
@@ -49,7 +54,7 @@ Obstruction = namedtuple("Obstruction", ["edge_two_faces", "group", "reason"])
 
 CombinatorialVerdict = namedtuple(
     "CombinatorialVerdict",
-    ["equiprojective", "k", "firm", "certificates", "exhausted", "obstruction"],
+    ["equiprojective", "k", "certificates", "obstruction"],
 )
 
 SampledVerdict = namedtuple(
@@ -139,110 +144,113 @@ def _certify(p, face_id, other_id, rows):
     return VisibilityCertificate(face_id, other_id, tuple(rows), chains, other)
 
 
-def _planar_witness(p, cid):
-    """Complete witness search in dimension 3.
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
-    The witness space for a class is the set of directions inside its
-    plane; each other class forbids exactly one of them (the line where
-    the two planes meet). A grid of one more direction than there are
-    classes therefore always contains a witness.
+
+def _cells(p, cid):
+    """Every valid cell of a class, with the members visible on it.
+
+    Yields (c, members). B is an integer basis of P's orthogonal
+    complement, so the directions there are c = B^T l and c . v equals
+    l . (B v): the cells are the normal cones of the proper faces G of
+    the difference body D of the points B v. Summing the facet normals
+    through G gives a direction inside its cone. A cone that lies in
+    another class's orthogonal complement is skipped; inside any other
+    cone, the sum weighted by the powers of t = 1, 2, ... leaves every
+    such complement for all but finitely many t. members are the ids of
+    the class's faces lying in the face of p that maximises or
+    minimises c.
+    """
+    classes = pt.parallel_classes(p)
+    cls = classes[cid]
+    others = [o.int_rows for k, o in enumerate(classes) if k != cid]
+    verts = p.int_vertices()[0]
+    basis = [la.primitive(b) for b in la.kernel_basis(cls.int_rows)]
+    ys = {tuple(_dot(b, v) for b in basis) for v in verts}
+    body = pt.hull(sorted({tuple(map(sub, y, z)) for y in ys for z in ys}))
+    # each facet's vertex ids and its normal lifted to c = B^T n
+    facets = [
+        (set(f.vertex_ids), tuple(_dot(n, col) for col in zip(*basis)))
+        for f, (n, _off) in zip(pt.facets(body), pt.facet_planes(body))
+    ]
+    faces = pt.k_faces(p, 2)
+
+    def clear(c, rows):
+        # c is off the orthogonal complement of the plane with these rows
+        return any(_dot(c, r) for r in rows)
+
+    for k in range(body.dim):
+        for g in pt.k_faces(body, k):
+            cone = [c for vids, c in facets if vids.issuperset(g.vertex_ids)]
+            if not all(any(clear(c, rows) for c in cone) for rows in others):
+                continue
+            t = 1
+            while True:
+                c = tuple(
+                    sum(t**i * x for i, x in enumerate(col)) for col in zip(*cone)
+                )
+                if all(clear(c, rows) for rows in others):
+                    break
+                t += 1
+            vals = [_dot(c, v) for v in verts]
+            ends = (min(vals), max(vals))
+            members = tuple(
+                fid
+                for fid in cls.member_ids
+                if any(
+                    all(vals[v] == e for v in faces[fid].vertex_ids) for e in ends
+                )
+            )
+            yield c, members
+
+
+def _witness(p, cid, c):
+    """Orthogonal rows of a plane through c where only class cid degenerates.
+
+    The rows are u1 = f1 + q f2 on the class's basis and, in dimension
+    4 and up, the rows k_j + t^j f2, with k_j a basis of the complement
+    of P + c; all lie in c's orthogonal complement and meet P only in
+    u1. Each other class plane holds u1 for at most one q; once u1
+    avoids them all, each other class degenerates for at most d - 3
+    values of t.
     """
     classes = pt.parallel_classes(p)
     f1, f2 = classes[cid].direction_plane.basis
+    extra = [la.primitive(k) for k in la.kernel_basis((f1, f2, c))]
     for q in range(len(classes) + 1):
         u1 = la.add(f1, la.scale(f2, q))
-        if tuple(sh.degenerate_classes(p, (u1,))) == (cid,):
-            return (u1,)
-    raise GeometryError("planar witness grid exhausted, polytope data broken")
-
-
-def _draw_witness(p, cid, rng):
-    d = p.dim
-    classes = pt.parallel_classes(p)
-    f1, f2 = classes[cid].direction_plane.basis
-    a = rng.randint(-9, 9)
-    b = rng.randint(-9, 9)
-    if a == 0 and b == 0:
-        return None
-    rows = [la.add(la.scale(f1, a), la.scale(f2, b))]
-    for _ in range(d - 3):
-        rows.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(d)))
-    rows = tuple(rows)
-    if la.rank(rows) != d - 2:
-        return None
-    if tuple(sh.degenerate_classes(p, rows)) != (cid,):
-        return None
-    if la.intersect(la.Subspace(rows), classes[cid].direction_plane).dim != 1:
-        # the whole face plane fell into the orthogonal span; members
-        # would project to points, not boundary edges
-        return None
-    return rows
-
-
-def _boundary_members(p, cid, rows):
-    faces = pt.k_faces(p, 2)
-    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
-    out = [
-        fid
-        for fid in pt.parallel_classes(p)[cid].member_ids
-        if sh.in_boundary(frame, faces[fid].vertex_ids)
-    ]
-    return tuple(sorted(out))
-
-
-def _survey(p, seed):
-    """All certificates found plus the candidates left unresolved."""
-    d = p.dim
-    classes = pt.parallel_classes(p)
-    certs = []
-    exhausted = []
-    for cid, cls in enumerate(classes):
-        members = cls.member_ids
-        if d == 3:
-            # a convex polytope has at most two facets per direction,
-            # and both always reach the shadow boundary: the outward
-            # facet normal is constant on the projection fibers
-            if len(members) > 2:
-                raise GeometryError(
-                    f"three parallel facets in class {cid}, data broken"
-                )
-            rows = _planar_witness(p, cid)
-            if len(members) == 1:
-                certs.append(_certify(p, members[0], None, rows))
-            else:
-                certs.append(_certify(p, members[0], members[1], rows))
+        others = (o for k, o in enumerate(classes) if k != cid)
+        if any(o.direction_plane.contains(u1) for o in others):
             continue
-        rng = random.Random(f"visible:{seed}:{cid}")
+        for t in range(len(extra) * len(classes) + 1):
+            rows = (u1,) + tuple(
+                la.add(k, la.scale(f2, t**j)) for j, k in enumerate(extra, 1)
+            )
+            if tuple(sh.degenerate_classes(p, rows)) == (cid,):
+                return rows
+    raise GeometryError("witness grid exhausted, polytope data broken")
+
+
+def _survey(p):
+    """A certificate for every visible configuration of one or two faces."""
+    certs = []
+    for cid in range(len(pt.parallel_classes(p))):
         found = {}
-        for _ in range(_CLASS_BUDGET):
-            rows = _draw_witness(p, cid, rng)
-            if rows is None:
-                continue
-            conf = _boundary_members(p, cid, rows)
-            if len(conf) in (1, 2) and conf not in found:
-                found[conf] = rows
+        for c, conf in _cells(p, cid):
+            if len(conf) in (1, 2):
+                found.setdefault(conf, c)
         for conf in sorted(found):
-            if len(conf) == 1:
-                certs.append(_certify(p, conf[0], None, found[conf]))
-            else:
-                certs.append(_certify(p, conf[0], conf[1], found[conf]))
-        for i, f in enumerate(members):
-            if (f,) not in found:
-                exhausted.append((f, None))
-            for g in members[i + 1 :]:
-                if tuple(sorted((f, g))) not in found:
-                    exhausted.append((f, g))
-    return tuple(certs), tuple(exhausted)
+            rows = _witness(p, cid, found[conf])
+            other = conf[1] if len(conf) == 2 else None
+            certs.append(_certify(p, conf[0], other, rows))
+    return tuple(certs)
 
 
-def visible_pairs(p, seed=0):
-    """Certificates for every simultaneously visible face pair found.
-
-    Dimension 3 is decided exactly. Higher dimensions search a seeded
-    budget of witnesses per class; pairs the search could not certify
-    are not in the list (the combinatorial verdict reports them).
-    """
-    return list(_survey(p, seed)[0])
+def visible_pairs(p):
+    """Certificates for every simultaneously visible face pair, and for
+    every face visible alone, class by class."""
+    return list(_survey(p))
 
 
 def _traversal(p, face, flipped):
@@ -398,20 +406,17 @@ def compensation_partition(p, certs, flip=False):
 def is_equiprojective_combinatorial(p, seed=0):
     """Decide equiprojectivity through the compensation pairing.
 
-    A returned no is always firm: the obstructed group is built from
-    exact certificates and compensation cannot leave the group. A yes
-    is firm in dimension 3 or when no candidate search was exhausted;
-    otherwise a missed visible pair could still obstruct, and the
-    verdict says so through firm=False.
+    Both answers are firm: a no comes from an obstructed group of exact
+    certificates, which compensation cannot leave, and a yes pairs the
+    edge-2-faces of every visible configuration. seed only picks the
+    plane whose shadow size is reported as k.
     """
-    certs, exhausted = _survey(p, seed)
+    certs = _survey(p)
     outcome = compensation_partition(p, certs)
     if isinstance(outcome, Obstruction):
-        return CombinatorialVerdict(False, None, True, certs, exhausted, outcome)
-    firm = p.dim == 3 or not exhausted
+        return CombinatorialVerdict(False, None, certs, outcome)
     plane = sh.sample_admissible(p, seed, 1)[0]
-    k = sh.shadow(p, plane).k
-    return CombinatorialVerdict(True, k, firm, certs, exhausted, None)
+    return CombinatorialVerdict(True, sh.shadow(p, plane).k, certs, None)
 
 
 def is_equiprojective_sampled(p, seed=0, trials=200):
@@ -454,54 +459,32 @@ def chain_balance(p, cert):
     return BalanceReport(sh.shadow(p, wm).k, sh.shadow(p, wp).k, vis, inv)
 
 
-def definitions_equivalence_check(p, seed=0, trials=48):
+def definitions_equivalence_check(p, seed=0):
     """Interior degenerations do not change the shadow size.
 
-    Hunts for planes where exactly one class degenerates but no member
-    face reaches the shadow boundary, then un-degenerates the plane in
-    both directions along the complement of witness + face plane and
-    compares the sizes on the two admissible sides with the size at
-    the degenerate plane itself. Finding no such plane at this budget
-    is reported as vacuous (in dimension 3 it always is: a facet of
-    its degenerating class always reaches the boundary).
+    Visits every valid cell (see _cells) where exactly one class
+    degenerates but no member face reaches the shadow boundary,
+    un-degenerates its witness plane in both directions along the
+    complement of witness + face plane and compares the sizes on the
+    two admissible sides with the size at the degenerate plane itself.
+    With no such cell the check is vacuous (in dimension 3 it always
+    is: a facet of its degenerating class always reaches the boundary).
+    seed only picks the plane whose size is reported as k_reference.
     """
     classes = pt.parallel_classes(p)
     k_ref = sh.shadow(p, sh.sample_admissible(p, seed, 1)[0]).k
     checked = 0
     events = 0
     matches = True
-    for cid, cls in enumerate(classes):
-        rng = random.Random(f"equivdef:{seed}:{cid}")
-        for _ in range(trials):
-            rows = _draw_witness(p, cid, rng)
-            if rows is None:
-                continue
+    for cid in range(len(classes)):
+        for c, members in _cells(p, cid):
             checked += 1
-            if _boundary_members(p, cid, rows):
+            if members:
                 continue
             events += 1
-            u1 = la.primitive(
-                la.intersect(la.Subspace(rows), cls.direction_plane).basis[0]
-            )
-            kern = la.kernel_basis(rows + tuple(cls.direction_plane.basis))
-            if len(kern) != 1:
-                raise GeometryError("witness plus face plane is not rank d-1")
-            v = la.primitive(kern[0])
-            comp = [u1]
-            for r in rows:
-                if la.rank(tuple(comp) + (r,)) > len(comp):
-                    comp.append(r)
-            base = tuple(comp)
-            slope = (v,) + tuple((la.ZERO,) * p.dim for _ in range(p.dim - 3))
-            probe = wk.WalkSegment(base, slope, (-1, 1))
-            eps = None
-            for k, other in enumerate(classes):
-                if k == cid:
-                    continue
-                r = wk.degeneration_polynomial(probe, other).root()
-                if r is not None:
-                    eps = abs(r) if eps is None else min(eps, abs(r))
-            eps = Fraction(1) if eps is None else eps / 2
+            rows = _witness(p, cid, c)
+            # the witness meets the class plane in its first row
+            probe, _v, eps = wk.crossing_probe(p, cid, rows, la.primitive(rows[0]))
             k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(rows)).k
             for t in (-eps / 2, eps / 2):
                 moved = probe.rows_at(t)

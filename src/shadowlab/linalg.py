@@ -337,14 +337,6 @@ def intersect(a, b):
     return span_of(vectors, ambient=a.ambient)
 
 
-def subspace_sum(a, b):
-    a = _coerce_subspace(a)
-    b = _coerce_subspace(b)
-    if a.ambient != b.ambient:
-        raise DimensionError("subspaces live in different ambient spaces")
-    return span_of(a.basis + b.basis, ambient=a.ambient)
-
-
 def cayley_orthogonal(skew):
     """Rational orthogonal matrix (I + S)(I - S)^-1 of a skew-symmetric S."""
     m = as_mat(skew)

@@ -318,6 +318,14 @@ def facets(p):
     return p._facets
 
 
+def facet_planes(p):
+    """(normal, offset) of each facet, in facet order, on int_vertices().
+
+    Integer and primitive together, with normal . x <= offset on p.
+    """
+    return p._facet_planes
+
+
 def _all_proper_faces(p):
     """Vertex sets of every proper face, as a set of frozensets.
 
@@ -455,28 +463,6 @@ def face_edges(p, face):
     return [
         e for e in k_faces(p, 1) if set(e.vertex_ids) <= inside
     ]
-
-
-def to_json_dict(p):
-    return {
-        "dim": p.dim,
-        "label": p.label or "",
-        "vertices": [[la.rat_str(x) for x in v] for v in p.vertices],
-    }
-
-
-def from_json_dict(data):
-    try:
-        verts = [
-            tuple(la.parse_rat(x) for x in row) for row in data["vertices"]
-        ]
-        label = data.get("label") or None
-        dim = int(data["dim"])
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"bad polytope payload: {exc}") from exc
-    if verts and len(verts[0]) != dim:
-        raise ParameterError("dim field disagrees with vertex length")
-    return build(verts, label=label)
 
 
 def apply_isometry(p, matrix):

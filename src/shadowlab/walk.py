@@ -769,6 +769,45 @@ def _tilde(v, u):
     return la.sub(v, la.scale(u, la.dot(v, u) / la.dot(u, u)))
 
 
+def crossing_probe(p, cid, rows, u1, reverse=False):
+    """The segment that moves a single-class witness off its class.
+
+    rows span a witness where only class cid degenerates, meeting its
+    plane in the line u1. The crossing direction v generates the
+    orthogonal complement of witness + class plane, which has rank d-1,
+    so v is unique up to sign; reverse flips it. Returns (probe, v,
+    eps): probe moves the witness, based at u1 and rows, along v for t
+    in [-1, 1], and eps is half the smallest |t| at which another class
+    degenerates on it (1 if none does).
+    """
+    d = p.dim
+    classes = pt.parallel_classes(p)
+    kern = la.kernel_basis(rows + tuple(classes[cid].direction_plane.basis))
+    if len(kern) != 1:
+        raise GeometryError("witness plus face plane does not have rank d-1")
+    v = la.primitive(kern[0])
+    if reverse:
+        v = la.neg(v)
+    comp = [u1]
+    for r in rows:
+        if la.rank(tuple(comp) + (r,)) > len(comp):
+            comp.append(r)
+    if len(comp) != d - 2:
+        raise GeometryError("degenerating direction escapes the witness")
+    slope = (v,) + tuple(_zero_vec(d) for _ in range(d - 3))
+    probe = WalkSegment(tuple(comp), slope, (-1, 1))
+    eps = None
+    for k, cls in enumerate(classes):
+        if k == cid:
+            continue
+        r = degeneration_polynomial(probe, cls).root()
+        if r is not None:
+            gap = abs(r)
+            eps = gap if eps is None else min(eps, gap)
+    eps = Fraction(1) if eps is None else eps / 2
+    return probe, v, eps
+
+
 def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     """Certified crossing of a single-class visibility witness.
 
@@ -784,36 +823,10 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     the projected coordinate of u1 along the moving frame changes sign
     with t * sign_coefficient, which is the exchange of the two chains.
     """
-    d = p.dim
     rows = _ortho_rows(p, witness)
     cid, u1 = _validate_visibility_witness(p, face_id, other_id, rows)
-    faces = pt.k_faces(p, 2)
-    span_f = faces[face_id].span
-    kern = la.kernel_basis(rows + tuple(span_f.basis))
-    if len(kern) != 1:
-        raise GeometryError("witness plus face plane does not have rank d-1")
-    v = la.primitive(kern[0])
-    if reverse:
-        v = la.neg(v)
-    comp = [u1]
-    for r in rows:
-        if la.rank(tuple(comp) + (r,)) > len(comp):
-            comp.append(r)
-    if len(comp) != d - 2:
-        raise GeometryError("degenerating direction escapes the witness")
-    base = tuple(comp)
-    slope = (v,) + tuple(_zero_vec(d) for _ in range(d - 3))
-    probe = WalkSegment(base, slope, (-1, 1))
-    classes = pt.parallel_classes(p)
-    eps = None
-    for k, cls in enumerate(classes):
-        if k == cid:
-            continue
-        r = degeneration_polynomial(probe, cls).root()
-        if r is not None:
-            gap = abs(r)
-            eps = gap if eps is None else min(eps, gap)
-    eps = Fraction(1) if eps is None else eps / 2
+    probe, v, eps = crossing_probe(p, cid, rows, u1, reverse)
+    base, slope = probe.base, probe.slope
     minus = WalkSegment(base, slope, (-eps, 0))
     plus = WalkSegment(base, slope, (0, eps))
     kern2 = la.kernel_basis(base + (v,))

@@ -3,14 +3,20 @@
 These deliberately use different algorithms (and sympy where convenient)
 from the library under test: determinants and ranks go through sympy,
 facets come from hyperplane fitting over all d-subsets with nullspaces,
-k-faces from intersections over all facet subsets, and planar hulls from
-pointwise extremeness tests plus an angle sort.
+k-faces from intersections over all facet subsets, planar hulls from
+pointwise extremeness tests plus an angle sort, and visible
+configurations from a seeded search over random witness planes.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import sympy
+
+from shadowlab import linalg as la
+from shadowlab import polytope as pt
+from shadowlab import shadow as sh
 
 
 def oracle_det(rows):
@@ -161,3 +167,58 @@ def oracle_affine_roots(a, b, lo, hi):
         return [] if a != 0 else None
     t = Fraction(-a, b) if not isinstance(a, Fraction) else -a / b
     return [t] if lo <= t <= hi else []
+
+
+def _draw_witness(p, cid, rng):
+    """Orthogonal rows of a random plane degenerating only class cid, or None."""
+    d = p.dim
+    classes = pt.parallel_classes(p)
+    f1, f2 = classes[cid].direction_plane.basis
+    a = rng.randint(-9, 9)
+    b = rng.randint(-9, 9)
+    if a == 0 and b == 0:
+        return None
+    rows = [la.add(la.scale(f1, a), la.scale(f2, b))]
+    for _ in range(d - 3):
+        rows.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(d)))
+    rows = tuple(rows)
+    if la.rank(rows) != d - 2:
+        return None
+    if tuple(sh.degenerate_classes(p, rows)) != (cid,):
+        return None
+    if la.intersect(la.Subspace(rows), classes[cid].direction_plane).dim != 1:
+        # the whole face plane fell into the orthogonal span
+        return None
+    return rows
+
+
+def oracle_lottery_configurations(p, seed=0, budget=48):
+    """Visible configurations met by a seeded random witness search.
+
+    Draws budget candidate witnesses per class and keeps, for every set
+    of class members seen on the shadow boundary, the first witness
+    showing it. Returns {(class id, member ids): witness rows}. This is
+    an under-approximation: a configuration it does not meet may still
+    exist.
+    """
+    found = {}
+    for cid in range(len(pt.parallel_classes(p))):
+        rng = random.Random(f"visible:{seed}:{cid}")
+        for _ in range(budget):
+            rows = _draw_witness(p, cid, rng)
+            if rows is None:
+                continue
+            found.setdefault((cid, oracle_boundary_members(p, cid, rows)), rows)
+    return found
+
+
+def oracle_boundary_members(p, cid, rows):
+    """Ids of class cid's faces whose images lie in the shadow boundary
+    of the plane orthogonal to rows."""
+    faces = pt.k_faces(p, 2)
+    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
+    return tuple(
+        fid
+        for fid in pt.parallel_classes(p)[cid].member_ids
+        if sh.in_boundary(frame, faces[fid].vertex_ids)
+    )

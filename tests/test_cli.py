@@ -254,10 +254,11 @@ def test_check_sampled_yes_is_best_effort():
 def test_check_hypercube_best_effort():
     tess = json.dumps([[int(b) for b in f"{i:04b}"] for i in range(16)])
     code, r = report(["check", "--polytope", tess, "--mode", "combinatorial"])
-    assert code == 2
+    assert code == 0
     assert r["equiprojective"] is True and r["k"] == 8
-    assert r["firm"] is False
-    assert r["combinatorial"]["unresolved_count"] > 0
+    assert r["firm"] is True
+    assert r["combinatorial"]["firm"] is True
+    assert r["combinatorial"]["unresolved_count"] == 0
 
 
 
@@ -282,7 +283,7 @@ def stub_deciders(monkeypatch, comb, samp):
 def test_check_firm_no_stands_without_sampled_counterexample(monkeypatch):
     # sampling cannot prove a yes, so a run without a counterexample
     # does not contradict a firm combinatorial no
-    comb = cli.eq.CombinatorialVerdict(False, None, True, (), (), None)
+    comb = cli.eq.CombinatorialVerdict(False, None, (), None)
     samp = cli.eq.SampledVerdict(True, 6, None, 64)
     stub_deciders(monkeypatch, comb, samp)
     code, r = report(["check", "--polytope", CUBE_JSON, "--mode", "both"])
@@ -294,7 +295,7 @@ def test_check_firm_no_stands_without_sampled_counterexample(monkeypatch):
 
 
 def test_check_firm_yes_contradicted_by_sampled_counterexample(monkeypatch):
-    comb = cli.eq.CombinatorialVerdict(True, 6, True, (), (), None)
+    comb = cli.eq.CombinatorialVerdict(True, 6, (), None)
     wa = cli.sh.ProjectionPlane(((1, 2, 0), (0, 1, 3)))
     wb = cli.sh.ProjectionPlane(((1, 0, 0), (0, 1, 1)))
     samp = cli.eq.SampledVerdict(False, None, (wa, 6, wb, 4), 64)
@@ -302,6 +303,15 @@ def test_check_firm_yes_contradicted_by_sampled_counterexample(monkeypatch):
     code, _, err = go(["check", "--polytope", CUBE_JSON, "--mode", "both"])
     assert code == 3
     assert "contradicted by sampling" in err
+
+
+@pytest.mark.parametrize("mode", ["combinatorial", "sampled", "both"])
+def test_check_one_dimensional_polytope_is_usage_error(mode):
+    # a segment has no planar projection: every mode refuses it up front
+    code, out, err = go(["check", "--polytope", "[[1],[2]]", "--mode", mode])
+    assert code == 1
+    assert out == ""
+    assert err == "error: polytope: dimension 1, need at least 2\n"
 
 
 def test_check_trials_validation():

@@ -11,6 +11,7 @@ import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 import shadowlab.walk as wk
 from shadowlab.errors import GeometryError, ParameterError
+from oracles import oracle_boundary_members, oracle_lottery_configurations
 
 CUBE = fam.hypercube(3)
 TESS = fam.hypercube(4)
@@ -173,15 +174,16 @@ def test_hypercube_certifies_diagonal_pairs_only():
     assert len(certs) == 12
     for c in certs:
         assert c.other_id == antipodal_face(TESS, c.face_id)
-    # lone faces and same-facet pairs all stay unresolved
-    exhausted = set(TESS_VERDICT.exhausted)
+    # the exact set is exactly the 12 antipodal pairs: no face is ever
+    # visible alone, and no same-facet pair is visible together
     faces = pt.k_faces(TESS, 2)
-    assert all((fid, None) in exhausted for fid in range(len(faces)))
-    for cls in pt.parallel_classes(TESS):
-        for i, f in enumerate(cls.member_ids):
-            for g in cls.member_ids[i + 1 :]:
-                if g != antipodal_face(TESS, f):
-                    assert (f, g) in exhausted
+    want = {
+        (fid, antipodal_face(TESS, fid))
+        for fid in range(len(faces))
+        if fid < antipodal_face(TESS, fid)
+    }
+    assert len(want) == 12
+    assert {(c.face_id, c.other_id) for c in certs} == want
 
 
 def test_hypercube_same_facet_pair_witness_fails():
@@ -199,9 +201,56 @@ def test_hypercube_same_facet_pair_witness_fails():
         wk.elementary_transformation(TESS, fa, fb, wit)
 
 
+def exact_configurations(p):
+    """{(class id, member ids): c} over every valid cell, first c kept."""
+    out = {}
+    for cid in range(len(pt.parallel_classes(p))):
+        for c, members in eq._cells(p, cid):
+            out.setdefault((cid, members), c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,configs,interior",
+    [
+        pytest.param(CUBE, 3, 0, id="cube"),
+        pytest.param(PRISM, 4, 0, id="prism"),
+        pytest.param(TETRA, 4, 0, id="tetrahedron"),
+        pytest.param(TESS, 12, 0, id="4-cube"),
+        pytest.param(PERT, 18, 30, id="perturbed-4-cube"),
+        pytest.param(fam.zonotope(fam.random_generators(5, 4, 4)), 30, None, id="zonotope-4"),
+        pytest.param(fam.zonotope(fam.random_generators(6, 4, 7)), 60, None, id="zonotope-7"),
+        pytest.param(fam.zonotope(fam.random_generators(5, 4, 11)), None, None, id="random-d4"),
+        pytest.param(fam.zonotope(fam.random_generators(6, 5, 12)), None, None, id="random-d5"),
+    ],
+)
+def test_exact_configurations_cover_the_lottery(p, configs, interior):
+    exact = exact_configurations(p)
+    # every configuration a seeded random search meets is enumerated
+    lottery = oracle_lottery_configurations(p, seed=0)
+    assert lottery
+    assert set(lottery) <= set(exact)
+    # every enumerated configuration shows at its witness, exactly
+    for (cid, members), c in exact.items():
+        rows = eq._witness(p, cid, c)
+        assert tuple(sh.degenerate_classes(p, rows)) == (cid,)
+        assert oracle_boundary_members(p, cid, rows) == members
+    certified = [key for key in exact if len(key[1]) in (1, 2)]
+    assert len(certified) == len(eq.visible_pairs(p))
+    if configs is not None:
+        assert len(certified) == configs
+    if interior is not None:
+        cells = [
+            members
+            for cid in range(len(pt.parallel_classes(p)))
+            for _c, members in eq._cells(p, cid)
+        ]
+        assert cells.count(()) == interior
+
+
 def test_visible_pairs_deterministic():
-    a = eq.visible_pairs(TETRA, seed=4)
-    b = eq.visible_pairs(TETRA, seed=4)
+    a = eq.visible_pairs(TETRA)
+    b = eq.visible_pairs(TETRA)
     assert a == b
 
 
@@ -327,8 +376,6 @@ def test_combinatorial_yes_three_dimensional(p, k):
     v = eq.is_equiprojective_combinatorial(p)
     assert v.equiprojective is True
     assert v.k == k
-    assert v.firm is True
-    assert v.exhausted == ()
     assert v.obstruction is None
 
 
@@ -336,27 +383,22 @@ def test_combinatorial_no_tetrahedron():
     v = eq.is_equiprojective_combinatorial(TETRA)
     assert v.equiprojective is False
     assert v.k is None
-    assert v.firm is True
     assert isinstance(v.obstruction, eq.Obstruction)
 
 
 def test_combinatorial_no_simplex():
     v = eq.is_equiprojective_combinatorial(SIMPLEX4)
     assert v.equiprojective is False
-    assert v.firm is True
 
 
 def test_combinatorial_yes_hypercube_best_effort():
     assert TESS_VERDICT.equiprojective is True
     assert TESS_VERDICT.k == 8
-    assert TESS_VERDICT.firm is False
-    assert TESS_VERDICT.exhausted
 
 
 def test_combinatorial_yes_zonotope():
     assert ZONO_VERDICT.equiprojective is True
     assert ZONO_VERDICT.k == 10
-    assert ZONO_VERDICT.firm is False
 
 
 def test_sampled_verdicts():

@@ -162,7 +162,7 @@ def test_intersect_grassmann_formula(va, vb):
     a = la.span_of(va, ambient=4)
     b = la.span_of(vb, ambient=4)
     inter = la.intersect(a, b)
-    total = la.subspace_sum(a, b)
+    total = la.span_of(a.basis + b.basis, ambient=4)
     assert inter.dim == a.dim + b.dim - total.dim
     for v in inter.basis:
         assert a.contains(v) and b.contains(v)

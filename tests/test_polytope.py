@@ -287,29 +287,6 @@ def test_apply_isometry_preserves_combinatorics():
         assert mapped == fq.span
 
 
-def test_json_round_trip():
-    p = pt.build(cube_vertices(), label="cube")
-    blob = pt.to_json_dict(p)
-    assert blob["dim"] == 3 and blob["label"] == "cube"
-    assert blob["vertices"][1] == ["0", "0", "1"]
-    q = pt.from_json_dict(blob)
-    assert q.vertices == p.vertices
-
-
-def test_json_rationals_round_trip():
-    p = pt.build(
-        [
-            (0, 0, 0),
-            (Fr(1, 2), 0, 0),
-            (0, Fr(1, 3), 0),
-            (0, 0, Fr(2, 7)),
-        ]
-    )
-    blob = pt.to_json_dict(p)
-    assert blob["vertices"][1][0] == "1/2"
-    assert pt.from_json_dict(blob).vertices == p.vertices
-
-
 point3 = st.tuples(
     st.integers(min_value=-3, max_value=3),
     st.integers(min_value=-3, max_value=3),

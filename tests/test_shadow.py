@@ -313,6 +313,18 @@ def test_sample_admissible_errors():
         sh.sample_admissible(CUBE, 1, 1, grid_bound=0)
 
 
+def test_sample_admissible_needs_two_dimensions(monkeypatch):
+    # a segment has no planar projection; fail before drawing anything
+    segment = pt.build([(1,), (2,)])
+
+    def no_draws(*args):
+        raise AssertionError("drew a candidate")
+
+    monkeypatch.setattr(sh.random, "Random", no_draws)
+    with pytest.raises(DimensionError):
+        sh.sample_admissible(segment, 0, 64)
+
+
 def test_zonotope_shadow_size_examples():
     cube_gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert sh.zonotope_shadow_size(cube_gens, SKEW3) == 6
