@@ -15,7 +15,7 @@ intersections (edge directions included).
 """
 
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul, sub
 
 from . import kernels
@@ -45,17 +45,18 @@ class ParallelClass:
     """All 2-faces sharing one direction plane.
 
     int_rows is the direction plane's basis with each row scaled to
-    integers by a positive factor, for the exact integer tests.
+    integers by a positive factor, for the exact integer tests;
+    int_scale is the product of those factors.
     """
 
-    __slots__ = ("member_ids", "direction_plane", "int_rows")
+    __slots__ = ("member_ids", "direction_plane", "int_rows", "int_scale")
 
     def __init__(self, member_ids, direction_plane):
         self.member_ids = tuple(member_ids)
         self.direction_plane = direction_plane
-        self.int_rows = tuple(
-            tuple(la.int_row(b)[0]) for b in direction_plane.basis
-        )
+        scaled = [la.int_row(b) for b in direction_plane.basis]
+        self.int_rows = tuple(tuple(ints) for ints, _m in scaled)
+        self.int_scale = prod(mult for _ints, mult in scaled)
 
     def __repr__(self):
         return f"ParallelClass(members={self.member_ids})"
@@ -91,6 +92,8 @@ class Polytope:
         self._classes = None
         self._proscribed = None
         self._int_vertices = None
+        # the walk layer's reference frame (walk.reference_frame)
+        self._frame = None
 
     def int_vertices(self):
         """Vertices scaled by a common multiplier to integer tuples."""

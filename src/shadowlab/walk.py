@@ -15,7 +15,9 @@ and all searches are capped and seeded.
 import random
 from collections import namedtuple
 from fractions import Fraction
+from math import prod
 
+from . import kernels
 from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
@@ -118,6 +120,10 @@ WalkPlan = namedtuple(
     "WalkPlan", ["segments", "events", "isometry", "isometry_inv"]
 )
 
+ReferenceFrame = namedtuple(
+    "ReferenceFrame", ["rotation", "inverse", "moved", "etas"]
+)
+
 WalkCertificate = namedtuple(
     "WalkCertificate", ["valid", "events", "violations"]
 )
@@ -141,30 +147,50 @@ ElementaryTransformation = namedtuple(
 ChainState = namedtuple("ChainState", ["visible", "invisible", "fixed"])
 
 
+def segment_polynomials(segment):
+    """Exact affine degeneration determinants of one segment, by class.
+
+    The rows at both ends and at the midpoint are scaled to integers by
+    positive factors once. The returned function takes a class and
+    gives its AffinePoly from three kernels.det_int calls against the
+    class's int_rows: dividing out the factors makes each value exact,
+    the two ends interpolate it, and the midpoint confirms it. For a
+    class whose determinant is not affine in t it raises WalkError.
+    """
+    if len(segment.base) + 2 != len(segment.base[0]):
+        raise DimensionError("stacked family is not square")
+    lo, hi = segment.t_range
+    frames = []
+    for t in (lo, hi, (lo + hi) / 2):
+        scaled = [la.int_row(r) for r in segment.rows_at(t)]
+        frames.append(
+            (tuple(tuple(ints) for ints, _m in scaled), prod(m for _i, m in scaled))
+        )
+    (r_lo, s_lo), (r_hi, s_hi), (r_mid, s_mid) = frames
+
+    def poly(cls):
+        a = kernels.det_int(r_lo + cls.int_rows)
+        b = kernels.det_int(r_hi + cls.int_rows)
+        m = kernels.det_int(r_mid + cls.int_rows)
+        # with each value divided by its factors, affine means
+        # m = (a + b) / 2; cleared of denominators:
+        if 2 * m * s_lo * s_hi != (a * s_hi + b * s_lo) * s_mid:
+            raise WalkError("degeneration determinant is not affine on the segment")
+        a = Fraction(a, s_lo * cls.int_scale)
+        c1 = (Fraction(b, s_hi * cls.int_scale) - a) / (hi - lo)
+        return AffinePoly(a - c1 * lo, c1)
+
+    return poly
+
+
 def degeneration_polynomial(segment, cls):
     """Exact affine degeneration determinant of one class on a segment.
 
     Interpolated from the two endpoint values and confirmed against a
     midpoint evaluation; a determinant that is not affine in t raises
-    WalkError.
+    WalkError. A loop over classes calls segment_polynomials once.
     """
-    lo, hi = segment.t_range
-    extra = tuple(cls.direction_plane.basis)
-
-    def dv(t):
-        rows = segment.rows_at(t) + extra
-        if len(rows) != len(rows[0]):
-            raise DimensionError("stacked family is not square")
-        return la.det(rows)
-
-    a = dv(lo)
-    b = dv(hi)
-    c1 = (b - a) / (hi - lo)
-    c0 = a - c1 * lo
-    mid = (lo + hi) / 2
-    if dv(mid) != c0 + c1 * mid:
-        raise WalkError("degeneration determinant is not affine on the segment")
-    return AffinePoly(c0, c1)
+    return segment_polynomials(segment)(cls)
 
 
 def _hyperplane_span(d):
@@ -282,6 +308,24 @@ def reference_isometry(p):
     return q, etas
 
 
+def reference_frame(p):
+    """p's reference isometry, cached on p the first time it is asked.
+
+    Holds the rotation, its inverse, the moved copy (whose lattice
+    caches fill as the walks use them) and the moved copy's eta
+    directions. verify_walk never reads it.
+    """
+    if p._frame is None:
+        rot, etas = reference_isometry(p)
+        p._frame = ReferenceFrame(
+            rot,
+            la.transpose(rot),
+            pt.apply_isometry(p, rot),
+            tuple(e.eta for e in etas),
+        )
+    return p._frame
+
+
 def _ortho_rows(p, span):
     s = span if isinstance(span, la.Subspace) else la.Subspace(span)
     if s.ambient != p.dim:
@@ -307,11 +351,12 @@ def _segment_roots(seg, classes, skip=None):
     either.
     """
     lo, hi = seg.t_range
+    polys = segment_polynomials(seg)
     found = {}
     for cid, cls in enumerate(classes):
         if cid == skip:
             continue
-        poly = degeneration_polynomial(seg, cls)
+        poly = polys(cls)
         if poly.c0 == 0 and poly.c1 == 0:
             raise WalkError(
                 f"class {cid} is degenerate along the whole segment"
@@ -369,10 +414,10 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     base = (u1,) + tuple(others)
     slope = [_zero_vec(d) for _ in range(d - 2)]
     slope[1] = w
-    probe = WalkSegment(base, tuple(slope), (0, 1))
+    polys = segment_polynomials(WalkSegment(base, tuple(slope), (0, 1)))
     eps = Fraction(1)
     for cls in classes:
-        poly = degeneration_polynomial(probe, cls)
+        poly = polys(cls)
         if poly.c0 == 0 and poly.c1 == 0:
             return None
         r = poly.root()
@@ -383,16 +428,15 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     return seg
 
 
-def _fragment_to_hyperplane(p, start, seed):
+def _fragment_to_hyperplane(p, start, seed, etas):
     """Raw segments from an admissible span to one inside the reference
-    hyperplane. Returns (segments, end span)."""
+    hyperplane, given p's eta directions. Returns (segments, end span)."""
     d = p.dim
     rows0 = _ortho_rows(p, start)
     _require_admissible(p, rows0, "start")
     if all(r[0] == 0 for r in rows0):
         return [], la.Subspace(rows0)
     classes = pt.parallel_classes(p)
-    etas = [e.eta for e in _etas(p)]
     arr, pivots = la.rref(rows0)
     if pivots[0] != 0:
         raise WalkError("echelon form lost the first coordinate")
@@ -441,17 +485,16 @@ def _fragment_to_hyperplane(p, start, seed):
     raise WalkError(f"crossing search exhausted its budget: {last_error}")
 
 
-def _fragment_within(p, start, seed):
+def _fragment_within(p, start, seed, etas):
     """Raw segments from an admissible span inside the reference
-    hyperplane down to span(e2, ..., e_{d-1}). Returns (segments, end
-    span)."""
+    hyperplane down to span(e2, ..., e_{d-1}), given p's eta
+    directions. Returns (segments, end span)."""
     d = p.dim
     rows0 = _ortho_rows(p, start)
     _require_admissible(p, rows0, "start")
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
     classes = pt.parallel_classes(p)
-    etas = [e.eta for e in _etas(p)]
     cols = d - 1
     target = cols - 1
 
@@ -471,10 +514,10 @@ def _fragment_within(p, start, seed):
         base = tuple(embed(r) for r in arr)
         slope = [_zero_vec(d) for _ in range(d - 2)]
         slope[idx] = embed(la.unit(cols, missing))
-        probe = WalkSegment(base, tuple(slope), (0, 1))
+        polys = segment_polynomials(WalkSegment(base, tuple(slope), (0, 1)))
         step = Fraction(1)
         for cls in classes:
-            poly = degeneration_polynomial(probe, cls)
+            poly = polys(cls)
             if poly.c0 == 0 and poly.c1 == 0:
                 raise WalkError("a class is degenerate across a staircase step")
             r = poly.root()
@@ -524,11 +567,10 @@ def _fragment_within(p, start, seed):
         pre_slope = tuple(
             embed(la.scale(la.unit(cols, target), xt[i])) for i in range(target)
         )
-        probe = WalkSegment(base, pre_slope, (0, 1))
+        polys = segment_polynomials(WalkSegment(base, pre_slope, (0, 1)))
         eps = Fraction(1)
         for cls in classes:
-            poly = degeneration_polynomial(probe, cls)
-            r = poly.root()
+            r = polys(cls).root()
             if r is not None and r > 0:
                 eps = min(eps, r / 2)
         segs.append(WalkSegment(base, pre_slope, (0, eps)))
@@ -567,7 +609,7 @@ def walk_to_hyperplane(p, start, seed=0):
     it). A start already inside the hyperplane yields an empty plan.
     Every event time is an exact rational shared by no two classes.
     """
-    segs, _ = _fragment_to_hyperplane(p, start, seed)
+    segs, _ = _fragment_to_hyperplane(p, start, seed, [e.eta for e in _etas(p)])
     ident = la.identity(p.dim)
     return _assemble(p, segs, ident, ident)
 
@@ -579,7 +621,7 @@ def walk_within_hyperplane(p, start, seed=0):
     The start span must be admissible and contained in the hyperplane.
     A start equal to the reference span yields an empty plan.
     """
-    segs, _ = _fragment_within(p, start, seed)
+    segs, _ = _fragment_within(p, start, seed, [e.eta for e in _etas(p)])
     ident = la.identity(p.dim)
     return _assemble(p, segs, ident, ident)
 
@@ -587,10 +629,11 @@ def walk_within_hyperplane(p, start, seed=0):
 def full_walk(p, frm, to, seed=0):
     """Certified walk between two admissible orthogonal spans.
 
-    Conjugates by the reference isometry, walks both endpoints to the
-    reference span, and glues the second half reversed. The returned
-    plan is expressed in the original coordinates; the rotation used
-    internally is recorded in the isometry fields.
+    Conjugates by the reference isometry (reference_frame, built once
+    per polytope), walks both endpoints to the reference span, and
+    glues the second half reversed. The returned plan is expressed in
+    the original coordinates; the rotation used internally is recorded
+    in the isometry fields.
     """
     d = p.dim
     rows_a = _ortho_rows(p, frm)
@@ -600,17 +643,15 @@ def full_walk(p, frm, to, seed=0):
     ident = la.identity(d)
     if la.span_of(rows_a) == la.span_of(rows_b):
         return WalkPlan((), (), ident, ident)
-    rot, _ = reference_isometry(p)
-    inv = la.transpose(rot)
-    q = pt.apply_isometry(p, rot)
+    rot, inv, q, etas = reference_frame(p)
 
     def push(rows):
         return la.Subspace(tuple(la.matvec(rot, r) for r in rows))
 
-    a_to, a_end = _fragment_to_hyperplane(q, push(rows_a), f"{seed}:a")
-    a_in, _ = _fragment_within(q, a_end, f"{seed}:aw")
-    b_to, b_end = _fragment_to_hyperplane(q, push(rows_b), f"{seed}:b")
-    b_in, _ = _fragment_within(q, b_end, f"{seed}:bw")
+    a_to, a_end = _fragment_to_hyperplane(q, push(rows_a), f"{seed}:a", etas)
+    a_in, _ = _fragment_within(q, a_end, f"{seed}:aw", etas)
+    b_to, b_end = _fragment_to_hyperplane(q, push(rows_b), f"{seed}:b", etas)
+    b_in, _ = _fragment_within(q, b_end, f"{seed}:bw", etas)
     chain = (
         a_to
         + a_in
@@ -659,12 +700,18 @@ def verify_walk(p, plan):
         if len(seg.base) != d - 2:
             violations.append(f"segment {i} has {len(seg.base)} rows")
             continue
+        if len(seg.base[0]) != d:
+            violations.append(
+                f"segment {i} rows have width {len(seg.base[0])}, expected {d}"
+            )
+            continue
         if i and segs[i - 1].t_range[1] != lo:
             violations.append(f"segments {i - 1} and {i} ranges do not meet")
+        polys = segment_polynomials(seg)
         times = {}
         for cid, cls in enumerate(classes):
             try:
-                poly = degeneration_polynomial(seg, cls)
+                poly = polys(cls)
             except WalkError as exc:
                 violations.append(f"segment {i}, class {cid}: {exc}")
                 continue
@@ -796,11 +843,12 @@ def crossing_probe(p, cid, rows, u1, reverse=False):
         raise GeometryError("degenerating direction escapes the witness")
     slope = (v,) + tuple(_zero_vec(d) for _ in range(d - 3))
     probe = WalkSegment(tuple(comp), slope, (-1, 1))
+    polys = segment_polynomials(probe)
     eps = None
     for k, cls in enumerate(classes):
         if k == cid:
             continue
-        r = degeneration_polynomial(probe, cls).root()
+        r = polys(cls).root()
         if r is not None:
             gap = abs(r)
             eps = gap if eps is None else min(eps, gap)
@@ -930,13 +978,13 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     tail = tuple(comp[1:])
     base = (u1n,) + tail
     slope = (la.neg(v),) + tuple(_zero_vec(d) for _ in range(d - 3))
-    probe = WalkSegment(base, slope, (0, 2 * lam + 1))
+    polys = segment_polynomials(WalkSegment(base, slope, (0, 2 * lam + 1)))
     classes = pt.parallel_classes(p)
     gaps = [lam]
     for k, cls in enumerate(classes):
         if k == cid:
             continue
-        r = degeneration_polynomial(probe, cls).root()
+        r = polys(cls).root()
         if r is not None and r != lam:
             gaps.append(abs(r - lam))
     eps = min(gaps) / 2

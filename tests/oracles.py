@@ -4,8 +4,9 @@ These deliberately use different algorithms (and sympy where convenient)
 from the library under test: determinants and ranks go through sympy,
 facets come from hyperplane fitting over all d-subsets with nullspaces,
 k-faces from intersections over all facet subsets, planar hulls from
-pointwise extremeness tests plus an angle sort, and visible
-configurations from a seeded search over random witness planes.
+pointwise extremeness tests plus an angle sort, visible configurations
+from a seeded search over random witness planes, and walk degeneration
+polynomials from rational determinants at three times.
 """
 
 import random
@@ -17,6 +18,7 @@ import sympy
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab import shadow as sh
+from shadowlab.errors import WalkError
 
 
 def oracle_det(rows):
@@ -167,6 +169,28 @@ def oracle_affine_roots(a, b, lo, hi):
         return [] if a != 0 else None
     t = Fraction(-a, b) if not isinstance(a, Fraction) else -a / b
     return [t] if lo <= t <= hi else []
+
+
+def oracle_degeneration_polynomial(segment, cls):
+    """(c0, c1) of det(segment rows at t | class plane basis) = c0 + c1 t.
+
+    Rational determinants of the rows at both ends interpolate it, and
+    one at the midpoint confirms it; a determinant that is not affine in
+    t raises WalkError.
+    """
+    lo, hi = segment.t_range
+    extra = tuple(cls.direction_plane.basis)
+
+    def dv(t):
+        return la.det(segment.rows_at(t) + extra)
+
+    a = dv(lo)
+    c1 = (dv(hi) - a) / (hi - lo)
+    c0 = a - c1 * lo
+    mid = (lo + hi) / 2
+    if dv(mid) != c0 + c1 * mid:
+        raise WalkError("degeneration determinant is not affine on the segment")
+    return c0, c1
 
 
 def _draw_witness(p, cid, rng):

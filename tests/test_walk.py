@@ -1,5 +1,6 @@
 """Tests for certified walks, transformations and chain bookkeeping."""
 
+import hashlib
 from fractions import Fraction as Fr
 
 import pytest
@@ -18,7 +19,7 @@ from shadowlab.errors import (
     ParameterError,
     WalkError,
 )
-from oracles import oracle_hull_2d
+from oracles import oracle_degeneration_polynomial, oracle_hull_2d
 
 CUBE = fam.hypercube(3)
 TESS = fam.hypercube(4)
@@ -682,3 +683,181 @@ def test_plan_json_shape():
     assert la.parse_rat(first["t0"]) == 0
     rows = [tuple(la.parse_rat(x) for x in r) for r in first["base"]]
     assert tuple(rows) == plan.segments[0].base
+
+
+# ------------------------------------------------- integer segment frames
+
+ZONO4 = fam.zonotope(fam.random_generators(5, 4, 4))
+FRAME_ZOO = [CUBE, MOVED3, PRISM, TESS, MOVED4, ZONO4, fam.hypercube(5)]
+RATS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def zoo_segments(draw):
+    """A zoo polytope and a random segment on it.
+
+    Rational rows; one or several moving rows (several make most class
+    determinants quadratic or worse); and, half the time, a first row
+    kept inside one class plane, which degenerates that class along the
+    whole segment.
+    """
+    p = draw(st.sampled_from(FRAME_ZOO))
+    d = p.dim
+    row = st.tuples(*[RATS] * d)
+    base = [draw(row) for _ in range(d - 2)]
+    moving = draw(st.integers(1, d - 2))
+    slope = [draw(row) if i < moving else (0,) * d for i in range(d - 2)]
+    if draw(st.booleans()):
+        f1, f2 = draw(st.sampled_from(pt.parallel_classes(p))).direction_plane.basis
+        a, b, c, e = (draw(RATS) for _ in range(4))
+        base[0] = la.add(la.scale(f1, a), la.scale(f2, b))
+        slope[0] = la.add(la.scale(f1, c), la.scale(f2, e))
+    lo = draw(RATS)
+    hi = lo + draw(st.fractions(min_value=Fr(1, 8), max_value=3, max_denominator=8))
+    return p, wk.WalkSegment(base, slope, (lo, hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_segments())
+def test_segment_polynomials_match_rational_oracle(case):
+    p, seg = case
+    polys = wk.segment_polynomials(seg)
+    for cls in pt.parallel_classes(p):
+        try:
+            want = oracle_degeneration_polynomial(seg, cls)
+        except WalkError:
+            with pytest.raises(WalkError, match="not affine"):
+                polys(cls)
+            continue
+        got = polys(cls)
+        assert (got.c0, got.c1) == want
+        # zero along the whole segment exactly when the oracle says so
+        assert (got.c0 == 0 and got.c1 == 0) == (want == (0, 0))
+        assert wk.degeneration_polynomial(seg, cls) == got
+
+
+def test_segment_polynomials_on_rotated_class_planes():
+    # rotated class planes carry denominators, so int_scale is not 1
+    classes = pt.parallel_classes(MOVED4)
+    assert any(cls.int_scale != 1 for cls in classes)
+    seg = wk.WalkSegment(
+        ((1, Fr(1, 2), 0, 3), (0, 1, Fr(-2, 3), 1)),
+        ((Fr(-1, 3), 0, 2, 0), (0, 0, 0, 0)),
+        (Fr(-1, 2), Fr(5, 4)),
+    )
+    polys = wk.segment_polynomials(seg)
+    for cls in classes:
+        got = polys(cls)
+        assert (got.c0, got.c1) == oracle_degeneration_polynomial(seg, cls)
+
+
+def test_segment_polynomials_reject_a_non_square_stack():
+    seg = wk.WalkSegment(((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), ((0,) * 5,) * 2, (0, 1))
+    with pytest.raises(DimensionError, match="not square"):
+        wk.segment_polynomials(seg)
+
+
+def test_verify_reports_wrong_row_width():
+    seg = wk.WalkSegment(((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), ((0,) * 5,) * 2, (0, 1))
+    ident = la.identity(4)
+    cert = wk.verify_walk(TESS, wk.WalkPlan((seg,), (), ident, ident))
+    assert not cert.valid
+    assert cert.violations == ("segment 0 rows have width 5, expected 4",)
+
+
+# ---------------------------------------------------- reference frame memo
+
+
+def plan_key(plan):
+    segments = [(s.base, s.slope, s.t_range) for s in plan.segments]
+    return segments, plan.events, plan.isometry, plan.isometry_inv
+
+
+def count_isometry_searches(monkeypatch):
+    calls = []
+    search = wk.reference_isometry
+
+    def counted(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(wk, "reference_isometry", counted)
+    return calls
+
+
+def test_full_walk_builds_the_frame_once(monkeypatch):
+    p = fam.hypercube(3)
+    calls = count_isometry_searches(monkeypatch)
+    frm, to = la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)])
+    first = wk.full_walk(p, frm, to, seed=1)
+    second = wk.full_walk(p, frm, to, seed=1)
+    wk.full_walk(p, to, frm, seed=2)
+    assert len(calls) == 1 and calls[0] is p
+    assert plan_key(first) == plan_key(second)
+    frame = wk.reference_frame(p)
+    assert first.isometry == frame.rotation
+    assert first.isometry_inv == frame.inverse == la.transpose(frame.rotation)
+    assert len(calls) == 1
+
+
+def test_rebuilt_polytope_computes_its_own_frame(monkeypatch):
+    p = fam.hypercube(3)
+    twin = pt.build(p.vertices)
+    calls = count_isometry_searches(monkeypatch)
+    frm, to = la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)])
+    a = wk.full_walk(p, frm, to, seed=1)
+    b = wk.full_walk(twin, frm, to, seed=1)
+    assert len(calls) == 2 and calls[0] is p and calls[1] is twin
+    assert wk.reference_frame(p) is not wk.reference_frame(twin)
+    assert plan_key(a) == plan_key(b)
+
+
+def test_verify_walk_does_not_read_the_frame():
+    p = fam.hypercube(4)
+    planes = sh.sample_admissible(p, 11, 2)
+    plan = wk.full_walk(p, planes[0].complement, planes[1].complement, seed=4)
+    assert p._frame is not None
+    fresh = pt.build(p.vertices)
+    cert = wk.verify_walk(fresh, plan)
+    assert fresh._frame is None
+    assert cert.valid, cert.violations
+    assert cert == wk.verify_walk(p, plan)
+
+
+# Event logs of two seeded walks, pinned at the values of the Fraction
+# determinant implementation.
+CUBE4_GOLDEN_EVENTS = [
+    ("234375/4388717", 0), ("3828125/34832943", 1), ("4328125/23350788", 2),
+    ("15625/64449", 3), ("58953743/140074462", 4), ("57434201/120410146", 5),
+    ("38489938/74938729", 0), ("98673977/191224513", 5),
+    ("78373153/144499424", 3), ("129993001/231409944", 1),
+    ("668397969/725976094", 4), ("133270719/141692594", 3),
+    ("3353251471/3516454596", 5),
+]
+# sha256 of "t:class;t:class;..." over the 129 events
+PN4_GOLDEN_DIGEST = "a878501abe0a944070e6038fa548f51b1c9547fba61018db284fa2c4474147f4"
+
+
+def golden_walk(name, p):
+    planes = sh.sample_admissible(p, f"golden:{name}", 2)
+    plan = wk.full_walk(p, planes[0].complement, planes[1].complement, seed=3)
+    assert wk.verify_walk(p, plan).valid
+    return plan, [(la.rat_str(e.time), e.class_id) for e in plan.events]
+
+
+def test_golden_walk_cube4():
+    plan, events = golden_walk("cube4", fam.hypercube(4))
+    assert len(plan.segments) == 4
+    assert events == CUBE4_GOLDEN_EVENTS
+
+
+def test_golden_walk_pn4():
+    plan, events = golden_walk("pn4", fam.pn_polytope(4))
+    assert [s.t_range for s in plan.segments] == [
+        (Fr(k, 4), Fr(k + 1, 4)) for k in range(4)
+    ]
+    assert len(events) == 129
+    assert events[0] == ("14638518015/658588720899464", 13)
+    assert events[-1] == ("294599637082983/294803053736648", 61)
+    log = ";".join(f"{t}:{c}" for t, c in events)
+    assert hashlib.sha256(log.encode()).hexdigest() == PN4_GOLDEN_DIGEST
