@@ -164,9 +164,9 @@ def _cells(p, cid):
     """
     classes = pt.parallel_classes(p)
     cls = classes[cid]
-    others = [o.int_rows for k, o in enumerate(classes) if k != cid]
+    others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
     verts = p.int_vertices()[0]
-    basis = [la.primitive(b) for b in la.kernel_basis(cls.int_rows)]
+    basis = [la.primitive(b) for b in la.kernel_basis(cls.direction_plane.int_rows)]
     ys = {tuple(_dot(b, v) for b in basis) for v in verts}
     body = pt.hull(sorted({tuple(map(sub, y, z)) for y in ys for z in ys}))
     # each facet's vertex ids and its normal lifted to c = B^T n

@@ -1,8 +1,9 @@
 """Integer matrix kernels.
 
-Every exact determinant and rank in the package funnels through these
-functions after denominators are cleared. They work on Python's
-arbitrary-precision integers, so results are exact at any magnitude.
+Every exact determinant, rank and echelon form in the package funnels
+through these functions after denominators are cleared. They work on
+Python's arbitrary-precision integers and divide only exactly (Bareiss),
+so results are exact at any magnitude.
 """
 
 # Read by the benchmark's run header (bench/run.py); always False.
@@ -84,6 +85,41 @@ def rank_int(rows):
         prev = pivot
         rank += 1
     return rank
+
+
+def rref_int(rows):
+    """Fraction-free Gauss-Jordan form of a rectangular integer matrix.
+
+    Returns (reduced, pivots, den): reduced / den is the reduced row
+    echelon form without its zero rows, every pivot entry of reduced is
+    den, and each Bareiss step divides exactly by the previous pivot.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    if any(len(r) != ncols for r in m):
+        raise ValueError("ragged matrix")
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        rk = m[rank]
+        pivot = rk[col]
+        for ri in m:
+            if ri is rk:
+                continue
+            mic = ri[col]
+            for j in range(ncols):
+                q, rem = divmod(pivot * ri[j] - mic * rk[j], prev)
+                if rem:
+                    raise AssertionError("fraction-free update was not exact")
+                ri[j] = q
+        prev = pivot
+        pivots.append(col)
+    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots), prev
 
 
 # Traced by the benchmark (bench/spans.py); no package code calls it.

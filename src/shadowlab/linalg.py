@@ -1,17 +1,18 @@
 """Exact rational linear algebra.
 
 Vectors are tuples of Fraction and matrices are tuples of such rows.
-Determinants and ranks clear denominators row by row and run on the
-integer kernels.
+Every function clears denominators row by row and runs on the integer
+kernels; rref, kernel_basis, solve_square and inverse share one
+fraction-free reduced form, kernels.rref_int, and build Fractions only
+from its result. A Subspace keeps its integer rows from construction.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import kernels
 from .errors import DegenerateBasisError, DimensionError, ParameterError
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,9 +68,17 @@ def int_row(row):
 
     Returns (ints, multiplier); integer entries are taken as they are.
     """
-    row = [x if isinstance(x, int) else as_rat(x) for x in row]
+    row = [x if isinstance(x, (int, Fraction)) else as_rat(x) for x in row]
     mult = lcm(*(x.denominator for x in row))
-    return [int(x * mult) for x in row], mult
+    return [x.numerator * (mult // x.denominator) for x in row], mult
+
+
+def int_matrix(rows):
+    """Rows scaled to integers by positive per-row factors: (tuple of
+    integer tuples, product of the factors). A determinant of the rows
+    is that of the integer rows divided by the product."""
+    scaled = [int_row(r) for r in rows]
+    return tuple(tuple(ints) for ints, _ in scaled), prod(mult for _, mult in scaled)
 
 
 def det(m):
@@ -78,23 +87,13 @@ def det(m):
     for r in m:
         if len(r) != n:
             raise DimensionError("determinant needs a square matrix")
-    if n == 0:
-        return ONE
-    scaled = []
-    denom = 1
-    for r in m:
-        ints, mult = int_row(r)
-        scaled.append(ints)
-        denom *= mult
-    return Fraction(kernels.det_int(scaled), denom)
+    rows, scale = int_matrix(m)
+    return Fraction(kernels.det_int(rows), scale)
 
 
 def rank(m):
     """Exact rank of a rational matrix."""
-    if not m:
-        return 0
-    scaled = [int_row(r)[0] for r in m]
-    return kernels.rank_int(scaled)
+    return kernels.rank_int([int_row(r)[0] for r in m])
 
 
 def transpose(m):
@@ -114,35 +113,37 @@ def identity(d):
     return tuple(unit(d, i) for i in range(d))
 
 
+def _reduce(m):
+    """kernels.rref_int of rational rows, each scaled to integers first
+    (positive factors leave the reduced form as it is)."""
+    try:
+        return kernels.rref_int([int_row(r)[0] for r in m])
+    except ValueError as exc:
+        raise DimensionError("matrix rows of mixed lengths") from exc
+
+
+def _rationals(rows, den):
+    return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
+
+
+def _kernel_ints(reduced, pivots, den, ncols):
+    """den times the kernel basis, read off rref_int's output."""
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = den
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        out.append(v)
+    return out
+
+
 def rref(m):
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(as_vec(r)) for r in m]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        pr = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    reduced, pivots, den = _reduce(m)
+    return _rationals(reduced, den), pivots
 
 
 def kernel_basis(m, ncols=None):
@@ -151,88 +152,63 @@ def kernel_basis(m, ncols=None):
         if ncols is None:
             raise DimensionError("kernel of an empty system needs ncols")
         return [unit(ncols, i) for i in range(ncols)]
-    ncols = len(m[0])
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free]
-        basis.append(tuple(v))
-    return basis
+    reduced, pivots, den = _reduce(m)
+    return [
+        tuple(Fraction(x, den) for x in v)
+        for v in _kernel_ints(reduced, pivots, den, len(m[0]))
+    ]
 
 
-def _gauss_jordan(rows, n):
-    """Reduce the left n x n block of augmented rows to the identity.
-
-    Works in place; returns the rows, or None when the block is
-    singular.
-    """
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ONE / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        pc = rows[col]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pc)]
-    return rows
+def _solve(a, right):
+    """a^-1 right for square a, the right block of the reduced form of
+    (a | right); None when a is singular, that is when a pivot is
+    missing from the left block."""
+    n = len(a)
+    if len(right) != n or any(len(r) != n for r in a):
+        raise DimensionError("need a square matrix and one right-hand row per row")
+    reduced, pivots, den = _reduce([tuple(r) + tuple(x) for r, x in zip(a, right)])
+    if pivots != tuple(range(n)):
+        return None
+    return _rationals((r[n:] for r in reduced), den)
 
 
 def solve_square(a, b):
     """Solve a x = b for square a; returns None when a is singular."""
-    n = len(a)
-    rows = _gauss_jordan(
-        [list(as_vec(r)) + [as_rat(b[i])] for i, r in enumerate(a)], n
-    )
-    if rows is None:
-        return None
-    return tuple(rows[i][n] for i in range(n))
+    x = _solve(a, [(y,) for y in b])
+    return None if x is None else tuple(r[0] for r in x)
 
 
 def inverse(m):
     """Matrix inverse; returns None when singular."""
-    n = len(m)
-    rows = _gauss_jordan(
-        [list(as_vec(r)) + list(unit(n, i)) for i, r in enumerate(m)], n
-    )
-    if rows is None:
-        return None
-    return tuple(tuple(r[n:]) for r in rows)
+    return _solve(m, identity(len(m)))
 
 
 class Subspace:
     """A linear subspace given by an independent basis.
 
-    The basis is validated at construction; a dependent family raises
+    basis holds the rows in Fractions; int_rows and int_scale are
+    int_matrix(basis), on which every test of the span runs. The basis
+    is validated at construction; a dependent family raises
     DegenerateBasisError. The empty basis describes the zero subspace
     and needs an explicit ambient dimension.
     """
 
-    __slots__ = ("basis", "ambient", "_key")
+    __slots__ = ("basis", "ambient", "int_rows", "int_scale", "_key")
 
     def __init__(self, basis, ambient=None):
         basis = tuple(as_vec(v) for v in basis)
         if basis:
-            ambient = len(basis[0])
-            if any(len(v) != ambient for v in basis):
+            width = len(basis[0])
+            if any(len(v) != width for v in basis):
                 raise DimensionError("basis vectors of mixed lengths")
-            if rank(basis) != len(basis):
-                raise DegenerateBasisError("basis is linearly dependent")
+            if ambient not in (None, width):
+                raise DimensionError(f"basis vectors do not have length {ambient}")
+            ambient = width
         elif ambient is None:
             raise DimensionError("zero subspace needs an ambient dimension")
+        self.int_rows, self.int_scale = int_matrix(basis)
+        if kernels.rank_int(self.int_rows) != len(basis):
+            raise DegenerateBasisError("basis is linearly dependent")
         self.basis = basis
         self.ambient = ambient
         self._key = None
@@ -244,18 +220,19 @@ class Subspace:
     def canonical_key(self):
         """Canonical form of the span, usable as a dict key."""
         if self._key is None:
-            self._key = rref(self.basis)[0] if self.basis else ()
+            reduced, _pivots, den = kernels.rref_int(self.int_rows)
+            self._key = _rationals(reduced, den)
         return self._key
 
     def contains(self, v):
-        v = as_vec(v)
-        if len(v) != self.ambient:
+        ints = tuple(int_row(v)[0])
+        if len(ints) != self.ambient:
             raise DimensionError("vector has wrong ambient dimension")
-        if is_zero_vec(v):
+        if not any(ints):
             return True
         if not self.basis:
             return False
-        return rank(self.basis + (v,)) == self.dim
+        return kernels.rank_int(self.int_rows + (ints,)) == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -274,7 +251,7 @@ class Subspace:
 
 def span_of(vectors, ambient=None):
     """Subspace spanned by an arbitrary (possibly dependent) family."""
-    vectors = tuple(as_vec(v) for v in vectors)
+    vectors = tuple(vectors)
     if vectors:
         rows, _ = rref(vectors)
         return Subspace(rows, ambient=len(vectors[0]))
@@ -324,16 +301,14 @@ def intersect(a, b):
         raise DimensionError("subspaces live in different ambient spaces")
     if a.dim == 0 or b.dim == 0:
         return Subspace((), ambient=a.ambient)
-    # x = sum l_i a_i = sum m_j b_j; rows below are the d equations
-    # in the unknowns (l, m).
-    cols = tuple(a.basis) + tuple(neg(v) for v in b.basis)
-    equations = transpose(cols)
-    vectors = []
-    for z in kernel_basis(equations, ncols=len(cols)):
-        x = tuple(ZERO for _ in range(a.ambient))
-        for c, base in zip(z[: a.dim], a.basis):
-            x = add(x, scale(base, c))
-        vectors.append(x)
+    # x = sum l_i a_i = sum m_j b_j over the integer rows; the rows
+    # below are the d equations in the unknowns (l, m)
+    cols = a.int_rows + tuple(tuple(-x for x in v) for v in b.int_rows)
+    reduced, pivots, den = kernels.rref_int(tuple(zip(*cols)))
+    vectors = [
+        tuple(sum(map(mul, z[: a.dim], col)) for col in zip(*a.int_rows))
+        for z in _kernel_ints(reduced, pivots, den, len(cols))
+    ]
     return span_of(vectors, ambient=a.ambient)
 
 
@@ -384,12 +359,9 @@ def generalized_cross(vectors):
     d = len(vectors[0]) if vectors else 0
     if k != d - 1:
         raise DimensionError("need d-1 vectors in dimension d")
-    rows = []
-    denom = 1
-    for v in vectors:
-        ints, mult = int_row(v)
-        rows.append(ints)
-        denom *= mult
+    rows, denom = int_matrix(vectors)
+    if any(len(r) != d for r in rows):
+        raise DimensionError("vectors of mixed lengths")
     out = []
     for j in range(d):
         minor = [[r[c] for c in range(d) if c != j] for r in rows]
@@ -421,11 +393,9 @@ def primitive(v):
     Denominators are cleared, the gcd is divided out, and the first
     nonzero entry is made positive.
     """
-    v = as_vec(v)
-    if is_zero_vec(v):
+    ints = int_row(v)[0]
+    if not any(ints):
         raise ParameterError("zero vector has no direction")
-    mult = lcm(*(x.denominator for x in v))
-    ints = [int(x * mult) for x in v]
     g = gcd(*ints)
     ints = [x // g for x in ints]
     for x in ints:

@@ -15,7 +15,7 @@ intersections (edge directions included).
 """
 
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul, sub
 
 from . import kernels
@@ -42,21 +42,13 @@ class Face:
 
 
 class ParallelClass:
-    """All 2-faces sharing one direction plane.
+    """All 2-faces sharing one direction plane."""
 
-    int_rows is the direction plane's basis with each row scaled to
-    integers by a positive factor, for the exact integer tests;
-    int_scale is the product of those factors.
-    """
-
-    __slots__ = ("member_ids", "direction_plane", "int_rows", "int_scale")
+    __slots__ = ("member_ids", "direction_plane")
 
     def __init__(self, member_ids, direction_plane):
         self.member_ids = tuple(member_ids)
         self.direction_plane = direction_plane
-        scaled = [la.int_row(b) for b in direction_plane.basis]
-        self.int_rows = tuple(tuple(ints) for ints, _m in scaled)
-        self.int_scale = prod(mult for _ints, mult in scaled)
 
     def __repr__(self):
         return f"ParallelClass(members={self.member_ids})"
@@ -116,11 +108,11 @@ def int_points(points):
 
 
 def _affine_rank(points):
+    """Affine rank of integer points."""
     if len(points) <= 1:
         return 0
     base = points[0]
-    rows = [la.sub(p, base) for p in points[1:]]
-    return la.rank(rows)
+    return kernels.rank_int([tuple(map(sub, q, base)) for q in points[1:]])
 
 
 def _canonical_facet(normal, offset):
@@ -257,10 +249,10 @@ def hull(points, label=None):
         raise PolytopeError("duplicate vertex in input")
     if len(pts) < d + 1:
         raise PolytopeError(f"need at least {d + 1} vertices in dimension {d}")
-    if _affine_rank(pts) != d:
+    pts_int, mult = int_points(pts)
+    if _affine_rank(pts_int) != d:
         raise PolytopeError("vertex set is not full-dimensional")
 
-    pts_int, mult = int_points(pts)
     found = _hull_facets(dict(enumerate(pts_int)), {})
     facets = [(tuple(sorted(t)), normal, off) for t, (normal, off) in found.items()]
 
@@ -357,15 +349,15 @@ def k_faces(p, k):
     if k == p.dim - 1:
         p._faces_by_dim[k] = list(p._facets)
         return p._faces_by_dim[k]
+    pts = p.int_vertices()[0]
     out = []
     for vset in _all_proper_faces(p):
-        members = [p.vertices[i] for i in sorted(vset)]
+        members = [pts[i] for i in sorted(vset)]
         if _affine_rank(members) != k:
             continue
-        span = la.span_of(
-            [la.sub(q, members[0]) for q in members[1:]], ambient=p.dim
-        )
-        out.append(Face(vset, k, span))
+        base = members[0]
+        diffs = [tuple(map(sub, q, base)) for q in members[1:]]
+        out.append(Face(vset, k, la.span_of(diffs, ambient=p.dim)))
     out.sort(key=lambda f: f.vertex_ids)
     p._faces_by_dim[k] = out
     return out

@@ -38,12 +38,12 @@ def _dot(u, v):
 class ProjectionPlane:
     """A 2-plane W together with its exact orthogonal complement.
 
-    int_basis and int_complement are the basis and complement rows,
-    each scaled to integers by a positive factor, so the integer frame
-    keeps the orientation of the public one.
+    The integer frame uses the int_rows of basis and complement, the
+    public rows scaled by positive factors, so it keeps the orientation
+    of the public frame.
     """
 
-    __slots__ = ("basis", "complement", "int_basis", "int_complement", "_unmap")
+    __slots__ = ("basis", "complement", "_unmap")
 
     def __init__(self, basis):
         if not isinstance(basis, la.Subspace):
@@ -51,11 +51,12 @@ class ProjectionPlane:
         if basis.dim != 2:
             raise DimensionError("projection plane must have dimension 2")
         self.basis = basis
-        ortho = la.kernel_basis(basis.basis)
-        self.complement = la.Subspace(ortho, ambient=basis.ambient)
-        (a1, c1), (a2, c2) = (la.int_row(b) for b in basis.basis)
-        self.int_basis = (tuple(a1), tuple(a2))
-        self.int_complement = tuple(tuple(la.int_row(r)[0]) for r in ortho)
+        self.complement = la.Subspace(
+            la.kernel_basis(basis.int_rows), ambient=basis.ambient
+        )
+        a1, a2 = rows = basis.int_rows
+        # the factors c > 0 with a = c b, read off a nonzero entry
+        c1, c2 = (next(x // y for x, y in zip(a, b) if y) for a, b in zip(rows, basis.basis))
         # with A = diag(c1, c2) B and G the Gram matrix of A, the frame
         # coordinates G_B^-1 B v are diag(c1, c2) adj(G) A v / det G
         g00, g01, g11 = _dot(a1, a1), _dot(a1, a2), _dot(a2, a2)
@@ -65,7 +66,7 @@ class ProjectionPlane:
     def from_orthogonal(cls, vectors):
         """Plane whose orthogonal complement is spanned by the vectors."""
         s = vectors if isinstance(vectors, la.Subspace) else la.Subspace(vectors)
-        w = la.kernel_basis(s.basis)
+        w = la.kernel_basis(s.int_rows)
         if len(w) != 2:
             raise DimensionError("orthogonal space must have dimension d-2")
         return cls(w)
@@ -76,7 +77,7 @@ class ProjectionPlane:
 
     def image(self, x):
         """Integer image of an integer vector."""
-        a1, a2 = self.int_basis
+        a1, a2 = self.basis.int_rows
         if len(x) != len(a1):
             raise DimensionError("vector has wrong ambient dimension")
         return (_dot(a1, x), _dot(a2, x))
@@ -232,24 +233,24 @@ def degenerate_classes(p, rows):
     """Ids of the classes degenerating for the orthogonal span of rows.
 
     A class degenerates when det(rows | its direction plane) is zero.
-    The rows are scaled to integers once and the class planes come
-    from the polytope's integer rows; positive factors keep every zero.
+    The rows are scaled to integers once and the class planes give
+    their own integer rows; positive factors keep every zero.
     Lazy and in class order, so next() stops at the first.
     """
-    ints = tuple(tuple(la.int_row(r)[0]) for r in rows)
+    ints = la.int_matrix(rows)[0]
     if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
         raise DimensionError("stacked family is not square")
     classes = pt.parallel_classes(p)
     return (
         cid
         for cid, cls in enumerate(classes)
-        if kernels.det_int(ints + cls.int_rows) == 0
+        if kernels.det_int(ints + cls.direction_plane.int_rows) == 0
     )
 
 
 def is_admissible(p, w):
     """Exact admissibility with the first violating class on failure."""
-    cid = next(degenerate_classes(p, w.int_complement), None)
+    cid = next(degenerate_classes(p, w.complement.int_rows), None)
     return Admissibility(cid is None, cid)
 
 
@@ -265,7 +266,7 @@ def degeneration_report(p, w):
     frame = None
     faces = pt.k_faces(p, 2) if p.dim >= 3 else []
     for cid, cls in enumerate(pt.parallel_classes(p)):
-        g, h = (w.image(f) for f in cls.int_rows)
+        g, h = (w.image(f) for f in cls.direction_plane.int_rows)
         prank = 2 if cross2((0, 0), g, h) else int(any(g + h))
         if prank == 2:
             continue

@@ -15,7 +15,6 @@ and all searches are capped and seeded.
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
 
 from . import kernels
 from . import linalg as la
@@ -152,32 +151,29 @@ def segment_polynomials(segment):
 
     The rows at both ends and at the midpoint are scaled to integers by
     positive factors once. The returned function takes a class and
-    gives its AffinePoly from three kernels.det_int calls against the
-    class's int_rows: dividing out the factors makes each value exact,
+    gives its AffinePoly from three kernels.det_int calls against its
+    plane's int_rows: dividing out the factors makes each value exact,
     the two ends interpolate it, and the midpoint confirms it. For a
     class whose determinant is not affine in t it raises WalkError.
     """
     if len(segment.base) + 2 != len(segment.base[0]):
         raise DimensionError("stacked family is not square")
     lo, hi = segment.t_range
-    frames = []
-    for t in (lo, hi, (lo + hi) / 2):
-        scaled = [la.int_row(r) for r in segment.rows_at(t)]
-        frames.append(
-            (tuple(tuple(ints) for ints, _m in scaled), prod(m for _i, m in scaled))
-        )
-    (r_lo, s_lo), (r_hi, s_hi), (r_mid, s_mid) = frames
+    (r_lo, s_lo), (r_hi, s_hi), (r_mid, s_mid) = (
+        la.int_matrix(segment.rows_at(t)) for t in (lo, hi, (lo + hi) / 2)
+    )
 
     def poly(cls):
-        a = kernels.det_int(r_lo + cls.int_rows)
-        b = kernels.det_int(r_hi + cls.int_rows)
-        m = kernels.det_int(r_mid + cls.int_rows)
+        plane = cls.direction_plane
+        a = kernels.det_int(r_lo + plane.int_rows)
+        b = kernels.det_int(r_hi + plane.int_rows)
+        m = kernels.det_int(r_mid + plane.int_rows)
         # with each value divided by its factors, affine means
         # m = (a + b) / 2; cleared of denominators:
         if 2 * m * s_lo * s_hi != (a * s_hi + b * s_lo) * s_mid:
             raise WalkError("degeneration determinant is not affine on the segment")
-        a = Fraction(a, s_lo * cls.int_scale)
-        c1 = (Fraction(b, s_hi * cls.int_scale) - a) / (hi - lo)
+        a = Fraction(a, s_lo * plane.int_scale)
+        c1 = (Fraction(b, s_hi * plane.int_scale) - a) / (hi - lo)
         return AffinePoly(a - c1 * lo, c1)
 
     return poly
@@ -445,13 +441,13 @@ def _fragment_to_hyperplane(p, start, seed, etas):
     segs = []
     rng = random.Random(f"walk-to:{seed}")
     last_error = "no candidate crossing direction was admissible"
+    eta_rows = la.int_matrix(etas)[0]
     for _ in range(_SEARCH_CAP):
-        v = (Fraction(1),) + tuple(
-            Fraction(rng.randint(-9, 9)) for _ in range(d - 1)
-        )
+        v = (1,) + tuple(rng.randint(-9, 9) for _ in range(d - 1))
         # outside every span(basis, eta): guarantees finitely many
         # events and an admissible endpoint inside the hyperplane
-        if any(la.det((u1, *others, eta, v)) == 0 for eta in etas):
+        rows = la.int_matrix((u1, *others))[0]
+        if any(kernels.det_int(rows + (eta, v)) == 0 for eta in eta_rows):
             continue
         base = (u1,) + tuple(others)
         slope = (la.neg(v),) + tuple(_zero_vec(d) for _ in range(d - 3))
@@ -691,8 +687,8 @@ def verify_walk(p, plan):
     hi_last = segs[-1].t_range[1]
 
     def free_at(seg, t, label):
-        rows = seg.rows_at(t)
-        if la.rank(rows) != d - 2:
+        rows = la.int_matrix(seg.rows_at(t))[0]
+        if kernels.rank_int(rows) != d - 2:
             violations.append(f"family loses rank at t={t} ({label})")
 
     for i, seg in enumerate(segs):

@@ -2,11 +2,13 @@
 
 These deliberately use different algorithms (and sympy where convenient)
 from the library under test: determinants and ranks go through sympy,
-facets come from hyperplane fitting over all d-subsets with nullspaces,
-k-faces from intersections over all facet subsets, planar hulls from
-pointwise extremeness tests plus an angle sort, visible configurations
-from a seeded search over random witness planes, and walk degeneration
-polynomials from rational determinants at three times.
+echelon forms and square solves through Gauss-Jordan on Fractions and
+through sympy, facets come from hyperplane fitting over all d-subsets
+with nullspaces, k-faces from intersections over all facet subsets,
+planar hulls from pointwise extremeness tests plus an angle sort,
+visible configurations from a seeded search over random witness planes,
+and walk degeneration polynomials from rational determinants at three
+times.
 """
 
 import random
@@ -29,6 +31,75 @@ def oracle_rank(rows):
     if not rows:
         return 0
     return sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rank()
+
+
+def oracle_rref(m):
+    """Reduced row echelon form by Gauss-Jordan on Fractions.
+
+    Returns (nonzero rows, pivot columns). This was the library's rref
+    before it reduced fraction-free on integers.
+    """
+    rows = [[Fraction(x) for x in r] for r in m]
+    if not rows:
+        return (), ()
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        pr = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def oracle_gauss_jordan(rows, n):
+    """Reduce the left n x n block of augmented Fraction rows to the
+    identity, in place; returns the rows, or None when the block is
+    singular. This was the library's solver before it went through the
+    fraction-free reduced form."""
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        pc = rows[col]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pc)]
+    return rows
+
+
+def oracle_sympy_rref(m):
+    """sympy's reduced row echelon form: (nonzero rows, pivot columns)."""
+    red, pivots = sympy.Matrix([[sympy.Rational(x) for x in r] for r in m]).rref()
+    rows = tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
+        for i in range(len(pivots))
+    )
+    return rows, tuple(pivots)
 
 
 def oracle_solve_gram(basis, v):

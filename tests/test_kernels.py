@@ -1,5 +1,7 @@
 """Integer kernel tests against the definitions and sympy oracles."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,3 +115,37 @@ def test_sign_range_matches_definition(pts, normal, offset):
     # early exit may under-report zeros but never strict signs
     assert (-1 in signs) == (lo == -1)
     assert (1 in signs) == (hi == 1)
+
+
+def test_rref_int_examples():
+    assert kernels.rref_int([]) == ((), (), 1)
+    assert kernels.rref_int([[0, 0], [0, 0]]) == ((), (), 1)
+    # rows / den is the reduced form; every pivot entry equals den
+    reduced, pivots, den = kernels.rref_int([[2, 4, 1], [1, 3, 0], [3, 7, 1]])
+    assert pivots == (0, 1)
+    assert [[Fraction(x, den) for x in r] for r in reduced] == [
+        [1, 0, Fraction(3, 2)],
+        [0, 1, Fraction(-1, 2)],
+    ]
+    assert all(reduced[i][p] == den for i, p in enumerate(pivots))
+
+
+def test_rref_int_rejects_ragged():
+    with pytest.raises(ValueError):
+        kernels.rref_int([[1, 0], [0, 1, 3]])
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda c: st.lists(
+            st.lists(small_int, min_size=c, max_size=c), min_size=1, max_size=4
+        )
+    )
+)
+def test_rref_int_rank_and_pivots(m):
+    reduced, pivots, den = kernels.rref_int(m)
+    assert den != 0
+    assert len(reduced) == len(pivots) == oracle_rank(m)
+    for i, p in enumerate(pivots):
+        assert [r[p] for r in reduced] == [den if k == i else 0 for k in range(len(reduced))]

@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shadowlab import linalg as la
 from shadowlab.errors import DegenerateBasisError, DimensionError, ParameterError
-from oracles import oracle_det, oracle_rank, oracle_solve_gram
+from oracles import (
+    oracle_det,
+    oracle_gauss_jordan,
+    oracle_rank,
+    oracle_rref,
+    oracle_solve_gram,
+    oracle_sympy_rref,
+)
 
 rat = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
@@ -259,3 +266,88 @@ def test_kernel_basis_matches_rank():
     assert len(ker) == 3 - la.rank(m)
     for v in ker:
         assert la.is_zero_vec(la.matvec(m, v))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: la.solve_square([(1, 0), (0, 1, 3)], (1, 2)),
+        lambda: la.inverse([(1, 0), (0, 1, 3)]),
+        lambda: la.rref([(1, 0), (0, 1, 3)]),
+        lambda: la.generalized_cross([(1, 0, 0), (0, 1, 0, 5)]),
+        lambda: la.Subspace([(1, 0, 0)], ambient=5),
+    ],
+    ids=["solve_square", "inverse", "rref", "generalized_cross", "subspace"],
+)
+def test_ragged_input_raises(call):
+    with pytest.raises(DimensionError):
+        call()
+
+
+# entries for the differential tests: small rationals, and integers and
+# fractions large enough that the fraction-free steps grow long
+wide = st.one_of(
+    rat,
+    st.integers(min_value=-(10**30), max_value=10**30).map(Fr),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """1-5 rows; half the time one row becomes an integer combination of
+    the others, so dependent rows and singular matrices come up often."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ncols = n if square else draw(st.integers(min_value=1, max_value=6))
+    rows = [draw(st.lists(wide, min_size=ncols, max_size=ncols)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        coeffs = draw(st.lists(small_int, min_size=n, max_size=n))
+        rows[i] = [
+            sum(c * r[j] for k, (c, r) in enumerate(zip(coeffs, rows)) if k != i)
+            for j in range(ncols)
+        ]
+    return tuple(tuple(Fr(x) for x in r) for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_kernel_and_key_match_oracles(m):
+    got = la.rref(m)
+    assert got == oracle_rref(m) == oracle_sympy_rref(m)
+    rows, pivots = got
+    ncols = len(m[0])
+    want = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fr(0)] * ncols
+        v[free] = Fr(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free]
+        want.append(tuple(v))
+    assert la.kernel_basis(m) == want
+    assert all(la.is_zero_vec(la.matvec(m, v)) for v in want)
+    assert la.span_of(m).canonical_key() == rows
+    if len(rows) == len(m):
+        assert la.Subspace(m).canonical_key() == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True), st.data())
+def test_solve_and_inverse_match_oracles(a, data):
+    n = len(a)
+    b = tuple(data.draw(st.lists(wide, min_size=n, max_size=n)))
+    solved = oracle_gauss_jordan([list(r) + [x] for r, x in zip(a, b)], n)
+    want = None if solved is None else tuple(r[n] for r in solved)
+    assert la.solve_square(a, b) == want
+    ident = la.identity(n)
+    inv = oracle_gauss_jordan([list(r) + list(e) for r, e in zip(a, ident)], n)
+    assert la.inverse(a) == (None if inv is None else tuple(tuple(r[n:]) for r in inv))
+    # sympy: a is singular exactly when a pivot misses the left block
+    rows, pivots = oracle_sympy_rref([r + (x,) for r, x in zip(a, b)])
+    if pivots == tuple(range(n)):
+        assert want == tuple(r[n] for r in rows)
+        assert la.matmul(a, la.inverse(a)) == ident
+    else:
+        assert want is None and la.inverse(a) is None

@@ -1,5 +1,6 @@
 """Face enumeration tests, cross-checked against the brute oracles."""
 
+import hashlib
 from fractions import Fraction as Fr
 from itertools import combinations, product
 from math import comb, gcd
@@ -182,6 +183,48 @@ def test_prism_parallel_classes_against_span_comparison():
     assert sorted(len(c.member_ids) for c in classes) == [1, 1, 1, 2]
     sizes = {len(f.vertex_ids) for c in classes if len(c.member_ids) == 2 for f in [faces[c.member_ids[0]]]}
     assert sizes == {3}
+
+
+# sha256 of each class's member ids and canonical_key(), in class order;
+# class ids are positions in this order, so the order is pinned
+CLASS_ORDER = {
+    "3-cube": (lambda: fam.hypercube(3), 3, "3fef029e8d6258ee5e449de4f70c77d78b9fa487c1612e6b78417084c5db11b4"),
+    "4-cube": (lambda: fam.hypercube(4), 6, "181921c5b11ac6d0c01a36f8f239bba1ac88b9731e900ed172513c496bc5bf24"),
+    "5-cube": (lambda: fam.hypercube(5), 10, "49ee5312d3ecd92810b63c6db32d40b398d16fffe75db0f9310586cf12a5a13d"),
+    "zonotope-4": (
+        lambda: fam.zonotope(fam.random_generators(5, 4, 4)), 10,
+        "78b04d61ab9ed2e00c8449a7881b26ecebea4285652d74216535123d936db822",
+    ),
+    "zonotope-7": (
+        lambda: fam.zonotope(fam.random_generators(6, 4, 7)), 15,
+        "4a5bc80ab4e04b1d7b7dcf96d883b1614523f9b670b078e537d0d1a2e289877e",
+    ),
+    "zonotope-8": (
+        lambda: fam.zonotope(fam.random_generators(6, 5, 8)), 15,
+        "65877a7517a309ee4d40797423c14a1058789565e32dfb056e3a7f2a12ea3d47",
+    ),
+    "pn4": (lambda: fam.pn_polytope(4), 72, "1b7a204e0592b19fe69a4ecdfd94d2a7ecb69ebb3ee934fb3b86b420e6b9622c"),
+    "perturbed-4-cube": (
+        lambda: fam.perturbed_hypercube(Fr(1, 100)), 15,
+        "63ff541ef7984f84c829a0ac2a796ec4bfa26b6193021f5827b7bd4d6a495008",
+    ),
+    "pnd-2-5-0": (
+        lambda: fam.hyperprism_pnd(2, 5, 0), 30,
+        "2b5a89210cf1dc8829c4a0af5f19804237ef1f2e3a37621cc43134ae64d2ac51",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ORDER))
+def test_parallel_class_order_is_pinned(name):
+    make, count, digest = CLASS_ORDER[name]
+    classes = pt.parallel_classes(make())
+    text = "\n".join(
+        f"{c.member_ids} {[[str(x) for x in r] for r in c.direction_plane.canonical_key()]}"
+        for c in classes
+    )
+    assert len(classes) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_parallel_classes_partition():

@@ -739,7 +739,7 @@ def test_segment_polynomials_match_rational_oracle(case):
 def test_segment_polynomials_on_rotated_class_planes():
     # rotated class planes carry denominators, so int_scale is not 1
     classes = pt.parallel_classes(MOVED4)
-    assert any(cls.int_scale != 1 for cls in classes)
+    assert any(cls.direction_plane.int_scale != 1 for cls in classes)
     seg = wk.WalkSegment(
         ((1, Fr(1, 2), 0, 3), (0, 1, Fr(-2, 3), 1)),
         ((Fr(-1, 3), 0, 2, 0), (0, 0, 0, 0)),
