@@ -25,8 +25,9 @@ arithmetic, and the absence of one is a proof as well.
 """
 
 from collections import namedtuple
-from operator import mul, sub
+from operator import sub
 
+from . import kernels
 from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
@@ -144,10 +145,6 @@ def _certify(p, face_id, other_id, rows):
     return VisibilityCertificate(face_id, other_id, tuple(rows), chains, other)
 
 
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
 def _cells(p, cid):
     """Every valid cell of a class, with the members visible on it.
 
@@ -167,18 +164,18 @@ def _cells(p, cid):
     others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
     verts = p.int_vertices()[0]
     basis = [la.primitive(b) for b in la.kernel_basis(cls.direction_plane.int_rows)]
-    ys = {tuple(_dot(b, v) for b in basis) for v in verts}
+    ys = {tuple(kernels.dot(b, v) for b in basis) for v in verts}
     body = pt.hull(sorted({tuple(map(sub, y, z)) for y in ys for z in ys}))
     # each facet's vertex ids and its normal lifted to c = B^T n
     facets = [
-        (set(f.vertex_ids), tuple(_dot(n, col) for col in zip(*basis)))
+        (set(f.vertex_ids), tuple(kernels.dot(n, col) for col in zip(*basis)))
         for f, (n, _off) in zip(pt.facets(body), pt.facet_planes(body))
     ]
     faces = pt.k_faces(p, 2)
 
     def clear(c, rows):
         # c is off the orthogonal complement of the plane with these rows
-        return any(_dot(c, r) for r in rows)
+        return any(kernels.dot(c, r) for r in rows)
 
     for k in range(body.dim):
         for g in pt.k_faces(body, k):
@@ -193,7 +190,7 @@ def _cells(p, cid):
                 if all(clear(c, rows) for rows in others):
                     break
                 t += 1
-            vals = [_dot(c, v) for v in verts]
+            vals = [kernels.dot(c, v) for v in verts]
             ends = (min(vals), max(vals))
             members = tuple(
                 fid
@@ -261,11 +258,19 @@ def _traversal(p, face, flipped):
 
 
 def _signed_area(p, face, frame):
-    origin = p.vertices[face.vertex_ids[0]]
-    cyc = pt.face_cycle(p, face)
-    xs = [
-        la.gram_coords(la.sub(p.vertices[v], origin), frame) for v in cyc
-    ]
+    """Twice the signed area of the face cycle's integer image under the
+    integer rows frame of its plane.
+
+    Its sign is that of the area in the plane's Gram coordinates: the
+    integer image is their image under the Gram matrix composed with the
+    positive row and vertex factors, a map of positive determinant.
+    """
+    verts = p.int_vertices()[0]
+    origin = verts[face.vertex_ids[0]]
+    xs = []
+    for v in pt.face_cycle(p, face):
+        diff = tuple(map(sub, verts[v], origin))
+        xs.append(tuple(kernels.dot(a, diff) for a in frame))
     area = sum(
         x1 * y2 - x2 * y1
         for (x1, y1), (x2, y2) in zip(xs, xs[1:] + xs[:1])
@@ -307,12 +312,12 @@ def orient(p, cert, flip=False):
     o = faces[oid]
     if f.span != o.span:
         raise GeometryError("certificate faces are not parallel")
-    frame = f.span.basis
     off = la.sub(p.vertices[o.vertex_ids[0]], p.vertices[f.vertex_ids[0]])
-    if la.rank(frame + (off,)) != 3:
+    if la.rank(f.span.basis + (off,)) != 3:
         raise GeometryError("face pair does not span a 3-dimensional slice")
     # outward convention in the slice oriented by (frame, offset):
     # the face the offset points away from runs clockwise
+    frame = f.span.int_rows
     flip_f = (_signed_area(p, f, frame) > 0) != flip
     flip_o = (_signed_area(p, o, frame) < 0) != flip
     return _cycle_nodes(p, _traversal(p, f, flip_f), fid, oid, eidx) + (

@@ -6,6 +6,8 @@ Python's arbitrary-precision integers and divide only exactly (Bareiss),
 so results are exact at any magnitude.
 """
 
+from operator import mul
+
 # Read by the benchmark's run header (bench/run.py); always False.
 USING_COMPILED = False
 
@@ -120,6 +122,50 @@ def rref_int(rows):
         prev = pivot
         pivots.append(col)
     return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots), prev
+
+
+def dot(u, v):
+    """Dot product of two integer vectors."""
+    return sum(map(mul, u, v))
+
+
+def plane_minors(a, b):
+    """The 2x2 minors a_i b_j - a_j b_i of the integer rows (a, b), one
+    per column pair i < j, in lexicographic pair order."""
+    n = len(a)
+    return tuple(a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+def complementary_minors(rows, width):
+    """Signed complementary minors of width - 2 integer rows R.
+
+    One entry per column pair i < j, in plane_minors' order:
+    e_ij * det(R without columns i, j) with e_ij = -(-1)^(i+j), so that
+    det(R; a; b) is the dot product with plane_minors(a, b) (Laplace
+    expansion along the last two rows). The minors of R on every column
+    set are built row by row as the wedge product of its rows.
+    """
+    if len(rows) != width - 2 or any(len(r) != width for r in rows):
+        raise ValueError("need width - 2 rows of that width")
+    # column bit mask -> det of the rows so far on those columns
+    wedge = {0: 1}
+    for r in rows:
+        nxt = {}
+        for mask, m in wedge.items():
+            for k, x in enumerate(r):
+                if not x or mask >> k & 1:
+                    continue
+                # moving column k into place passes the columns above it
+                term = -m * x if (mask >> k).bit_count() & 1 else m * x
+                key = mask | 1 << k
+                nxt[key] = nxt.get(key, 0) + term
+        wedge = nxt
+    full = (1 << width) - 1
+    return tuple(
+        (-1 if (i + j) % 2 == 0 else 1) * wedge.get(full ^ (1 << i) ^ (1 << j), 0)
+        for i in range(width)
+        for j in range(i + 1, width)
+    )
 
 
 # Traced by the benchmark (bench/spans.py); no package code calls it.

@@ -16,7 +16,7 @@ intersections (edge directions included).
 
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 
 from . import kernels
 from . import linalg as la
@@ -42,13 +42,18 @@ class Face:
 
 
 class ParallelClass:
-    """All 2-faces sharing one direction plane."""
+    """All 2-faces sharing one direction plane.
 
-    __slots__ = ("member_ids", "direction_plane")
+    minors holds the 2x2 minors of the plane's integer rows
+    (kernels.plane_minors), the class side of every degeneracy test.
+    """
+
+    __slots__ = ("member_ids", "direction_plane", "minors")
 
     def __init__(self, member_ids, direction_plane):
         self.member_ids = tuple(member_ids)
         self.direction_plane = direction_plane
+        self.minors = kernels.plane_minors(*direction_plane.int_rows)
 
     def __repr__(self):
         return f"ParallelClass(members={self.member_ids})"
@@ -123,10 +128,6 @@ def _canonical_facet(normal, offset):
     return normal, offset
 
 
-def _dot(a, b):
-    return sum(map(mul, a, b))
-
-
 def _independent(rows, candidates, limit):
     """rows extended by each candidate that raises the rank, up to limit rows."""
     rows = list(rows)
@@ -151,10 +152,10 @@ def _pivot(pts, normal, offset, m, mo):
     """
     best_g, best_h, met = 0, 0, []
     for i, p in pts.items():
-        h = offset - _dot(normal, p)
+        h = offset - kernels.dot(normal, p)
         if not h:
             continue
-        g = _dot(m, p) - mo
+        g = kernels.dot(m, p) - mo
         if not met or g * best_h > best_g * h:
             best_g, best_h, met = g, h, [i]
         elif g * best_h == best_g * h:
@@ -184,7 +185,7 @@ def _first_facet(pts):
         # a direction orthogonal to the normal and the tight face: the
         # rotation towards it keeps the tight face on the hyperplane
         m = la.generalized_cross(_independent(rows, units, k - 1))
-        normal, offset, met = _pivot(pts, normal, offset, m, _dot(m, base))
+        normal, offset, met = _pivot(pts, normal, offset, m, kernels.dot(m, base))
         tight += met
 
 

@@ -16,7 +16,6 @@ mapped back to public coordinates. Everything stays exact.
 import random
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
 
 from . import kernels
 from . import linalg as la
@@ -29,10 +28,6 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
 
 
 class ProjectionPlane:
@@ -59,7 +54,7 @@ class ProjectionPlane:
         c1, c2 = (next(x // y for x, y in zip(a, b) if y) for a, b in zip(rows, basis.basis))
         # with A = diag(c1, c2) B and G the Gram matrix of A, the frame
         # coordinates G_B^-1 B v are diag(c1, c2) adj(G) A v / det G
-        g00, g01, g11 = _dot(a1, a1), _dot(a1, a2), _dot(a2, a2)
+        g00, g01, g11 = kernels.dot(a1, a1), kernels.dot(a1, a2), kernels.dot(a2, a2)
         self._unmap = (c1 * g11, -c1 * g01, -c2 * g01, c2 * g00, g00 * g11 - g01 * g01)
 
     @classmethod
@@ -80,7 +75,7 @@ class ProjectionPlane:
         a1, a2 = self.basis.int_rows
         if len(x) != len(a1):
             raise DimensionError("vector has wrong ambient dimension")
-        return (_dot(a1, x), _dot(a2, x))
+        return (kernels.dot(a1, x), kernels.dot(a2, x))
 
     def image_coords(self, q, mult):
         """Frame coordinates of v = x / mult, given its integer image q."""
@@ -217,34 +212,45 @@ def in_boundary(frame, vertex_ids):
     return any(all(on_segment(q, a, b) for q in pts) for a, b in edges)
 
 
+def _row_minors(p, ints):
+    """Signed complementary minors of d-2 integer rows: the row side of
+    every class degeneracy determinant."""
+    if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
+        raise DimensionError("stacked family is not square")
+    return kernels.complementary_minors(ints, p.dim)
+
+
 def class_degeneracy_det(p, ortho_rows, direction_plane):
     """det of the stacked (W-orthogonal basis | 2-face direction basis).
 
     Nonzero exactly when the class does not degenerate for the plane
-    with that orthogonal space.
+    with that orthogonal space. The integer determinant comes from the
+    minors, as in degenerate_classes, and is divided by the row scales.
     """
-    rows = tuple(ortho_rows) + tuple(direction_plane.basis)
-    if len(rows) != p.dim:
+    if direction_plane.dim != 2 or direction_plane.ambient != p.dim:
         raise DimensionError("stacked family is not square")
-    return la.det(rows)
+    ints, scale = la.int_matrix(ortho_rows)
+    det = kernels.dot(
+        _row_minors(p, ints), kernels.plane_minors(*direction_plane.int_rows)
+    )
+    return Fraction(det, scale * direction_plane.int_scale)
 
 
 def degenerate_classes(p, rows):
     """Ids of the classes degenerating for the orthogonal span of rows.
 
     A class degenerates when det(rows | its direction plane) is zero.
-    The rows are scaled to integers once and the class planes give
-    their own integer rows; positive factors keep every zero.
-    Lazy and in class order, so next() stops at the first.
+    The rows are scaled to integers and their complementary minors taken
+    once; each class then costs one dot product with its cached plane
+    minors (Laplace expansion along the plane rows). Positive factors
+    keep every zero. Lazy and in class order, so next() stops at the
+    first.
     """
-    ints = la.int_matrix(rows)[0]
-    if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
-        raise DimensionError("stacked family is not square")
-    classes = pt.parallel_classes(p)
+    rmin = _row_minors(p, la.int_matrix(rows)[0])
     return (
         cid
-        for cid, cls in enumerate(classes)
-        if kernels.det_int(ints + cls.direction_plane.int_rows) == 0
+        for cid, cls in enumerate(pt.parallel_classes(p))
+        if kernels.dot(rmin, cls.minors) == 0
     )
 
 

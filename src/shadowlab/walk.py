@@ -40,12 +40,13 @@ class WalkSegment:
     """One affine piece of a walk.
 
     Holds d-2 base rows and d-2 slope rows; the orthogonal family at
-    time t is base + t * slope, row by row. Row independence over the
-    closed range is a promise of the constructors, checked again by
-    verify_walk.
+    time t is base + t * slope, row by row. Each base and slope pair is
+    also kept scaled to integers by one positive factor, the frame of
+    int_rows_at. Row independence over the closed range is a promise of
+    the constructors, checked again by verify_walk.
     """
 
-    __slots__ = ("base", "slope", "t_range")
+    __slots__ = ("base", "slope", "t_range", "_int_pairs", "_int_scale")
 
     def __init__(self, base, slope, t_range):
         base = tuple(la.as_vec(v) for v in base)
@@ -61,12 +62,28 @@ class WalkSegment:
         self.base = base
         self.slope = slope
         self.t_range = (lo, hi)
+        pairs, self._int_scale = la.int_matrix(b + s for b, s in zip(base, slope))
+        self._int_pairs = tuple((r[:width], r[width:]) for r in pairs)
 
     def rows_at(self, t):
         t = la.as_rat(t)
         return tuple(
             la.add(b, la.scale(s, t)) for b, s in zip(self.base, self.slope)
         )
+
+    def int_rows_at(self, t):
+        """The rows at t scaled to integers: (rows, product of factors).
+
+        With a row pair scaled by c > 0 to integers B and S, and
+        t = p/q in lowest terms, the row is q*B + p*S: the rational row
+        times q*c.
+        """
+        t = la.as_rat(t)
+        p, q = t.numerator, t.denominator
+        rows = tuple(
+            tuple(q * b + p * s for b, s in zip(bs, ss)) for bs, ss in self._int_pairs
+        )
+        return rows, q ** len(rows) * self._int_scale
 
     def span_at(self, t):
         return la.Subspace(self.rows_at(t))
@@ -149,25 +166,27 @@ ChainState = namedtuple("ChainState", ["visible", "invisible", "fixed"])
 def segment_polynomials(segment):
     """Exact affine degeneration determinants of one segment, by class.
 
-    The rows at both ends and at the midpoint are scaled to integers by
-    positive factors once. The returned function takes a class and
-    gives its AffinePoly from three kernels.det_int calls against its
-    plane's int_rows: dividing out the factors makes each value exact,
-    the two ends interpolate it, and the midpoint confirms it. For a
-    class whose determinant is not affine in t it raises WalkError.
+    The segment's integer rows at both ends and at the midpoint
+    (int_rows_at) give their complementary minors once. The returned
+    function takes a class and gives its AffinePoly from three dot
+    products of those minors with the class's plane minors, each an
+    integer determinant (kernels.complementary_minors): dividing out
+    the factors makes each value exact, the two ends interpolate it,
+    and the midpoint confirms it. For a class whose determinant is not
+    affine in t it raises WalkError.
     """
-    if len(segment.base) + 2 != len(segment.base[0]):
+    d = len(segment.base[0])
+    if len(segment.base) + 2 != d:
         raise DimensionError("stacked family is not square")
     lo, hi = segment.t_range
     (r_lo, s_lo), (r_hi, s_hi), (r_mid, s_mid) = (
-        la.int_matrix(segment.rows_at(t)) for t in (lo, hi, (lo + hi) / 2)
+        (kernels.complementary_minors(rows, d), scale)
+        for rows, scale in map(segment.int_rows_at, (lo, hi, (lo + hi) / 2))
     )
 
     def poly(cls):
         plane = cls.direction_plane
-        a = kernels.det_int(r_lo + plane.int_rows)
-        b = kernels.det_int(r_hi + plane.int_rows)
-        m = kernels.det_int(r_mid + plane.int_rows)
+        a, b, m = (kernels.dot(r, cls.minors) for r in (r_lo, r_hi, r_mid))
         # with each value divided by its factors, affine means
         # m = (a + b) / 2; cleared of denominators:
         if 2 * m * s_lo * s_hi != (a * s_hi + b * s_lo) * s_mid:
@@ -403,9 +422,11 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
         # pf spans a line of the class plane, already inside fixed, so
         # the translated w keeps its rank contribution
         w = la.sub(w, la.scale(pf, w[0] / pf[0]))
-    if la.det((w,) + fixed) == 0:
-        # the fixed family is itself dependent; the nudged junction
-        # determinant would stay zero for every step size
+    # det(w, fixed) is, up to sign, class ca's degeneracy determinant
+    # against the rest; zero means the fixed family is itself dependent
+    # and the nudged junction determinant would stay zero for every step
+    rest = (w, *others[1:], fb[0])
+    if sh.class_degeneracy_det(p, rest, classes[ca].direction_plane) == 0:
         return None
     base = (u1,) + tuple(others)
     slope = [_zero_vec(d) for _ in range(d - 2)]
@@ -446,8 +467,10 @@ def _fragment_to_hyperplane(p, start, seed, etas):
         v = (1,) + tuple(rng.randint(-9, 9) for _ in range(d - 1))
         # outside every span(basis, eta): guarantees finitely many
         # events and an admissible endpoint inside the hyperplane
-        rows = la.int_matrix((u1, *others))[0]
-        if any(kernels.det_int(rows + (eta, v)) == 0 for eta in eta_rows):
+        rmin = kernels.complementary_minors(la.int_matrix((u1, *others))[0], d)
+        if any(
+            kernels.dot(rmin, kernels.plane_minors(eta, v)) == 0 for eta in eta_rows
+        ):
             continue
         base = (u1,) + tuple(others)
         slope = (la.neg(v),) + tuple(_zero_vec(d) for _ in range(d - 3))
@@ -687,8 +710,7 @@ def verify_walk(p, plan):
     hi_last = segs[-1].t_range[1]
 
     def free_at(seg, t, label):
-        rows = la.int_matrix(seg.rows_at(t))[0]
-        if kernels.rank_int(rows) != d - 2:
+        if kernels.rank_int(seg.int_rows_at(t)[0]) != d - 2:
             violations.append(f"family loses rank at t={t} ({label})")
 
     for i, seg in enumerate(segs):

@@ -7,8 +7,9 @@ through sympy, facets come from hyperplane fitting over all d-subsets
 with nullspaces, k-faces from intersections over all facet subsets,
 planar hulls from pointwise extremeness tests plus an angle sort,
 visible configurations from a seeded search over random witness planes,
-and walk degeneration polynomials from rational determinants at three
-times.
+walk degeneration polynomials from rational determinants at three
+times, and degenerate classes from one stacked integer determinant per
+class.
 """
 
 import random
@@ -17,6 +18,7 @@ from itertools import combinations
 
 import sympy
 
+from shadowlab import kernels
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab import shadow as sh
@@ -262,6 +264,17 @@ def oracle_degeneration_polynomial(segment, cls):
     if dv(mid) != c0 + c1 * mid:
         raise WalkError("degeneration determinant is not affine on the segment")
     return c0, c1
+
+
+def oracle_degenerate_classes(p, rows):
+    """Ids of the classes whose stacked d x d integer determinant with
+    the rows vanishes, one kernels.det_int call per class."""
+    ints = la.int_matrix(rows)[0]
+    return [
+        cid
+        for cid, cls in enumerate(pt.parallel_classes(p))
+        if kernels.det_int(ints + cls.direction_plane.int_rows) == 0
+    ]
 
 
 def _draw_witness(p, cid, rng):

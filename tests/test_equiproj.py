@@ -11,7 +11,11 @@ import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 import shadowlab.walk as wk
 from shadowlab.errors import GeometryError, ParameterError
-from oracles import oracle_boundary_members, oracle_lottery_configurations
+from oracles import (
+    oracle_boundary_members,
+    oracle_lottery_configurations,
+    oracle_solve_gram,
+)
 
 CUBE = fam.hypercube(3)
 TESS = fam.hypercube(4)
@@ -500,3 +504,28 @@ def test_equivalence_check_perturbed_hypercube():
     assert rep.interior_events > 0
     assert rep.matches is True
     assert rep.k_reference == 8
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [PENT, PERT, ZONO, pt.apply_isometry(TESS, wk.reference_frame(TESS).rotation)],
+    ids=["pentagonal", "perturbed", "zonotope", "rotated-4-cube"],
+)
+def test_signed_area_sign_matches_gram_frame(p):
+    # orient reads only the sign of the integer-image area; it must be
+    # the sign of the cycle's area in the Gram coordinates of its plane
+    for face in pt.k_faces(p, 2):
+        origin = p.vertices[face.vertex_ids[0]]
+        xs = [
+            oracle_solve_gram(face.span.basis, la.sub(p.vertices[v], origin))
+            for v in pt.face_cycle(p, face)
+        ]
+        want = sum(
+            x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(xs, xs[1:] + xs[:1])
+        )
+        assert want != 0
+        assert _sign(eq._signed_area(p, face, face.span.int_rows)) == _sign(want)

@@ -149,3 +149,62 @@ def test_rref_int_rank_and_pivots(m):
     assert len(reduced) == len(pivots) == oracle_rank(m)
     for i, p in enumerate(pivots):
         assert [r[p] for r in reduced] == [den if k == i else 0 for k in range(len(reduced))]
+
+
+def test_minors_of_small_widths():
+    # width 2: no rows, det(a; b) is the one plane minor
+    assert kernels.complementary_minors([], 2) == (1,)
+    assert kernels.plane_minors((3, 5), (7, 11)) == (3 * 11 - 5 * 7,)
+    # width 3: one row r, and the dot product is the triple product
+    # r . (a x b); pairs (0, 1), (0, 2), (1, 2) leave columns 2, 1, 0
+    assert kernels.complementary_minors([(2, 3, 5)], 3) == (5, -3, 2)
+    assert kernels.plane_minors((1, 0, 0), (0, 1, 0)) == (1, 0, 0)
+
+
+def test_complementary_minors_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        kernels.complementary_minors([(1, 0, 0, 0)], 4)
+    with pytest.raises(ValueError):
+        kernels.complementary_minors([(1, 0, 0), (0, 1, 0)], 4)
+
+
+BIG = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+@st.composite
+def stacks(draw):
+    """d - 2 rows R and a plane (a, b) of big integers, d = 3..6; half
+    the draws make the stack singular through dependent rows of R, a
+    plane row inside span(R), or a degenerate plane."""
+    d = draw(st.integers(min_value=3, max_value=6))
+    row = st.lists(BIG, min_size=d, max_size=d)
+    rows = [draw(row) for _ in range(d - 2)]
+    a, b = draw(row), draw(row)
+    kind = draw(st.sampled_from(("free", "free", "free", "rows", "in-span", "plane")))
+    coef = st.integers(min_value=-3, max_value=3)
+
+    def combo(vectors):
+        out = [0] * d
+        for v in vectors:
+            c = draw(coef)
+            out = [x + c * y for x, y in zip(out, v)]
+        return out
+
+    if kind == "rows":
+        rows[-1] = combo(rows[:-1])
+    elif kind == "in-span":
+        a = combo(rows)
+    elif kind == "plane":
+        b = combo([a])
+    return rows, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_minors_identity_matches_det_int(case):
+    rows, a, b = case
+    d = len(a)
+    comp = kernels.complementary_minors(rows, d)
+    plane = kernels.plane_minors(a, b)
+    assert len(comp) == len(plane) == d * (d - 1) // 2
+    assert sum(x * y for x, y in zip(comp, plane)) == kernels.det_int(rows + [a, b])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
 import shadowlab.families as fam
+import shadowlab.kernels as kernels
 import shadowlab.linalg as la
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
@@ -19,7 +20,11 @@ from shadowlab.errors import (
     ParameterError,
     WalkError,
 )
-from oracles import oracle_degeneration_polynomial, oracle_hull_2d
+from oracles import (
+    oracle_degenerate_classes,
+    oracle_degeneration_polynomial,
+    oracle_hull_2d,
+)
 
 CUBE = fam.hypercube(3)
 TESS = fam.hypercube(4)
@@ -755,6 +760,58 @@ def test_segment_polynomials_reject_a_non_square_stack():
     seg = wk.WalkSegment(((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), ((0,) * 5,) * 2, (0, 1))
     with pytest.raises(DimensionError, match="not square"):
         wk.segment_polynomials(seg)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_segments(), RATS)
+def test_int_rows_at_scale_the_rational_rows(case, t):
+    p, seg = case
+    ints, scale = seg.int_rows_at(t)
+    rows = seg.rows_at(t)
+    ref = la.int_matrix(rows)[0]
+    # row by row, the integer row is the rational one times a factor > 0
+    for x, y in zip(ints, ref):
+        j = next((k for k, v in enumerate(y) if v), None)
+        if j is None:
+            assert not any(x)
+            continue
+        assert _sign(x[j]) == _sign(y[j])
+        assert all(xi * y[j] == yi * x[j] for xi, yi in zip(x, y))
+    assert kernels.rank_int(ints) == kernels.rank_int(ref)
+    for cls in pt.parallel_classes(p):
+        plane = cls.direction_plane
+        got = kernels.det_int(ints + plane.int_rows)
+        assert _sign(got) == _sign(kernels.det_int(ref + plane.int_rows))
+        # the returned scale is the product of the row factors
+        assert Fr(got, scale * plane.int_scale) == la.det(rows + plane.basis)
+
+
+@st.composite
+def zoo_rows(draw):
+    """A zoo polytope and d-2 rational rows; half the time the first row
+    lies in a class plane, which degenerates that class."""
+    p = draw(st.sampled_from(FRAME_ZOO))
+    row = st.tuples(*[RATS] * p.dim)
+    rows = [draw(row) for _ in range(p.dim - 2)]
+    if draw(st.booleans()):
+        f1, f2 = draw(st.sampled_from(pt.parallel_classes(p))).direction_plane.basis
+        rows[0] = la.add(la.scale(f1, draw(RATS)), la.scale(f2, draw(RATS)))
+    return p, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_rows())
+def test_degenerate_classes_match_det_int_oracle(case):
+    p, rows = case
+    assert list(sh.degenerate_classes(p, rows)) == oracle_degenerate_classes(p, rows)
+    for cls in pt.parallel_classes(p):
+        plane = cls.direction_plane
+        want = la.det(tuple(la.as_mat(rows)) + plane.basis)
+        assert sh.class_degeneracy_det(p, rows, plane) == want
 
 
 def test_verify_reports_wrong_row_width():
