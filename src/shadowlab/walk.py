@@ -7,9 +7,13 @@ polynomial of the segment parameter. Degeneration times are then exact
 rational roots, and the construction arranges for each time to belong
 to exactly one parallel class.
 
-Everything here is exact. Randomness only picks candidate directions;
-every candidate is accepted or rejected by rational determinant tests,
-and all searches are capped and seeded.
+Everything here is exact. Each determinant is held by its two integer
+end values over one positive denominator (AffinePoly). Their signs
+alone say whether a class degenerates on the segment, at an end, or
+along all of it; a Fraction is built only for an interior root.
+Randomness only picks candidate directions; every candidate is accepted
+or rejected by these integer sign tests, and all searches are capped
+and seeded.
 """
 
 import random
@@ -114,18 +118,59 @@ class WalkSegment:
         return f"WalkSegment(rows={len(self.base)}, range=[{lo}, {hi}])"
 
 
-class AffinePoly(namedtuple("AffinePoly", ["c0", "c1"])):
-    """c0 + c1*t with rational coefficients."""
+class AffinePoly(namedtuple("AffinePoly", ["a", "b", "den", "lo", "hi"])):
+    """An affine determinant c0 + c1*t on [lo, hi], held by its end values.
+
+    a / den and b / den are its exact values at t = lo and t = hi: a and
+    b are integers over one positive integer den, so their signs are the
+    signs of the determinant at the two ends. c0 and c1 are built only
+    when asked for.
+    """
 
     __slots__ = ()
+
+    @property
+    def c1(self):
+        return Fraction(self.b - self.a, self.den) / (self.hi - self.lo)
+
+    @property
+    def c0(self):
+        return Fraction(self.a, self.den) - self.c1 * self.lo
 
     def at(self, t):
         return self.c0 + self.c1 * la.as_rat(t)
 
     def root(self):
-        if self.c1 == 0:
+        """The zero of c0 + c1*t anywhere on the line, or None when c1 = 0:
+        (hi*a - lo*b) / (a - b), one Fraction from integer parts."""
+        a, b = self.a, self.b
+        if a == b:
             return None
-        return -self.c0 / self.c1
+        lo, hi = self.lo, self.hi
+        return Fraction(
+            hi.numerator * lo.denominator * a - lo.numerator * hi.denominator * b,
+            hi.denominator * lo.denominator * (a - b),
+        )
+
+    def crossing(self):
+        """How the determinant vanishes on the closed range, read from the
+        signs of a and b alone: (kind, t).
+
+        kind is "whole" when a = b = 0 (t is None), "end" when one end
+        value is zero (t is that end, lo or hi), "inside" when the signs
+        are strictly opposite (t is root(), the only Fraction built), and
+        "none" otherwise (t is None).
+        """
+        a, b = self.a, self.b
+        if a and b:
+            if (a < 0) == (b < 0):
+                return "none", None
+            return "inside", self.root()
+        if a:
+            return "end", self.hi
+        if b:
+            return "end", self.lo
+        return "whole", None
 
 
 DegenerationEvent = namedtuple("DegenerationEvent", ["time", "class_id"])
@@ -137,7 +182,7 @@ WalkPlan = namedtuple(
 )
 
 ReferenceFrame = namedtuple(
-    "ReferenceFrame", ["rotation", "inverse", "moved", "etas"]
+    "ReferenceFrame", ["rotation", "inverse", "moved", "etas", "int_inverse"]
 )
 
 WalkCertificate = namedtuple(
@@ -170,10 +215,11 @@ def segment_polynomials(segment):
     (int_rows_at) give their complementary minors once. The returned
     function takes a class and gives its AffinePoly from three dot
     products of those minors with the class's plane minors, each an
-    integer determinant (kernels.complementary_minors): dividing out
-    the factors makes each value exact, the two ends interpolate it,
-    and the midpoint confirms it. For a class whose determinant is not
-    affine in t it raises WalkError.
+    integer determinant (kernels.complementary_minors). The two end
+    values, brought over one positive denominator, are the AffinePoly;
+    the midpoint value confirms that the determinant is affine, and
+    no Fraction is built. For a class whose determinant is not affine
+    in t it raises WalkError.
     """
     d = len(segment.base[0])
     if len(segment.base) + 2 != d:
@@ -183,17 +229,16 @@ def segment_polynomials(segment):
         (kernels.complementary_minors(rows, d), scale)
         for rows, scale in map(segment.int_rows_at, (lo, hi, (lo + hi) / 2))
     )
+    s_ends = s_lo * s_hi
 
     def poly(cls):
-        plane = cls.direction_plane
         a, b, m = (kernels.dot(r, cls.minors) for r in (r_lo, r_hi, r_mid))
-        # with each value divided by its factors, affine means
-        # m = (a + b) / 2; cleared of denominators:
-        if 2 * m * s_lo * s_hi != (a * s_hi + b * s_lo) * s_mid:
+        # the end values over the common factor s_lo * s_hi; affine
+        # means the midpoint value m / s_mid is their mean
+        a, b = a * s_hi, b * s_lo
+        if 2 * m * s_ends != (a + b) * s_mid:
             raise WalkError("degeneration determinant is not affine on the segment")
-        a = Fraction(a, s_lo * plane.int_scale)
-        c1 = (Fraction(b, s_hi * plane.int_scale) - a) / (hi - lo)
-        return AffinePoly(a - c1 * lo, c1)
+        return AffinePoly(a, b, s_ends * cls.direction_plane.int_scale, lo, hi)
 
     return poly
 
@@ -201,9 +246,9 @@ def segment_polynomials(segment):
 def degeneration_polynomial(segment, cls):
     """Exact affine degeneration determinant of one class on a segment.
 
-    Interpolated from the two endpoint values and confirmed against a
-    midpoint evaluation; a determinant that is not affine in t raises
-    WalkError. A loop over classes calls segment_polynomials once.
+    Its integer end values, confirmed affine by a midpoint evaluation;
+    a determinant that is not affine in t raises WalkError. A loop over
+    classes calls segment_polynomials once.
     """
     return segment_polynomials(segment)(cls)
 
@@ -327,18 +372,31 @@ def reference_frame(p):
     """p's reference isometry, cached on p the first time it is asked.
 
     Holds the rotation, its inverse, the moved copy (whose lattice
-    caches fill as the walks use them) and the moved copy's eta
-    directions. verify_walk never reads it.
+    caches fill as the walks use them), the moved copy's eta directions
+    and the inverse as (integer rows, one positive denominator).
+    verify_walk never reads it.
     """
     if p._frame is None:
         rot, etas = reference_isometry(p)
+        inv = la.transpose(rot)
+        flat, den = la.int_row([x for row in inv for x in row])
+        d = p.dim
         p._frame = ReferenceFrame(
             rot,
-            la.transpose(rot),
+            inv,
             pt.apply_isometry(p, rot),
             tuple(e.eta for e in etas),
+            (tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d)), den),
         )
     return p._frame
+
+
+def _pull_back(int_inverse, row):
+    """inverse times a rational row, from integer dot products: with the
+    inverse M / c and the row R / s, entry i is M_i . R / (c * s)."""
+    m, c = int_inverse
+    ints, s = la.int_row(row)
+    return tuple(Fraction(kernels.dot(mi, ints), c * s) for mi in m)
 
 
 def _ortho_rows(p, span):
@@ -358,33 +416,28 @@ def _require_admissible(p, rows, what):
         raise InadmissiblePlaneError(f"{what} span degenerates class {cid}")
 
 
-def _segment_roots(seg, classes, skip=None):
+def _segment_roots(seg, classes):
     """Map root -> class ids for roots strictly inside the range.
 
-    A class degenerate along the whole segment, or exactly at an
-    endpoint, raises WalkError; walk constructions must never produce
-    either.
+    Each class is classified by the signs of its end values; only an
+    interior root builds a Fraction. A class degenerate along the whole
+    segment, or exactly at an endpoint, raises WalkError; walk
+    constructions must never produce either.
     """
-    lo, hi = seg.t_range
     polys = segment_polynomials(seg)
     found = {}
     for cid, cls in enumerate(classes):
-        if cid == skip:
-            continue
-        poly = polys(cls)
-        if poly.c0 == 0 and poly.c1 == 0:
+        kind, r = polys(cls).crossing()
+        if kind == "inside":
+            found.setdefault(r, []).append(cid)
+        elif kind == "whole":
             raise WalkError(
                 f"class {cid} is degenerate along the whole segment"
             )
-        r = poly.root()
-        if r is None:
-            continue
-        if r == lo or r == hi:
+        elif kind == "end":
             raise WalkError(
                 f"class {cid} degenerates at a segment endpoint (t={r})"
             )
-        if lo < r < hi:
-            found.setdefault(r, []).append(cid)
     return found
 
 
@@ -435,7 +488,7 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     eps = Fraction(1)
     for cls in classes:
         poly = polys(cls)
-        if poly.c0 == 0 and poly.c1 == 0:
+        if poly.a == poly.b == 0:
             return None
         r = poly.root()
         if r is not None and r > 0:
@@ -537,7 +590,7 @@ def _fragment_within(p, start, seed, etas):
         step = Fraction(1)
         for cls in classes:
             poly = polys(cls)
-            if poly.c0 == 0 and poly.c1 == 0:
+            if poly.a == poly.b == 0:
                 raise WalkError("a class is degenerate across a staircase step")
             r = poly.root()
             if r is not None and r > 0:
@@ -662,7 +715,7 @@ def full_walk(p, frm, to, seed=0):
     ident = la.identity(d)
     if la.span_of(rows_a) == la.span_of(rows_b):
         return WalkPlan((), (), ident, ident)
-    rot, inv, q, etas = reference_frame(p)
+    rot, inv, q, etas, int_inv = reference_frame(p)
 
     def push(rows):
         return la.Subspace(tuple(la.matvec(rot, r) for r in rows))
@@ -679,8 +732,8 @@ def full_walk(p, frm, to, seed=0):
     )
     pulled = [
         WalkSegment(
-            tuple(la.matvec(inv, r) for r in seg.base),
-            tuple(la.matvec(inv, r) for r in seg.slope),
+            tuple(_pull_back(int_inv, r) for r in seg.base),
+            tuple(_pull_back(int_inv, r) for r in seg.slope),
             seg.t_range,
         )
         for seg in chain
@@ -733,21 +786,18 @@ def verify_walk(p, plan):
             except WalkError as exc:
                 violations.append(f"segment {i}, class {cid}: {exc}")
                 continue
-            if poly.c0 == 0 and poly.c1 == 0:
+            kind, r = poly.crossing()
+            if kind == "inside":
+                times.setdefault(r, []).append(cid)
+            elif kind == "whole":
                 violations.append(
                     f"class {cid} is degenerate along segment {i}"
                 )
-                continue
-            r = poly.root()
-            if r is None:
-                continue
-            if r == lo or r == hi:
+            elif kind == "end":
                 edge = "endpoint" if r in (lo0, hi_last) else "junction"
                 violations.append(
                     f"class {cid} degenerates at a segment {edge} (t={r})"
                 )
-            elif lo < r < hi:
-                times.setdefault(r, []).append(cid)
         ordered = sorted(times)
         for t in ordered:
             ids = times[t]
@@ -834,6 +884,19 @@ def _tilde(v, u):
     return la.sub(v, la.scale(u, la.dot(v, u) / la.dot(u, u)))
 
 
+def _complete_basis(first, rows):
+    """first, then each of rows that raises the rank of those kept so
+    far, in order; the rank tests run on the rows scaled to integers
+    once."""
+    ints = la.int_matrix((first, *rows))[0]
+    comp, kept = [first], [ints[0]]
+    for r, ri in zip(rows, ints[1:]):
+        if kernels.rank_int(kept + [ri]) > len(kept):
+            comp.append(r)
+            kept.append(ri)
+    return comp
+
+
 def crossing_probe(p, cid, rows, u1, reverse=False):
     """The segment that moves a single-class witness off its class.
 
@@ -853,10 +916,7 @@ def crossing_probe(p, cid, rows, u1, reverse=False):
     v = la.primitive(kern[0])
     if reverse:
         v = la.neg(v)
-    comp = [u1]
-    for r in rows:
-        if la.rank(tuple(comp) + (r,)) > len(comp):
-            comp.append(r)
+    comp = _complete_basis(u1, rows)
     if len(comp) != d - 2:
         raise GeometryError("degenerating direction escapes the witness")
     slope = (v,) + tuple(_zero_vec(d) for _ in range(d - 3))
@@ -989,11 +1049,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     if lam == 0:
         raise GeometryError("witness already degenerates along the edge")
     u1n = la.scale(u1, 1 / alpha)
-    comp = [u1n]
-    for r in rows:
-        if la.rank(tuple(comp) + (r,)) > len(comp):
-            comp.append(r)
-    tail = tuple(comp[1:])
+    tail = tuple(_complete_basis(u1n, rows)[1:])
     base = (u1n,) + tail
     slope = (la.neg(v),) + tuple(_zero_vec(d) for _ in range(d - 3))
     polys = segment_polynomials(WalkSegment(base, slope, (0, 2 * lam + 1)))

@@ -1,6 +1,7 @@
 """Tests for certified walks, transformations and chain bookkeeping."""
 
 import hashlib
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -21,6 +22,7 @@ from shadowlab.errors import (
     WalkError,
 )
 from oracles import (
+    oracle_affine_roots,
     oracle_degenerate_classes,
     oracle_degeneration_polynomial,
     oracle_hull_2d,
@@ -762,6 +764,104 @@ def test_segment_polynomials_reject_a_non_square_stack():
         wk.segment_polynomials(seg)
 
 
+@settings(max_examples=80, deadline=None)
+@given(zoo_segments())
+def test_end_value_signs_match_rational_oracle(case):
+    p, seg = case
+    lo, hi = seg.t_range
+    polys = wk.segment_polynomials(seg)
+    for cls in pt.parallel_classes(p):
+        try:
+            c0, c1 = oracle_degeneration_polynomial(seg, cls)
+        except WalkError:
+            continue
+        got = polys(cls)
+        # the end values over their denominator are the exact values
+        assert got.den > 0
+        assert Fr(got.a, got.den) == c0 + c1 * lo
+        assert Fr(got.b, got.den) == c0 + c1 * hi
+        assert got.root() == (None if c1 == 0 else -c0 / c1)
+        roots = oracle_affine_roots(c0, c1, lo, hi)
+        if roots is None:
+            want = ("whole", None)
+        elif not roots:
+            want = ("none", None)
+        elif roots[0] in (lo, hi):
+            want = ("end", roots[0])
+        else:
+            want = ("inside", roots[0])
+        assert got.crossing() == want
+        if want[0] == "inside":
+            # the same family cut at the root puts it at either end
+            t = want[1]
+            for cut in ((lo, t), (t, hi)):
+                cut = wk.WalkSegment(seg.base, seg.slope, cut)
+                assert wk.degeneration_polynomial(cut, cls).crossing() == ("end", t)
+
+
+def _junction_case(p, seed):
+    """Classes ca, cb of p whose planes Fa, Fb meet in a line, and an
+    admissible (u1, *others) whose others start with a row o of Fa + Fb
+    outside both: span(others, Fa) = span(others, Fb), so the two
+    classes share a junction span."""
+    classes = pt.parallel_classes(p)
+    ca, cb = next(
+        (a, b)
+        for a in range(len(classes))
+        for b in range(a + 1, len(classes))
+        if la.span_of(classes[a].direction_plane.basis + classes[b].direction_plane.basis).dim == 3
+    )
+    fa = classes[ca].direction_plane.basis
+    fb = classes[cb].direction_plane.basis
+    o = la.add(fa[0], fb[0])
+    assert la.span_of((o,) + fa) == la.span_of((o,) + fb)
+    rng = random.Random(seed)
+    while True:
+        u1, *rest = (
+            (1,) + tuple(rng.randint(-9, 9) for _ in range(p.dim - 1))
+            for _ in range(p.dim - 3)
+        )
+        others = [o] + [la.as_vec(r) for r in rest]
+        if not list(sh.degenerate_classes(p, (u1, *others))):
+            return classes, la.as_vec(u1), others, ca, cb
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_separate_junction_spans_nudges_to_an_admissible_span(seed):
+    q = wk.reference_frame(fam.hypercube(4)).moved
+    classes, u1, others, ca, cb = _junction_case(q, seed)
+    start = others[0]
+    seg = wk._separate_junction_spans(q, classes, u1, others, ca, cb, random.Random(seed))
+    assert seg is not None
+    lo, hi = seg.t_range
+    assert lo == 0 < hi
+    assert seg.rows_at(0) == (u1, start)
+    # the nudge moves the second row inside the reference hyperplane
+    assert seg.slope[0] == wk._zero_vec(4) and seg.slope[1][0] == 0
+    # no class degenerates anywhere on the closed nudge segment
+    for cls in classes:
+        c0, c1 = oracle_degeneration_polynomial(seg, cls)
+        assert oracle_affine_roots(c0, c1, lo, hi) == []
+    assert others[0] == seg.rows_at(hi)[1]
+    fa = classes[ca].direction_plane.basis
+    fb = classes[cb].direction_plane.basis
+    assert la.span_of(tuple(others) + fa) != la.span_of(tuple(others) + fb)
+
+
+def test_separate_junction_spans_rejects_a_dependent_fixed_family():
+    q = wk.reference_frame(fam.hypercube(5)).moved
+    classes, u1, others, ca, cb = _junction_case(q, 0)
+    # a second row in span(Fa, fb[0]) makes the fixed family
+    # (others[1:], Fa, fb[0]) dependent, while no class degenerates along
+    # the whole nudge, so only the dependence test can refuse it
+    fa0 = classes[ca].direction_plane.basis[0]
+    fb0 = classes[cb].direction_plane.basis[0]
+    others[1] = la.add(la.scale(fa0, 2), fb0)
+    before = list(others)
+    assert wk._separate_junction_spans(q, classes, u1, others, ca, cb, random.Random(0)) is None
+    assert others == before
+
+
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -812,6 +912,37 @@ def test_degenerate_classes_match_det_int_oracle(case):
         plane = cls.direction_plane
         want = la.det(tuple(la.as_mat(rows)) + plane.basis)
         assert sh.class_degeneracy_det(p, rows, plane) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FRAME_ZOO[2:]), st.data())
+def test_pull_back_matches_the_rational_inverse(p, data):
+    frame = wk.reference_frame(p)
+    row = data.draw(st.tuples(*[RATS] * p.dim))
+    got = wk._pull_back(frame.int_inverse, row)
+    assert got == la.matvec(frame.inverse, la.as_vec(row))
+    assert all(isinstance(x, Fr) for x in got)
+
+
+def _complete_basis_by_rational_rank(first, rows):
+    comp = [first]
+    for r in rows:
+        if la.rank(tuple(comp) + (r,)) > len(comp):
+            comp.append(r)
+    return comp
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_rows(), st.data())
+def test_complete_basis_matches_rational_rank(case, data):
+    p, rows = case
+    rows = [la.as_vec(r) for r in rows]
+    # repeat a row now and then, so that some rows add no rank
+    if data.draw(st.booleans()):
+        rows.append(rows[0])
+    first = la.as_vec(data.draw(st.tuples(*[RATS] * p.dim)))
+    assume(any(first))
+    assert wk._complete_basis(first, rows) == _complete_basis_by_rational_rank(first, rows)
 
 
 def test_verify_reports_wrong_row_width():
