@@ -25,6 +25,7 @@ arithmetic, and the absence of one is a proof as well.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from operator import sub
 
 from . import kernels
@@ -73,12 +74,31 @@ EquivalenceReport = namedtuple(
 
 
 def _edge_ids(p):
-    return {e.vertex_ids: i for i, e in enumerate(pt.k_faces(p, 1))}
+    """Edge ids by vertex pair, cached on the polytope."""
+    if p._edge_idx is None:
+        p._edge_idx = {e.vertex_ids: i for i, e in enumerate(pt.k_faces(p, 1))}
+    return p._edge_idx
 
 
 def _edge_direction(p, edge):
+    """The edge's direction, on the polytope's integer vertices (a
+    positive multiple of the rational one)."""
+    verts = p.int_vertices()[0]
     a, b = edge.vertex_ids
-    return la.sub(p.vertices[b], p.vertices[a])
+    return tuple(map(sub, verts[b], verts[a]))
+
+
+def _parallel(d1, d2):
+    """Whether two nonzero integer directions are parallel: every 2x2
+    minor vanishes."""
+    return not any(kernels.plane_minors(d1, d2))
+
+
+def _direction_key(d):
+    """The direction scaled to first nonzero entry 1: the canonical_key
+    row of its span, so groups sort as they would by the span's key."""
+    pivot = next(x for x in d if x)
+    return tuple(Fraction(x, pivot) for x in d)
 
 
 def _order_chain(pairs, eidx):
@@ -112,12 +132,13 @@ def _order_chain(pairs, eidx):
     return tuple(out)
 
 
-def _face_chains(p, face_id, w, eidx):
-    state = wk.boundary_chains(p, face_id, w)
+def _face_chains(p, face_id, frame):
+    state = wk.frame_chains(p, pt.k_faces(p, 2)[face_id], frame)
     if len(state.fixed) != 2:
         raise GeometryError(
             f"face {face_id} has {len(state.fixed)} fixed points, wanted 2"
         )
+    eidx = _edge_ids(p)
     visible = _order_chain(state.visible, eidx)
     invisible = _order_chain(state.invisible, eidx)
     edges = pt.k_faces(p, 1)
@@ -125,7 +146,7 @@ def _face_chains(p, face_id, w, eidx):
         dirs = [_edge_direction(p, edges[e]) for e in chain]
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
-                if la.rank((dirs[i], dirs[j])) == 1:
+                if _parallel(dirs[i], dirs[j]):
                     raise GeometryError(
                         "two parallel edges share a visibility chain"
                     )
@@ -133,15 +154,18 @@ def _face_chains(p, face_id, w, eidx):
 
 
 def _certify(p, face_id, other_id, rows):
-    """Build a certificate from an exact witness, re-validating it."""
+    """Build a certificate from an exact witness, re-validating it.
+
+    The chains of the face and its partner are read off one hull, just
+    before the crossing.
+    """
     tr = wk.elementary_transformation(p, face_id, other_id, la.Subspace(rows))
-    eidx = _edge_ids(p)
-    mid = -tr.epsilon / 2
-    w = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at(mid))
-    chains = _face_chains(p, face_id, w, eidx)
+    w = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at(-tr.epsilon / 2))
+    frame = sh.hull_frame(p, w)
+    chains = _face_chains(p, face_id, frame)
     other = None
     if other_id is not None:
-        other = _face_chains(p, other_id, w, eidx)
+        other = _face_chains(p, other_id, frame)
     return VisibilityCertificate(face_id, other_id, tuple(rows), chains, other)
 
 
@@ -153,11 +177,13 @@ def _cells(p, cid):
     l . (B v): the cells are the normal cones of the proper faces G of
     the difference body D of the points B v. Summing the facet normals
     through G gives a direction inside its cone. A cone that lies in
-    another class's orthogonal complement is skipped; inside any other
-    cone, the sum weighted by the powers of t = 1, 2, ... leaves every
-    such complement for all but finitely many t. members are the ids of
-    the class's faces lying in the face of p that maximises or
-    minimises c.
+    another class's orthogonal complement is skipped: bit j of a
+    facet's mask says that its normal clears other class j, and a cone
+    lies in that complement iff no normal through G clears it. Inside
+    any other cone, the sum weighted by the powers of t = 1, 2, ...
+    leaves every such complement for all but finitely many t. members
+    are the ids of the class's faces lying in the face of p that
+    maximises or minimises c.
     """
     classes = pt.parallel_classes(p)
     cls = classes[cid]
@@ -166,21 +192,29 @@ def _cells(p, cid):
     basis = [la.primitive(b) for b in la.kernel_basis(cls.direction_plane.int_rows)]
     ys = {tuple(kernels.dot(b, v) for b in basis) for v in verts}
     body = pt.hull(sorted({tuple(map(sub, y, z)) for y in ys for z in ys}))
-    # each facet's vertex ids and its normal lifted to c = B^T n
-    facets = [
-        (set(f.vertex_ids), tuple(kernels.dot(n, col) for col in zip(*basis)))
-        for f, (n, _off) in zip(pt.facets(body), pt.facet_planes(body))
-    ]
     faces = pt.k_faces(p, 2)
 
     def clear(c, rows):
         # c is off the orthogonal complement of the plane with these rows
         return any(kernels.dot(c, r) for r in rows)
 
+    # each facet's vertex ids, its normal lifted to c = B^T n, its mask
+    facets = []
+    for f, (n, _off) in zip(pt.facets(body), pt.facet_planes(body)):
+        c = tuple(kernels.dot(n, col) for col in zip(*basis))
+        mask = sum(1 << j for j, rows in enumerate(others) if clear(c, rows))
+        facets.append((set(f.vertex_ids), c, mask))
+    full = (1 << len(others)) - 1
+
     for k in range(body.dim):
         for g in pt.k_faces(body, k):
-            cone = [c for vids, c in facets if vids.issuperset(g.vertex_ids)]
-            if not all(any(clear(c, rows) for c in cone) for rows in others):
+            cone = []
+            seen = 0
+            for vids, c, mask in facets:
+                if vids.issuperset(g.vertex_ids):
+                    cone.append(c)
+                    seen |= mask
+            if seen != full:
                 continue
             t = 1
             while True:
@@ -328,11 +362,11 @@ def orient(p, cert, flip=False):
 def _compensating(p, n1, n2, edges):
     d1 = _edge_direction(p, edges[n1.edge_id])
     d2 = _edge_direction(p, edges[n2.edge_id])
-    if la.rank((d1, d2)) != 1:
+    if not _parallel(d1, d2):
         return False
+    # d2 = mu d1, and mu has the sign of d1[i] d2[i]
     i = next(j for j, x in enumerate(d1) if x != 0)
-    mu = d2[i] / d1[i]
-    if n1.orientation * n2.orientation * mu >= 0:
+    if n1.orientation * n2.orientation * d1[i] * d2[i] >= 0:
         return False
     if n1.face_id == n2.face_id and n1.partner_id == n2.partner_id:
         return n1.edge_id != n2.edge_id
@@ -376,8 +410,8 @@ def compensation_partition(p, certs, flip=False):
             if n.partner_id is None
             else tuple(sorted((n.face_id, n.partner_id)))
         )
-        dirkey = la.span_of([_edge_direction(p, edges[n.edge_id])])
-        groups.setdefault((pairkey, dirkey.canonical_key()), []).append(i)
+        dirkey = _direction_key(_edge_direction(p, edges[n.edge_id]))
+        groups.setdefault((pairkey, dirkey), []).append(i)
     pairs = []
     for key in sorted(groups):
         idx = tuple(groups[key])

@@ -250,12 +250,26 @@ class Subspace:
 
 
 def span_of(vectors, ambient=None):
-    """Subspace spanned by an arbitrary (possibly dependent) family."""
+    """Subspace spanned by an arbitrary (possibly dependent) family.
+
+    The basis is the reduced row echelon form. rref_int's rows are
+    independent by construction and are their own canonical form, so
+    the Subspace is filled in directly: with g = gcd(den, *r) carrying
+    the sign of den (which may be negative), the integer row of r / den
+    is r // g, by the positive multiplier den // g.
+    """
     vectors = tuple(vectors)
-    if vectors:
-        rows, _ = rref(vectors)
-        return Subspace(rows, ambient=len(vectors[0]))
-    return Subspace((), ambient=ambient)
+    if not vectors:
+        return Subspace((), ambient=ambient)
+    reduced, _pivots, den = _reduce(vectors)
+    s = object.__new__(Subspace)
+    s.basis = s._key = _rationals(reduced, den)
+    s.ambient = len(vectors[0])
+    sign = -1 if den < 0 else 1
+    gs = [sign * gcd(den, *r) for r in reduced]
+    s.int_rows = tuple(tuple(x // g for x in r) for r, g in zip(reduced, gs))
+    s.int_scale = prod(den // g for g in gs)
+    return s
 
 
 def _coerce_subspace(s):

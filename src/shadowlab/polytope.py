@@ -91,6 +91,8 @@ class Polytope:
         self._int_vertices = None
         # the walk layer's reference frame (walk.reference_frame)
         self._frame = None
+        # edge ids by vertex pair (equiproj._edge_ids)
+        self._edge_idx = None
 
     def int_vertices(self):
         """Vertices scaled by a common multiplier to integer tuples."""

@@ -35,20 +35,24 @@ class ProjectionPlane:
 
     The integer frame uses the int_rows of basis and complement, the
     public rows scaled by positive factors, so it keeps the orientation
-    of the public frame.
+    of the public frame. complement, when given, must be the orthogonal
+    complement of basis (from_orthogonal passes the span it started
+    from); otherwise it is computed.
     """
 
     __slots__ = ("basis", "complement", "_unmap")
 
-    def __init__(self, basis):
+    def __init__(self, basis, complement=None):
         if not isinstance(basis, la.Subspace):
             basis = la.Subspace(basis)
         if basis.dim != 2:
             raise DimensionError("projection plane must have dimension 2")
         self.basis = basis
-        self.complement = la.Subspace(
-            la.kernel_basis(basis.int_rows), ambient=basis.ambient
-        )
+        if complement is None:
+            complement = la.Subspace(
+                la.kernel_basis(basis.int_rows), ambient=basis.ambient
+            )
+        self.complement = complement
         a1, a2 = rows = basis.int_rows
         # the factors c > 0 with a = c b, read off a nonzero entry
         c1, c2 = (next(x // y for x, y in zip(a, b) if y) for a, b in zip(rows, basis.basis))
@@ -64,7 +68,7 @@ class ProjectionPlane:
         w = la.kernel_basis(s.int_rows)
         if len(w) != 2:
             raise DimensionError("orthogonal space must have dimension d-2")
-        return cls(w)
+        return cls(w, complement=s)
 
     @property
     def ambient(self):

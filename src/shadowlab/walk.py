@@ -980,8 +980,12 @@ def boundary_chains(p, face_id, w):
     faces = pt.k_faces(p, 2)
     if not 0 <= face_id < len(faces):
         raise ParameterError(f"no 2-face with id {face_id}")
-    face = faces[face_id]
-    frame = sh.hull_frame(p, w)
+    return frame_chains(p, faces[face_id], sh.hull_frame(p, w))
+
+
+def frame_chains(p, face, frame):
+    """boundary_chains of a 2-face, given the plane's sh.HullFrame, so
+    that faces seen on one plane share its hull."""
     visible = []
     invisible = []
     for e in pt.face_edges(p, face):

@@ -104,6 +104,47 @@ def oracle_sympy_rref(m):
     return rows, tuple(pivots)
 
 
+def oracle_edge_direction(p, edge):
+    """An edge's direction on the rational vertices, as the
+    compensation pairing took it before it worked on integer vertices."""
+    a, b = edge.vertex_ids
+    return la.sub(p.vertices[b], p.vertices[a])
+
+
+def oracle_direction_key(d):
+    """The compensation pairing's old group key of an edge direction:
+    the canonical key of its span, here the reduced row echelon form by
+    Gauss-Jordan on Fractions."""
+    return oracle_rref([d])[0]
+
+
+def oracle_parallel(d1, d2):
+    """The compensation pairing's old parallelism test: the two
+    directions have rank one."""
+    return la.rank((d1, d2)) == 1
+
+
+def oracle_compensating(p, n1, n2, edges):
+    """The old compensation test of two edge-2-faces: rational edge
+    directions, the rank test, and the sign of the Fraction mu with
+    d2 = mu d1."""
+    d1 = oracle_edge_direction(p, edges[n1.edge_id])
+    d2 = oracle_edge_direction(p, edges[n2.edge_id])
+    if not oracle_parallel(d1, d2):
+        return False
+    i = next(j for j, x in enumerate(d1) if x != 0)
+    mu = d2[i] / d1[i]
+    if n1.orientation * n2.orientation * mu >= 0:
+        return False
+    if n1.face_id == n2.face_id and n1.partner_id == n2.partner_id:
+        return n1.edge_id != n2.edge_id
+    return (
+        n1.partner_id is not None
+        and n1.face_id == n2.partner_id
+        and n1.partner_id == n2.face_id
+    )
+
+
 def oracle_solve_gram(basis, v):
     """Projection coordinates via sympy's linear solver."""
     b = sympy.Matrix([[sympy.Rational(x) for x in row] for row in basis])

@@ -1,13 +1,16 @@
 """End-to-end tests for the command line front end."""
 
+import hashlib
 import io
 import json
 import types
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import shadowlab.cli as cli
+import shadowlab.families as fam
 from shadowlab.errors import SamplingError, WalkError
 
 CUBE_JSON = json.dumps([[int(b) for b in f"{i:03b}"] for i in range(8)])
@@ -390,6 +393,46 @@ def test_byte_identical_outputs():
     _, a, _ = go(argv)
     _, b, _ = go(argv)
     assert a == b
+
+
+# sha256 of the full `check --mode both --seed 0 --no-timestamp` report,
+# pinned so that a change to the deciders which claims identical
+# behaviour (verdicts, certificates, chains, obstructions) must keep
+# every byte
+GOLDEN_CHECKS = {
+    "cube4": (
+        lambda: fam.hypercube(4),
+        "7233fb27609bf9d3d2b393fcc5a03d143f3a3a477786ddd0e61229bbe7c0a252",
+    ),
+    "perturbed": (
+        lambda: fam.perturbed_hypercube(Fraction(1, 100)),
+        "0abe05a3503c8ab8fd982272433c627f9e72af7154824d6b9ddb5845e207e165",
+    ),
+    "pn4": (
+        lambda: fam.pn_polytope(4),
+        "8170fd689f669c4be95d3025a30e339135a358d290a646a0e3688bf3edb94a18",
+    ),
+    "zono7": (
+        lambda: fam.zonotope(fam.random_generators(6, 4, 7)),
+        "dc4c46ae13de5cd3c9df7f974ece081e96ad960434bdacfe11931f42b1d652b2",
+    ),
+    "pnd5": (
+        lambda: fam.hyperprism_pnd(2, 5, 0),
+        "1e0622dcd4e098031ca4ab4af4d849cc34b36cc75bedc34cdd8eb14fafc7556e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHECKS))
+def test_check_report_matches_golden_digest(name):
+    make, digest = GOLDEN_CHECKS[name]
+    p = make()
+    poly = json.dumps({"vertices": [[str(x) for x in v] for v in p.vertices]})
+    code, out, _ = go(
+        ["check", "--polytope", poly, "--mode", "both", "--seed", "0", "--no-timestamp"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_timestamp_is_the_only_varying_field():

@@ -351,3 +351,33 @@ def test_solve_and_inverse_match_oracles(a, data):
         assert la.matmul(a, la.inverse(a)) == ident
     else:
         assert want is None and la.inverse(a) is None
+
+
+@st.composite
+def families(draw):
+    """matrices(), with a zero row inserted and one row negated (so
+    that its leading entry, a pivot, turns negative) each half the
+    time."""
+    rows = list(draw(matrices()))
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[i] = la.neg(rows[i])
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows.insert(i, tuple(Fr(0) for _ in rows[0]))
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_span_of_matches_the_validating_constructor(m):
+    # span_of fills its Subspace in from the reduced rows directly; the
+    # constructor scales the same rows and re-checks their rank
+    got = la.span_of(m)
+    want = la.Subspace(la.rref(m)[0], ambient=len(m[0]))
+    assert got.basis == want.basis == oracle_rref(m)[0]
+    assert got.int_rows == want.int_rows
+    assert got.int_scale == want.int_scale
+    assert got.ambient == want.ambient
+    assert got.canonical_key() == want.canonical_key()
+    assert got == want and hash(got) == hash(want)

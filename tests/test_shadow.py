@@ -82,6 +82,25 @@ def test_plane_from_orthogonal_roundtrip():
         sh.ProjectionPlane.from_orthogonal(((1, 0, 0, 0),))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=6).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.fractions(-9, 9, max_denominator=4)] * d),
+            min_size=d - 2,
+            max_size=d - 2,
+        )
+    )
+)
+def test_from_orthogonal_keeps_the_given_span_as_complement(rows):
+    # from_orthogonal hands its validated span in as the complement in
+    # place of a second kernel; it must be the kernel of the basis
+    assume(la.rank(rows) == len(rows))
+    w = sh.ProjectionPlane.from_orthogonal(rows)
+    assert w.complement == la.Subspace(la.kernel_basis(w.basis.int_rows))
+    assert w.complement == la.Subspace(rows)
+
+
 def test_project_cube_axis_plane():
     w = sh.ProjectionPlane(((1, 0, 0), (0, 1, 0)))
     images = sh.project(CUBE, w)
