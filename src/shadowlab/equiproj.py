@@ -17,7 +17,9 @@ that maximises or minimises c. So the configurations are constant on the
 cells of the common refinement of the normal fans of Q and -Q, where Q
 is the projection of p along P; that refinement is the normal fan of
 the difference body Q + (-Q) (Ziegler, Lectures on Polytopes, Prop.
-7.12), whose proper faces are enumerated one by one. A cell lying in
+7.12), whose proper faces are enumerated one by one. Its facets come
+from integer gift wrapping (polytope.int_facets) and its lower faces
+from their closure; no Polytope is built for it. A cell lying in
 another class's orthogonal complement degenerates that class too and
 is skipped; every other cell has an exact witness plane. Certificates
 are proofs: every emitted witness is re-validated with exact
@@ -175,55 +177,65 @@ def _cells(p, cid):
     Yields (c, members). B is an integer basis of P's orthogonal
     complement, so the directions there are c = B^T l and c . v equals
     l . (B v): the cells are the normal cones of the proper faces G of
-    the difference body D of the points B v. Summing the facet normals
-    through G gives a direction inside its cone. A cone that lies in
-    another class's orthogonal complement is skipped: bit j of a
-    facet's mask says that its normal clears other class j, and a cone
-    lies in that complement iff no normal through G clears it. Inside
-    any other cone, the sum weighted by the powers of t = 1, 2, ...
-    leaves every such complement for all but finitely many t. members
-    are the ids of the class's faces lying in the face of p that
-    maximises or minimises c.
+    the difference body D of the points B v. D's facets come straight
+    from integer gift wrapping (pt.int_facets), with no Polytope built,
+    and its faces from their closure, visited by dimension, then by
+    vertex ids. Summing the facet normals through G gives a direction
+    inside its cone. A cone that lies in another class's orthogonal
+    complement is skipped: bit j of a facet's mask says that its normal
+    clears other class j, and a cone lies in that complement iff no
+    normal through G clears it. Inside any other cone, the sum weighted
+    by the powers of t = 1, 2, ... leaves every such complement for all
+    but finitely many t. These tests run on l, against the rows B r of
+    the other classes (c . r = l . B r). members are the ids of the
+    class's faces lying in the face of p that maximises or minimises c.
     """
     classes = pt.parallel_classes(p)
     cls = classes[cid]
-    others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
     verts = p.int_vertices()[0]
     basis = [la.primitive(b) for b in la.kernel_basis(cls.direction_plane.int_rows)]
+    others = [
+        [tuple(kernels.dot(b, r) for b in basis) for r in o.direction_plane.int_rows]
+        for k, o in enumerate(classes)
+        if k != cid
+    ]
     ys = {tuple(kernels.dot(b, v) for b in basis) for v in verts}
-    body = pt.hull(sorted({tuple(map(sub, y, z)) for y in ys for z in ys}))
+    points = sorted({tuple(map(sub, y, z)) for y in ys for z in ys})
+    body = pt.int_facets(points)[1]
     faces = pt.k_faces(p, 2)
 
-    def clear(c, rows):
-        # c is off the orthogonal complement of the plane with these rows
-        return any(kernels.dot(c, r) for r in rows)
+    def cleared(l):
+        # bit j: c = B^T l is off the orthogonal complement of other class j
+        return sum(
+            1 << j
+            for j, (r1, r2) in enumerate(others)
+            if kernels.dot(l, r1) or kernels.dot(l, r2)
+        )
 
-    # each facet's vertex ids, its normal lifted to c = B^T n, its mask
-    facets = []
-    for f, (n, _off) in zip(pt.facets(body), pt.facet_planes(body)):
-        c = tuple(kernels.dot(n, col) for col in zip(*basis))
-        mask = sum(1 << j for j, rows in enumerate(others) if clear(c, rows))
-        facets.append((set(f.vertex_ids), c, mask))
+    # each facet's vertex ids, its normal, its mask
+    facets = [(frozenset(ids), n, cleared(n)) for ids, n, _off in body]
     full = (1 << len(others)) - 1
+    by_dim = pt.faces_by_dim(points, (vids for vids, _n, _m in facets))
 
-    for k in range(body.dim):
-        for g in pt.k_faces(body, k):
+    for k in range(len(basis)):
+        for g in by_dim[k]:
             cone = []
             seen = 0
-            for vids, c, mask in facets:
-                if vids.issuperset(g.vertex_ids):
-                    cone.append(c)
+            for vids, n, mask in facets:
+                if vids.issuperset(g):
+                    cone.append(n)
                     seen |= mask
             if seen != full:
                 continue
             t = 1
             while True:
-                c = tuple(
+                l = tuple(
                     sum(t**i * x for i, x in enumerate(col)) for col in zip(*cone)
                 )
-                if all(clear(c, rows) for rows in others):
+                if cleared(l) == full:
                     break
                 t += 1
+            c = tuple(kernels.dot(l, col) for col in zip(*basis))
             vals = [kernels.dot(c, v) for v in verts]
             ends = (min(vals), max(vals))
             members = tuple(

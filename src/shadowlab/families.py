@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from . import kernels
 from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
@@ -65,7 +66,7 @@ def prism(base, height, label=None):
         raise ParameterError("base needs at least 3 points")
     if len(set(pts2)) != len(pts2):
         raise ParameterError("duplicate base point")
-    if len(sh.strict_hull_2d(pts2)) != len(pts2):
+    if len(kernels.strict_hull_2d(pts2)) != len(pts2):
         raise ParameterError("base polygon is not strictly convex")
     h = la.as_vec(height)
     if len(h) != 3:
@@ -191,8 +192,8 @@ def _tangent_segment(c, s, eps):
 
 
 def _segments_touch(a, b, c, d):
-    o1, o2 = sh.cross2(a, b, c), sh.cross2(a, b, d)
-    o3, o4 = sh.cross2(c, d, a), sh.cross2(c, d, b)
+    o1, o2 = kernels.cross2(a, b, c), kernels.cross2(a, b, d)
+    o3, o4 = kernels.cross2(c, d, a), kernels.cross2(c, d, b)
     if o1 * o2 < 0 and o3 * o4 < 0:
         return True
     return (

@@ -1,9 +1,12 @@
-"""Integer matrix kernels.
+"""Integer matrix kernels and the planar hull.
 
 Every exact determinant, rank and echelon form in the package funnels
 through these functions after denominators are cleared. They work on
 Python's arbitrary-precision integers and divide only exactly (Bareiss),
-so results are exact at any magnitude.
+so results are exact at any magnitude. The one 2D convex hull (monotone
+chain) lives here too: shadows, family self-tests and the gift wrap of
+polytope all end in it. It only compares and multiplies, so it is exact
+on integers and on Fractions alike.
 """
 
 from operator import mul
@@ -134,6 +137,34 @@ def plane_minors(a, b):
     per column pair i < j, in lexicographic pair order."""
     n = len(a)
     return tuple(a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+def cross2(o, a, b):
+    """Twice the signed area of the triangle (o, a, b): positive when
+    the turn o -> a -> b is counterclockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def strict_hull_2d(points):
+    """Counterclockwise strict convex hull of distinct 2D points.
+
+    Andrew's monotone chain: starts at the smallest point, keeps no
+    point interior to an edge. Two or fewer points come back sorted.
+    """
+    pts = sorted(points)
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for q in pts:
+        while len(lower) > 1 and cross2(lower[-2], lower[-1], q) <= 0:
+            lower.pop()
+        lower.append(q)
+    upper = []
+    for q in reversed(pts):
+        while len(upper) > 1 and cross2(upper[-2], upper[-1], q) <= 0:
+            upper.pop()
+        upper.append(q)
+    return lower[:-1] + upper[:-1]
 
 
 def complementary_minors(rows, width):

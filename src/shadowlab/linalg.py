@@ -249,27 +249,55 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _int_subspace(rows, den, ambient):
+    """The Subspace with basis rows / den, for independent integer rows,
+    filled in without re-validation.
+
+    With g = gcd(den, *r) carrying the sign of den (which may be
+    negative), the integer row of r / den is r // g, by the positive
+    multiplier den // g: the int_rows and int_scale that Subspace's own
+    constructor would find.
+    """
+    s = object.__new__(Subspace)
+    s.basis = _rationals(rows, den)
+    s.ambient = ambient
+    s._key = None
+    sign = -1 if den < 0 else 1
+    gs = [sign * gcd(den, *r) for r in rows]
+    s.int_rows = tuple(tuple(x // g for x in r) for r, g in zip(rows, gs))
+    s.int_scale = prod(den // g for g in gs)
+    return s
+
+
 def span_of(vectors, ambient=None):
     """Subspace spanned by an arbitrary (possibly dependent) family.
 
     The basis is the reduced row echelon form. rref_int's rows are
     independent by construction and are their own canonical form, so
-    the Subspace is filled in directly: with g = gcd(den, *r) carrying
-    the sign of den (which may be negative), the integer row of r / den
-    is r // g, by the positive multiplier den // g.
+    the Subspace is filled in directly (_int_subspace).
     """
     vectors = tuple(vectors)
     if not vectors:
         return Subspace((), ambient=ambient)
     reduced, _pivots, den = _reduce(vectors)
-    s = object.__new__(Subspace)
-    s.basis = s._key = _rationals(reduced, den)
-    s.ambient = len(vectors[0])
-    sign = -1 if den < 0 else 1
-    gs = [sign * gcd(den, *r) for r in reduced]
-    s.int_rows = tuple(tuple(x // g for x in r) for r, g in zip(reduced, gs))
-    s.int_scale = prod(den // g for g in gs)
+    s = _int_subspace(reduced, den, len(vectors[0]))
+    s._key = s.basis
     return s
+
+
+def kernel_space(m):
+    """The right kernel of a matrix given by its (at least one) rows, as
+    a Subspace.
+
+    Its basis is kernel_basis(m). Those rows are independent by
+    construction (each has den at its own free column and 0 at the
+    others), so the Subspace is filled in directly (_int_subspace).
+    """
+    if not m:
+        raise DimensionError("kernel of an empty system needs a width")
+    reduced, pivots, den = _reduce(m)
+    ncols = len(m[0])
+    return _int_subspace(_kernel_ints(reduced, pivots, den, ncols), den, ncols)
 
 
 def _coerce_subspace(s):

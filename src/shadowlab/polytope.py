@@ -2,12 +2,16 @@
 
 A Polytope is a validated full-dimensional vertex list: build() takes
 the vertices themselves, hull() any point cloud, of which it keeps the
-vertices. Both find the facets one way, by gift wrapping on integer
-coordinates (Chand and Kapur 1970; Swart 1985): from one facet, each
-ridge is pivoted to the facet on its other side, and a facet's ridges
-are the facets of its own point set, found the same way one dimension
-down. The work grows with the number of faces, not with the C(n, d)
-subsets of n points.
+vertices. Both find the facets one way, int_facets, by gift wrapping on
+integer coordinates (Chand and Kapur 1970; Swart 1985): from one facet,
+each ridge is pivoted to the facet on its other side, and a facet's
+ridges are the facets of its own point set, found the same way one
+dimension down. The recursion ends in closed form at dimension 2 or
+below: the extremes of a line, the edges of a planar hull. The work
+grows with the number of faces, not with the C(n, d) subsets of n
+points. int_facets needs no Polytope, so callers that only want the
+facets and faces of an integer point set (the decider's difference
+bodies) call it and faces_by_dim directly.
 Other faces are computed on demand and cached: lower faces by closing
 facet vertex sets under intersection, parallel classes of 2-faces by
 span equality, and proscribed directions as the pairwise span
@@ -86,6 +90,8 @@ class Polytope:
         self._facets = facets
         self._facet_planes = None
         self._faces_by_dim = {}
+        # vertex ids of the proper faces by dimension (faces_by_dim)
+        self._face_ids = None
         self._classes = None
         self._proscribed = None
         self._int_vertices = None
@@ -123,11 +129,12 @@ def _affine_rank(points):
 
 
 def _canonical_facet(normal, offset):
+    """normal and offset divided by their gcd, the normal as a tuple."""
     g = gcd(*normal, offset)
     if g:
         normal = [x // g for x in normal]
         offset //= g
-    return normal, offset
+    return tuple(normal), offset
 
 
 def _independent(rows, candidates, limit):
@@ -164,7 +171,7 @@ def _pivot(pts, normal, offset, m, mo):
             met.append(i)
     new = [best_g * a + best_h * b for a, b in zip(normal, m)]
     new, off = _canonical_facet(new, best_g * offset + best_h * mo)
-    return tuple(new), off, met
+    return new, off, met
 
 
 def _first_facet(pts):
@@ -191,24 +198,53 @@ def _first_facet(pts):
         tight += met
 
 
+def _low_facets(pts):
+    """Facets of full-dimensional integer points in dimension 1 or 2.
+
+    Same output as _hull_facets, in closed form: in dimension 1 the
+    minimum and the maximum; in dimension 2 one facet per edge of the
+    strict hull, taken counterclockwise, whose outward normal turns the
+    edge direction clockwise. An edge's tight set is every point on its
+    line, collinear points included.
+    """
+    if len(next(iter(pts.values()))) == 1:
+        lo = min(p[0] for p in pts.values())
+        hi = max(p[0] for p in pts.values())
+        return {
+            frozenset(i for i, p in pts.items() if p[0] == lo): ((-1,), -lo),
+            frozenset(i for i, p in pts.items() if p[0] == hi): ((1,), hi),
+        }
+    cycle = kernels.strict_hull_2d(pts.values())
+    found = {}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        normal, offset = _canonical_facet(
+            (b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0]
+        )
+        n0, n1 = normal
+        tight = frozenset(i for i, (x, y) in pts.items() if n0 * x + n1 * y == offset)
+        found[tight] = (normal, offset)
+    return found
+
+
 def _hull_facets(pts, memo):
     """Facets of full-dimensional integer points, by gift wrapping.
 
-    pts maps point ids to integer coordinates. Returns a dict mapping
-    frozenset(tight ids) -> (normal, offset), with every point on the
-    side normal . x <= offset and normal, offset primitive together.
-    A facet's ridges are the facets of its own points with the last
-    coordinate where its normal is nonzero dropped. That choice keeps
-    the lexicographically first coordinates on which the face projects
-    one to one, whichever facet it is reached from, so memo keys the
-    results by id set alone: every ridge is met from two facets.
+    pts maps point ids to distinct integer coordinates. Returns a dict
+    mapping frozenset(tight ids) -> (normal, offset), with every point
+    on the side normal . x <= offset and normal, offset primitive
+    together. A facet's ridges are the facets of its own points with
+    the last coordinate where its normal is nonzero dropped. That choice
+    keeps the lexicographically first coordinates on which the face
+    projects one to one, whichever facet it is reached from, so memo
+    keys the results by id set alone: every ridge is met from two
+    facets. The recursion ends in dimension 2 or 1, in closed form.
     """
-    k = len(next(iter(pts.values())))
-    if not k:
-        # a point's only facet is the empty face, cut out by 0 <= 1
-        return {frozenset(): ((), 1)}
     key = frozenset(pts)
     if key in memo:
+        return memo[key]
+    k = len(next(iter(pts.values())))
+    if k <= 2:
+        memo[key] = _low_facets(pts)
         return memo[key]
     tight, normal, offset = _first_facet(pts)
     found = {tight: (normal, offset)}
@@ -233,14 +269,40 @@ def _hull_facets(pts, memo):
     return found
 
 
+def int_facets(points):
+    """Vertices and facets of the hull of distinct integer points.
+
+    Returns (keep, facets). A point is a vertex iff the normals of the
+    facets through it span R^d; keep lists the vertex ids in order.
+    facets is the sorted list of (vertex ids, normal, offset), with
+    normal . x <= offset on every point and normal, offset primitive
+    together; the ids are sorted and name vertices only. Raises
+    PolytopeError when the points are not full-dimensional.
+    """
+    d = len(points[0])
+    if _affine_rank(points) != d:
+        raise PolytopeError("vertex set is not full-dimensional")
+    found = _hull_facets(dict(enumerate(points)), {})
+    incident = [[] for _ in points]
+    for tight, (normal, _off) in found.items():
+        for i in tight:
+            incident[i].append(normal)
+    keep = [i for i in range(len(points)) if kernels.rank_int(incident[i]) == d]
+    kept = set(keep)
+    facets = sorted(
+        (tuple(sorted(kept.intersection(t))), normal, off)
+        for t, (normal, off) in found.items()
+    )
+    return keep, facets
+
+
 def hull(points, label=None):
     """The convex hull of a point cloud, as a Polytope.
 
-    The points are validated as build() validates them and gift-wrapped
-    once. A point is a vertex iff the normals of the facets through it
-    span R^d: the vertices are kept, in input order, and the other
-    points dropped. Raises PolytopeError on: fewer than d+1 points,
-    affine rank below d, or duplicate points.
+    The points are validated as build() validates them and their
+    integer multiples go through int_facets: the vertices are kept, in
+    input order, and the other points dropped. Raises PolytopeError on:
+    fewer than d+1 points, affine rank below d, or duplicate points.
     """
     pts = tuple(la.as_vec(p) for p in points)
     if not pts:
@@ -253,33 +315,22 @@ def hull(points, label=None):
     if len(pts) < d + 1:
         raise PolytopeError(f"need at least {d + 1} vertices in dimension {d}")
     pts_int, mult = int_points(pts)
-    if _affine_rank(pts_int) != d:
-        raise PolytopeError("vertex set is not full-dimensional")
-
-    found = _hull_facets(dict(enumerate(pts_int)), {})
-    facets = [(tuple(sorted(t)), normal, off) for t, (normal, off) in found.items()]
-
-    incident = [[] for _ in pts]
-    for ids, normal, _off in facets:
-        for i in ids:
-            incident[i].append(normal)
-    keep = [i for i in range(len(pts)) if kernels.rank_int(incident[i]) == d]
+    keep, facets = int_facets(pts_int)
     if len(keep) < len(pts):
-        # renumber the vertices and move the planes from the cloud's
-        # multiplier to theirs: a dropped point may carry the largest
-        # denominator
+        # renumber the vertices (in order, so the facets stay sorted)
+        # and move the planes from the cloud's multiplier to theirs: a
+        # dropped point may carry the largest denominator
         new_id = {i: j for j, i in enumerate(keep)}
         pts = tuple(pts[i] for i in keep)
         pts_int, v_mult = int_points(pts)
         facets = [
             (
-                tuple(new_id[i] for i in ids if i in new_id),
+                tuple(new_id[i] for i in ids),
                 *_canonical_facet([mult * x for x in normal], v_mult * off),
             )
             for ids, normal, off in facets
         ]
         mult = v_mult
-    facets.sort()
 
     faces = []
     for ids, _n, _o in facets:
@@ -324,13 +375,13 @@ def facet_planes(p):
     return p._facet_planes
 
 
-def _all_proper_faces(p):
+def _all_proper_faces(facet_sets):
     """Vertex sets of every proper face, as a set of frozensets.
 
     Every proper face is an intersection of facets, so closing the
     facet vertex sets under intersection with facets is exhaustive.
     """
-    facet_sets = [frozenset(f.vertex_ids) for f in p._facets]
+    facet_sets = [frozenset(f) for f in facet_sets]
     known = set(facet_sets)
     queue = list(facet_sets)
     while queue:
@@ -343,6 +394,28 @@ def _all_proper_faces(p):
     return known
 
 
+def faces_by_dim(points, facet_sets):
+    """Vertex ids of every proper face of the hull of integer points.
+
+    facet_sets are the facets' vertex id sets. Returns a dict mapping
+    each dimension to the faces' sorted id tuples, in sorted order. A
+    facet has dimension d-1; any other face, the affine rank of its
+    points.
+    """
+    facet_sets = set(map(frozenset, facet_sets))
+    top = len(points[0]) - 1
+    out = {top: []}
+    for vset in _all_proper_faces(facet_sets):
+        ids = tuple(sorted(vset))
+        if vset in facet_sets:
+            out[top].append(ids)
+        else:
+            out.setdefault(_affine_rank([points[i] for i in ids]), []).append(ids)
+    for faces in out.values():
+        faces.sort()
+    return out
+
+
 def k_faces(p, k):
     """All k-faces, 0 <= k <= d-1, sorted by vertex ids."""
     if not (0 <= k <= p.dim - 1):
@@ -353,15 +426,13 @@ def k_faces(p, k):
         p._faces_by_dim[k] = list(p._facets)
         return p._faces_by_dim[k]
     pts = p.int_vertices()[0]
+    if p._face_ids is None:
+        p._face_ids = faces_by_dim(pts, (f.vertex_ids for f in p._facets))
     out = []
-    for vset in _all_proper_faces(p):
-        members = [pts[i] for i in sorted(vset)]
-        if _affine_rank(members) != k:
-            continue
-        base = members[0]
-        diffs = [tuple(map(sub, q, base)) for q in members[1:]]
-        out.append(Face(vset, k, la.span_of(diffs, ambient=p.dim)))
-    out.sort(key=lambda f: f.vertex_ids)
+    for ids in p._face_ids[k]:
+        base = pts[ids[0]]
+        diffs = [tuple(map(sub, pts[i], base)) for i in ids[1:]]
+        out.append(Face(ids, k, la.span_of(diffs, ambient=p.dim)))
     p._faces_by_dim[k] = out
     return out
 

@@ -28,6 +28,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
+from .kernels import cross2, strict_hull_2d
 
 
 class ProjectionPlane:
@@ -37,7 +38,8 @@ class ProjectionPlane:
     public rows scaled by positive factors, so it keeps the orientation
     of the public frame. complement, when given, must be the orthogonal
     complement of basis (from_orthogonal passes the span it started
-    from); otherwise it is computed.
+    from); otherwise it is the kernel of the basis's integer rows
+    (la.kernel_space).
     """
 
     __slots__ = ("basis", "complement", "_unmap")
@@ -49,9 +51,7 @@ class ProjectionPlane:
             raise DimensionError("projection plane must have dimension 2")
         self.basis = basis
         if complement is None:
-            complement = la.Subspace(
-                la.kernel_basis(basis.int_rows), ambient=basis.ambient
-            )
+            complement = la.kernel_space(basis.int_rows)
         self.complement = complement
         a1, a2 = rows = basis.int_rows
         # the factors c > 0 with a = c b, read off a nonzero entry
@@ -65,8 +65,8 @@ class ProjectionPlane:
     def from_orthogonal(cls, vectors):
         """Plane whose orthogonal complement is spanned by the vectors."""
         s = vectors if isinstance(vectors, la.Subspace) else la.Subspace(vectors)
-        w = la.kernel_basis(s.int_rows)
-        if len(w) != 2:
+        w = la.kernel_space(s.int_rows)
+        if w.dim != 2:
             raise DimensionError("orthogonal space must have dimension d-2")
         return cls(w, complement=s)
 
@@ -120,10 +120,6 @@ DegenerationReport = namedtuple(
 )
 
 
-def cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def on_segment(q, a, b):
     """Exact membership of q in the closed 2D segment [a, b]."""
     if cross2(a, b, q) != 0:
@@ -150,24 +146,6 @@ def int_images(p, w):
         p.int_vertices() if isinstance(p, pt.Polytope) else pt.int_points(p.vertices)
     )
     return [w.image(x) for x in pts], mult
-
-
-def strict_hull_2d(points):
-    """Counterclockwise strict convex hull of distinct 2D points."""
-    pts = sorted(points)
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for q in pts:
-        while len(lower) > 1 and cross2(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper = []
-    for q in reversed(pts):
-        while len(upper) > 1 and cross2(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    return lower[:-1] + upper[:-1]
 
 
 def _polygon(points):
@@ -281,9 +259,7 @@ def degeneration_report(p, w):
         if prank == 2:
             continue
         if frame is None:
-            images = int_images(p, w)[0]
-            ids = shadow(p, w).hull_vertex_ids
-            frame = HullFrame(images, [images[i] for i in ids])
+            frame = hull_frame(p, w)
         members = []
         for fid in cls.member_ids:
             vids = faces[fid].vertex_ids

@@ -8,13 +8,15 @@ with nullspaces, k-faces from intersections over all facet subsets,
 planar hulls from pointwise extremeness tests plus an angle sort,
 visible configurations from a seeded search over random witness planes,
 walk degeneration polynomials from rational determinants at three
-times, and degenerate classes from one stacked integer determinant per
-class.
+times, degenerate classes from one stacked integer determinant per
+class, and the cells of a class from its difference body built as a
+Polytope.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 
 import sympy
 
@@ -371,3 +373,56 @@ def oracle_boundary_members(p, cid, rows):
         for fid in pt.parallel_classes(p)[cid].member_ids
         if sh.in_boundary(frame, faces[fid].vertex_ids)
     )
+
+
+def oracle_cells(p, cid):
+    """equiproj._cells as it was while the difference body went through
+    pt.hull: the body is a Polytope and its faces come from pt.k_faces.
+    Yields (c, members) in the same order."""
+    classes = pt.parallel_classes(p)
+    cls = classes[cid]
+    others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
+    verts = p.int_vertices()[0]
+    basis = [la.primitive(b) for b in la.kernel_basis(cls.direction_plane.int_rows)]
+    ys = {tuple(kernels.dot(b, v) for b in basis) for v in verts}
+    body = pt.hull(sorted({tuple(map(sub, y, z)) for y in ys for z in ys}))
+    faces = pt.k_faces(p, 2)
+
+    def clear(c, rows):
+        return any(kernels.dot(c, r) for r in rows)
+
+    facets = []
+    for f, (n, _off) in zip(pt.facets(body), pt.facet_planes(body)):
+        c = tuple(kernels.dot(n, col) for col in zip(*basis))
+        mask = sum(1 << j for j, rows in enumerate(others) if clear(c, rows))
+        facets.append((set(f.vertex_ids), c, mask))
+    full = (1 << len(others)) - 1
+
+    for k in range(body.dim):
+        for g in pt.k_faces(body, k):
+            cone = []
+            seen = 0
+            for vids, c, mask in facets:
+                if vids.issuperset(g.vertex_ids):
+                    cone.append(c)
+                    seen |= mask
+            if seen != full:
+                continue
+            t = 1
+            while True:
+                c = tuple(
+                    sum(t**i * x for i, x in enumerate(col)) for col in zip(*cone)
+                )
+                if all(clear(c, rows) for rows in others):
+                    break
+                t += 1
+            vals = [kernels.dot(c, v) for v in verts]
+            ends = (min(vals), max(vals))
+            members = tuple(
+                fid
+                for fid in cls.member_ids
+                if any(
+                    all(vals[v] == e for v in faces[fid].vertex_ids) for e in ends
+                )
+            )
+            yield c, members
