@@ -269,6 +269,16 @@ def _int_subspace(rows, den, ambient):
     return s
 
 
+def int_subspace(rows):
+    """The Subspace with basis the given (at least one) integer rows,
+    without a Fraction round trip: its int_rows are the rows and its
+    int_scale is 1. A dependent family raises DegenerateBasisError."""
+    rows = tuple(tuple(r) for r in rows)
+    if kernels.rank_int(rows) != len(rows):
+        raise DegenerateBasisError("basis is linearly dependent")
+    return _int_subspace(rows, 1, len(rows[0]))
+
+
 def span_of(vectors, ambient=None):
     """Subspace spanned by an arbitrary (possibly dependent) family.
 

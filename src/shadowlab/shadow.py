@@ -301,7 +301,7 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
         b1 = tuple(rng.randint(-grid_bound, grid_bound) for _ in range(d))
         b2 = tuple(rng.randint(-grid_bound, grid_bound) for _ in range(d))
         try:
-            w = ProjectionPlane((b1, b2))
+            w = ProjectionPlane(la.int_subspace((b1, b2)))
         except DegenerateBasisError:
             continue
         if is_admissible(p, w).ok:

@@ -7,10 +7,15 @@ polynomial of the segment parameter. Degeneration times are then exact
 rational roots, and the construction arranges for each time to belong
 to exactly one parallel class.
 
-Everything here is exact. Each determinant is held by its two integer
-end values over one positive denominator (AffinePoly). Their signs
-alone say whether a class degenerates on the segment, at an end, or
-along all of it; a Fraction is built only for an interior root.
+Everything here is exact. A segment stores each row as an integer
+base and slope pair over one positive multiplier (WalkSegment);
+rescaling, reversal, the reference rotation and the spans verify_walk
+compares all run on those integers, and Fraction rows are built only at
+the API edge (base, slope, rows_at, to_json_dict). Each determinant is
+held by its two integer end values over one positive denominator
+(AffinePoly). Their signs alone say whether a class degenerates on the
+segment, at an end, or along all of it; a Fraction is built only for an
+interior root.
 Randomness only picks candidate directions; every candidate is accepted
 or rejected by these integer sign tests, and all searches are capped
 and seeded.
@@ -19,6 +24,7 @@ and seeded.
 import random
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from . import kernels
 from . import linalg as la
@@ -40,21 +46,38 @@ def _zero_vec(d):
     return (la.ZERO,) * d
 
 
+def _reduced(b, s, c):
+    """A row pair (b + t*s) / c over a positive c, with gcd(c, *b, *s)
+    divided out."""
+    g = gcd(c, *b, *s)
+    if g == 1:
+        return b, s, c
+    return tuple(x // g for x in b), tuple(x // g for x in s), c // g
+
+
+def _int_map(m, row):
+    """The integer matrix m (given by its rows) times an integer row."""
+    return tuple(kernels.dot(mi, row) for mi in m)
+
+
 class WalkSegment:
     """One affine piece of a walk.
 
-    Holds d-2 base rows and d-2 slope rows; the orthogonal family at
-    time t is base + t * slope, row by row. Each base and slope pair is
-    also kept scaled to integers by one positive factor, the frame of
-    int_rows_at. Row independence over the closed range is a promise of
-    the constructors, checked again by verify_walk.
+    The orthogonal family at time t is d-2 rows; row i is
+    (B_i + t * S_i) / c_i, with integer tuples B_i, S_i and a positive
+    integer c_i reduced so that gcd(c_i, *B_i, *S_i) = 1. That is the
+    stored form: c_i is la.int_row's minimal multiplier of the rational
+    pair, so the integers do not grow along chains of rescaling,
+    reversal and rotation, all of which run on them. The Fraction rows
+    (base, slope, rows_at) are built only when asked for, at the API
+    edge. Row independence over the closed range is a promise of the
+    constructors, checked again by verify_walk.
     """
 
-    __slots__ = ("base", "slope", "t_range", "_int_pairs", "_int_scale")
+    __slots__ = ("t_range", "_rows")
 
     def __init__(self, base, slope, t_range):
-        base = tuple(la.as_vec(v) for v in base)
-        slope = tuple(la.as_vec(v) for v in slope)
+        base, slope = tuple(base), tuple(slope)
         if len(base) != len(slope) or not base:
             raise DimensionError("base and slope must pair up row by row")
         width = len(base[0])
@@ -63,59 +86,103 @@ class WalkSegment:
         lo, hi = la.as_rat(t_range[0]), la.as_rat(t_range[1])
         if not lo < hi:
             raise ParameterError("segment range is empty")
-        self.base = base
-        self.slope = slope
+        rows = []
+        for b, s in zip(base, slope):
+            # int_row's multiplier is minimal, so the pair comes reduced
+            ints, c = la.int_row(tuple(b) + tuple(s))
+            rows.append((tuple(ints[:width]), tuple(ints[width:]), c))
         self.t_range = (lo, hi)
-        pairs, self._int_scale = la.int_matrix(b + s for b, s in zip(base, slope))
-        self._int_pairs = tuple((r[:width], r[width:]) for r in pairs)
+        self._rows = tuple(rows)
+
+    @classmethod
+    def _of(cls, rows, t_range):
+        """The segment of reduced integer rows (B, S, c) on t_range, a
+        nonempty range of two Fractions."""
+        seg = object.__new__(cls)
+        seg.t_range, seg._rows = t_range, rows
+        return seg
+
+    @property
+    def base(self):
+        return tuple(tuple(Fraction(x, c) for x in b) for b, _s, c in self._rows)
+
+    @property
+    def slope(self):
+        return tuple(tuple(Fraction(x, c) for x in s) for _b, s, c in self._rows)
 
     def rows_at(self, t):
         t = la.as_rat(t)
+        p, q = t.numerator, t.denominator
         return tuple(
-            la.add(b, la.scale(s, t)) for b, s in zip(self.base, self.slope)
+            tuple(Fraction(q * x + p * y, q * c) for x, y in zip(b, s))
+            for b, s, c in self._rows
         )
 
     def int_rows_at(self, t):
         """The rows at t scaled to integers: (rows, product of factors).
 
-        With a row pair scaled by c > 0 to integers B and S, and
-        t = p/q in lowest terms, the row is q*B + p*S: the rational row
-        times q*c.
+        With t = p/q in lowest terms, row i is q*B_i + p*S_i: the
+        rational row times q*c_i.
         """
         t = la.as_rat(t)
         p, q = t.numerator, t.denominator
         rows = tuple(
-            tuple(q * b + p * s for b, s in zip(bs, ss)) for bs, ss in self._int_pairs
+            tuple(q * x + p * y for x, y in zip(b, s)) for b, s, _c in self._rows
         )
-        return rows, q ** len(rows) * self._int_scale
+        return rows, q ** len(rows) * prod(c for _b, _s, c in self._rows)
 
     def span_at(self, t):
-        return la.Subspace(self.rows_at(t))
+        """The span of the rows at t, from their integer rows; a dependent
+        family raises DegenerateBasisError."""
+        return la.int_subspace(self.int_rows_at(t)[0])
+
+    def _reparametrised(self, shift, f, t_range):
+        """The family at t = shift + f*u, as a segment in u on t_range.
+
+        Over m = lcm of the two denominators, row i becomes
+        (m*B_i + m*shift*S_i + u * m*f*S_i) / (m*c_i).
+        """
+        m = lcm(shift.denominator, f.denominator)
+        ms = shift.numerator * (m // shift.denominator)
+        mf = f.numerator * (m // f.denominator)
+        return WalkSegment._of(
+            tuple(
+                _reduced(
+                    tuple(m * x + ms * y for x, y in zip(b, s)),
+                    tuple(mf * y for y in s),
+                    m * c,
+                )
+                for b, s, c in self._rows
+            ),
+            t_range,
+        )
 
     def rescaled(self, lo, hi):
         """The same family reparametrised affinely onto [lo, hi]."""
         lo, hi = la.as_rat(lo), la.as_rat(hi)
+        if not lo < hi:
+            raise ParameterError("segment range is empty")
         a, b = self.t_range
         f = (b - a) / (hi - lo)
-        shift = a - lo * f
-        base = tuple(
-            la.add(v, la.scale(s, shift)) for v, s in zip(self.base, self.slope)
-        )
-        slope = tuple(la.scale(s, f) for s in self.slope)
-        return WalkSegment(base, slope, (lo, hi))
+        return self._reparametrised(a - lo * f, f, (lo, hi))
 
     def reversed(self):
-        """The same range traversed the other way."""
+        """The same range traversed the other way: t -> a + b - t."""
         a, b = self.t_range
-        base = tuple(
-            la.add(v, la.scale(s, a + b)) for v, s in zip(self.base, self.slope)
+        return self._reparametrised(a + b, -la.ONE, self.t_range)
+
+    def mapped(self, int_map):
+        """The segment under the linear map m / den, given as (integer
+        rows m, positive den): row i becomes (m B_i + t m S_i) / (den c_i)."""
+        m, den = int_map
+        return WalkSegment._of(
+            tuple(_reduced(_int_map(m, b), _int_map(m, s), den * c) for b, s, c in self._rows),
+            self.t_range,
         )
-        slope = tuple(la.neg(s) for s in self.slope)
-        return WalkSegment(base, slope, (a, b))
 
     def __repr__(self):
         lo, hi = self.t_range
-        return f"WalkSegment(rows={len(self.base)}, range=[{lo}, {hi}])"
+        return f"WalkSegment(rows={len(self._rows)}, range=[{lo}, {hi}])"
 
 
 class AffinePoly(namedtuple("AffinePoly", ["a", "b", "den", "lo", "hi"])):
@@ -221,8 +288,8 @@ def segment_polynomials(segment):
     no Fraction is built. For a class whose determinant is not affine
     in t it raises WalkError.
     """
-    d = len(segment.base[0])
-    if len(segment.base) + 2 != d:
+    d = len(segment._rows[0][0])
+    if len(segment._rows) + 2 != d:
         raise DimensionError("stacked family is not square")
     lo, hi = segment.t_range
     (r_lo, s_lo), (r_hi, s_hi), (r_mid, s_mid) = (
@@ -391,15 +458,7 @@ def reference_frame(p):
     return p._frame
 
 
-def _pull_back(int_inverse, row):
-    """inverse times a rational row, from integer dot products: with the
-    inverse M / c and the row R / s, entry i is M_i . R / (c * s)."""
-    m, c = int_inverse
-    ints, s = la.int_row(row)
-    return tuple(Fraction(kernels.dot(mi, ints), c * s) for mi in m)
-
-
-def _ortho_rows(p, span):
+def _ortho_span(p, span):
     s = span if isinstance(span, la.Subspace) else la.Subspace(span)
     if s.ambient != p.dim:
         raise DimensionError("span lives in the wrong ambient dimension")
@@ -407,7 +466,7 @@ def _ortho_rows(p, span):
         raise DimensionError(
             f"orthogonal span must have dimension {p.dim - 2}, got {s.dim}"
         )
-    return s.basis
+    return s
 
 
 def _require_admissible(p, rows, what):
@@ -502,7 +561,7 @@ def _fragment_to_hyperplane(p, start, seed, etas):
     """Raw segments from an admissible span to one inside the reference
     hyperplane, given p's eta directions. Returns (segments, end span)."""
     d = p.dim
-    rows0 = _ortho_rows(p, start)
+    rows0 = _ortho_span(p, start).basis
     _require_admissible(p, rows0, "start")
     if all(r[0] == 0 for r in rows0):
         return [], la.Subspace(rows0)
@@ -536,9 +595,9 @@ def _fragment_to_hyperplane(p, start, seed, etas):
         shared = next((ids for ids in found.values() if len(ids) > 1), None)
         if shared is None:
             segs.append(seg)
-            end_rows = seg.rows_at(1)
+            end_rows = seg.int_rows_at(1)[0]
             _require_admissible(p, end_rows, "hyperplane entry")
-            return segs, la.Subspace(end_rows)
+            return segs, la.int_subspace(end_rows)
         ca, cb = shared[0], shared[1]
         sa = la.span_of(tuple(others) + tuple(classes[ca].direction_plane.basis))
         sb = la.span_of(tuple(others) + tuple(classes[cb].direction_plane.basis))
@@ -562,7 +621,7 @@ def _fragment_within(p, start, seed, etas):
     hyperplane down to span(e2, ..., e_{d-1}), given p's eta
     directions. Returns (segments, end span)."""
     d = p.dim
-    rows0 = _ortho_rows(p, start)
+    rows0 = _ortho_span(p, start).basis
     _require_admissible(p, rows0, "start")
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
@@ -707,22 +766,24 @@ def full_walk(p, frm, to, seed=0):
     the original coordinates; the rotation used internally is recorded
     in the isometry fields.
     """
-    d = p.dim
-    rows_a = _ortho_rows(p, frm)
-    rows_b = _ortho_rows(p, to)
-    _require_admissible(p, rows_a, "start")
-    _require_admissible(p, rows_b, "end")
-    ident = la.identity(d)
-    if la.span_of(rows_a) == la.span_of(rows_b):
+    span_a = _ortho_span(p, frm)
+    span_b = _ortho_span(p, to)
+    _require_admissible(p, span_a.int_rows, "start")
+    _require_admissible(p, span_b.int_rows, "end")
+    if span_a == span_b:
+        ident = la.identity(p.dim)
         return WalkPlan((), (), ident, ident)
     rot, inv, q, etas, int_inv = reference_frame(p)
+    # the rotation is orthogonal, so M^T / den is rot for int_inv = (M, den)
+    fwd = tuple(zip(*int_inv[0]))
 
-    def push(rows):
-        return la.Subspace(tuple(la.matvec(rot, r) for r in rows))
+    def push(span):
+        # rot r = fwd r / den is a positive multiple of fwd r: same span
+        return la.int_subspace(tuple(_int_map(fwd, r) for r in span.int_rows))
 
-    a_to, a_end = _fragment_to_hyperplane(q, push(rows_a), f"{seed}:a", etas)
+    a_to, a_end = _fragment_to_hyperplane(q, push(span_a), f"{seed}:a", etas)
     a_in, _ = _fragment_within(q, a_end, f"{seed}:aw", etas)
-    b_to, b_end = _fragment_to_hyperplane(q, push(rows_b), f"{seed}:b", etas)
+    b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b", etas)
     b_in, _ = _fragment_within(q, b_end, f"{seed}:bw", etas)
     chain = (
         a_to
@@ -730,15 +791,7 @@ def full_walk(p, frm, to, seed=0):
         + [s.reversed() for s in reversed(b_in)]
         + [s.reversed() for s in reversed(b_to)]
     )
-    pulled = [
-        WalkSegment(
-            tuple(_pull_back(int_inv, r) for r in seg.base),
-            tuple(_pull_back(int_inv, r) for r in seg.slope),
-            seg.t_range,
-        )
-        for seg in chain
-    ]
-    return _assemble(p, pulled, rot, inv)
+    return _assemble(p, [seg.mapped(int_inv) for seg in chain], rot, inv)
 
 
 def verify_walk(p, plan):
@@ -768,12 +821,12 @@ def verify_walk(p, plan):
 
     for i, seg in enumerate(segs):
         lo, hi = seg.t_range
-        if len(seg.base) != d - 2:
-            violations.append(f"segment {i} has {len(seg.base)} rows")
+        if len(seg._rows) != d - 2:
+            violations.append(f"segment {i} has {len(seg._rows)} rows")
             continue
-        if len(seg.base[0]) != d:
+        if len(seg._rows[0][0]) != d:
             violations.append(
-                f"segment {i} rows have width {len(seg.base[0])}, expected {d}"
+                f"segment {i} rows have width {len(seg._rows[0][0])}, expected {d}"
             )
             continue
         if i and segs[i - 1].t_range[1] != lo:
@@ -949,13 +1002,13 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     the projected coordinate of u1 along the moving frame changes sign
     with t * sign_coefficient, which is the exchange of the two chains.
     """
-    rows = _ortho_rows(p, witness)
+    rows = _ortho_span(p, witness).basis
     cid, u1 = _validate_visibility_witness(p, face_id, other_id, rows)
     probe, v, eps = crossing_probe(p, cid, rows, u1, reverse)
-    base, slope = probe.base, probe.slope
-    minus = WalkSegment(base, slope, (-eps, 0))
-    plus = WalkSegment(base, slope, (0, eps))
-    kern2 = la.kernel_basis(base + (v,))
+    minus = WalkSegment._of(probe._rows, (-eps, la.ZERO))
+    plus = WalkSegment._of(probe._rows, (la.ZERO, eps))
+    # the base rows scaled to integers by positive factors: same kernel
+    kern2 = la.kernel_basis(probe.int_rows_at(0)[0] + (v,))
     if len(kern2) != 1:
         raise GeometryError("crossing family is not free")
     w1 = la.primitive(kern2[0])
@@ -1020,7 +1073,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     """
     d = p.dim
     faces = pt.k_faces(p, 2)
-    rows = _ortho_rows(p, witness)
+    rows = _ortho_span(p, witness).basis
     cid, u1 = _validate_visibility_witness(p, face_id, other_id, rows)
     face = faces[face_id]
     edge = tuple(sorted(edge))

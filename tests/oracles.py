@@ -8,12 +8,14 @@ with nullspaces, k-faces from intersections over all facet subsets,
 planar hulls from pointwise extremeness tests plus an angle sort,
 visible configurations from a seeded search over random witness planes,
 walk degeneration polynomials from rational determinants at three
-times, degenerate classes from one stacked integer determinant per
-class, and the cells of a class from its difference body built as a
-Polytope.
+times, walk segments from Fraction row arithmetic, degenerate classes
+from one stacked integer determinant per class, sampled plane bases
+from Fraction Subspaces, and the cells of a class from its difference
+body built as a Polytope.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
@@ -24,7 +26,7 @@ from shadowlab import kernels
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab import shadow as sh
-from shadowlab.errors import WalkError
+from shadowlab.errors import DegenerateBasisError, WalkError
 
 
 def oracle_det(rows):
@@ -307,6 +309,70 @@ def oracle_degeneration_polynomial(segment, cls):
     if dv(mid) != c0 + c1 * mid:
         raise WalkError("degeneration determinant is not affine on the segment")
     return c0, c1
+
+
+class OracleSegment(namedtuple("OracleSegment", ["base", "slope", "t_range"])):
+    """A walk segment held as Fraction rows: row i at t is base[i] +
+    t * slope[i]. Its row arithmetic is the walk layer's before segments
+    were stored as integer row pairs."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, base, slope, t_range):
+        lo, hi = t_range
+        return cls(la.as_mat(base), la.as_mat(slope), (la.as_rat(lo), la.as_rat(hi)))
+
+    def rows_at(self, t):
+        t = la.as_rat(t)
+        return tuple(la.add(b, la.scale(s, t)) for b, s in zip(self.base, self.slope))
+
+    def rescaled(self, lo, hi):
+        lo, hi = la.as_rat(lo), la.as_rat(hi)
+        a, b = self.t_range
+        f = (b - a) / (hi - lo)
+        shift = a - lo * f
+        base = tuple(la.add(v, la.scale(s, shift)) for v, s in zip(self.base, self.slope))
+        return OracleSegment(base, tuple(la.scale(s, f) for s in self.slope), (lo, hi))
+
+    def reversed(self):
+        a, b = self.t_range
+        base = tuple(la.add(v, la.scale(s, a + b)) for v, s in zip(self.base, self.slope))
+        return OracleSegment(base, tuple(la.neg(s) for s in self.slope), (a, b))
+
+    def pulled_back(self, int_inverse):
+        return OracleSegment(
+            tuple(oracle_pull_back(int_inverse, r) for r in self.base),
+            tuple(oracle_pull_back(int_inverse, r) for r in self.slope),
+            self.t_range,
+        )
+
+
+def oracle_pull_back(int_inverse, row):
+    """inverse times a rational row, from integer dot products: with the
+    inverse M / c and the row R / s, entry i is M_i . R / (c * s)."""
+    m, c = int_inverse
+    ints, s = la.int_row(row)
+    return tuple(Fraction(kernels.dot(mi, ints), c * s) for mi in m)
+
+
+def oracle_sample_admissible(p, rng_seed, count, grid_bound=100):
+    """sample_admissible's draws with each basis validated as a Fraction
+    Subspace (la.Subspace of the integer rows)."""
+    rng = random.Random(rng_seed)
+    out = []
+    while len(out) < count:
+        b1, b2 = (
+            tuple(rng.randint(-grid_bound, grid_bound) for _ in range(p.dim))
+            for _ in range(2)
+        )
+        try:
+            w = sh.ProjectionPlane(la.Subspace((b1, b2)))
+        except DegenerateBasisError:
+            continue
+        if sh.is_admissible(p, w).ok:
+            out.append(w)
+    return out
 
 
 def oracle_degenerate_classes(p, rows):

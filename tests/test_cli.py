@@ -11,6 +11,7 @@ import pytest
 
 import shadowlab.cli as cli
 import shadowlab.families as fam
+import shadowlab.shadow as sh
 from shadowlab.errors import SamplingError, WalkError
 
 CUBE_JSON = json.dumps([[int(b) for b in f"{i:03b}"] for i in range(8)])
@@ -433,6 +434,49 @@ def test_check_report_matches_golden_digest(name):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full `walk --seed 5 --no-timestamp` report (the end
+# planes, every segment's base and slope rows, the event log) between
+# two sample_admissible planes, pinned so that a change to the walk
+# layer which claims identical behaviour must keep every byte
+GOLDEN_WALKS = {
+    "cube4": (
+        lambda: fam.hypercube(4),
+        "47afcb3d5710eaf7686242a1f67fde66ed7d1f099bfa5e468ade7e5911b87cf8",
+    ),
+    "pentagonal": (
+        lambda: fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+        "b5a9712dab563ee30a8ed5a9568ca6abb2ac439c2fee99f46e70adbbd6772fa3",
+    ),
+    "pn4": (
+        lambda: fam.pn_polytope(4),
+        "65946ee96bf12beab4b427035e081ed72f8d2f4513abd73feb6a784832ef440d",
+    ),
+    "zono4": (
+        lambda: fam.zonotope(fam.random_generators(5, 4, 4)),
+        "bea478e222aad6eca0f59b6c970754f48e61a29eb4c4848c914d5023d035bcb8",
+    ),
+}
+
+
+def _walk_report(name):
+    p = GOLDEN_WALKS[name][0]()
+    wa, wb = sh.sample_admissible(p, f"golden-walk:{name}", 2)
+    poly = json.dumps({"vertices": [[str(x) for x in v] for v in p.vertices]})
+    plane_a, plane_b = (
+        json.dumps([[str(x) for x in r] for r in w.basis.basis]) for w in (wa, wb)
+    )
+    argv = ["walk", "--polytope", poly, "--from", plane_a, "--to", plane_b]
+    return go(argv + ["--seed", "5", "--no-timestamp"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WALKS))
+def test_walk_report_matches_golden_digest(name):
+    code, out, _ = _walk_report(name)
+    assert code == 0
+    assert json.loads(out)["events"]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WALKS[name][1]
 
 
 def test_timestamp_is_the_only_varying_field():

@@ -20,7 +20,7 @@ from shadowlab.errors import (
     ParameterError,
     SamplingError,
 )
-from oracles import oracle_hull_2d
+from oracles import oracle_hull_2d, oracle_sample_admissible
 
 CUBE = pt.build(list(product((0, 1), repeat=3)), label="cube")
 HYPERCUBE = pt.build(list(product((0, 1), repeat=4)), label="hypercube")
@@ -320,6 +320,44 @@ def test_sample_admissible_hypercube_seed7_all_octagons():
     planes = sh.sample_admissible(HYPERCUBE, 7, 100)
     assert len(planes) == 100
     assert all(sh.shadow(HYPERCUBE, w).k == 8 for w in planes)
+
+
+def _subspace_fields(s):
+    return s.basis, s.ambient, s.int_rows, s.int_scale, s.canonical_key(), hash(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda d: st.tuples(*[st.tuples(*[st.integers(-9, 9)] * d)] * 2)
+), st.one_of(st.none(), st.integers(-3, 3)))
+def test_int_subspace_matches_fraction_subspace(rows, k):
+    b1, b2 = rows
+    if k is not None:
+        # a dependent pair now and then: b2 a multiple of b1
+        b2 = tuple(x * k for x in b1)
+    try:
+        want = la.Subspace((b1, b2))
+    except DegenerateBasisError:
+        with pytest.raises(DegenerateBasisError):
+            la.int_subspace((b1, b2))
+        return
+    assert _subspace_fields(la.int_subspace((b1, b2))) == _subspace_fields(want)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [HYPERCUBE, fam.zonotope(fam.random_generators(6, 4, 7)), fam.hyperprism_pnd(2, 5, 0)],
+    ids=["cube4", "zono7", "pnd5"],
+)
+def test_sample_admissible_matches_fraction_subspace_oracle(p):
+    for seed in (0, 1, "sweep:3"):
+        got = sh.sample_admissible(p, seed, 12)
+        want = oracle_sample_admissible(p, seed, 12)
+        assert [_subspace_fields(w.basis) for w in got] == [
+            _subspace_fields(w.basis) for w in want
+        ]
+        assert [w.complement.int_rows for w in got] == [w.complement.int_rows for w in want]
+        assert [w._unmap for w in got] == [w._unmap for w in want]
 
 
 def test_sample_admissible_errors():

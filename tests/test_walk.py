@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction as Fr
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, assume
@@ -15,6 +16,7 @@ import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 import shadowlab.walk as wk
 from shadowlab.errors import (
+    DegenerateBasisError,
     DimensionError,
     GeometryError,
     InadmissiblePlaneError,
@@ -22,6 +24,7 @@ from shadowlab.errors import (
     WalkError,
 )
 from oracles import (
+    OracleSegment,
     oracle_affine_roots,
     oracle_degenerate_classes,
     oracle_degeneration_polynomial,
@@ -919,9 +922,75 @@ def test_degenerate_classes_match_det_int_oracle(case):
 def test_pull_back_matches_the_rational_inverse(p, data):
     frame = wk.reference_frame(p)
     row = data.draw(st.tuples(*[RATS] * p.dim))
-    got = wk._pull_back(frame.int_inverse, row)
+    seg = wk.WalkSegment((row,), ((0,) * p.dim,), (0, 1))
+    got = seg.mapped(frame.int_inverse).rows_at(0)[0]
     assert got == la.matvec(frame.inverse, la.as_vec(row))
     assert all(isinstance(x, Fr) for x in got)
+
+
+@st.composite
+def oracle_chains(draw):
+    """A frame polytope, a rational segment on it (zero rows, negative
+    entries and any rational range) with its Fraction oracle, and a chain
+    of reversals, rescalings and pull-backs through the frame."""
+    p = draw(st.sampled_from(FRAME_ZOO[2:]))
+    d = p.dim
+    row = st.one_of(st.just((0,) * d), st.tuples(*[RATS] * d))
+    n = draw(st.integers(1, d - 2))
+    base = [draw(row) for _ in range(n)]
+    slope = [draw(row) for _ in range(n)]
+    width = st.fractions(min_value=Fr(1, 8), max_value=3, max_denominator=8)
+    lo = draw(RATS)
+    rng = (lo, lo + draw(width))
+    step = st.one_of(
+        st.just(("reversed",)),
+        st.just(("pulled",)),
+        st.tuples(st.just("rescaled"), RATS, width),
+    )
+    return p, (base, slope, rng), draw(st.lists(step, max_size=6)), draw(RATS)
+
+
+def _assert_segment_matches(seg, ref, t):
+    assert seg.t_range == ref.t_range
+    assert seg.base == ref.base and seg.slope == ref.slope
+    for (b, s, c), rb, rs in zip(seg._rows, ref.base, ref.slope):
+        # the stored pair is int_row's: minimal, gcd(c, *B, *S) = 1
+        assert c > 0 and gcd(c, *b, *s) == 1
+        assert (list(b + s), c) == la.int_row(rb + rs)
+    lo, hi = ref.t_range
+    for u in (lo, hi, (lo + hi) / 2, t):
+        rows = ref.rows_at(u)
+        assert seg.rows_at(u) == rows
+        ints, scale = seg.int_rows_at(u)
+        # row i is the rational row times q * c_i, with u = p/q
+        factors = [u.denominator * la.int_row(rb + rs)[1] for rb, rs in zip(ref.base, ref.slope)]
+        assert ints == tuple(tuple(x * f for x in r) for r, f in zip(rows, factors))
+        assert scale == prod(factors)
+        if la.rank(rows) == len(rows):
+            want = la.Subspace(rows)
+            got = seg.span_at(u)
+            assert got == want and hash(got) == hash(want)
+        else:
+            with pytest.raises(DegenerateBasisError):
+                seg.span_at(u)
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_chains())
+def test_walk_segment_matches_fraction_oracle(case):
+    p, (base, slope, rng), steps, t = case
+    seg, ref = wk.WalkSegment(base, slope, rng), OracleSegment.of(base, slope, rng)
+    _assert_segment_matches(seg, ref, t)
+    int_inverse = wk.reference_frame(p).int_inverse
+    for step in steps:
+        if step[0] == "reversed":
+            seg, ref = seg.reversed(), ref.reversed()
+        elif step[0] == "pulled":
+            seg, ref = seg.mapped(int_inverse), ref.pulled_back(int_inverse)
+        else:
+            lo, w = step[1], step[2]
+            seg, ref = seg.rescaled(lo, lo + w), ref.rescaled(lo, lo + w)
+        _assert_segment_matches(seg, ref, t)
 
 
 def _complete_basis_by_rational_rank(first, rows):
