@@ -409,6 +409,10 @@ def _cmd_check(ns):
         "dimension": p.dim,
         "vertex_count": len(p.vertices),
     }
+    sampling = ns.mode in ("sampled", "both")
+    if sampling and ns.trials < 2:
+        # the sampled decider's own check, made before the survey runs
+        raise ParameterError("need at least two trials to compare")
     comb = samp = None
     if ns.mode in ("combinatorial", "both"):
         comb = eq.is_equiprojective_combinatorial(p, seed)
@@ -422,7 +426,7 @@ def _cmd_check(ns):
                 None if comb.obstruction is None else _obstruction_json(p, comb.obstruction)
             ),
         }
-    if ns.mode in ("sampled", "both"):
+    if sampling:
         samp = eq.is_equiprojective_sampled(p, seed, ns.trials)
         report["sampled"] = {
             "equiprojective": samp.equiprojective,

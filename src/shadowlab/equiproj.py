@@ -158,12 +158,15 @@ def _face_chains(p, face_id, frame):
 def _certify(p, face_id, other_id, rows):
     """Build a certificate from an exact witness, re-validating it.
 
-    The chains of the face and its partner are read off one hull, just
-    before the crossing.
+    The witness span is built once and validated by
+    elementary_transformation. The chains of the face and its partner
+    are read off one hull, just before the crossing, at the plane
+    orthogonal to the probe's integer rows there (the kernel does not
+    depend on row scale).
     """
     tr = wk.elementary_transformation(p, face_id, other_id, la.Subspace(rows))
-    w = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at(-tr.epsilon / 2))
-    frame = sh.hull_frame(p, w)
+    before = la.int_subspace(tr.minus.int_rows_at(-tr.epsilon / 2)[0])
+    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(before))
     chains = _face_chains(p, face_id, frame)
     other = None
     if other_id is not None:
@@ -257,21 +260,39 @@ def _witness(p, cid, c):
     u1. Each other class plane holds u1 for at most one q; once u1
     avoids them all, each other class degenerates for at most d - 3
     values of t.
+
+    The search runs on integer rows. With F_i = g_i f_i the class's
+    integer rows, U1 = g2 F1 + q g1 F2 is g1 g2 u1 and g2 k_j + t^j F2
+    is g2 times the row k_j + t^j f2: positive multiples, so the same
+    memberships (one rank_int per other class) and the same
+    degeneracies (the rows' complementary minors against each class's
+    cached minors). Fraction rows are built for the returned candidate
+    only.
     """
     classes = pt.parallel_classes(p)
-    f1, f2 = classes[cid].direction_plane.basis
-    extra = [la.primitive(k) for k in la.kernel_basis((f1, f2, c))]
+    plane = classes[cid].direction_plane
+    f1, f2 = plane.basis
+    F1, F2 = plane.int_rows
+    g1, g2 = la.int_row(f1)[1], la.int_row(f2)[1]
+    extra = [la.primitive(k) for k in la.int_kernel((F1, F2, c))]
+    others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
     for q in range(len(classes) + 1):
-        u1 = la.add(f1, la.scale(f2, q))
-        others = (o for k, o in enumerate(classes) if k != cid)
-        if any(o.direction_plane.contains(u1) for o in others):
+        u1 = tuple(g2 * x + q * g1 * y for x, y in zip(F1, F2))
+        if any(kernels.rank_int(o + (u1,)) == 2 for o in others):
             continue
         for t in range(len(extra) * len(classes) + 1):
-            rows = (u1,) + tuple(
-                la.add(k, la.scale(f2, t**j)) for j, k in enumerate(extra, 1)
-            )
-            if tuple(sh.degenerate_classes(p, rows)) == (cid,):
-                return rows
+            tail = [
+                tuple(g2 * x + t**j * y for x, y in zip(k, F2))
+                for j, k in enumerate(extra, 1)
+            ]
+            rmin = sh._row_minors(p, [u1] + tail)
+            if all(
+                (k == cid) == (kernels.dot(rmin, cls.minors) == 0)
+                for k, cls in enumerate(classes)
+            ):
+                return (la.add(f1, la.scale(f2, q)),) + tuple(
+                    la.add(k, la.scale(f2, t**j)) for j, k in enumerate(extra, 1)
+                )
     raise GeometryError("witness grid exhausted, polytope data broken")
 
 

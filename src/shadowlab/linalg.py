@@ -113,13 +113,18 @@ def identity(d):
     return tuple(unit(d, i) for i in range(d))
 
 
+def _rref(ints):
+    """kernels.rref_int, with rows of mixed lengths a DimensionError."""
+    try:
+        return kernels.rref_int(ints)
+    except ValueError as exc:
+        raise DimensionError("matrix rows of mixed lengths") from exc
+
+
 def _reduce(m):
     """kernels.rref_int of rational rows, each scaled to integers first
     (positive factors leave the reduced form as it is)."""
-    try:
-        return kernels.rref_int([int_row(r)[0] for r in m])
-    except ValueError as exc:
-        raise DimensionError("matrix rows of mixed lengths") from exc
+    return _rref([int_row(r)[0] for r in m])
 
 
 def _rationals(rows, den):
@@ -138,6 +143,15 @@ def _kernel_ints(reduced, pivots, den, ncols):
             v[p] = -row[free]
         out.append(v)
     return out
+
+
+def int_kernel(rows):
+    """A kernel basis of (at least one) integer rows, as integer rows:
+    kernel_basis(rows) times rref_int's den, read off without Fractions.
+    Row scale does not change the reduced form, so any positive
+    multiples of rational rows give the same kernel."""
+    reduced, pivots, den = _rref(rows)
+    return _kernel_ints(reduced, pivots, den, len(rows[0]))
 
 
 def rref(m):
@@ -330,19 +344,20 @@ def gram_coords(v, basis):
     return coords
 
 
-def orth_project(v, s):
-    """Orthogonal projection of v onto a subspace, exactly."""
-    s = _coerce_subspace(s)
-    v = as_vec(v)
-    if len(v) != s.ambient:
-        raise DimensionError("vector has wrong ambient dimension")
-    if not s.basis:
-        return tuple(ZERO for _ in v)
-    coords = gram_coords(v, s.basis)
-    out = tuple(ZERO for _ in v)
-    for c, b in zip(coords, s.basis):
-        out = add(out, scale(b, c))
-    return out
+def int_intersection(a, b):
+    """Integer vectors spanning the intersection of two subspaces of
+    positive dimension in one ambient space.
+
+    x = sum l_i a_i = sum m_j b_j over the integer rows; each kernel
+    vector (l, m) of those d equations gives one x. Both bases are
+    independent, so x = 0 forces (l, m) = 0: the vectors are independent
+    and there are as many as the intersection's dimension.
+    """
+    cols = a.int_rows + tuple(tuple(-x for x in v) for v in b.int_rows)
+    return [
+        tuple(sum(map(mul, z[: a.dim], col)) for col in zip(*a.int_rows))
+        for z in int_kernel(tuple(zip(*cols)))
+    ]
 
 
 def intersect(a, b):
@@ -353,15 +368,7 @@ def intersect(a, b):
         raise DimensionError("subspaces live in different ambient spaces")
     if a.dim == 0 or b.dim == 0:
         return Subspace((), ambient=a.ambient)
-    # x = sum l_i a_i = sum m_j b_j over the integer rows; the rows
-    # below are the d equations in the unknowns (l, m)
-    cols = a.int_rows + tuple(tuple(-x for x in v) for v in b.int_rows)
-    reduced, pivots, den = kernels.rref_int(tuple(zip(*cols)))
-    vectors = [
-        tuple(sum(map(mul, z[: a.dim], col)) for col in zip(*a.int_rows))
-        for z in _kernel_ints(reduced, pivots, den, len(cols))
-    ]
-    return span_of(vectors, ambient=a.ambient)
+    return span_of(int_intersection(a, b), ambient=a.ambient)
 
 
 def cayley_orthogonal(skew):

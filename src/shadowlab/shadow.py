@@ -24,7 +24,6 @@ from .errors import (
     DegenerateBasisError,
     DegenerateShadowError,
     DimensionError,
-    InadmissiblePlaneError,
     ParameterError,
     SamplingError,
 )
@@ -308,24 +307,3 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
             out.append(w)
     return out
 
-
-def zonotope_shadow_size(generators, w):
-    """Shadow vertex count of the zonotope with the given generators.
-
-    Exactly verifies that no generator image vanishes and no two are
-    collinear; the shadow is then a polygon with 2 * len(generators)
-    vertices. Violations raise InadmissiblePlaneError.
-    """
-    gens = [la.as_vec(g) for g in generators]
-    imgs = [w.coords(g) for g in gens]
-    for i, q in enumerate(imgs):
-        if q[0] == 0 and q[1] == 0:
-            raise InadmissiblePlaneError(f"generator {i} projects to zero")
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            a, b = imgs[i], imgs[j]
-            if a[0] * b[1] - a[1] * b[0] == 0:
-                raise InadmissiblePlaneError(
-                    f"generators {i} and {j} project to parallel segments"
-                )
-    return 2 * len(gens)

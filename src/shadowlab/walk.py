@@ -892,13 +892,14 @@ def _class_of_face(p, face_id):
     raise ParameterError(f"no 2-face with id {face_id}")
 
 
-def _validate_visibility_witness(p, face_id, other_id, rows):
+def _validate_visibility_witness(p, face_id, other_id, span):
     """Shared witness checks for the transformation builders.
 
-    The witness must degenerate exactly the class of face_id, send the
-    face (and the optional partner) onto the shadow boundary, and meet
-    the face plane in a line. Returns (class id, that line's
-    generator).
+    span is the witness's orthogonal span, a Subspace. The witness must
+    degenerate exactly the class of face_id, send the face (and the
+    optional partner) onto the shadow boundary, and meet the face plane
+    in a line. Every test runs on span's integer rows. Returns (class
+    id, that line's generator, the witness ProjectionPlane).
     """
     faces = pt.k_faces(p, 2)
     if not 0 <= face_id < len(faces):
@@ -912,7 +913,7 @@ def _validate_visibility_witness(p, face_id, other_id, rows):
         if _class_of_face(p, other_id) != cid:
             raise ParameterError("paired faces must share a parallel class")
     # the first class, in class order, on the wrong side of the test
-    wrong = set(sh.degenerate_classes(p, rows)) ^ {cid}
+    wrong = set(sh.degenerate_classes(p, span.int_rows)) ^ {cid}
     if wrong:
         k = min(wrong)
         if k == cid:
@@ -920,21 +921,25 @@ def _validate_visibility_witness(p, face_id, other_id, rows):
                 f"witness does not degenerate the class of face {face_id}"
             )
         raise ParameterError(f"witness degenerates foreign class {k} as well")
-    inter = la.intersect(la.Subspace(rows), faces[face_id].span)
-    if inter.dim != 1:
+    line = la.int_intersection(span, faces[face_id].span)
+    if len(line) != 1:
         raise GeometryError("face projects to a point at the witness")
-    u1 = la.primitive(inter.basis[0])
-    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
+    u1 = la.primitive(line[0])
+    plane = sh.ProjectionPlane.from_orthogonal(span)
+    frame = sh.hull_frame(p, plane)
     pair = (face_id,) if other_id is None else (face_id, other_id)
     for fid in pair:
         if not sh.in_boundary(frame, faces[fid].vertex_ids):
             raise GeometryError(f"face {fid} is not visible at the witness")
-    return cid, u1
+    return cid, u1, plane
 
 
 def _tilde(v, u):
-    """Component of v orthogonal to a nonzero u."""
-    return la.sub(v, la.scale(u, la.dot(v, u) / la.dot(u, u)))
+    """(u.u) times the component of v orthogonal to a nonzero u: a
+    positive multiple, with no division, so integer vectors give
+    integers."""
+    uu, vu = kernels.dot(u, u), kernels.dot(v, u)
+    return tuple(uu * a - vu * b for a, b in zip(v, u))
 
 
 def _complete_basis(first, rows):
@@ -959,11 +964,15 @@ def crossing_probe(p, cid, rows, u1, reverse=False):
     so v is unique up to sign; reverse flips it. Returns (probe, v,
     eps): probe moves the witness, based at u1 and rows, along v for t
     in [-1, 1], and eps is half the smallest |t| at which another class
-    degenerates on it (1 if none does).
+    degenerates on it (1 if none does). The kernel runs on the rows
+    scaled to integers; on [-1, 1] a class's root is (a + b) / (a - b)
+    in its end values, so the smallest |t| is found by
+    cross-multiplication and eps is the one Fraction built.
     """
     d = p.dim
     classes = pt.parallel_classes(p)
-    kern = la.kernel_basis(rows + tuple(classes[cid].direction_plane.basis))
+    ints = la.int_matrix(rows)[0]
+    kern = la.int_kernel(ints + classes[cid].direction_plane.int_rows)
     if len(kern) != 1:
         raise GeometryError("witness plus face plane does not have rank d-1")
     v = la.primitive(kern[0])
@@ -975,15 +984,17 @@ def crossing_probe(p, cid, rows, u1, reverse=False):
     slope = (v,) + tuple(_zero_vec(d) for _ in range(d - 3))
     probe = WalkSegment(tuple(comp), slope, (-1, 1))
     polys = segment_polynomials(probe)
-    eps = None
+    # the smallest |root| so far, as (|a + b|, |a - b|)
+    near = None
     for k, cls in enumerate(classes):
         if k == cid:
             continue
-        r = polys(cls).root()
-        if r is not None:
-            gap = abs(r)
-            eps = gap if eps is None else min(eps, gap)
-    eps = Fraction(1) if eps is None else eps / 2
+        poly = polys(cls)
+        if poly.a != poly.b:
+            gap = (abs(poly.a + poly.b), abs(poly.a - poly.b))
+            if near is None or gap[0] * near[1] < near[0] * gap[1]:
+                near = gap
+    eps = Fraction(1) if near is None else Fraction(near[0], 2 * near[1])
     return probe, v, eps
 
 
@@ -1001,21 +1012,22 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     (witness rows, v), w2 completes it inside the witness plane, and
     the projected coordinate of u1 along the moving frame changes sign
     with t * sign_coefficient, which is the exchange of the two chains.
+    The witness is validated once, as one Subspace, and every kernel is
+    read off integer rows: w2 comes from the integer rows of the
+    validated witness plane.
     """
-    rows = _ortho_span(p, witness).basis
-    cid, u1 = _validate_visibility_witness(p, face_id, other_id, rows)
-    probe, v, eps = crossing_probe(p, cid, rows, u1, reverse)
+    span = _ortho_span(p, witness)
+    cid, u1, plane = _validate_visibility_witness(p, face_id, other_id, span)
+    probe, v, eps = crossing_probe(p, cid, span.basis, u1, reverse)
     minus = WalkSegment._of(probe._rows, (-eps, la.ZERO))
     plus = WalkSegment._of(probe._rows, (la.ZERO, eps))
-    # the base rows scaled to integers by positive factors: same kernel
-    kern2 = la.kernel_basis(probe.int_rows_at(0)[0] + (v,))
+    kern2 = la.int_kernel(probe.int_rows_at(0)[0] + (v,))
     if len(kern2) != 1:
         raise GeometryError("crossing family is not free")
     w1 = la.primitive(kern2[0])
-    plane = la.kernel_basis(rows)
-    pick = next(b for b in plane if la.rank((w1, b)) == 2)
+    pick = next(b for b in plane.basis.int_rows if kernels.rank_int((w1, b)) == 2)
     w2 = la.primitive(_tilde(pick, w1))
-    coeff = la.dot(v, w2)
+    coeff = Fraction(kernels.dot(v, w2))
     if coeff == 0:
         raise GeometryError("crossing direction lies inside the witness")
     return ElementaryTransformation(
@@ -1073,8 +1085,9 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     """
     d = p.dim
     faces = pt.k_faces(p, 2)
-    rows = _ortho_span(p, witness).basis
-    cid, u1 = _validate_visibility_witness(p, face_id, other_id, rows)
+    span = _ortho_span(p, witness)
+    cid, u1, _plane = _validate_visibility_witness(p, face_id, other_id, span)
+    rows = span.basis
     face = faces[face_id]
     edge = tuple(sorted(edge))
     edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]

@@ -10,8 +10,10 @@ visible configurations from a seeded search over random witness planes,
 walk degeneration polynomials from rational determinants at three
 times, walk segments from Fraction row arithmetic, degenerate classes
 from one stacked integer determinant per class, sampled plane bases
-from Fraction Subspaces, and the cells of a class from its difference
-body built as a Polytope.
+from Fraction Subspaces, the cells of a class from its difference body
+built as a Polytope, and witnesses, crossing probes, elementary
+transformations and certificates from Fraction rows and Fraction
+kernel bases.
 """
 
 import random
@@ -25,8 +27,16 @@ import sympy
 from shadowlab import kernels
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
+from shadowlab import equiproj as eq
 from shadowlab import shadow as sh
-from shadowlab.errors import DegenerateBasisError, WalkError
+from shadowlab import walk as wk
+from shadowlab.errors import (
+    DegenerateBasisError,
+    GeometryError,
+    InadmissiblePlaneError,
+    ParameterError,
+    WalkError,
+)
 
 
 def oracle_det(rows):
@@ -492,3 +502,176 @@ def oracle_cells(p, cid):
                 )
             )
             yield c, members
+
+
+def oracle_witness(p, cid, c):
+    """equiproj._witness as it was on Fraction rows: u1 = f1 + q f2 on the
+    class's Fraction basis, other-class membership through
+    Subspace.contains and each candidate through
+    sh.degenerate_classes."""
+    classes = pt.parallel_classes(p)
+    f1, f2 = classes[cid].direction_plane.basis
+    extra = [la.primitive(k) for k in la.kernel_basis((f1, f2, c))]
+    for q in range(len(classes) + 1):
+        u1 = la.add(f1, la.scale(f2, q))
+        others = (o for k, o in enumerate(classes) if k != cid)
+        if any(o.direction_plane.contains(u1) for o in others):
+            continue
+        for t in range(len(extra) * len(classes) + 1):
+            rows = (u1,) + tuple(
+                la.add(k, la.scale(f2, t**j)) for j, k in enumerate(extra, 1)
+            )
+            if tuple(sh.degenerate_classes(p, rows)) == (cid,):
+                return rows
+    raise GeometryError("witness grid exhausted, polytope data broken")
+
+
+def _oracle_class_of_face(p, face_id):
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        if face_id in cls.member_ids:
+            return cid
+    raise ParameterError(f"no 2-face with id {face_id}")
+
+
+def _oracle_validate_witness(p, face_id, other_id, rows):
+    """walk._validate_visibility_witness on Fraction rows, each class
+    tested by its stacked determinant (oracle_degenerate_classes), the
+    face line through la.intersect of a fresh Subspace."""
+    faces = pt.k_faces(p, 2)
+    if not 0 <= face_id < len(faces):
+        raise ParameterError(f"no 2-face with id {face_id}")
+    cid = _oracle_class_of_face(p, face_id)
+    if other_id is not None:
+        if not 0 <= other_id < len(faces):
+            raise ParameterError(f"no 2-face with id {other_id}")
+        if other_id == face_id:
+            raise ParameterError("paired faces must be distinct")
+        if _oracle_class_of_face(p, other_id) != cid:
+            raise ParameterError("paired faces must share a parallel class")
+    wrong = set(oracle_degenerate_classes(p, rows)) ^ {cid}
+    if wrong:
+        k = min(wrong)
+        if k == cid:
+            raise ParameterError(
+                f"witness does not degenerate the class of face {face_id}"
+            )
+        raise ParameterError(f"witness degenerates foreign class {k} as well")
+    inter = la.intersect(la.Subspace(rows), faces[face_id].span)
+    if inter.dim != 1:
+        raise GeometryError("face projects to a point at the witness")
+    u1 = la.primitive(inter.basis[0])
+    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
+    pair = (face_id,) if other_id is None else (face_id, other_id)
+    for fid in pair:
+        if not sh.in_boundary(frame, faces[fid].vertex_ids):
+            raise GeometryError(f"face {fid} is not visible at the witness")
+    return cid, u1
+
+
+def _oracle_tilde(v, u):
+    """Component of v orthogonal to a nonzero u, in Fractions."""
+    return la.sub(v, la.scale(u, la.dot(v, u) / la.dot(u, u)))
+
+
+def oracle_crossing_probe(p, cid, rows, u1, reverse=False):
+    """walk.crossing_probe on Fraction rows: the crossing direction from
+    a Fraction la.kernel_basis, the basis completed by rational rank,
+    eps from Fraction roots."""
+    d = p.dim
+    classes = pt.parallel_classes(p)
+    kern = la.kernel_basis(tuple(rows) + tuple(classes[cid].direction_plane.basis))
+    if len(kern) != 1:
+        raise GeometryError("witness plus face plane does not have rank d-1")
+    v = la.primitive(kern[0])
+    if reverse:
+        v = la.neg(v)
+    comp = [u1]
+    for r in rows:
+        if la.rank(comp + [r]) > len(comp):
+            comp.append(r)
+    if len(comp) != d - 2:
+        raise GeometryError("degenerating direction escapes the witness")
+    slope = (v,) + tuple((la.ZERO,) * d for _ in range(d - 3))
+    probe = wk.WalkSegment(tuple(comp), slope, (-1, 1))
+    polys = wk.segment_polynomials(probe)
+    eps = None
+    for k, cls in enumerate(classes):
+        if k == cid:
+            continue
+        r = polys(cls).root()
+        if r is not None:
+            gap = abs(r)
+            eps = gap if eps is None else min(eps, gap)
+    eps = Fraction(1) if eps is None else eps / 2
+    return probe, v, eps
+
+
+def oracle_elementary_transformation(p, face_id, other_id, witness, reverse=False):
+    """walk.elementary_transformation on Fraction rows: the witness
+    re-validated from its Fraction basis, w1 and the witness plane from
+    Fraction kernel bases, w2 from the Fraction orthogonal component."""
+    rows = la.Subspace(witness).basis
+    cid, u1 = _oracle_validate_witness(p, face_id, other_id, rows)
+    probe, v, eps = oracle_crossing_probe(p, cid, rows, u1, reverse)
+    minus = wk.WalkSegment(probe.base, probe.slope, (-eps, 0))
+    plus = wk.WalkSegment(probe.base, probe.slope, (0, eps))
+    kern2 = la.kernel_basis(probe.rows_at(0) + (v,))
+    if len(kern2) != 1:
+        raise GeometryError("crossing family is not free")
+    w1 = la.primitive(kern2[0])
+    plane = la.kernel_basis(rows)
+    pick = next(b for b in plane if la.rank((w1, b)) == 2)
+    w2 = la.primitive(_oracle_tilde(pick, w1))
+    coeff = la.dot(v, w2)
+    if coeff == 0:
+        raise GeometryError("crossing direction lies inside the witness")
+    return wk.ElementaryTransformation(
+        face_id, other_id, minus, plus, u1, v, w1, w2, coeff, eps
+    )
+
+
+def oracle_visible_pairs(p):
+    """equiproj.visible_pairs built from the oracles: each configuration's
+    witness from oracle_witness, its transformation from
+    oracle_elementary_transformation, and the chains read off the hull
+    of the plane orthogonal to the Fraction rows at -eps/2."""
+    certs = []
+    for cid in range(len(pt.parallel_classes(p))):
+        found = {}
+        for c, conf in eq._cells(p, cid):
+            if len(conf) in (1, 2):
+                found.setdefault(conf, c)
+        for conf in sorted(found):
+            rows = oracle_witness(p, cid, found[conf])
+            other = conf[1] if len(conf) == 2 else None
+            tr = oracle_elementary_transformation(p, conf[0], other, rows)
+            w = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at(-tr.epsilon / 2))
+            frame = sh.hull_frame(p, w)
+            chains = eq._face_chains(p, conf[0], frame)
+            other_chains = None if other is None else eq._face_chains(p, other, frame)
+            certs.append(
+                eq.VisibilityCertificate(conf[0], other, tuple(rows), chains, other_chains)
+            )
+    return certs
+
+
+def oracle_zonotope_shadow_size(generators, w):
+    """Shadow vertex count of the zonotope with the given generators.
+
+    Exactly verifies that no generator image vanishes and no two are
+    collinear; the shadow is then a polygon with 2 * len(generators)
+    vertices. Violations raise InadmissiblePlaneError.
+    """
+    gens = [la.as_vec(g) for g in generators]
+    imgs = [w.coords(g) for g in gens]
+    for i, q in enumerate(imgs):
+        if q[0] == 0 and q[1] == 0:
+            raise InadmissiblePlaneError(f"generator {i} projects to zero")
+    for i in range(len(imgs)):
+        for j in range(i + 1, len(imgs)):
+            a, b = imgs[i], imgs[j]
+            if a[0] * b[1] - a[1] * b[0] == 0:
+                raise InadmissiblePlaneError(
+                    f"generators {i} and {j} project to parallel segments"
+                )
+    return 2 * len(gens)

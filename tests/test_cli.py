@@ -323,6 +323,27 @@ def test_check_trials_validation():
     assert go(["check", "--polytope", CUBE_JSON, "--mode", "sampled", "--trials", "1"])[0] == 1
 
 
+@pytest.mark.parametrize("mode", ["sampled", "both"])
+def test_check_too_few_trials_fails_before_any_decider(monkeypatch, mode):
+    def boom(*args, **kwargs):
+        raise AssertionError("a decider ran")
+
+    monkeypatch.setattr(cli.eq, "is_equiprojective_combinatorial", boom)
+    monkeypatch.setattr(cli.eq, "is_equiprojective_sampled", boom)
+    code, out, err = go(["check", "--polytope", CUBE_JSON, "--mode", mode, "--trials", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least two trials to compare\n"
+
+
+def test_check_combinatorial_ignores_trials():
+    code, r = report(
+        ["check", "--polytope", CUBE_JSON, "--mode", "combinatorial", "--trials", "1"]
+    )
+    assert code == 0
+    assert r["equiprojective"] is True
+
+
 # ----------------------------------------------------------------- repro
 
 
@@ -420,6 +441,14 @@ GOLDEN_CHECKS = {
     "pnd5": (
         lambda: fam.hyperprism_pnd(2, 5, 0),
         "1e0622dcd4e098031ca4ab4af4d849cc34b36cc75bedc34cdd8eb14fafc7556e",
+    ),
+    "zono8": (
+        lambda: fam.zonotope(fam.random_generators(6, 5, 8)),
+        "c3195288ad171e39bc55644a6e3a2732fea6a151f83e5c115b0300746f8e8f33",
+    ),
+    "cube6": (
+        lambda: fam.hypercube(6),
+        "79f337985aa3edfb1caee16cdd212ac4912d0cc6060f531b9c486fe4371db77c",
     ),
 }
 

@@ -12,7 +12,6 @@ from oracles import (
     oracle_gauss_jordan,
     oracle_rank,
     oracle_rref,
-    oracle_solve_gram,
     oracle_sympy_rref,
 )
 
@@ -96,46 +95,6 @@ def test_rank_examples():
 )
 def test_rank_matches_oracle(m):
     assert la.rank(m) == oracle_rank(m)
-
-
-def test_orth_project_onto_axis():
-    s = la.Subspace([(1, 0, 0)])
-    assert la.orth_project((1, 1, 0), s) == la.as_vec((1, 0, 0))
-
-
-def test_orth_project_fixed_point():
-    s = la.Subspace([(1, 1, 0), (0, 0, 1)])
-    v = la.as_vec((2, 2, 5))
-    assert la.orth_project(v, s) == v
-
-
-def test_orth_project_derived_example():
-    # frozen from the Gram-solve oracle
-    s = la.Subspace([(1, 1, 0), (0, 0, 1)])
-    got = la.orth_project((1, 2, 3), s)
-    assert got == (Fr(3, 2), Fr(3, 2), Fr(3))
-    coords = oracle_solve_gram(s.basis, la.as_vec((1, 2, 3)))
-    rebuilt = la.add(la.scale(s.basis[0], coords[0]), la.scale(s.basis[1], coords[1]))
-    assert rebuilt == got
-
-
-def test_orth_project_dependent_basis_raises():
-    with pytest.raises(DegenerateBasisError):
-        la.orth_project((1, 2), [(1, 1), (2, 2)])
-
-
-@settings(deadline=None)
-@given(vec_st(4), vec_st(4), st.lists(vec_st(4), min_size=1, max_size=3))
-def test_orth_project_idempotent_and_self_adjoint(u, v, basis):
-    assume(la.rank(basis) == len(basis))
-    s = la.Subspace(basis)
-    pu = la.orth_project(u, s)
-    assert la.orth_project(pu, s) == pu
-    # residual orthogonal to every basis vector
-    ru = la.sub(u, pu)
-    assert all(la.dot(ru, b) == 0 for b in basis)
-    pv = la.orth_project(v, s)
-    assert la.dot(pu, v) == la.dot(u, pv)
 
 
 def test_intersect_shared_axis():
