@@ -75,13 +75,6 @@ EquivalenceReport = namedtuple(
 )
 
 
-def _edge_ids(p):
-    """Edge ids by vertex pair, cached on the polytope."""
-    if p._edge_idx is None:
-        p._edge_idx = {e.vertex_ids: i for i, e in enumerate(pt.k_faces(p, 1))}
-    return p._edge_idx
-
-
 def _edge_direction(p, edge):
     """The edge's direction, on the polytope's integer vertices (a
     positive multiple of the rational one)."""
@@ -140,7 +133,7 @@ def _face_chains(p, face_id, frame):
         raise GeometryError(
             f"face {face_id} has {len(state.fixed)} fixed points, wanted 2"
         )
-    eidx = _edge_ids(p)
+    eidx = pt.edge_index(p)
     visible = _order_chain(state.visible, eidx)
     invisible = _order_chain(state.invisible, eidx)
     edges = pt.k_faces(p, 1)
@@ -370,7 +363,7 @@ def orient(p, cert, flip=False):
     oid = cert.other_id
     if not 0 <= fid < len(faces):
         raise GeometryError(f"certificate names missing face {fid}")
-    eidx = _edge_ids(p)
+    eidx = pt.edge_index(p)
     f = faces[fid]
     if oid is None:
         return _cycle_nodes(p, _traversal(p, f, flip), fid, None, eidx)

@@ -21,10 +21,22 @@ from .errors import (
 )
 
 
+# a zonotope is built as the hull of all 2^m subset sums of its m
+# generators, so m is capped well above any family in use (6 at most)
+MAX_GENERATORS = 16
+
+
+def _check_generator_count(m, what="generators"):
+    if m > MAX_GENERATORS:
+        raise ParameterError(f"{m} {what} exceed the cap of {MAX_GENERATORS}")
+
+
 def hypercube(d):
-    """The unit cube [0,1]^d."""
+    """The unit cube [0,1]^d: the zonotope of d unit generators, capped
+    as zonotopes are."""
     if d < 2:
         raise ParameterError("dimension must be at least 2")
+    _check_generator_count(d, "unit generators")
     return pt.build(list(product((0, 1), repeat=d)), label=f"hypercube-{d}")
 
 
@@ -85,18 +97,6 @@ def prism(base, height, label=None):
                 f"prism self-test failed: sampled shadow is not a {expected}-gon"
             )
     return p
-
-
-# a zonotope is built as the hull of all 2^m subset sums of its m
-# generators, so m is capped well above any family in use (6 at most)
-MAX_GENERATORS = 16
-
-
-def _check_generator_count(m):
-    if m > MAX_GENERATORS:
-        raise ParameterError(
-            f"{m} generators exceed the cap of {MAX_GENERATORS}"
-        )
 
 
 class ZonotopeSpec:
@@ -296,10 +296,13 @@ def hyperprism_pnd(n, d, seed):
 
     Each step adds Conv(0, e_k + rho) with a seeded small rational rho.
     The self-test re-checks the estranged degenerating triangles in the
-    bottom copy; a failure suggests trying another seed.
+    bottom copy; a failure suggests trying another seed. Each step
+    doubles the vertices, so the d - 4 steps are capped as zonotope
+    generators are.
     """
     if d < 4:
         raise ParameterError("d must be at least 4")
+    _check_generator_count(d - 4, "prism doublings")
     spec = PnSpec(n)
     p = pn_polytope(spec)
     for k in range(5, d + 1):

@@ -97,7 +97,7 @@ class Polytope:
         self._int_vertices = None
         # the walk layer's reference frame (walk.reference_frame)
         self._frame = None
-        # edge ids by vertex pair (equiproj._edge_ids)
+        # edge ids by vertex pair (edge_index)
         self._edge_idx = None
 
     def int_vertices(self):
@@ -494,6 +494,13 @@ def proscribed_directions(p):
     return out
 
 
+def edge_index(p):
+    """Edge ids by vertex pair, cached on the polytope."""
+    if p._edge_idx is None:
+        p._edge_idx = {e.vertex_ids: i for i, e in enumerate(k_faces(p, 1))}
+    return p._edge_idx
+
+
 def face_cycle(p, face):
     """Vertex ids of a 2-face in boundary-cycle order.
 
@@ -502,17 +509,15 @@ def face_cycle(p, face):
     """
     if face.dim != 2:
         raise ParameterError("face_cycle needs a 2-face")
-    inside = set(face.vertex_ids)
     adj = {v: [] for v in face.vertex_ids}
-    for edge in k_faces(p, 1):
+    for edge in face_edges(p, face):
         a, b = edge.vertex_ids
-        if a in inside and b in inside:
-            adj[a].append(b)
-            adj[b].append(a)
+        adj[a].append(b)
+        adj[b].append(a)
     for v, nb in adj.items():
         if len(nb) != 2:
             raise PolytopeError(f"2-face boundary broken at vertex {v}")
-    start = min(inside)
+    start = face.vertex_ids[0]
     cycle = [start]
     prev = None
     cur = start
@@ -527,11 +532,12 @@ def face_cycle(p, face):
 
 
 def face_edges(p, face):
-    """Edges of p lying inside the given face, as Face objects."""
-    inside = set(face.vertex_ids)
-    return [
-        e for e in k_faces(p, 1) if set(e.vertex_ids) <= inside
-    ]
+    """Edges of p lying inside the given face, as Face objects in edge
+    id order: the face's vertex pairs looked up in edge_index."""
+    idx = edge_index(p)
+    pairs = combinations(face.vertex_ids, 2)
+    edges = k_faces(p, 1)
+    return [edges[i] for i in sorted(idx[ab] for ab in pairs if ab in idx)]
 
 
 def apply_isometry(p, matrix):
@@ -539,7 +545,8 @@ def apply_isometry(p, matrix):
 
     Vertex order is preserved, so face vertex ids carry over, and the
     face lattice is transported instead of recomputed: only the face
-    spans change.
+    spans change. Parallel classes are not carried over, since their
+    order follows the moved spans.
     """
     moved = tuple(la.matvec(matrix, v) for v in p.vertices)
     new_facets = tuple(
@@ -550,4 +557,6 @@ def apply_isometry(p, matrix):
         )
         for f in p._facets
     )
-    return Polytope(moved, p.label, new_facets)
+    out = Polytope(moved, p.label, new_facets)
+    out._face_ids = p._face_ids
+    return out

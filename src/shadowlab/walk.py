@@ -22,7 +22,7 @@ and seeded.
 """
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -44,6 +44,12 @@ _SEARCH_CAP = 64
 
 def _zero_vec(d):
     return (la.ZERO,) * d
+
+
+def _slope(n, i, w):
+    """n slope rows, all zero but row i, which is w."""
+    zero = _zero_vec(len(w))
+    return tuple(w if k == i else zero for k in range(n))
 
 
 def _reduced(b, s, c):
@@ -320,36 +326,43 @@ def degeneration_polynomial(segment, cls):
     return segment_polynomials(segment)(cls)
 
 
-def _hyperplane_span(d):
-    # the reference hyperplane: first coordinate zero
-    return la.Subspace(tuple(la.unit(d, i) for i in range(1, d)))
+def _int_square(m):
+    """A rational square matrix m as (integer rows M, positive den) with
+    m = M / den."""
+    d = len(m)
+    flat, den = la.int_row([x for row in m for x in row])
+    return tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d)), den
 
 
-def _etas(p):
-    """One normalised eta direction per parallel class.
+def _eta_line(a, b):
+    """a[0] b - b[0] a: it spans the meet of span(a, b) with the
+    reference hyperplane x_0 = 0, or is zero when the plane lies in it."""
+    return tuple(a[0] * y - b[0] * x for x, y in zip(a, b))
 
-    eta spans the meet of the class direction plane with the reference
-    hyperplane and is scaled to last coordinate 1. Requires the
-    reference arrangement: every such meet is a line off the last
-    coordinate hyperplane; otherwise WalkError names the class.
+
+def _etas(planes):
+    """One normalised eta direction per class plane, given as integer
+    row pairs in class order.
+
+    eta spans the meet of the plane with the reference hyperplane and is
+    scaled to last coordinate 1. Requires the reference arrangement:
+    every such meet is a line off the last coordinate hyperplane;
+    otherwise WalkError names the class.
     """
-    d = p.dim
-    hp = _hyperplane_span(d)
     out = []
-    for cid, cls in enumerate(pt.parallel_classes(p)):
-        inter = la.intersect(cls.direction_plane, hp)
-        if inter.dim != 1:
+    for cid, (a, b) in enumerate(planes):
+        eta = _eta_line(a, b)
+        if not any(eta):
             raise WalkError(
-                f"class {cid} meets the reference hyperplane in dimension "
-                f"{inter.dim}, expected a line; rotate the polytope first"
+                f"class {cid} meets the reference hyperplane in dimension 2, "
+                "expected a line; rotate the polytope first"
             )
-        eta = inter.basis[0]
-        if eta[d - 1] == 0:
+        if eta[-1] == 0:
             raise WalkError(
                 f"class {cid} eta direction has zero last coordinate; "
                 "rotate the polytope first"
             )
-        out.append(EtaVector(cid, la.scale(eta, 1 / eta[d - 1])))
+        out.append(EtaVector(cid, tuple(Fraction(x, eta[-1]) for x in eta)))
     return out
 
 
@@ -357,82 +370,69 @@ def reference_isometry(p):
     """Exact rotation moving p into the reference arrangement.
 
     After the move no proscribed direction lies in the reference
-    hyperplane and every class eta has a nonzero last coordinate, which
-    makes span(e2, ..., e_{d-1}) an admissible orthogonal span. Built
-    from Cayley plane rotations, each accepted only when it strictly
-    shrinks the defect count. Returns (matrix, etas of the moved copy).
+    hyperplane and every class eta has a nonzero last coordinate; the
+    latter is, up to sign, the class determinant at span(e2, ...,
+    e_{d-1}), which is therefore admissible. Built from Cayley plane
+    rotations, each accepted only when it strictly shrinks the defect
+    count, and each scored on p's own lines and planes: with r = M / den,
+    a proscribed line l is a defect when M_0 . l = 0, a class (f1, f2)
+    when the eta of (M f1, M f2) has last coordinate 0. The rotation
+    plane comes from the defect the moved copy would list first.
+    Returns (matrix, etas of the moved copy).
     """
     d = p.dim
     if d < 3:
         raise ParameterError("walks need ambient dimension at least 3")
+    lines = [pd.line for pd in pt.proscribed_directions(p)]
+    planes = [cls.direction_plane.int_rows for cls in pt.parallel_classes(p)]
+
+    def moved_planes(m):
+        return [(_int_map(m, f1), _int_map(m, f2)) for f1, f2 in planes]
+
+    def bad_lines(m):
+        return [_int_map(m, ln) for ln in lines if kernels.dot(m[0], ln) == 0]
+
+    def line_plane(found):
+        # lines are listed by primitive form
+        line = min(map(la.primitive, found))
+        return 0, max(range(d), key=lambda i: abs(line[i]))
+
+    def bad_planes(m):
+        etas = [(ab, _eta_line(*ab)) for ab in moved_planes(m)]
+        if not all(any(eta) for _ab, eta in etas):
+            raise WalkError("eta stage lost the direction arrangement")
+        return [ab for ab, eta in etas if eta[-1] == 0]
+
+    def eta_plane(found):
+        # classes are listed by the keys of their planes; the eta has
+        # first and last coordinates 0, so a middle one is nonzero, and
+        # rotating in (j, d-1) keeps the first stage's work exactly
+        eta = _eta_line(*min(found, key=lambda ab: la.span_of(ab).canonical_key()))
+        return max(range(1, d - 1), key=lambda i: abs(eta[i])), d - 1
+
     q = la.identity(d)
-    moved = p
-
-    def bad_dirs(poly):
-        return [
-            pd.line for pd in pt.proscribed_directions(poly) if pd.line[0] == 0
-        ]
-
-    for _ in range(_SEARCH_CAP):
-        bad = bad_dirs(moved)
-        if not bad:
-            break
-        line = bad[0]
-        j = max(range(d), key=lambda i: abs(line[i]))
-        accepted = False
-        for k in range(2, _SEARCH_CAP + 2):
-            r = la.matmul(la.plane_rotation(d, 0, j, Fraction(1, k)), q)
-            cand = pt.apply_isometry(p, r)
-            if len(bad_dirs(cand)) < len(bad):
-                q, moved, accepted = r, cand, True
+    for bad, plane_of, what, stage in (
+        (bad_lines, line_plane, "proscribed directions", "proscribed-direction"),
+        (bad_planes, eta_plane, "eta directions", "eta"),
+    ):
+        for _ in range(_SEARCH_CAP):
+            found = bad(_int_square(q)[0])
+            if not found:
                 break
-        if not accepted:
-            raise WalkError(
-                "no plane rotation clears the proscribed directions"
-            )
-    else:
-        raise WalkError("proscribed-direction stage did not converge")
-
-    hp = _hyperplane_span(d)
-
-    def bad_etas(poly):
-        out = []
-        for cls in pt.parallel_classes(poly):
-            inter = la.intersect(cls.direction_plane, hp)
-            if inter.dim != 1:
-                raise WalkError("eta stage lost the direction arrangement")
-            if inter.basis[0][d - 1] == 0:
-                out.append(inter.basis[0])
-        return out
-
-    for _ in range(_SEARCH_CAP):
-        bad = bad_etas(moved)
-        if not bad:
-            break
-        eta = bad[0]
-        # eta sits inside the reference hyperplane with zero last
-        # coordinate, so some middle coordinate is nonzero
-        j = max(range(1, d - 1), key=lambda i: abs(eta[i]))
-        accepted = False
-        for k in range(2, _SEARCH_CAP + 2):
-            # rotating in the (j, d-1) plane keeps first coordinates,
-            # so the first stage survives exactly
-            r = la.matmul(la.plane_rotation(d, j, d - 1, Fraction(1, k)), q)
-            cand = pt.apply_isometry(p, r)
-            if len(bad_etas(cand)) < len(bad):
-                q, moved, accepted = r, cand, True
-                break
-        if not accepted:
-            raise WalkError("no plane rotation clears the eta directions")
-    else:
-        raise WalkError("eta stage did not converge")
-
-    etas = _etas(moved)
-    rows = tuple(la.unit(d, i) for i in range(1, d - 1))
-    cid = next(sh.degenerate_classes(moved, rows), None)
-    if cid is not None:
-        raise WalkError(f"reference orthogonal span degenerates class {cid}")
-    return q, etas
+            i, j = plane_of(found)
+            for k in range(2, _SEARCH_CAP + 2):
+                r = la.matmul(la.plane_rotation(d, i, j, Fraction(1, k)), q)
+                if len(bad(_int_square(r)[0])) < len(found):
+                    q = r
+                    break
+            else:
+                raise WalkError(f"no plane rotation clears the {what}")
+        else:
+            raise WalkError(f"{stage} stage did not converge")
+    keyed = sorted(
+        (la.span_of(ab).canonical_key(), ab) for ab in moved_planes(_int_square(q)[0])
+    )
+    return q, _etas([ab for _key, ab in keyed])
 
 
 def reference_frame(p):
@@ -445,15 +445,13 @@ def reference_frame(p):
     """
     if p._frame is None:
         rot, etas = reference_isometry(p)
-        inv = la.transpose(rot)
-        flat, den = la.int_row([x for row in inv for x in row])
-        d = p.dim
+        m, den = _int_square(rot)
         p._frame = ReferenceFrame(
             rot,
-            inv,
+            la.transpose(rot),
             pt.apply_isometry(p, rot),
             tuple(e.eta for e in etas),
-            (tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d)), den),
+            (la.transpose(m), den),
         )
     return p._frame
 
@@ -500,6 +498,24 @@ def _segment_roots(seg, classes):
     return found
 
 
+def _half_step(classes, base, i, w):
+    """The segment that moves row i of base along w for t in [0, s],
+    where s is half the smallest positive root of any class determinant
+    on that line, capped at 1; and whether some class is degenerate
+    along the whole of t in [0, 1] (such a class has no root, so it
+    does not bound s)."""
+    seg = WalkSegment(base, _slope(len(base), i, w), (0, 1))
+    polys = segment_polynomials(seg)
+    step, whole = la.ONE, False
+    for cls in classes:
+        poly = polys(cls)
+        whole = whole or poly.a == poly.b == 0
+        r = poly.root()
+        if r is not None and r > 0:
+            step = min(step, r / 2)
+    return WalkSegment._of(seg._rows, (la.ZERO, step)), whole
+
+
 def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     """Nudge the second basis row until the two classes stop sharing a
     junction span.
@@ -524,11 +540,8 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
         return None
     if w[0] != 0:
         span_a = classes[ca].direction_plane
-        pf = None
-        for pd in pt.proscribed_directions(p):
-            if span_a.contains(pd.line):
-                pf = pd.line
-                break
+        lines = (pd.line for pd in pt.proscribed_directions(p))
+        pf = next((ln for ln in lines if span_a.contains(ln)), None)
         if pf is None or pf[0] == 0:
             return None
         # pf spans a line of the class plane, already inside fixed, so
@@ -540,20 +553,10 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     rest = (w, *others[1:], fb[0])
     if sh.class_degeneracy_det(p, rest, classes[ca].direction_plane) == 0:
         return None
-    base = (u1,) + tuple(others)
-    slope = [_zero_vec(d) for _ in range(d - 2)]
-    slope[1] = w
-    polys = segment_polynomials(WalkSegment(base, tuple(slope), (0, 1)))
-    eps = Fraction(1)
-    for cls in classes:
-        poly = polys(cls)
-        if poly.a == poly.b == 0:
-            return None
-        r = poly.root()
-        if r is not None and r > 0:
-            eps = min(eps, r / 2)
-    seg = WalkSegment(base, tuple(slope), (0, eps))
-    others[0] = la.add(others[0], la.scale(w, eps))
+    seg, whole = _half_step(classes, (u1, *others), 1, w)
+    if whole:
+        return None
+    others[0] = la.add(others[0], la.scale(w, seg.t_range[1]))
     return seg
 
 
@@ -584,9 +587,7 @@ def _fragment_to_hyperplane(p, start, seed, etas):
             kernels.dot(rmin, kernels.plane_minors(eta, v)) == 0 for eta in eta_rows
         ):
             continue
-        base = (u1,) + tuple(others)
-        slope = (la.neg(v),) + tuple(_zero_vec(d) for _ in range(d - 3))
-        seg = WalkSegment(base, slope, (Fraction(0), Fraction(1)))
+        seg = WalkSegment((u1, *others), _slope(d - 2, 0, la.neg(v)), (0, 1))
         try:
             found = _segment_roots(seg, classes)
         except WalkError as exc:
@@ -628,12 +629,7 @@ def _fragment_within(p, start, seed, etas):
     classes = pt.parallel_classes(p)
     cols = d - 1
     target = cols - 1
-
-    def embed(vec):
-        return (Fraction(0),) + tuple(vec)
-
-    red = tuple(r[1:] for r in rows0)
-    arr, pivots = la.rref(red)
+    arr, pivots = la.rref(tuple(r[1:] for r in rows0))
     segs = []
 
     # staircase: advance the single non-pivot column one slot at a time
@@ -642,45 +638,27 @@ def _fragment_within(p, start, seed, etas):
         if missing == target:
             break
         idx = pivots.index(missing + 1)
-        base = tuple(embed(r) for r in arr)
-        slope = [_zero_vec(d) for _ in range(d - 2)]
-        slope[idx] = embed(la.unit(cols, missing))
-        polys = segment_polynomials(WalkSegment(base, tuple(slope), (0, 1)))
-        step = Fraction(1)
-        for cls in classes:
-            poly = polys(cls)
-            if poly.a == poly.b == 0:
-                raise WalkError("a class is degenerate across a staircase step")
-            r = poly.root()
-            if r is not None and r > 0:
-                step = min(step, r / 2)
-        segs.append(WalkSegment(base, tuple(slope), (0, step)))
-        red = tuple(
-            la.add(r, la.scale(la.unit(cols, missing), step)) if i == idx else r
-            for i, r in enumerate(arr)
+        base = tuple((la.ZERO, *r) for r in arr)
+        seg, whole = _half_step(classes, base, idx, la.unit(d, missing + 1))
+        if whole:
+            raise WalkError("a class is degenerate across a staircase step")
+        segs.append(seg)
+        nudge = la.scale(la.unit(cols, missing), seg.t_range[1])
+        arr, pivots = la.rref(
+            tuple(la.add(r, nudge) if i == idx else r for i, r in enumerate(arr))
         )
-        arr, pivots = la.rref(red)
     else:
         raise WalkError("staircase did not reach the last column")
 
     # now every row reads unit(p) + x_p * e_last in reduced coordinates
     xs = [row[target] for row in arr]
-    end_rows = tuple(embed(la.unit(cols, i)) for i in range(target))
-
-    def gamma_rows():
-        base = tuple(
-            embed(la.add(la.unit(cols, i), la.scale(la.unit(cols, target), xs[i])))
-            for i in range(target)
-        )
-        return base
-
+    last = la.unit(d, d - 1)
+    end_rows = tuple(la.unit(d, i) for i in range(1, d - 1))
     for _ in range(_SEARCH_CAP):
         if all(x == 0 for x in xs):
             return segs, la.Subspace(end_rows)
-        base = gamma_rows()
-        slope = tuple(
-            embed(la.scale(la.unit(cols, target), -xs[i])) for i in range(target)
-        )
+        base = tuple(la.add(la.unit(d, i + 1), la.scale(last, x)) for i, x in enumerate(xs))
+        slope = tuple(la.scale(last, -x) for x in xs)
         seg = WalkSegment(base, slope, (Fraction(0), Fraction(1)))
         found = _segment_roots(seg, classes)
         shared = next((ids for ids in found.values() if len(ids) > 1), None)
@@ -693,19 +671,9 @@ def _fragment_within(p, start, seed, etas):
         if j is None:
             raise WalkError(f"classes {ca} and {cb} share an eta direction")
         # one unit of x along coordinate j separates the two roots
-        xt = [Fraction(0)] * target
-        xt[j - 1] = Fraction(1)
-        pre_slope = tuple(
-            embed(la.scale(la.unit(cols, target), xt[i])) for i in range(target)
-        )
-        polys = segment_polynomials(WalkSegment(base, pre_slope, (0, 1)))
-        eps = Fraction(1)
-        for cls in classes:
-            r = polys(cls).root()
-            if r is not None and r > 0:
-                eps = min(eps, r / 2)
-        segs.append(WalkSegment(base, pre_slope, (0, eps)))
-        xs = [x + eps * t for x, t in zip(xs, xt)]
+        pre, _whole = _half_step(classes, base, j - 1, last)
+        segs.append(pre)
+        xs[j - 1] += pre.t_range[1]
     raise WalkError("contraction produced inseparable degenerations")
 
 
@@ -728,8 +696,15 @@ def _assemble(p, raw_segments, isometry, isometry_inv):
                 )
             events.append(DegenerationEvent(t, ids[0]))
         segments.append(piece)
-    events.sort(key=lambda e: e.time)
     return WalkPlan(tuple(segments), tuple(events), isometry, isometry_inv)
+
+
+def _identity_walk(p, fragment, start, seed):
+    """The plan of one fragment walk on p as it stands (no rotation)."""
+    planes = [cls.direction_plane.int_rows for cls in pt.parallel_classes(p)]
+    segs, _ = fragment(p, start, seed, [e.eta for e in _etas(planes)])
+    ident = la.identity(p.dim)
+    return _assemble(p, segs, ident, ident)
 
 
 def walk_to_hyperplane(p, start, seed=0):
@@ -740,9 +715,7 @@ def walk_to_hyperplane(p, start, seed=0):
     it). A start already inside the hyperplane yields an empty plan.
     Every event time is an exact rational shared by no two classes.
     """
-    segs, _ = _fragment_to_hyperplane(p, start, seed, [e.eta for e in _etas(p)])
-    ident = la.identity(p.dim)
-    return _assemble(p, segs, ident, ident)
+    return _identity_walk(p, _fragment_to_hyperplane, start, seed)
 
 
 def walk_within_hyperplane(p, start, seed=0):
@@ -752,9 +725,7 @@ def walk_within_hyperplane(p, start, seed=0):
     The start span must be admissible and contained in the hyperplane.
     A start equal to the reference span yields an empty plan.
     """
-    segs, _ = _fragment_within(p, start, seed, [e.eta for e in _etas(p)])
-    ident = la.identity(p.dim)
-    return _assemble(p, segs, ident, ident)
+    return _identity_walk(p, _fragment_within, start, seed)
 
 
 def full_walk(p, frm, to, seed=0):
@@ -902,12 +873,9 @@ def _validate_visibility_witness(p, face_id, other_id, span):
     id, that line's generator, the witness ProjectionPlane).
     """
     faces = pt.k_faces(p, 2)
-    if not 0 <= face_id < len(faces):
-        raise ParameterError(f"no 2-face with id {face_id}")
+    # an id in no class raises "no 2-face with id ..."
     cid = _class_of_face(p, face_id)
     if other_id is not None:
-        if not 0 <= other_id < len(faces):
-            raise ParameterError(f"no 2-face with id {other_id}")
         if other_id == face_id:
             raise ParameterError("paired faces must be distinct")
         if _class_of_face(p, other_id) != cid:
@@ -981,8 +949,7 @@ def crossing_probe(p, cid, rows, u1, reverse=False):
     comp = _complete_basis(u1, rows)
     if len(comp) != d - 2:
         raise GeometryError("degenerating direction escapes the witness")
-    slope = (v,) + tuple(_zero_vec(d) for _ in range(d - 3))
-    probe = WalkSegment(tuple(comp), slope, (-1, 1))
+    probe = WalkSegment(tuple(comp), _slope(d - 2, 0, v), (-1, 1))
     polys = segment_polynomials(probe)
     # the smallest |root| so far, as (|a + b|, |a - b|)
     near = None
@@ -1058,13 +1025,8 @@ def frame_chains(p, face, frame):
             visible.append(e.vertex_ids)
         else:
             invisible.append(e.vertex_ids)
-    degree = {}
-    for a, b in visible:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    fixed = tuple(
-        sorted(x for x in face.vertex_ids if degree.get(x, 0) == 1)
-    )
+    degree = Counter(x for pair in visible for x in pair)
+    fixed = tuple(sorted(x for x in face.vertex_ids if degree[x] == 1))
     return ChainState(frozenset(visible), frozenset(invisible), fixed)
 
 
@@ -1098,9 +1060,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     for other_edge in edge_ids:
         if other_edge == edge:
             continue
-        dirn = la.sub(
-            p.vertices[other_edge[1]], p.vertices[other_edge[0]]
-        )
+        dirn = la.sub(p.vertices[other_edge[1]], p.vertices[other_edge[0]])
         if la.rank((ebar, dirn)) < 2:
             raise ParameterError(
                 f"edge {other_edge} of face {face_id} is parallel to {edge}"
@@ -1121,7 +1081,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     u1n = la.scale(u1, 1 / alpha)
     tail = tuple(_complete_basis(u1n, rows)[1:])
     base = (u1n,) + tail
-    slope = (la.neg(v),) + tuple(_zero_vec(d) for _ in range(d - 3))
+    slope = _slope(d - 2, 0, la.neg(v))
     polys = segment_polynomials(WalkSegment(base, slope, (0, 2 * lam + 1)))
     classes = pt.parallel_classes(p)
     gaps = [lam]
@@ -1132,17 +1092,16 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
         if r is not None and r != lam:
             gaps.append(abs(r - lam))
     eps = min(gaps) / 2
-    w_minus = la.span_of((la.sub(u1n, la.scale(v, lam - eps)),) + tail)
-    w_plus = la.span_of((la.sub(u1n, la.scale(v, lam + eps)),) + tail)
+    u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
+    w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))
     # across the event the edge flips sides in the sliding frame while
     # every other edge of the face stays put
-    s_before = la.dot(ebar, _tilde(v, la.sub(u1n, la.scale(v, lam - eps))))
-    s_after = la.dot(ebar, _tilde(v, la.sub(u1n, la.scale(v, lam + eps))))
+    t_minus, t_plus = _tilde(v, u_minus), _tilde(v, u_plus)
+    s_before, s_after = la.dot(ebar, t_minus), la.dot(ebar, t_plus)
     if s_before == 0 or s_after == 0 or (s_before < 0) == (s_after < 0):
         raise WalkError("edge component does not change sign at the event")
     for other_edge, dirn in directions.items():
-        b = la.dot(dirn, _tilde(v, la.sub(u1n, la.scale(v, lam - eps))))
-        a = la.dot(dirn, _tilde(v, la.sub(u1n, la.scale(v, lam + eps))))
+        b, a = la.dot(dirn, t_minus), la.dot(dirn, t_plus)
         if b == 0 or a == 0 or (b < 0) != (a < 0):
             raise WalkError(
                 f"edge {other_edge} changes sides across the event"

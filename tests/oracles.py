@@ -358,6 +358,104 @@ class OracleSegment(namedtuple("OracleSegment", ["base", "slope", "t_range"])):
         )
 
 
+def oracle_etas(p):
+    """One normalised eta direction per parallel class, from a Fraction
+    intersection of each class plane with the reference hyperplane."""
+    d = p.dim
+    hp = la.Subspace(tuple(la.unit(d, i) for i in range(1, d)))
+    out = []
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        inter = la.intersect(cls.direction_plane, hp)
+        if inter.dim != 1:
+            raise WalkError(
+                f"class {cid} meets the reference hyperplane in dimension "
+                f"{inter.dim}, expected a line; rotate the polytope first"
+            )
+        eta = inter.basis[0]
+        if eta[d - 1] == 0:
+            raise WalkError(
+                f"class {cid} eta direction has zero last coordinate; "
+                "rotate the polytope first"
+            )
+        out.append(wk.EtaVector(cid, la.scale(eta, 1 / eta[d - 1])))
+    return out
+
+
+def oracle_reference_isometry(p):
+    """The reference rotation searched on moved copies: every candidate
+    rotation builds its Polytope (apply_isometry) and reads the defects
+    off that copy's own proscribed directions and class intersections.
+    This was the walk layer's search before it scored candidates on p's
+    lines and planes."""
+    d = p.dim
+    if d < 3:
+        raise ParameterError("walks need ambient dimension at least 3")
+    q = la.identity(d)
+    moved = p
+
+    def bad_dirs(poly):
+        return [pd.line for pd in pt.proscribed_directions(poly) if pd.line[0] == 0]
+
+    for _ in range(wk._SEARCH_CAP):
+        bad = bad_dirs(moved)
+        if not bad:
+            break
+        line = bad[0]
+        j = max(range(d), key=lambda i: abs(line[i]))
+        for k in range(2, wk._SEARCH_CAP + 2):
+            r = la.matmul(la.plane_rotation(d, 0, j, Fraction(1, k)), q)
+            cand = pt.apply_isometry(p, r)
+            if len(bad_dirs(cand)) < len(bad):
+                q, moved = r, cand
+                break
+        else:
+            raise WalkError("no plane rotation clears the proscribed directions")
+    else:
+        raise WalkError("proscribed-direction stage did not converge")
+
+    hp = la.Subspace(tuple(la.unit(d, i) for i in range(1, d)))
+
+    def bad_etas(poly):
+        out = []
+        for cls in pt.parallel_classes(poly):
+            inter = la.intersect(cls.direction_plane, hp)
+            if inter.dim != 1:
+                raise WalkError("eta stage lost the direction arrangement")
+            if inter.basis[0][d - 1] == 0:
+                out.append(inter.basis[0])
+        return out
+
+    for _ in range(wk._SEARCH_CAP):
+        bad = bad_etas(moved)
+        if not bad:
+            break
+        eta = bad[0]
+        j = max(range(1, d - 1), key=lambda i: abs(eta[i]))
+        for k in range(2, wk._SEARCH_CAP + 2):
+            r = la.matmul(la.plane_rotation(d, j, d - 1, Fraction(1, k)), q)
+            cand = pt.apply_isometry(p, r)
+            if len(bad_etas(cand)) < len(bad):
+                q, moved = r, cand
+                break
+        else:
+            raise WalkError("no plane rotation clears the eta directions")
+    else:
+        raise WalkError("eta stage did not converge")
+
+    etas = oracle_etas(moved)
+    rows = tuple(la.unit(d, i) for i in range(1, d - 1))
+    cid = next(sh.degenerate_classes(moved, rows), None)
+    if cid is not None:
+        raise WalkError(f"reference orthogonal span degenerates class {cid}")
+    return q, etas
+
+
+def oracle_face_edges(p, face):
+    """Edges of p inside a face, by a scan of every edge of p."""
+    inside = set(face.vertex_ids)
+    return [e for e in pt.k_faces(p, 1) if set(e.vertex_ids) <= inside]
+
+
 def oracle_pull_back(int_inverse, row):
     """inverse times a rational row, from integer dot products: with the
     inverse M / c and the row R / s, entry i is M_i . R / (c * s)."""

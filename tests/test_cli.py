@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -95,6 +96,22 @@ def test_generate_usage_errors():
     code, out, err = go(["generate", "--family", "zonotope", "--count", "17", "--dim", "2"])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "17 generators exceed the cap of 16" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "hypercube", "--dim", "17"], "17 unit generators exceed the cap of 16"),
+        (["--family", "pnd", "--n", "2", "--dim", "21"], "17 prism doublings exceed the cap of 16"),
+    ],
+)
+def test_generate_cube_like_families_are_capped(argv, message):
+    start = time.monotonic()
+    code, out, err = go(["generate"] + argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    # refused before any of the 2^17 points is listed
+    assert time.monotonic() - start < 5
 
 
 # ---------------------------------------------------------------- shadow
@@ -485,6 +502,18 @@ GOLDEN_WALKS = {
     "zono4": (
         lambda: fam.zonotope(fam.random_generators(5, 4, 4)),
         "bea478e222aad6eca0f59b6c970754f48e61a29eb4c4848c914d5023d035bcb8",
+    ),
+    "cube3": (
+        lambda: fam.hypercube(3),
+        "57e8a027568b1416de34e59691780bcd93e372a26cf7c835b9cd9d4d61c27c55",
+    ),
+    "perturbed4": (
+        lambda: fam.perturbed_hypercube(Fraction(1, 100)),
+        "37131fecc71bfa6f3bfc2d85a14867d38fb117c31caccedb2e1b32169ba6df4b",
+    ),
+    "pnd5": (
+        lambda: fam.hyperprism_pnd(2, 5, 0),
+        "f445068fba9aa4f7787462eeb3148264c432c0cd3ad4570d9db1189911d6c02a",
     ),
 }
 

@@ -69,6 +69,13 @@ def test_hypercube_rejects_low_dimension(d):
         fam.hypercube(d)
 
 
+@pytest.mark.parametrize("d", [fam.MAX_GENERATORS + 1, 40])
+def test_hypercube_is_capped_like_a_zonotope(d):
+    # the d-cube is the zonotope of d unit generators
+    with pytest.raises(ParameterError, match=f"{d} unit generators exceed the cap"):
+        fam.hypercube(d)
+
+
 # ------------------------------------------------------ perturbed hypercube
 
 
@@ -393,6 +400,12 @@ def test_pnd_two_extrusions():
 def test_pnd_rejects_low_dimension():
     with pytest.raises(ParameterError):
         fam.hyperprism_pnd(2, 3, 0)
+
+
+def test_pnd_caps_its_doublings():
+    d = fam.MAX_GENERATORS + 5
+    with pytest.raises(ParameterError, match="17 prism doublings exceed the cap"):
+        fam.hyperprism_pnd(2, d, 0)
 
 
 # ------------------------------------------------------------------ rebuild

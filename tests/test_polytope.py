@@ -13,7 +13,7 @@ from shadowlab import families as fam
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab.errors import ParameterError, PolytopeError
-from oracles import oracle_facets, oracle_k_faces, oracle_rank
+from oracles import oracle_face_edges, oracle_facets, oracle_k_faces, oracle_rank
 
 
 def cube_vertices(d=3):
@@ -312,6 +312,53 @@ def test_face_cycle_of_cube_facet():
         frozenset((cycle[i], cycle[(i + 1) % 4])) for i in range(4)
     }
     assert cyc_edges == edges
+
+
+EDGE_ZOO = [
+    fam.hypercube(3),
+    fam.hypercube(4),
+    fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+    fam.perturbed_hypercube(Fr(1, 100)),
+    fam.pn_polytope(2),
+    fam.hyperprism_pnd(2, 5, 0),
+    fam.zonotope(fam.random_generators(6, 4, 7)),
+    simplex4(),
+]
+
+
+@pytest.mark.parametrize("p", EDGE_ZOO, ids=lambda p: p.label)
+def test_face_edges_match_the_edge_scan(p):
+    faces = pt.k_faces(p, 2) + list(pt.facets(p))
+    for face in faces:
+        got = pt.face_edges(p, face)
+        assert got == oracle_face_edges(p, face)
+        if face.dim == 2:
+            # the cycle walks exactly those edges
+            cycle = pt.face_cycle(p, face)
+            assert cycle[0] == min(face.vertex_ids)
+            steps = zip(cycle, cycle[1:] + cycle[:1])
+            assert {frozenset(s) for s in steps} == {frozenset(e.vertex_ids) for e in got}
+    index = pt.edge_index(p)
+    assert pt.edge_index(p) is index
+    assert [pt.k_faces(p, 1)[i].vertex_ids for i in index.values()] == list(index)
+
+
+@pytest.mark.parametrize("p", EDGE_ZOO[:4], ids=lambda p: p.label)
+def test_apply_isometry_carries_the_face_ids(p):
+    d = p.dim
+    pt.k_faces(p, 1)
+    r = la.plane_rotation(d, 0, d - 1, Fr(1, 3))
+    q = pt.apply_isometry(p, r)
+    assert q._face_ids is p._face_ids
+    rebuilt = pt.build(q.vertices)
+    for k in range(d - 1):
+        assert [f.vertex_ids for f in pt.k_faces(q, k)] == [
+            f.vertex_ids for f in pt.k_faces(rebuilt, k)
+        ]
+    # classes are not carried: their order follows the moved spans
+    assert [c.member_ids for c in pt.parallel_classes(q)] == [
+        c.member_ids for c in pt.parallel_classes(rebuilt)
+    ]
 
 
 def test_apply_isometry_preserves_combinatorics():
