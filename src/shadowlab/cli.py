@@ -243,6 +243,17 @@ def _cmd_generate(ns):
 # --------------------------------------------------------------- shadow
 
 
+def _members_json(cd):
+    return [
+        {
+            "face": m.face_id,
+            "contained_in_edge": m.contained_in_edge,
+            "touches_boundary": m.touches_hull,
+        }
+        for m in cd.members
+    ]
+
+
 def _degeneration_json(p, report):
     classes = pt.parallel_classes(p)
     out = []
@@ -253,14 +264,7 @@ def _degeneration_json(p, report):
                 "class": cd.class_id,
                 "direction": _rows_json(cls.direction_plane.basis),
                 "projected_rank": cd.projected_rank,
-                "members": [
-                    {
-                        "face": m.face_id,
-                        "contained_in_edge": m.contained_in_edge,
-                        "touches_boundary": m.touches_hull,
-                    }
-                    for m in cd.members
-                ],
+                "members": _members_json(cd),
             }
         )
     return out
@@ -318,32 +322,25 @@ def _cmd_walk(ns):
     seed = _resolve_seed(ns)
     wa = _load_plane(ns.frm, p.dim, "from")
     wb = _load_plane(ns.to, p.dim, "to")
+    report = {
+        "command": "walk",
+        "seed": seed,
+        "from": _rows_json(wa.basis.basis),
+        "to": _rows_json(wb.basis.basis),
+    }
     try:
         plan = wk.full_walk(p, wa.complement, wb.complement, seed)
     except InadmissiblePlaneError as exc:
         raise UsageError(str(exc))
     except WalkError as exc:
-        report = {
-            "command": "walk",
-            "seed": seed,
-            "from": _rows_json(wa.basis.basis),
-            "to": _rows_json(wb.basis.basis),
-            "verified": False,
-            "error": str(exc),
-        }
+        report.update({"verified": False, "error": str(exc)})
         return EXIT_UNDECIDED, report
     cert = wk.verify_walk(p, plan)
     if not cert.valid:
         raise AssertionError(
             "walk plan failed verification: " + "; ".join(cert.violations)
         )
-    report = {
-        "command": "walk",
-        "seed": seed,
-        "from": _rows_json(wa.basis.basis),
-        "to": _rows_json(wb.basis.basis),
-        "verified": True,
-    }
+    report["verified"] = True
     report.update(wk.to_json_dict(plan))
     return EXIT_OK, report
 
@@ -509,14 +506,7 @@ def _repro_fig2(report):
             "degenerating_class": {
                 "class": cd.class_id,
                 "direction": _rows_json(cls.direction_plane.basis),
-                "members": [
-                    {
-                        "face": m.face_id,
-                        "contained_in_edge": m.contained_in_edge,
-                        "touches_boundary": m.touches_hull,
-                    }
-                    for m in cd.members
-                ],
+                "members": _members_json(cd),
             },
             "k": poly.k,
             "hull_vertex_ids": list(poly.hull_vertex_ids),

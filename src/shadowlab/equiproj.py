@@ -189,7 +189,7 @@ def _cells(p, cid):
     classes = pt.parallel_classes(p)
     cls = classes[cid]
     verts = p.int_vertices()[0]
-    basis = [la.primitive(b) for b in la.kernel_basis(cls.direction_plane.int_rows)]
+    basis = [la.primitive(b) for b in la.int_kernel(cls.direction_plane.int_rows)]
     others = [
         [tuple(kernels.dot(b, r) for b in basis) for r in o.direction_plane.int_rows]
         for k, o in enumerate(classes)
@@ -255,18 +255,17 @@ def _witness(p, cid, c):
     values of t.
 
     The search runs on integer rows. With F_i = g_i f_i the class's
-    integer rows, U1 = g2 F1 + q g1 F2 is g1 g2 u1 and g2 k_j + t^j F2
-    is g2 times the row k_j + t^j f2: positive multiples, so the same
-    memberships (one rank_int per other class) and the same
-    degeneracies (the rows' complementary minors against each class's
-    cached minors). Fraction rows are built for the returned candidate
-    only.
+    integer rows over their stored multipliers g_i, U1 = g2 F1 + q g1 F2
+    is g1 g2 u1 and g2 k_j + t^j F2 is g2 times the row k_j + t^j f2:
+    positive multiples, so the same memberships (one rank_int per other
+    class) and the same degeneracies (the rows' complementary minors
+    against each class's cached minors). Fraction rows are built for
+    the returned candidate only: U1 / (g1 g2), and each tail row over g2.
     """
     classes = pt.parallel_classes(p)
     plane = classes[cid].direction_plane
-    f1, f2 = plane.basis
     F1, F2 = plane.int_rows
-    g1, g2 = la.int_row(f1)[1], la.int_row(f2)[1]
+    g1, g2 = plane.int_mults
     extra = [la.primitive(k) for k in la.int_kernel((F1, F2, c))]
     others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
     for q in range(len(classes) + 1):
@@ -283,8 +282,8 @@ def _witness(p, cid, c):
                 (k == cid) == (kernels.dot(rmin, cls.minors) == 0)
                 for k, cls in enumerate(classes)
             ):
-                return (la.add(f1, la.scale(f2, q)),) + tuple(
-                    la.add(k, la.scale(f2, t**j)) for j, k in enumerate(extra, 1)
+                return (tuple(Fraction(x, g1 * g2) for x in u1),) + tuple(
+                    tuple(Fraction(x, g2) for x in r) for r in tail
                 )
     raise GeometryError("witness grid exhausted, polytope data broken")
 
@@ -373,7 +372,7 @@ def orient(p, cert, flip=False):
     if f.span != o.span:
         raise GeometryError("certificate faces are not parallel")
     off = la.sub(p.vertices[o.vertex_ids[0]], p.vertices[f.vertex_ids[0]])
-    if la.rank(f.span.basis + (off,)) != 3:
+    if la.rank(f.span.int_rows + (off,)) != 3:
         raise GeometryError("face pair does not span a 3-dimensional slice")
     # outward convention in the slice oriented by (frame, offset):
     # the face the offset points away from runs clockwise
@@ -548,9 +547,10 @@ def definitions_equivalence_check(p, seed=0):
                 continue
             events += 1
             rows = _witness(p, cid, c)
+            span = la.Subspace(rows)
             # the witness meets the class plane in its first row
-            probe, _v, eps = wk.crossing_probe(p, cid, rows, la.primitive(rows[0]))
-            k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(rows)).k
+            probe, _v, eps = wk.crossing_probe(p, cid, span, la.primitive(rows[0]))
+            k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(span)).k
             for t in (-eps / 2, eps / 2):
                 moved = probe.rows_at(t)
                 if next(sh.degenerate_classes(p, moved), None) is not None:

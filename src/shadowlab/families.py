@@ -255,7 +255,7 @@ def _triangle_self_test(p, spec, hint):
         face = by_ids.get((3 * i, 3 * i + 1, 3 * i + 2))
         if face is None:
             raise PolytopeError(f"triangle {i} is not a 2-face{hint}")
-        mat = [w.coords(b) for b in face.span.basis]
+        mat = [w.coords(b) for b in face.span.int_rows]
         if la.rank(mat) != 1:
             raise PolytopeError(f"triangle {i} does not degenerate{hint}")
         spans.append(face.span)

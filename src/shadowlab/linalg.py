@@ -4,7 +4,8 @@ Vectors are tuples of Fraction and matrices are tuples of such rows.
 Every function clears denominators row by row and runs on the integer
 kernels; rref, kernel_basis, solve_square and inverse share one
 fraction-free reduced form, kernels.rref_int, and build Fractions only
-from its result. A Subspace keeps its integer rows from construction.
+from its result. A Subspace stores only integer rows, each over one
+positive multiplier; its Fraction basis is a view built on first read.
 """
 
 from fractions import Fraction
@@ -200,39 +201,69 @@ def inverse(m):
 class Subspace:
     """A linear subspace given by an independent basis.
 
-    basis holds the rows in Fractions; int_rows and int_scale are
-    int_matrix(basis), on which every test of the span runs. The basis
-    is validated at construction; a dependent family raises
-    DegenerateBasisError. The empty basis describes the zero subspace
-    and needs an explicit ambient dimension.
+    Stored as integer rows, row i over its minimal positive multiplier
+    int_mults[i] (int_row's); dim, contains, canonical_key, equality and
+    hashing run on them. int_scale is the product of the multipliers,
+    and basis, the rows in Fractions, is built on first read. A
+    dependent family raises DegenerateBasisError. The empty basis
+    describes the zero subspace and needs an explicit ambient dimension.
     """
 
-    __slots__ = ("basis", "ambient", "int_rows", "int_scale", "_key")
+    __slots__ = ("int_rows", "int_mults", "ambient", "_basis", "_key")
 
     def __init__(self, basis, ambient=None):
-        basis = tuple(as_vec(v) for v in basis)
-        if basis:
-            width = len(basis[0])
-            if any(len(v) != width for v in basis):
+        scaled = [int_row(v) for v in basis]
+        if scaled:
+            width = len(scaled[0][0])
+            if any(len(ints) != width for ints, _ in scaled):
                 raise DimensionError("basis vectors of mixed lengths")
             if ambient not in (None, width):
                 raise DimensionError(f"basis vectors do not have length {ambient}")
             ambient = width
         elif ambient is None:
             raise DimensionError("zero subspace needs an ambient dimension")
-        self.int_rows, self.int_scale = int_matrix(basis)
-        if kernels.rank_int(self.int_rows) != len(basis):
+        self.int_rows = tuple(tuple(ints) for ints, _ in scaled)
+        if kernels.rank_int(self.int_rows) != len(scaled):
             raise DegenerateBasisError("basis is linearly dependent")
-        self.basis = basis
+        self.int_mults = tuple(mult for _, mult in scaled)
         self.ambient = ambient
-        self._key = None
+        self._basis = self._key = None
+
+    @classmethod
+    def _of(cls, rows, den, ambient):
+        """The Subspace with basis rows / den, for independent integer
+        rows, without re-validation: with g = gcd(den, *r) carrying the
+        sign of den, row r is stored as r // g over den // g."""
+        sign = -1 if den < 0 else 1
+        gs = [sign * gcd(den, *r) for r in rows]
+        s = object.__new__(cls)
+        s.int_rows = tuple(tuple(x // g for x in r) for r, g in zip(rows, gs))
+        s.int_mults = tuple(den // g for g in gs)
+        s.ambient = ambient
+        s._basis = s._key = None
+        return s
+
+    @property
+    def basis(self):
+        """The basis rows as Fractions, built on first read."""
+        if self._basis is None:
+            self._basis = tuple(
+                tuple(Fraction(x, m) for x in r)
+                for r, m in zip(self.int_rows, self.int_mults)
+            )
+        return self._basis
+
+    @property
+    def int_scale(self):
+        return prod(self.int_mults)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.int_rows)
 
     def canonical_key(self):
-        """Canonical form of the span, usable as a dict key."""
+        """Canonical form of the span, usable as a dict key: the Fraction
+        rows of its reduced row echelon form."""
         if self._key is None:
             reduced, _pivots, den = kernels.rref_int(self.int_rows)
             self._key = _rationals(reduced, den)
@@ -242,10 +273,6 @@ class Subspace:
         ints = tuple(int_row(v)[0])
         if len(ints) != self.ambient:
             raise DimensionError("vector has wrong ambient dimension")
-        if not any(ints):
-            return True
-        if not self.basis:
-            return False
         return kernels.rank_int(self.int_rows + (ints,)) == self.dim
 
     def __eq__(self, other):
@@ -263,26 +290,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def _int_subspace(rows, den, ambient):
-    """The Subspace with basis rows / den, for independent integer rows,
-    filled in without re-validation.
-
-    With g = gcd(den, *r) carrying the sign of den (which may be
-    negative), the integer row of r / den is r // g, by the positive
-    multiplier den // g: the int_rows and int_scale that Subspace's own
-    constructor would find.
-    """
-    s = object.__new__(Subspace)
-    s.basis = _rationals(rows, den)
-    s.ambient = ambient
-    s._key = None
-    sign = -1 if den < 0 else 1
-    gs = [sign * gcd(den, *r) for r in rows]
-    s.int_rows = tuple(tuple(x // g for x in r) for r, g in zip(rows, gs))
-    s.int_scale = prod(den // g for g in gs)
-    return s
-
-
 def int_subspace(rows):
     """The Subspace with basis the given (at least one) integer rows,
     without a Fraction round trip: its int_rows are the rows and its
@@ -290,38 +297,38 @@ def int_subspace(rows):
     rows = tuple(tuple(r) for r in rows)
     if kernels.rank_int(rows) != len(rows):
         raise DegenerateBasisError("basis is linearly dependent")
-    return _int_subspace(rows, 1, len(rows[0]))
+    return Subspace._of(rows, 1, len(rows[0]))
 
 
 def span_of(vectors, ambient=None):
     """Subspace spanned by an arbitrary (possibly dependent) family.
 
     The basis is the reduced row echelon form. rref_int's rows are
-    independent by construction and are their own canonical form, so
-    the Subspace is filled in directly (_int_subspace).
+    independent by construction, so the Subspace is filled in directly
+    (Subspace._of).
     """
     vectors = tuple(vectors)
     if not vectors:
         return Subspace((), ambient=ambient)
     reduced, _pivots, den = _reduce(vectors)
-    s = _int_subspace(reduced, den, len(vectors[0]))
-    s._key = s.basis
-    return s
+    return Subspace._of(reduced, den, len(vectors[0]))
 
 
 def kernel_space(m):
-    """The right kernel of a matrix given by its (at least one) rows, as
-    a Subspace.
+    """The right kernel of a matrix given by its (at least one) rows,
+    integer or rational, or of a Subspace's rows, as a Subspace.
 
     Its basis is kernel_basis(m). Those rows are independent by
     construction (each has den at its own free column and 0 at the
-    others), so the Subspace is filled in directly (_int_subspace).
+    others), so the Subspace is filled in directly (Subspace._of). A
+    Subspace's integer rows go to rref_int as they are.
     """
-    if not m:
+    ints = m.int_rows if isinstance(m, Subspace) else [int_row(r)[0] for r in m]
+    if not ints:
         raise DimensionError("kernel of an empty system needs a width")
-    reduced, pivots, den = _reduce(m)
-    ncols = len(m[0])
-    return _int_subspace(_kernel_ints(reduced, pivots, den, ncols), den, ncols)
+    reduced, pivots, den = _rref(ints)
+    ncols = len(ints[0])
+    return Subspace._of(_kernel_ints(reduced, pivots, den, ncols), den, ncols)
 
 
 def _coerce_subspace(s):

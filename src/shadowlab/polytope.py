@@ -468,10 +468,10 @@ def proscribed_directions(p):
     found = {}
     classes = parallel_classes(p)
     for ca, cb in combinations(classes, 2):
-        inter = la.intersect(ca.direction_plane, cb.direction_plane)
-        if inter.dim != 1:
+        line = la.int_intersection(ca.direction_plane, cb.direction_plane)
+        if len(line) != 1:
             continue
-        line = la.primitive(inter.basis[0])
+        line = la.primitive(line[0])
         if line not in found:
             found[line] = ProscribedDirection(
                 line, (ca.member_ids[0], cb.member_ids[0])
@@ -479,7 +479,7 @@ def proscribed_directions(p):
     if p.dim >= 3:
         two_faces = k_faces(p, 2)
         for edge in k_faces(p, 1):
-            line = la.primitive(edge.span.basis[0])
+            line = la.primitive(edge.span.int_rows[0])
             if line in found:
                 continue
             holders = [
@@ -553,7 +553,7 @@ def apply_isometry(p, matrix):
         Face(
             f.vertex_ids,
             f.dim,
-            la.span_of([la.matvec(matrix, b) for b in f.span.basis], ambient=p.dim),
+            la.span_of([la.matvec(matrix, b) for b in f.span.int_rows], ambient=p.dim),
         )
         for f in p._facets
     )

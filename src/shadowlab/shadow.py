@@ -50,11 +50,10 @@ class ProjectionPlane:
             raise DimensionError("projection plane must have dimension 2")
         self.basis = basis
         if complement is None:
-            complement = la.kernel_space(basis.int_rows)
+            complement = la.kernel_space(basis)
         self.complement = complement
-        a1, a2 = rows = basis.int_rows
-        # the factors c > 0 with a = c b, read off a nonzero entry
-        c1, c2 = (next(x // y for x, y in zip(a, b) if y) for a, b in zip(rows, basis.basis))
+        a1, a2 = basis.int_rows
+        c1, c2 = basis.int_mults
         # with A = diag(c1, c2) B and G the Gram matrix of A, the frame
         # coordinates G_B^-1 B v are diag(c1, c2) adj(G) A v / det G
         g00, g01, g11 = kernels.dot(a1, a1), kernels.dot(a1, a2), kernels.dot(a2, a2)
@@ -64,7 +63,7 @@ class ProjectionPlane:
     def from_orthogonal(cls, vectors):
         """Plane whose orthogonal complement is spanned by the vectors."""
         s = vectors if isinstance(vectors, la.Subspace) else la.Subspace(vectors)
-        w = la.kernel_space(s.int_rows)
+        w = la.kernel_space(s)
         if w.dim != 2:
             raise DimensionError("orthogonal space must have dimension d-2")
         return cls(w, complement=s)

@@ -526,8 +526,8 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     candidate works.
     """
     d = p.dim
-    fa = tuple(classes[ca].direction_plane.basis)
-    fb = tuple(classes[cb].direction_plane.basis)
+    fa = classes[ca].direction_plane.int_rows
+    fb = classes[cb].direction_plane.int_rows
     fixed = tuple(others[1:]) + fa + (fb[0],)
     base_rank = la.rank(fixed)
     w = None
@@ -564,10 +564,11 @@ def _fragment_to_hyperplane(p, start, seed, etas):
     """Raw segments from an admissible span to one inside the reference
     hyperplane, given p's eta directions. Returns (segments, end span)."""
     d = p.dim
-    rows0 = _ortho_span(p, start).basis
+    span = _ortho_span(p, start)
+    rows0 = span.int_rows
     _require_admissible(p, rows0, "start")
     if all(r[0] == 0 for r in rows0):
-        return [], la.Subspace(rows0)
+        return [], span
     classes = pt.parallel_classes(p)
     arr, pivots = la.rref(rows0)
     if pivots[0] != 0:
@@ -600,8 +601,8 @@ def _fragment_to_hyperplane(p, start, seed, etas):
             _require_admissible(p, end_rows, "hyperplane entry")
             return segs, la.int_subspace(end_rows)
         ca, cb = shared[0], shared[1]
-        sa = la.span_of(tuple(others) + tuple(classes[ca].direction_plane.basis))
-        sb = la.span_of(tuple(others) + tuple(classes[cb].direction_plane.basis))
+        sa = la.span_of(tuple(others) + classes[ca].direction_plane.int_rows)
+        sb = la.span_of(tuple(others) + classes[cb].direction_plane.int_rows)
         if sa != sb or not others:
             last_error = (
                 f"classes {ca} and {cb} shared a degeneration time"
@@ -622,7 +623,7 @@ def _fragment_within(p, start, seed, etas):
     hyperplane down to span(e2, ..., e_{d-1}), given p's eta
     directions. Returns (segments, end span)."""
     d = p.dim
-    rows0 = _ortho_span(p, start).basis
+    rows0 = _ortho_span(p, start).int_rows
     _require_admissible(p, rows0, "start")
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
@@ -911,45 +912,48 @@ def _tilde(v, u):
 
 
 def _complete_basis(first, rows):
-    """first, then each of rows that raises the rank of those kept so
-    far, in order; the rank tests run on the rows scaled to integers
-    once."""
-    ints = la.int_matrix((first, *rows))[0]
-    comp, kept = [first], [ints[0]]
-    for r, ri in zip(rows, ints[1:]):
-        if kernels.rank_int(kept + [ri]) > len(kept):
-            comp.append(r)
-            kept.append(ri)
-    return comp
+    """The indices of the integer rows that raise the rank of first and
+    the rows kept before them, in order."""
+    kept, out = [first], []
+    for i, r in enumerate(rows):
+        if kernels.rank_int(kept + [r]) > len(kept):
+            kept.append(r)
+            out.append(i)
+    return out
 
 
-def crossing_probe(p, cid, rows, u1, reverse=False):
+def crossing_probe(p, cid, witness, u1, reverse=False):
     """The segment that moves a single-class witness off its class.
 
-    rows span a witness where only class cid degenerates, meeting its
-    plane in the line u1. The crossing direction v generates the
-    orthogonal complement of witness + class plane, which has rank d-1,
-    so v is unique up to sign; reverse flips it. Returns (probe, v,
-    eps): probe moves the witness, based at u1 and rows, along v for t
-    in [-1, 1], and eps is half the smallest |t| at which another class
-    degenerates on it (1 if none does). The kernel runs on the rows
-    scaled to integers; on [-1, 1] a class's root is (a + b) / (a - b)
-    in its end values, so the smallest |t| is found by
-    cross-multiplication and eps is the one Fraction built.
+    witness (a Subspace, or its rows) is the orthogonal span of a plane
+    where only class cid degenerates, meeting its plane in the integer
+    line u1. The crossing direction v generates the orthogonal
+    complement of witness + class plane, which has rank d-1, so v is
+    unique up to sign; reverse flips it. Returns (probe, v, eps): probe
+    moves the witness, based at u1 and its rows, along v for t in
+    [-1, 1], and eps is half the smallest |t| at which another class
+    degenerates on it (1 if none does). The kernel and the probe rows
+    come from the witness's stored integer rows and multipliers; on
+    [-1, 1] a class's root is (a + b) / (a - b) in its end values, so
+    the smallest |t| is found by cross-multiplication and eps is the
+    one Fraction built.
     """
     d = p.dim
     classes = pt.parallel_classes(p)
-    ints = la.int_matrix(rows)[0]
+    span = _ortho_span(p, witness)
+    ints = span.int_rows
     kern = la.int_kernel(ints + classes[cid].direction_plane.int_rows)
     if len(kern) != 1:
         raise GeometryError("witness plus face plane does not have rank d-1")
     v = la.primitive(kern[0])
     if reverse:
         v = la.neg(v)
-    comp = _complete_basis(u1, rows)
-    if len(comp) != d - 2:
+    rows = [(tuple(u1), v, 1)] + [
+        (ints[i], (0,) * d, span.int_mults[i]) for i in _complete_basis(u1, ints)
+    ]
+    if len(rows) != d - 2:
         raise GeometryError("degenerating direction escapes the witness")
-    probe = WalkSegment(tuple(comp), _slope(d - 2, 0, v), (-1, 1))
+    probe = WalkSegment._of(tuple(rows), (Fraction(-1), la.ONE))
     polys = segment_polynomials(probe)
     # the smallest |root| so far, as (|a + b|, |a - b|)
     near = None
@@ -985,7 +989,7 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     """
     span = _ortho_span(p, witness)
     cid, u1, plane = _validate_visibility_witness(p, face_id, other_id, span)
-    probe, v, eps = crossing_probe(p, cid, span.basis, u1, reverse)
+    probe, v, eps = crossing_probe(p, cid, span, u1, reverse)
     minus = WalkSegment._of(probe._rows, (-eps, la.ZERO))
     plus = WalkSegment._of(probe._rows, (la.ZERO, eps))
     kern2 = la.int_kernel(probe.int_rows_at(0)[0] + (v,))
@@ -1049,7 +1053,6 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     faces = pt.k_faces(p, 2)
     span = _ortho_span(p, witness)
     cid, u1, _plane = _validate_visibility_witness(p, face_id, other_id, span)
-    rows = span.basis
     face = faces[face_id]
     edge = tuple(sorted(edge))
     edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]
@@ -1066,8 +1069,8 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
                 f"edge {other_edge} of face {face_id} is parallel to {edge}"
             )
         directions[other_edge] = dirn
-    f1, f2 = face.span.basis
-    g = f1 if la.rank((ebar, f1)) == 2 else f2
+    f1, f2 = face.span.int_rows
+    g = f1 if kernels.rank_int((ebar, f1)) == 2 else f2
     v = la.primitive(_tilde(g, ebar))
     alpha, beta = la.gram_coords(u1, (ebar, v))
     if alpha == 0:
@@ -1079,7 +1082,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     if lam == 0:
         raise GeometryError("witness already degenerates along the edge")
     u1n = la.scale(u1, 1 / alpha)
-    tail = tuple(_complete_basis(u1n, rows)[1:])
+    tail = tuple(span.int_rows[i] for i in _complete_basis(u1, span.int_rows))
     base = (u1n,) + tail
     slope = _slope(d - 2, 0, la.neg(v))
     polys = segment_polynomials(WalkSegment(base, slope, (0, 2 * lam + 1)))

@@ -1,19 +1,20 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately use different algorithms (and sympy where convenient)
-from the library under test: determinants and ranks go through sympy,
-echelon forms and square solves through Gauss-Jordan on Fractions and
-through sympy, facets come from hyperplane fitting over all d-subsets
-with nullspaces, k-faces from intersections over all facet subsets,
-planar hulls from pointwise extremeness tests plus an angle sort,
-visible configurations from a seeded search over random witness planes,
-walk degeneration polynomials from rational determinants at three
-times, walk segments from Fraction row arithmetic, degenerate classes
-from one stacked integer determinant per class, sampled plane bases
-from Fraction Subspaces, the cells of a class from its difference body
-built as a Polytope, and witnesses, crossing probes, elementary
-transformations and certificates from Fraction rows and Fraction
-kernel bases.
+from the library under test: subspaces build their Fraction basis at
+construction (the former eager Subspace), determinants and ranks go
+through sympy, echelon forms and square solves through Gauss-Jordan on
+Fractions and through sympy, facets come from hyperplane fitting over
+all d-subsets with nullspaces, k-faces from intersections over all
+facet subsets, planar hulls from pointwise extremeness tests plus an
+angle sort, visible configurations from a seeded search over random
+witness planes, walk degeneration polynomials from rational
+determinants at three times, walk segments from Fraction row
+arithmetic, degenerate classes from one stacked integer determinant per
+class, sampled plane bases from Fraction Subspaces, the cells of a
+class from its difference body built as a Polytope, and witnesses,
+crossing probes, elementary transformations and certificates from
+Fraction rows and Fraction kernel bases.
 """
 
 import random
@@ -32,11 +33,46 @@ from shadowlab import shadow as sh
 from shadowlab import walk as wk
 from shadowlab.errors import (
     DegenerateBasisError,
+    DimensionError,
     GeometryError,
     InadmissiblePlaneError,
     ParameterError,
     WalkError,
 )
+
+
+class OracleSubspace:
+    """The former eager Subspace: the Fraction basis is built at
+    construction and int_rows and int_scale are read off it by
+    la.int_matrix; the canonical key is the Fraction Gauss-Jordan form
+    (oracle_rref)."""
+
+    def __init__(self, basis, ambient=None):
+        basis = tuple(la.as_vec(v) for v in basis)
+        if basis:
+            width = len(basis[0])
+            if any(len(v) != width for v in basis):
+                raise DimensionError("basis vectors of mixed lengths")
+            if ambient not in (None, width):
+                raise DimensionError(f"basis vectors do not have length {ambient}")
+            ambient = width
+        elif ambient is None:
+            raise DimensionError("zero subspace needs an ambient dimension")
+        self.int_rows, self.int_scale = la.int_matrix(basis)
+        if kernels.rank_int(self.int_rows) != len(basis):
+            raise DegenerateBasisError("basis is linearly dependent")
+        self.basis = basis
+        self.ambient = ambient
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def canonical_key(self):
+        return oracle_rref(self.basis)[0]
+
+    def __hash__(self):
+        return hash((self.ambient, self.canonical_key()))
 
 
 def oracle_det(rows):

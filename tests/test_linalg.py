@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from shadowlab import linalg as la
 from shadowlab.errors import DegenerateBasisError, DimensionError, ParameterError
 from oracles import (
+    OracleSubspace,
     oracle_det,
     oracle_gauss_jordan,
     oracle_rank,
@@ -340,3 +341,47 @@ def test_span_of_matches_the_validating_constructor(m):
     assert got.ambient == want.ambient
     assert got.canonical_key() == want.canonical_key()
     assert got == want and hash(got) == hash(want)
+
+
+@st.composite
+def row_families(draw):
+    """One to four rows of integer, Fraction or mixed entries, made
+    dependent (a multiple of the next row, possibly zero) half the
+    time."""
+    entry = draw(st.sampled_from([small_int, rat, st.one_of(small_int, rat)]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        c = draw(small_int)
+        rows[i] = [c * x for x in rows[(i + 1) % n]]
+    return tuple(tuple(r) for r in rows)
+
+
+def assert_matches_eager(got, want):
+    # integer rows, multipliers and keys answer with no Fraction basis
+    assert all(type(x) is int for r in got.int_rows for x in r)
+    assert got.int_rows == want.int_rows
+    assert got.int_scale == want.int_scale
+    assert got.dim == want.dim and got.ambient == want.ambient
+    assert got._basis is None
+    assert got.canonical_key() == want.canonical_key()
+    assert hash(got) == hash(want)
+    assert got.basis == want.basis
+    assert all(type(x) is Fr for r in got.basis for x in r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_families())
+def test_subspace_matches_the_eager_oracle(rows):
+    d = len(rows[0])
+    # the trusted constructor, through span_of, on any family
+    assert_matches_eager(la.span_of(rows), OracleSubspace(oracle_rref(rows)[0], ambient=d))
+    try:
+        want = OracleSubspace(rows)
+    except DegenerateBasisError:
+        with pytest.raises(DegenerateBasisError):
+            la.Subspace(rows)
+        return
+    assert_matches_eager(la.Subspace(rows), want)

@@ -364,6 +364,22 @@ def test_sample_admissible_matches_fraction_subspace_oracle(p):
         assert [w._unmap for w in got] == [w._unmap for w in want]
 
 
+@pytest.mark.parametrize(
+    "p",
+    [HYPERCUBE, fam.zonotope(fam.random_generators(6, 4, 7)), fam.hyperprism_pnd(2, 5, 0)],
+    ids=["cube4", "zono7", "pnd5"],
+)
+def test_sampled_planes_answer_without_their_fraction_basis(p):
+    for w in sh.sample_admissible(p, 0, 12):
+        a, c = w.basis, w.complement
+        assert (a.dim, c.dim) == (2, p.dim - 2)
+        assert a.contains(a.int_rows[0]) and c.contains(c.int_rows[-1])
+        assert not c.contains(a.int_rows[0]) and not a.contains(c.int_rows[0])
+        assert a == la.int_subspace(a.int_rows) and c != a
+        assert sh.is_admissible(p, w).ok
+        assert a._basis is None and c._basis is None
+
+
 def test_sample_admissible_errors():
     with pytest.raises(ParameterError):
         sh.sample_admissible(CUBE, 1, 0)

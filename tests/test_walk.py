@@ -994,11 +994,12 @@ def test_walk_segment_matches_fraction_oracle(case):
 
 
 def _complete_basis_by_rational_rank(first, rows):
-    comp = [first]
-    for r in rows:
+    comp, kept = [first], []
+    for i, r in enumerate(rows):
         if la.rank(tuple(comp) + (r,)) > len(comp):
             comp.append(r)
-    return comp
+            kept.append(i)
+    return kept
 
 
 @settings(max_examples=80, deadline=None)
@@ -1011,7 +1012,10 @@ def test_complete_basis_matches_rational_rank(case, data):
         rows.append(rows[0])
     first = la.as_vec(data.draw(st.tuples(*[RATS] * p.dim)))
     assume(any(first))
-    assert wk._complete_basis(first, rows) == _complete_basis_by_rational_rank(first, rows)
+    # _complete_basis runs on the rows scaled to integers
+    ints = [tuple(la.int_row(r)[0]) for r in rows]
+    got = wk._complete_basis(tuple(la.int_row(first)[0]), ints)
+    assert got == _complete_basis_by_rational_rank(first, rows)
 
 
 def test_verify_reports_wrong_row_width():
