@@ -12,10 +12,11 @@ grows with the number of faces, not with the C(n, d) subsets of n
 points. int_facets needs no Polytope, so callers that only want the
 facets and faces of an integer point set (the decider's difference
 bodies) call it and faces_by_dim directly.
-Other faces are computed on demand and cached: lower faces by closing
-facet vertex sets under intersection, parallel classes of 2-faces by
-span equality, and proscribed directions as the pairwise span
-intersections (edge directions included).
+A Polytope stores its facets the same way, as ids and planes. The rest
+is computed on demand and cached: lower face ids by closing the facet
+vertex sets under intersection, every Face and its span in k_faces (the
+one builder), parallel classes of 2-faces by span equality, and
+proscribed directions as the pairwise span intersections.
 """
 
 from itertools import combinations
@@ -81,20 +82,22 @@ class ProscribedDirection:
 
 
 class Polytope:
-    """Immutable vertex list plus cached face data. Use build() or hull()."""
+    """Immutable vertex list plus cached face data. Use build() or hull().
 
-    def __init__(self, vertices, label, facets):
+    Facets are stored as vertex ids plus planes; k_faces builds the Faces.
+    """
+
+    def __init__(self, vertices, label, int_vertices, face_ids, facet_planes):
         self.vertices = vertices
         self.label = label
         self.dim = len(vertices[0])
-        self._facets = facets
-        self._facet_planes = None
+        self._int_vertices = int_vertices
+        # vertex ids of the proper faces by dimension, the facets' first
+        self._face_ids = face_ids
+        self._facet_planes = facet_planes
         self._faces_by_dim = {}
-        # vertex ids of the proper faces by dimension (faces_by_dim)
-        self._face_ids = None
         self._classes = None
         self._proscribed = None
-        self._int_vertices = None
         # the walk layer's reference frame (walk.reference_frame)
         self._frame = None
         # edge ids by vertex pair (edge_index)
@@ -102,8 +105,6 @@ class Polytope:
 
     def int_vertices(self):
         """Vertices scaled by a common multiplier to integer tuples."""
-        if self._int_vertices is None:
-            self._int_vertices = int_points(self.vertices)
         return self._int_vertices
 
     def __repr__(self):
@@ -332,18 +333,13 @@ def hull(points, label=None):
         ]
         mult = v_mult
 
-    faces = []
-    for ids, _n, _o in facets:
-        base = pts_int[ids[0]]
-        diffs = (tuple(map(sub, pts_int[i], base)) for i in ids[1:])
-        rows = _independent([], diffs, d - 1)
-        if len(rows) < d - 1:
-            raise PolytopeError(f"facet {ids} is not {d - 1}-dimensional")
-        faces.append(Face(ids, d - 1, la.span_of(rows, ambient=d)))
-    poly = Polytope(pts, label, tuple(faces))
-    poly._int_vertices = (pts_int, mult)
-    poly._facet_planes = tuple((tuple(n), off) for _i, n, off in facets)
-    return poly
+    return Polytope(
+        pts,
+        label,
+        (pts_int, mult),
+        {d - 1: [ids for ids, _n, _o in facets]},
+        tuple((n, off) for _i, n, off in facets),
+    )
 
 
 def build(vertices, label=None):
@@ -364,7 +360,7 @@ def build(vertices, label=None):
 
 def facets(p):
     """All (d-1)-faces."""
-    return p._facets
+    return k_faces(p, p.dim - 1)
 
 
 def facet_planes(p):
@@ -417,22 +413,26 @@ def faces_by_dim(points, facet_sets):
 
 
 def k_faces(p, k):
-    """All k-faces, 0 <= k <= d-1, sorted by vertex ids."""
+    """All k-faces, 0 <= k <= d-1, sorted by vertex ids.
+
+    The one builder of Face objects and their spans; raises
+    PolytopeError when a span is not k-dimensional.
+    """
     if not (0 <= k <= p.dim - 1):
         raise ParameterError(f"k={k} out of range for dimension {p.dim}")
     if k in p._faces_by_dim:
         return p._faces_by_dim[k]
-    if k == p.dim - 1:
-        p._faces_by_dim[k] = list(p._facets)
-        return p._faces_by_dim[k]
     pts = p.int_vertices()[0]
-    if p._face_ids is None:
-        p._face_ids = faces_by_dim(pts, (f.vertex_ids for f in p._facets))
+    if k not in p._face_ids:
+        p._face_ids.update(faces_by_dim(pts, p._face_ids[p.dim - 1]))
     out = []
     for ids in p._face_ids[k]:
         base = pts[ids[0]]
         diffs = [tuple(map(sub, pts[i], base)) for i in ids[1:]]
-        out.append(Face(ids, k, la.span_of(diffs, ambient=p.dim)))
+        span = la.span_of(diffs, ambient=p.dim)
+        if span.dim != k:
+            raise PolytopeError(f"face {ids} is not {k}-dimensional")
+        out.append(Face(ids, k, span))
     p._faces_by_dim[k] = out
     return out
 
@@ -541,22 +541,23 @@ def face_edges(p, face):
 
 
 def apply_isometry(p, matrix):
-    """Polytope with every vertex mapped by an invertible linear map.
+    """Polytope with every vertex mapped by a rational orthogonal map.
 
-    Vertex order is preserved, so face vertex ids carry over, and the
-    face lattice is transported instead of recomputed: only the face
-    spans change. Parallel classes are not carried over, since their
-    order follows the moved spans.
+    matrix = M / den with M M^T = den^2 I, else ParameterError. Vertex
+    order is preserved, so the face ids carry over. Only the vertices
+    and the facet planes move, a normal n to M n with the offset read
+    off a moved vertex; no span is built. Parallel classes are not
+    carried over, since their order follows the moved spans.
     """
+    m, den = int_points(matrix)
+    d = p.dim
+    gram = [[kernels.dot(a, b) for b in m] for a in m]
+    if gram != [[den * den if i == j else 0 for j in range(d)] for i in range(d)]:
+        raise ParameterError("apply_isometry needs a rational orthogonal matrix")
     moved = tuple(la.matvec(matrix, v) for v in p.vertices)
-    new_facets = tuple(
-        Face(
-            f.vertex_ids,
-            f.dim,
-            la.span_of([la.matvec(matrix, b) for b in f.span.int_rows], ambient=p.dim),
-        )
-        for f in p._facets
-    )
-    out = Polytope(moved, p.label, new_facets)
-    out._face_ids = p._face_ids
-    return out
+    pts, mult = int_points(moved)
+    planes = []
+    for ids, (n, _off) in zip(p._face_ids[d - 1], p._facet_planes):
+        normal = [kernels.dot(row, n) for row in m]
+        planes.append(_canonical_facet(normal, kernels.dot(normal, pts[ids[0]])))
+    return Polytope(moved, p.label, (pts, mult), p._face_ids, tuple(planes))

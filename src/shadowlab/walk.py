@@ -326,14 +326,6 @@ def degeneration_polynomial(segment, cls):
     return segment_polynomials(segment)(cls)
 
 
-def _int_square(m):
-    """A rational square matrix m as (integer rows M, positive den) with
-    m = M / den."""
-    d = len(m)
-    flat, den = la.int_row([x for row in m for x in row])
-    return tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d)), den
-
-
 def _eta_line(a, b):
     """a[0] b - b[0] a: it spans the meet of span(a, b) with the
     reference hyperplane x_0 = 0, or is zero when the plane lies in it."""
@@ -416,13 +408,13 @@ def reference_isometry(p):
         (bad_planes, eta_plane, "eta directions", "eta"),
     ):
         for _ in range(_SEARCH_CAP):
-            found = bad(_int_square(q)[0])
+            found = bad(pt.int_points(q)[0])
             if not found:
                 break
             i, j = plane_of(found)
             for k in range(2, _SEARCH_CAP + 2):
                 r = la.matmul(la.plane_rotation(d, i, j, Fraction(1, k)), q)
-                if len(bad(_int_square(r)[0])) < len(found):
+                if len(bad(pt.int_points(r)[0])) < len(found):
                     q = r
                     break
             else:
@@ -430,7 +422,7 @@ def reference_isometry(p):
         else:
             raise WalkError(f"{stage} stage did not converge")
     keyed = sorted(
-        (la.span_of(ab).canonical_key(), ab) for ab in moved_planes(_int_square(q)[0])
+        (la.span_of(ab).canonical_key(), ab) for ab in moved_planes(pt.int_points(q)[0])
     )
     return q, _etas([ab for _key, ab in keyed])
 
@@ -445,7 +437,7 @@ def reference_frame(p):
     """
     if p._frame is None:
         rot, etas = reference_isometry(p)
-        m, den = _int_square(rot)
+        m, den = pt.int_points(rot)
         p._frame = ReferenceFrame(
             rot,
             la.transpose(rot),
