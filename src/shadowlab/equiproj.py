@@ -96,47 +96,28 @@ def _direction_key(d):
     return tuple(Fraction(x, pivot) for x in d)
 
 
-def _order_chain(pairs, eidx):
-    """Edge ids of a vertex-pair chain, ordered along the path."""
-    if not pairs:
-        return ()
-    adj = {}
-    for a, b in pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
-    if len(ends) != 2:
-        raise GeometryError("visibility chain is not a simple path")
-    out = []
-    prev = None
-    cur = ends[0]
-    while True:
-        nxt = None
-        for cand in adj[cur]:
-            if cand != prev:
-                nxt = cand
-                break
-        if nxt is None:
-            break
-        out.append(eidx[tuple(sorted((cur, nxt)))])
-        if len(adj[nxt]) == 1:
-            break
-        prev, cur = cur, nxt
-    if len(out) != len(pairs):
-        raise GeometryError("visibility chain is not a simple path")
-    return tuple(out)
-
-
 def _face_chains(p, face_id, frame):
-    state = wk.frame_chains(p, pt.k_faces(p, 2)[face_id], frame)
+    """The chains of a 2-face as edge ids: the two arcs of its cycle
+    between its two fixed points, each read from the smaller one."""
+    face = pt.k_faces(p, 2)[face_id]
+    state = wk.frame_chains(p, face, frame)
     if len(state.fixed) != 2:
         raise GeometryError(
             f"face {face_id} has {len(state.fixed)} fixed points, wanted 2"
         )
+    a, b = state.fixed
+    cycle = pt.face_cycle(p, face)
+    i = cycle.index(a)
+    cycle = cycle[i:] + cycle[: i + 1]
+    j = cycle.index(b)
     eidx = pt.edge_index(p)
-    visible = _order_chain(state.visible, eidx)
-    invisible = _order_chain(state.invisible, eidx)
+    visible, invisible = (
+        tuple(eidx[tuple(sorted(e))] for e in zip(arc, arc[1:]))
+        for arc in (cycle[: j + 1], cycle[j:][::-1])
+    )
     edges = pt.k_faces(p, 1)
+    if edges[visible[0]].vertex_ids not in state.visible:
+        visible, invisible = invisible, visible
     for chain in (visible, invisible):
         dirs = [_edge_direction(p, edges[e]) for e in chain]
         for i in range(len(dirs)):

@@ -15,54 +15,20 @@ from operator import mul
 USING_COMPILED = False
 
 
-def det_int(rows):
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _eliminate(rows, ncols):
+    """Forward Bareiss elimination of integer rows of width ncols.
 
-    The empty matrix has determinant 1. All intermediate divisions are
-    exact, so the result is an exact integer.
+    Returns (rank, sign, last): sign is that of the row swaps and last
+    the last pivot, which for a square matrix of full rank is sign times
+    its determinant. Every update divides exactly by the previous pivot.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    for r in m:
-        if len(r) != n:
-            raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        rk = m[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            mik = ri[k]
-            for j in range(k + 1, n):
-                # Bareiss update: exact division by the previous pivot.
-                ri[j] = (pivot * ri[j] - mik * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def rank_int(rows):
-    """Rank of a rectangular integer matrix, fraction-free elimination."""
     m = [list(r) for r in rows]
     nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
     for r in m:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
     rank = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         if rank == nrows:
@@ -76,6 +42,7 @@ def rank_int(rows):
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         pivot = m[rank][col]
         rk = m[rank]
         for i in range(rank + 1, nrows):
@@ -89,7 +56,27 @@ def rank_int(rows):
             ri[col] = 0
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign, prev
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    The empty matrix has determinant 1. All intermediate divisions are
+    exact, so the result is an exact integer.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    rank, sign, last = _eliminate(rows, n)
+    return sign * last if rank == n else 0
+
+
+def rank_int(rows):
+    """Rank of a rectangular integer matrix, fraction-free elimination."""
+    if not rows:
+        return 0
+    return _eliminate(rows, len(rows[0]))[0]
 
 
 def rref_int(rows):

@@ -19,6 +19,7 @@ one builder), parallel classes of 2-faces by span equality, and
 proscribed directions as the pairwise span intersections.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import sub
@@ -460,8 +461,9 @@ def proscribed_directions(p):
     """Deduplicated lines where pairs of 2-face spans meet.
 
     Covers Span[F] cap Span[F'] over all non-parallel pairs with
-    nonzero intersection; edge directions always appear (each edge lies
-    in two non-parallel 2-faces whose spans meet exactly in it).
+    nonzero intersection. Edge directions are among them: two 2-faces
+    through one edge cannot be parallel, so their class planes meet
+    exactly in its line.
     """
     if p._proscribed is not None:
         return p._proscribed
@@ -476,19 +478,6 @@ def proscribed_directions(p):
             found[line] = ProscribedDirection(
                 line, (ca.member_ids[0], cb.member_ids[0])
             )
-    if p.dim >= 3:
-        two_faces = k_faces(p, 2)
-        for edge in k_faces(p, 1):
-            line = la.primitive(edge.span.int_rows[0])
-            if line in found:
-                continue
-            holders = [
-                i
-                for i, f in enumerate(two_faces)
-                if set(edge.vertex_ids) <= set(f.vertex_ids)
-            ]
-            # two distinct 2-faces through one edge cannot be parallel
-            found[line] = ProscribedDirection(line, (holders[0], holders[1]))
     out = [found[k] for k in sorted(found)]
     p._proscribed = out
     return out
@@ -545,17 +534,23 @@ def apply_isometry(p, matrix):
 
     matrix = M / den with M M^T = den^2 I, else ParameterError. Vertex
     order is preserved, so the face ids carry over. Only the vertices
-    and the facet planes move, a normal n to M n with the offset read
-    off a moved vertex; no span is built. Parallel classes are not
-    carried over, since their order follows the moved spans.
+    and the facet planes move, both on integers: the integer vertices
+    to M times them, a normal n to M n with the offset read off a moved
+    vertex; no span is built. Parallel classes are not carried over,
+    since their order follows the moved spans.
     """
     m, den = int_points(matrix)
     d = p.dim
     gram = [[kernels.dot(a, b) for b in m] for a in m]
     if gram != [[den * den if i == j else 0 for j in range(d)] for i in range(d)]:
         raise ParameterError("apply_isometry needs a rational orthogonal matrix")
-    moved = tuple(la.matvec(matrix, v) for v in p.vertices)
-    pts, mult = int_points(moved)
+    ints, mult = p.int_vertices()
+    rows = [[kernels.dot(r, v) for r in m] for v in ints]
+    # dividing out the gcd leaves int_points' minimal multiplier
+    g = gcd(den * mult, *(x for r in rows for x in r))
+    pts = tuple(tuple(x // g for x in r) for r in rows)
+    mult = den * mult // g
+    moved = tuple(tuple(Fraction(x, mult) for x in r) for r in pts)
     planes = []
     for ids, (n, _off) in zip(p._face_ids[d - 1], p._facet_planes):
         normal = [kernels.dot(row, n) for row in m]

@@ -22,7 +22,7 @@ and seeded.
 """
 
 import random
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -1013,17 +1013,21 @@ def boundary_chains(p, face_id, w):
 
 def frame_chains(p, face, frame):
     """boundary_chains of a 2-face, given the plane's sh.HullFrame, so
-    that faces seen on one plane share its hull."""
-    visible = []
-    invisible = []
-    for e in pt.face_edges(p, face):
-        if sh.in_boundary(frame, e.vertex_ids):
-            visible.append(e.vertex_ids)
-        else:
-            invisible.append(e.vertex_ids)
-    degree = Counter(x for pair in visible for x in pair)
-    fixed = tuple(sorted(x for x in face.vertex_ids if degree[x] == 1))
-    return ChainState(frozenset(visible), frozenset(invisible), fixed)
+    that faces seen on one plane share its hull.
+
+    One walk around the face cycle flags each edge. Every vertex of the
+    face has two face edges, so the fixed points are the cycle vertices
+    where the flag flips.
+    """
+    cycle = pt.face_cycle(p, face)
+    after = cycle[1:] + cycle[:1]
+    edges = [tuple(sorted(e)) for e in zip(cycle, after)]
+    seen = [sh.in_boundary(frame, e) for e in edges]
+    # after[i] joins edge i to edge i + 1
+    flips = zip(after, seen, seen[1:] + seen[:1])
+    fixed = tuple(sorted(v for v, s, t in flips if s != t))
+    visible = frozenset(e for e, s in zip(edges, seen) if s)
+    return ChainState(visible, frozenset(edges) - visible, fixed)
 
 
 def _before_chain(p, face_id, tr):

@@ -12,13 +12,15 @@ witness planes, walk degeneration polynomials from rational
 determinants at three times, walk segments from Fraction row
 arithmetic, degenerate classes from one stacked integer determinant per
 class, sampled plane bases from Fraction Subspaces, the cells of a
-class from its difference body built as a Polytope, and witnesses,
+class from its difference body built as a Polytope, witnesses,
 crossing probes, elementary transformations and certificates from
-Fraction rows and Fraction kernel bases.
+Fraction rows and Fraction kernel bases, and the visibility chains of a
+2-face from visible-edge degrees and a path traced through its vertex
+pairs.
 """
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
@@ -492,6 +494,72 @@ def oracle_face_edges(p, face):
     return [e for e in pt.k_faces(p, 1) if set(e.vertex_ids) <= inside]
 
 
+def oracle_frame_chains(p, face, frame):
+    """walk.frame_chains from each face edge on its own: the fixed
+    points are the face vertices meeting exactly one visible edge."""
+    visible = []
+    invisible = []
+    for e in oracle_face_edges(p, face):
+        if sh.in_boundary(frame, e.vertex_ids):
+            visible.append(e.vertex_ids)
+        else:
+            invisible.append(e.vertex_ids)
+    degree = Counter(x for pair in visible for x in pair)
+    fixed = tuple(sorted(x for x in face.vertex_ids if degree[x] == 1))
+    return wk.ChainState(frozenset(visible), frozenset(invisible), fixed)
+
+
+def _oracle_order_chain(pairs, eidx):
+    """Edge ids of a vertex-pair chain, ordered along the path from its
+    smaller end."""
+    if not pairs:
+        return ()
+    adj = {}
+    for a, b in pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
+    if len(ends) != 2:
+        raise GeometryError("visibility chain is not a simple path")
+    out = []
+    prev = None
+    cur = ends[0]
+    while True:
+        nxt = None
+        for cand in adj[cur]:
+            if cand != prev:
+                nxt = cand
+                break
+        if nxt is None:
+            break
+        out.append(eidx[tuple(sorted((cur, nxt)))])
+        if len(adj[nxt]) == 1:
+            break
+        prev, cur = cur, nxt
+    if len(out) != len(pairs):
+        raise GeometryError("visibility chain is not a simple path")
+    return tuple(out)
+
+
+def oracle_face_chains(p, face_id, frame):
+    """equiproj._face_chains with each chain traced as a path through
+    its vertex pairs, and edges compared on rational directions."""
+    state = oracle_frame_chains(p, pt.k_faces(p, 2)[face_id], frame)
+    if len(state.fixed) != 2:
+        raise GeometryError(
+            f"face {face_id} has {len(state.fixed)} fixed points, wanted 2"
+        )
+    edges = pt.k_faces(p, 1)
+    eidx = {e.vertex_ids: i for i, e in enumerate(edges)}
+    visible = _oracle_order_chain(state.visible, eidx)
+    invisible = _oracle_order_chain(state.invisible, eidx)
+    for chain in (visible, invisible):
+        dirs = [oracle_edge_direction(p, edges[e]) for e in chain]
+        if any(oracle_parallel(a, b) for a, b in combinations(dirs, 2)):
+            raise GeometryError("two parallel edges share a visibility chain")
+    return eq.FaceChains(face_id, state.fixed, visible, invisible)
+
+
 def oracle_pull_back(int_inverse, row):
     """inverse times a rational row, from integer dot products: with the
     inverse M / c and the row R / s, entry i is M_i . R / (c * s)."""
@@ -767,8 +835,9 @@ def oracle_elementary_transformation(p, face_id, other_id, witness, reverse=Fals
 def oracle_visible_pairs(p):
     """equiproj.visible_pairs built from the oracles: each configuration's
     witness from oracle_witness, its transformation from
-    oracle_elementary_transformation, and the chains read off the hull
-    of the plane orthogonal to the Fraction rows at -eps/2."""
+    oracle_elementary_transformation, and the chains from
+    oracle_face_chains on the hull of the plane orthogonal to the
+    Fraction rows at -eps/2."""
     certs = []
     for cid in range(len(pt.parallel_classes(p))):
         found = {}
@@ -781,8 +850,8 @@ def oracle_visible_pairs(p):
             tr = oracle_elementary_transformation(p, conf[0], other, rows)
             w = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at(-tr.epsilon / 2))
             frame = sh.hull_frame(p, w)
-            chains = eq._face_chains(p, conf[0], frame)
-            other_chains = None if other is None else eq._face_chains(p, other, frame)
+            chains = oracle_face_chains(p, conf[0], frame)
+            other_chains = None if other is None else oracle_face_chains(p, other, frame)
             certs.append(
                 eq.VisibilityCertificate(conf[0], other, tuple(rows), chains, other_chains)
             )

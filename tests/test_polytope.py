@@ -343,6 +343,19 @@ def test_face_edges_match_the_edge_scan(p):
     assert [pt.k_faces(p, 1)[i].vertex_ids for i in index.values()] == list(index)
 
 
+@pytest.mark.parametrize("p", EDGE_ZOO, ids=lambda p: p.label)
+def test_proscribed_directions_match_the_brute_pairs(p):
+    # the oracle adds every edge direction on its own, so a missing edge
+    # line shows
+    got = pt.proscribed_directions(p)
+    assert {d.line for d in got} == oracle_proscribed_lines(p)
+    faces = pt.k_faces(p, 2)
+    for d in got:
+        i, j = d.witness_pair
+        inter = la.intersect(faces[i].span, faces[j].span)
+        assert inter.dim == 1 and la.primitive(inter.basis[0]) == d.line
+
+
 @pytest.mark.parametrize("p", EDGE_ZOO[:4], ids=lambda p: p.label)
 def test_apply_isometry_carries_the_face_ids(p):
     d = p.dim
