@@ -293,7 +293,7 @@ def visible_pairs(p):
 def _traversal(p, face, flipped):
     cyc = pt.face_cycle(p, face)
     if flipped:
-        cyc = [cyc[0]] + cyc[1:][::-1]
+        cyc = cyc[:1] + cyc[:0:-1]
     return cyc
 
 

@@ -132,6 +132,21 @@ def cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _hull_chain(pts):
+    """One monotone chain over sorted points: each point pops the
+    points it does not leave on a strict left turn (cross2 inlined)."""
+    out = []
+    for q in pts:
+        qx, qy = q
+        while len(out) > 1:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (qy - oy) > (ay - oy) * (qx - ox):
+                break
+            out.pop()
+        out.append(q)
+    return out
+
+
 def strict_hull_2d(points):
     """Counterclockwise strict convex hull of distinct 2D points.
 
@@ -141,17 +156,7 @@ def strict_hull_2d(points):
     pts = sorted(points)
     if len(pts) <= 2:
         return pts
-    lower = []
-    for q in pts:
-        while len(lower) > 1 and cross2(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper = []
-    for q in reversed(pts):
-        while len(upper) > 1 and cross2(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    return lower[:-1] + upper[:-1]
+    return _hull_chain(pts)[:-1] + _hull_chain(reversed(pts))[:-1]
 
 
 def complementary_minors(rows, width):

@@ -103,6 +103,8 @@ class Polytope:
         self._frame = None
         # edge ids by vertex pair (edge_index)
         self._edge_idx = None
+        # 2-face boundary cycles by vertex ids (face_cycle)
+        self._cycles = {}
 
     def int_vertices(self):
         """Vertices scaled by a common multiplier to integer tuples."""
@@ -491,13 +493,17 @@ def edge_index(p):
 
 
 def face_cycle(p, face):
-    """Vertex ids of a 2-face in boundary-cycle order.
+    """Vertex ids of a 2-face in boundary-cycle order, as a tuple
+    cached on the polytope.
 
     The cycle starts at the smallest vertex id; direction is not
     specified here (callers orient it).
     """
     if face.dim != 2:
         raise ParameterError("face_cycle needs a 2-face")
+    cycle = p._cycles.get(face.vertex_ids)
+    if cycle is not None:
+        return cycle
     adj = {v: [] for v in face.vertex_ids}
     for edge in face_edges(p, face):
         a, b = edge.vertex_ids
@@ -517,6 +523,7 @@ def face_cycle(p, face):
             break
         cycle.append(nxt)
         prev, cur = cur, nxt
+    cycle = p._cycles[face.vertex_ids] = tuple(cycle)
     return cycle
 
 

@@ -1,21 +1,31 @@
 """Planar projections: shadow polygons, degeneration tests, sampling.
 
-Decisions run in an integer frame. A plane keeps its basis rows and its
-orthogonal rows scaled to integers by positive factors; a vertex,
-scaled by the polytope's common multiplier, has as integer image its
-two dot products with the integer basis rows. The public frame
-coordinates (those of the orthogonal projection in the plane's basis)
-are the image of that integer pair under a linear map of positive
-determinant: the inverse Gram matrix composed with positive scalings.
-Hull vertices, their counterclockwise order, fibers, collinearity and
-boundary containment are therefore the same in both frames, so hulls
-and boundary tests run on integer pairs and only the k hull points are
-mapped back to public coordinates. Everything stays exact.
+Decisions run on the plane's own two integer rows A = (a1, a2), its
+basis rows scaled to integers by positive factors. A vertex, scaled by
+the polytope's common multiplier, has as integer image its two dot
+products with a1 and a2. The public frame coordinates (those of the
+orthogonal projection in the plane's basis) are the image of that
+integer pair under a linear map of positive determinant: the inverse
+Gram matrix composed with positive scalings. Hull vertices, their
+counterclockwise order, fibers, collinearity and boundary containment
+are therefore the same in both frames, so hulls and boundary tests run
+on integer pairs. Every public point is an integer numerator pair over
+the one positive denominator det(Gram) times the multiplier, so the
+smallest public point is read off the numerators, and only the k hull
+points become Fractions.
+
+A parallel class with integer plane rows F degenerates at W exactly
+when its plane meets the orthogonal complement, that is when A kills a
+nonzero x f1 + y f2, that is when det(A F^T) = 0. By Cauchy-Binet that
+determinant is the dot product of the 2x2 minors of A with those of F,
+which each class caches, so admissibility needs no complement.
+Everything stays exact.
 """
 
 import random
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from . import kernels
 from . import linalg as la
@@ -33,15 +43,16 @@ from .kernels import cross2, strict_hull_2d
 class ProjectionPlane:
     """A 2-plane W together with its exact orthogonal complement.
 
-    The integer frame uses the int_rows of basis and complement, the
-    public rows scaled by positive factors, so it keeps the orientation
-    of the public frame. complement, when given, must be the orthogonal
+    The integer frame uses the int_rows of basis, the public rows
+    scaled by positive factors, so it keeps the orientation of the
+    public frame. complement, when given, must be the orthogonal
     complement of basis (from_orthogonal passes the span it started
     from); otherwise it is the kernel of the basis's integer rows
-    (la.kernel_space).
+    (la.kernel_space), built on first read. Projections, hulls and
+    admissibility never read it.
     """
 
-    __slots__ = ("basis", "complement", "_unmap")
+    __slots__ = ("basis", "_complement", "_unmap")
 
     def __init__(self, basis, complement=None):
         if not isinstance(basis, la.Subspace):
@@ -49,9 +60,7 @@ class ProjectionPlane:
         if basis.dim != 2:
             raise DimensionError("projection plane must have dimension 2")
         self.basis = basis
-        if complement is None:
-            complement = la.kernel_space(basis)
-        self.complement = complement
+        self._complement = complement
         a1, a2 = basis.int_rows
         c1, c2 = basis.int_mults
         # with A = diag(c1, c2) B and G the Gram matrix of A, the frame
@@ -67,6 +76,13 @@ class ProjectionPlane:
         if w.dim != 2:
             raise DimensionError("orthogonal space must have dimension d-2")
         return cls(w, complement=s)
+
+    @property
+    def complement(self):
+        """The orthogonal complement of the plane, as a Subspace."""
+        if self._complement is None:
+            self._complement = la.kernel_space(self.basis)
+        return self._complement
 
     @property
     def ambient(self):
@@ -98,9 +114,34 @@ ShadowPolygon = namedtuple(
     "ShadowPolygon", ["hull_vertex_ids", "points", "k", "fibers"]
 )
 
-# Integer images of every vertex, in vertex order, and the strict ccw
-# hull of those images.
-HullFrame = namedtuple("HullFrame", ["images", "hull"])
+
+class HullFrame:
+    """Integer images of every vertex, in vertex order, and the strict
+    ccw hull of those images, with the hull edges holding each image.
+
+    Edge i joins hull[i] to hull[i + 1]. The hull vertex at position i
+    lies on edges i - 1 and i; any other image is found by one scan of
+    the edges, memoised.
+    """
+
+    __slots__ = ("images", "hull", "_edges")
+
+    def __init__(self, images, hull):
+        self.images = images
+        self.hull = hull
+        k = len(hull)
+        self._edges = {q: frozenset(((i - 1) % k, i)) for i, q in enumerate(hull)}
+
+    def edges_at(self, q):
+        """Positions of the closed hull edges holding the image q."""
+        edges = self._edges.get(q)
+        if edges is None:
+            hull = self.hull
+            ends = zip(hull, hull[1:] + hull[:1])
+            edges = frozenset(i for i, (a, b) in enumerate(ends) if on_segment(q, a, b))
+            self._edges[q] = edges
+        return edges
+
 
 Admissibility = namedtuple("Admissibility", ["ok", "violating_class"])
 
@@ -143,7 +184,10 @@ def int_images(p, w):
     pts, mult = (
         p.int_vertices() if isinstance(p, pt.Polytope) else pt.int_points(p.vertices)
     )
-    return [w.image(x) for x in pts], mult
+    a1, a2 = w.basis.int_rows
+    if len(pts[0]) != len(a1):
+        raise DimensionError("plane and polytope dimensions differ")
+    return [(sum(map(mul, a1, x)), sum(map(mul, a2, x))) for x in pts], mult
 
 
 def _polygon(points):
@@ -159,18 +203,23 @@ def shadow(p, w):
     """Exact shadow polygon of p on the plane w.
 
     The cycle starts at the lexicographically smallest public point.
+    The public points share the positive denominator det * mult, so
+    that is the smallest numerator pair.
     """
     images, mult = int_images(p, w)
     fibers = {}
     for vid, q in enumerate(images):
         fibers.setdefault(q, []).append(vid)
     hull = _polygon(fibers)
-    points = [w.image_coords(q, mult) for q in hull]
-    s = points.index(min(points))
+    m00, m01, m10, m11, det = w._unmap
+    nums = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in hull]
+    s = nums.index(min(nums))
     hull = hull[s:] + hull[:s]
+    den = det * mult
+    points = tuple((Fraction(x, den), Fraction(y, den)) for x, y in nums[s:] + nums[:s])
     ids = tuple(fibers[q][0] for q in hull)
     fib = tuple(tuple(fibers[q]) for q in hull)
-    return ShadowPolygon(ids, tuple(points[s:] + points[:s]), len(hull), fib)
+    return ShadowPolygon(ids, points, len(hull), fib)
 
 
 def hull_frame(p, w):
@@ -186,10 +235,13 @@ def in_boundary(frame, vertex_ids):
     A convex set inside the boundary of a strictly convex polygon lies
     in one closed edge, so all images must share one.
     """
-    pts = [frame.images[i] for i in vertex_ids]
-    hull = frame.hull
-    edges = zip(hull, hull[1:] + hull[:1])
-    return any(all(on_segment(q, a, b) for q in pts) for a, b in edges)
+    common = None
+    for i in vertex_ids:
+        edges = frame.edges_at(frame.images[i])
+        common = edges if common is None else common & edges
+        if not common:
+            return False
+    return True
 
 
 def _row_minors(p, ints):
@@ -234,10 +286,24 @@ def degenerate_classes(p, rows):
     )
 
 
+def _plane_minors(p, w):
+    """The 2x2 minors of the plane's integer rows: the plane side of
+    every class's det(A F^T)."""
+    if w.ambient != p.dim:
+        raise DimensionError("plane and polytope dimensions differ")
+    return kernels.plane_minors(*w.basis.int_rows)
+
+
 def is_admissible(p, w):
-    """Exact admissibility with the first violating class on failure."""
-    cid = next(degenerate_classes(p, w.complement.int_rows), None)
-    return Admissibility(cid is None, cid)
+    """Exact admissibility with the first violating class on failure.
+
+    One dot product per class: det(A F^T) by Cauchy-Binet.
+    """
+    wmin = _plane_minors(p, w)
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        if not kernels.dot(wmin, cls.minors):
+            return Admissibility(False, cid)
+    return Admissibility(True, None)
 
 
 def degeneration_report(p, w):
@@ -251,11 +317,13 @@ def degeneration_report(p, w):
     degenerating = []
     frame = None
     faces = pt.k_faces(p, 2) if p.dim >= 3 else []
+    wmin = _plane_minors(p, w)
     for cid, cls in enumerate(pt.parallel_classes(p)):
-        g, h = (w.image(f) for f in cls.direction_plane.int_rows)
-        prank = 2 if cross2((0, 0), g, h) else int(any(g + h))
-        if prank == 2:
+        # the images g, h of the class rows have cross product det(A F^T)
+        if kernels.dot(wmin, cls.minors):
             continue
+        g, h = (w.image(f) for f in cls.direction_plane.int_rows)
+        prank = int(any(g + h))
         if frame is None:
             frame = hull_frame(p, w)
         members = []

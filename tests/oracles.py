@@ -14,9 +14,9 @@ arithmetic, degenerate classes from one stacked integer determinant per
 class, sampled plane bases from Fraction Subspaces, the cells of a
 class from its difference body built as a Polytope, witnesses,
 crossing probes, elementary transformations and certificates from
-Fraction rows and Fraction kernel bases, and the visibility chains of a
+Fraction rows and Fraction kernel bases, the visibility chains of a
 2-face from visible-edge degrees and a path traced through its vertex
-pairs.
+pairs, and shadow boundary containment from a scan of every hull edge.
 """
 
 import random
@@ -494,13 +494,22 @@ def oracle_face_edges(p, face):
     return [e for e in pt.k_faces(p, 1) if set(e.vertex_ids) <= inside]
 
 
+def oracle_in_boundary(frame, vertex_ids):
+    """sh.in_boundary by a scan of every hull edge of the frame: whether
+    one closed edge holds every image."""
+    pts = [frame.images[i] for i in vertex_ids]
+    hull = frame.hull
+    edges = zip(hull, hull[1:] + hull[:1])
+    return any(all(sh.on_segment(q, a, b) for q in pts) for a, b in edges)
+
+
 def oracle_frame_chains(p, face, frame):
     """walk.frame_chains from each face edge on its own: the fixed
     points are the face vertices meeting exactly one visible edge."""
     visible = []
     invisible = []
     for e in oracle_face_edges(p, face):
-        if sh.in_boundary(frame, e.vertex_ids):
+        if oracle_in_boundary(frame, e.vertex_ids):
             visible.append(e.vertex_ids)
         else:
             invisible.append(e.vertex_ids)
@@ -649,7 +658,7 @@ def oracle_boundary_members(p, cid, rows):
     return tuple(
         fid
         for fid in pt.parallel_classes(p)[cid].member_ids
-        if sh.in_boundary(frame, faces[fid].vertex_ids)
+        if oracle_in_boundary(frame, faces[fid].vertex_ids)
     )
 
 
@@ -765,7 +774,7 @@ def _oracle_validate_witness(p, face_id, other_id, rows):
     frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(rows))
     pair = (face_id,) if other_id is None else (face_id, other_id)
     for fid in pair:
-        if not sh.in_boundary(frame, faces[fid].vertex_ids):
+        if not oracle_in_boundary(frame, faces[fid].vertex_ids):
             raise GeometryError(f"face {fid} is not visible at the witness")
     return cid, u1
 

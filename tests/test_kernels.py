@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab import kernels
-from oracles import oracle_det, oracle_rank
+from oracles import oracle_det, oracle_hull_2d, oracle_rank
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -208,3 +208,27 @@ def test_minors_identity_matches_det_int(case):
     plane = kernels.plane_minors(a, b)
     assert len(comp) == len(plane) == d * (d - 1) // 2
     assert sum(x * y for x, y in zip(comp, plane)) == kernels.det_int(rows + [a, b])
+
+
+@st.composite
+def clouds(draw):
+    """Integer points in few columns, so x repeats, plus collinear runs
+    along random integer directions."""
+    pts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-12, 12)), max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        ox, oy = draw(st.tuples(small_int, small_int))
+        dx, dy = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        pts += [(ox + t * dx, oy + t * dy) for t in range(draw(st.integers(2, 5)))]
+    return set(pts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(clouds())
+def test_strict_hull_2d_matches_the_extreme_point_oracle(pts):
+    got = kernels.strict_hull_2d(pts)
+    want = [tuple(int(x) for x in q) for q in oracle_hull_2d(pts)]
+    if len(want) > 2:
+        # the same ccw cycle, started at the smallest point
+        s = want.index(min(want))
+        want = want[s:] + want[:s]
+    assert got == want

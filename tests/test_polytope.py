@@ -336,6 +336,7 @@ def test_face_edges_match_the_edge_scan(p):
             # the cycle walks exactly those edges
             cycle = pt.face_cycle(p, face)
             assert cycle[0] == min(face.vertex_ids)
+            assert pt.face_cycle(p, face) is cycle
             steps = zip(cycle, cycle[1:] + cycle[:1])
             assert {frozenset(s) for s in steps} == {frozenset(e.vertex_ids) for e in got}
     index = pt.edge_index(p)

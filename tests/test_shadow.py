@@ -1,5 +1,6 @@
 """Shadow polygons, degeneration reports, admissibility, sampling."""
 
+import random
 from fractions import Fraction as Fr
 from itertools import product
 from types import SimpleNamespace
@@ -21,7 +22,9 @@ from shadowlab.errors import (
     SamplingError,
 )
 from oracles import (
+    oracle_degenerate_classes,
     oracle_hull_2d,
+    oracle_in_boundary,
     oracle_sample_admissible,
     oracle_zonotope_shadow_size,
 )
@@ -596,3 +599,108 @@ def test_integer_frame_matches_fraction_frame(case):
     )
     first = want[0][0] if want else None
     assert sh.is_admissible(p, w) == (not want, first)
+
+
+# ------------------------------------- the plane's own rows, against oracles
+
+PERT = ZOO[-1]
+PN4 = ZOO[-2]
+# the paper's figure 2, 3 and 6 planes, each with its polytope
+FIGURE_PLANES = (
+    (HYPERCUBE, TILT4),
+    (PERT, TILT4),
+    (PN4, sh.ProjectionPlane(((1, 0, 0, 0), (0, 1, 0, 0)))),
+)
+
+
+def degenerate_ortho(rng, p, whole=False):
+    """Orthogonal rows holding a vector of one class's direction plane,
+    so that class degenerates, or with whole the plane itself, so that
+    it projects to a point; the other rows random."""
+    classes = pt.parallel_classes(p)
+    d = p.dim
+    while True:
+        f1, f2 = classes[rng.randrange(len(classes))].direction_plane.int_rows
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        if a == b == 0:
+            continue
+        rows = [f1, f2] if whole else [tuple(a * x + b * y for x, y in zip(f1, f2))]
+        while len(rows) < d - 2:
+            rows.append(tuple(rng.randint(-9, 9) for _ in range(d)))
+        if la.rank(rows) == d - 2:
+            return rows
+
+
+def zoo_plane_battery(p, seed):
+    """Sampled admissible planes and deliberately degenerate ones."""
+    rng = random.Random(f"battery:{seed}:{p.label}")
+    planes = sh.sample_admissible(p, f"battery:{seed}", 4)
+    kinds = (False,) * 6 + ((True,) * 2 if p.dim >= 4 else ())
+    planes += [
+        sh.ProjectionPlane.from_orthogonal(degenerate_ortho(rng, p, whole))
+        for whole in kinds
+    ]
+    return planes
+
+
+@pytest.mark.parametrize("p", ZOO, ids=lambda p: p.label)
+def test_admissibility_and_ranks_match_the_complement_determinants(p):
+    for w in zoo_plane_battery(p, 0):
+        want = oracle_degenerate_classes(p, w.complement.int_rows)
+        assert sh.is_admissible(p, w) == (not want, want[0] if want else None)
+        report = sh.degeneration_report(p, w)
+        assert [c.class_id for c in report.degenerating] == want
+        ranks = {}
+        for cid, cls in enumerate(pt.parallel_classes(p)):
+            g, h = (w.image(f) for f in cls.direction_plane.int_rows)
+            ranks[cid] = 2 if sh.cross2((0, 0), g, h) else int(any(g + h))
+        assert {c.class_id: c.projected_rank for c in report.degenerating} == {
+            cid: r for cid, r in ranks.items() if r < 2
+        }
+
+
+def test_plane_of_the_wrong_dimension_is_rejected():
+    for p, w in ((CUBE, TILT4), (HYPERCUBE, SKEW3)):
+        for call in (sh.is_admissible, sh.degeneration_report, sh.shadow, sh.hull_frame):
+            with pytest.raises(DimensionError):
+                call(p, w)
+
+
+@pytest.mark.parametrize(
+    "p", ZOO + (fam.hyperprism_pnd(2, 5, 0),), ids=lambda p: p.label
+)
+def test_in_boundary_matches_the_edge_scan(p):
+    planes = zoo_plane_battery(p, 1) + [w for q, w in FIGURE_PLANES if q is p]
+    sets = [f.vertex_ids for k in (1, 2) for f in pt.k_faces(p, k)]
+    sets += [(i,) for i in range(len(p.vertices))]
+    for w in planes:
+        frame = sh.hull_frame(p, w)
+        got = [sh.in_boundary(frame, ids) for ids in sets]
+        assert got == [oracle_in_boundary(frame, ids) for ids in sets]
+        # asked again, the memoised edges answer the same
+        assert got == [sh.in_boundary(frame, ids) for ids in sets]
+
+
+@pytest.mark.parametrize(
+    "p", (HYPERCUBE, ZOO[4], fam.hyperprism_pnd(2, 5, 0)), ids=lambda p: p.label
+)
+def test_sampled_planes_never_build_their_complement(p, monkeypatch):
+    calls = []
+    kernel_space = la.kernel_space
+
+    def counted(m):
+        calls.append(m)
+        return kernel_space(m)
+
+    monkeypatch.setattr(sh.la, "kernel_space", counted)
+    planes = sh.sample_admissible(p, 2, 8)
+    for w in planes:
+        assert sh.is_admissible(p, w).ok
+        sh.shadow(p, w)
+        sh.degeneration_report(p, w)
+    assert calls == []
+    for w in planes:
+        c = w.complement
+        assert c.int_rows == kernel_space(w.basis).int_rows
+        assert c == kernel_space(w.basis) and w.complement is c
+    assert len(calls) == len(planes)
