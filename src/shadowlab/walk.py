@@ -14,8 +14,9 @@ compares all run on those integers, and Fraction rows are built only at
 the API edge (base, slope, rows_at, to_json_dict). Each determinant is
 held by its two integer end values over one positive denominator
 (AffinePoly). Their signs alone say whether a class degenerates on the
-segment, at an end, or along all of it; a Fraction is built only for an
-interior root.
+segment, at an end, or along all of it. One scan (_segment_events)
+reads them for planning, assembly and verify_walk and keys each event
+time by an integer, so no Fraction is hashed or sorted.
 Randomness only picks candidate directions; every candidate is accepted
 or rejected by these integer sign tests, and all searches are capped
 and seeded.
@@ -40,6 +41,7 @@ from .errors import (
 )
 
 _SEARCH_CAP = 64
+_NOT_AFFINE = "degeneration determinant is not affine on the segment"
 
 
 def _zero_vec(d):
@@ -225,25 +227,25 @@ class AffinePoly(namedtuple("AffinePoly", ["a", "b", "den", "lo", "hi"])):
             hi.denominator * lo.denominator * (a - b),
         )
 
-    def crossing(self):
-        """How the determinant vanishes on the closed range, read from the
-        signs of a and b alone: (kind, t).
-
-        kind is "whole" when a = b = 0 (t is None), "end" when one end
-        value is zero (t is that end, lo or hi), "inside" when the signs
-        are strictly opposite (t is root(), the only Fraction built), and
-        "none" otherwise (t is None).
-        """
+    @property
+    def kind(self):
+        """How the determinant vanishes on the closed range, from the
+        signs of a and b alone: "whole" (a = b = 0), "end" (one is 0),
+        "inside" (strictly opposite signs) or "none"."""
         a, b = self.a, self.b
         if a and b:
-            if (a < 0) == (b < 0):
-                return "none", None
-            return "inside", self.root()
-        if a:
-            return "end", self.hi
-        if b:
-            return "end", self.lo
-        return "whole", None
+            return "none" if (a < 0) == (b < 0) else "inside"
+        return "end" if a or b else "whole"
+
+    def crossing(self):
+        """(kind, t): t is the vanishing end (lo or hi) for "end", root()
+        for "inside" (the only Fraction built), else None."""
+        kind = self.kind
+        if kind == "inside":
+            return kind, self.root()
+        if kind == "end":
+            return kind, self.hi if self.a else self.lo
+        return kind, None
 
 
 DegenerationEvent = namedtuple("DegenerationEvent", ["time", "class_id"])
@@ -310,7 +312,7 @@ def segment_polynomials(segment):
         # means the midpoint value m / s_mid is their mean
         a, b = a * s_hi, b * s_lo
         if 2 * m * s_ends != (a + b) * s_mid:
-            raise WalkError("degeneration determinant is not affine on the segment")
+            raise WalkError(_NOT_AFFINE)
         return AffinePoly(a, b, s_ends * cls.direction_plane.int_scale, lo, hi)
 
     return poly
@@ -465,46 +467,66 @@ def _require_admissible(p, rows, what):
         raise InadmissiblePlaneError(f"{what} span degenerates class {cid}")
 
 
-def _segment_roots(seg, classes):
-    """Map root -> class ids for roots strictly inside the range.
-
-    Each class is classified by the signs of its end values; only an
-    interior root builds a Fraction. A class degenerate along the whole
-    segment, or exactly at an endpoint, raises WalkError; walk
-    constructions must never produce either.
-    """
+def _segment_events(seg, classes):
+    """(events, faults) of the classes on a segment, each classed by the
+    signs of its end values (AffinePoly.kind). events lists (t, class
+    ids) for the roots inside the range, one entry per time, in time
+    order; faults lists (class id, "whole" | "end" | "not affine", the
+    end or None) in class order. A root sits at the fraction a / (a - b)
+    of the range, so over L, the lcm of the |a - b|, the integer
+    a * (L / (a - b)) keys its time. One Fraction is built per time."""
     polys = segment_polynomials(seg)
-    found = {}
+    inside, faults = [], []
     for cid, cls in enumerate(classes):
-        kind, r = polys(cls).crossing()
+        try:
+            poly = polys(cls)
+        except WalkError:
+            faults.append((cid, "not affine", None))
+            continue
+        kind = poly.kind
         if kind == "inside":
-            found.setdefault(r, []).append(cid)
-        elif kind == "whole":
-            raise WalkError(
-                f"class {cid} is degenerate along the whole segment"
-            )
-        elif kind == "end":
-            raise WalkError(
-                f"class {cid} degenerates at a segment endpoint (t={r})"
-            )
-    return found
+            inside.append((poly, cid))
+        elif kind != "none":
+            faults.append((cid, *poly.crossing()))
+    scale = lcm(*(poly.a - poly.b for poly, _cid in inside))
+    groups = {}
+    for poly, cid in inside:
+        key = poly.a * (scale // (poly.a - poly.b))
+        groups.setdefault(key, (poly, []))[1].append(cid)
+    # the keys are distinct, so the sort compares integers only
+    return [(poly.root(), ids) for _key, (poly, ids) in sorted(groups.items())], faults
+
+
+def _planned_events(seg, classes):
+    """_segment_events of a segment a walk construction built, where the
+    first fault, which constructions must never make, raises WalkError."""
+    events, faults = _segment_events(seg, classes)
+    if faults:
+        cid, kind, t = faults[0]
+        if kind == "whole":
+            raise WalkError(f"class {cid} is degenerate along the whole segment")
+        if kind == "end":
+            raise WalkError(f"class {cid} degenerates at a segment endpoint (t={t})")
+        raise WalkError(_NOT_AFFINE)
+    return events
+
+
+def _first_shared(events):
+    """The ids of the shared event time with the lowest first id, or None."""
+    return min((ids for _t, ids in events if len(ids) > 1), default=None)
 
 
 def _half_step(classes, base, i, w):
     """The segment that moves row i of base along w for t in [0, s],
     where s is half the smallest positive root of any class determinant
-    on that line, capped at 1; and whether some class is degenerate
-    along the whole of t in [0, 1] (such a class has no root, so it
-    does not bound s)."""
-    seg = WalkSegment(base, _slope(len(base), i, w), (0, 1))
-    polys = segment_polynomials(seg)
-    step, whole = la.ONE, False
-    for cls in classes:
-        poly = polys(cls)
-        whole = whole or poly.a == poly.b == 0
-        r = poly.root()
-        if r is not None and r > 0:
-            step = min(step, r / 2)
+    on that line, capped at 1: half the first event time inside (0, 2),
+    or 1 when there is none. Also whether some class is degenerate
+    along the whole line (such a class has no root, so it does not
+    bound s)."""
+    seg = WalkSegment(base, _slope(len(base), i, w), (0, 2))
+    events, faults = _segment_events(seg, classes)
+    step = events[0][0] / 2 if events else la.ONE
+    whole = any(kind == "whole" for _cid, kind, _t in faults)
     return WalkSegment._of(seg._rows, (la.ZERO, step)), whole
 
 
@@ -553,14 +575,13 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
 
 
 def _fragment_to_hyperplane(p, start, seed, etas):
-    """Raw segments from an admissible span to one inside the reference
-    hyperplane, given p's eta directions. Returns (segments, end span)."""
+    """Raw segments from an admissible Subspace to one inside the
+    reference hyperplane, given p's eta directions. Returns (segments,
+    end span)."""
     d = p.dim
-    span = _ortho_span(p, start)
-    rows0 = span.int_rows
-    _require_admissible(p, rows0, "start")
+    rows0 = start.int_rows
     if all(r[0] == 0 for r in rows0):
-        return [], span
+        return [], start
     classes = pt.parallel_classes(p)
     arr, pivots = la.rref(rows0)
     if pivots[0] != 0:
@@ -582,11 +603,11 @@ def _fragment_to_hyperplane(p, start, seed, etas):
             continue
         seg = WalkSegment((u1, *others), _slope(d - 2, 0, la.neg(v)), (0, 1))
         try:
-            found = _segment_roots(seg, classes)
+            events = _planned_events(seg, classes)
         except WalkError as exc:
             last_error = str(exc)
             continue
-        shared = next((ids for ids in found.values() if len(ids) > 1), None)
+        shared = _first_shared(events)
         if shared is None:
             segs.append(seg)
             end_rows = seg.int_rows_at(1)[0]
@@ -611,12 +632,11 @@ def _fragment_to_hyperplane(p, start, seed, etas):
 
 
 def _fragment_within(p, start, seed, etas):
-    """Raw segments from an admissible span inside the reference
+    """Raw segments from an admissible Subspace inside the reference
     hyperplane down to span(e2, ..., e_{d-1}), given p's eta
     directions. Returns (segments, end span)."""
     d = p.dim
-    rows0 = _ortho_span(p, start).int_rows
-    _require_admissible(p, rows0, "start")
+    rows0 = start.int_rows
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
     classes = pt.parallel_classes(p)
@@ -653,8 +673,7 @@ def _fragment_within(p, start, seed, etas):
         base = tuple(la.add(la.unit(d, i + 1), la.scale(last, x)) for i, x in enumerate(xs))
         slope = tuple(la.scale(last, -x) for x in xs)
         seg = WalkSegment(base, slope, (Fraction(0), Fraction(1)))
-        found = _segment_roots(seg, classes)
-        shared = next((ids for ids in found.values() if len(ids) > 1), None)
+        shared = _first_shared(_planned_events(seg, classes))
         if shared is None:
             segs.append(seg)
             return segs, la.Subspace(end_rows)
@@ -672,20 +691,16 @@ def _fragment_within(p, start, seed, etas):
 
 def _assemble(p, raw_segments, isometry, isometry_inv):
     """Chain raw segments onto [0, 1] and recompute the event log."""
-    if not raw_segments:
-        return WalkPlan((), (), isometry, isometry_inv)
     classes = pt.parallel_classes(p)
     n = len(raw_segments)
     segments = []
     events = []
     for k, seg in enumerate(raw_segments):
         piece = seg.rescaled(Fraction(k, n), Fraction(k + 1, n))
-        found = _segment_roots(piece, classes)
-        for t, ids in sorted(found.items()):
+        for t, ids in _planned_events(piece, classes):
             if len(ids) > 1:
                 raise WalkError(
-                    f"classes {ids[0]} and {ids[1]} degenerate together "
-                    f"at t={t}"
+                    f"classes {ids[0]} and {ids[1]} degenerate together at t={t}"
                 )
             events.append(DegenerationEvent(t, ids[0]))
         segments.append(piece)
@@ -695,7 +710,10 @@ def _assemble(p, raw_segments, isometry, isometry_inv):
 def _identity_walk(p, fragment, start, seed):
     """The plan of one fragment walk on p as it stands (no rotation)."""
     planes = [cls.direction_plane.int_rows for cls in pt.parallel_classes(p)]
-    segs, _ = fragment(p, start, seed, [e.eta for e in _etas(planes)])
+    etas = [e.eta for e in _etas(planes)]
+    span = _ortho_span(p, start)
+    _require_admissible(p, span.int_rows, "start")
+    segs, _ = fragment(p, span, seed, etas)
     ident = la.identity(p.dim)
     return _assemble(p, segs, ident, ident)
 
@@ -742,7 +760,8 @@ def full_walk(p, frm, to, seed=0):
     fwd = tuple(zip(*int_inv[0]))
 
     def push(span):
-        # rot r = fwd r / den is a positive multiple of fwd r: same span
+        # rot r = fwd r / den is a positive multiple of fwd r: same span,
+        # and admissible on q since span is admissible on p
         return la.int_subspace(tuple(_int_map(fwd, r) for r in span.int_rows))
 
     a_to, a_end = _fragment_to_hyperplane(q, push(span_a), f"{seed}:a", etas)
@@ -765,7 +784,7 @@ def verify_walk(p, plan):
     checks: affine determinants, free families at endpoints, events and
     midpoints, no event at a junction, no two classes sharing a time,
     junction spans equal, and the plan event log matching the
-    recomputation. Returns a certificate, never raises.
+    recomputation. A malformed plan is reported in the certificate, not raised.
     """
     violations = []
     events = []
@@ -795,37 +814,23 @@ def verify_walk(p, plan):
             continue
         if i and segs[i - 1].t_range[1] != lo:
             violations.append(f"segments {i - 1} and {i} ranges do not meet")
-        polys = segment_polynomials(seg)
-        times = {}
-        for cid, cls in enumerate(classes):
-            try:
-                poly = polys(cls)
-            except WalkError as exc:
-                violations.append(f"segment {i}, class {cid}: {exc}")
-                continue
-            kind, r = poly.crossing()
-            if kind == "inside":
-                times.setdefault(r, []).append(cid)
-            elif kind == "whole":
-                violations.append(
-                    f"class {cid} is degenerate along segment {i}"
-                )
+        found, faults = _segment_events(seg, classes)
+        for cid, kind, t in faults:
+            if kind == "whole":
+                violations.append(f"class {cid} is degenerate along segment {i}")
             elif kind == "end":
-                edge = "endpoint" if r in (lo0, hi_last) else "junction"
-                violations.append(
-                    f"class {cid} degenerates at a segment {edge} (t={r})"
-                )
-        ordered = sorted(times)
-        for t in ordered:
-            ids = times[t]
+                edge = "endpoint" if t in (lo0, hi_last) else "junction"
+                violations.append(f"class {cid} degenerates at a segment {edge} (t={t})")
+            else:
+                violations.append(f"segment {i}, class {cid}: {_NOT_AFFINE}")
+        for t, ids in found:
             if len(ids) > 1:
                 violations.append(
                     f"classes {ids[0]} and {ids[1]} share the event time {t}"
                 )
-            for cid in ids:
-                events.append(DegenerationEvent(t, cid))
+            events.extend(DegenerationEvent(t, cid) for cid in ids)
             free_at(seg, t, f"event in segment {i}")
-        samples = [lo] + ordered + [hi]
+        samples = [lo] + [t for t, _ids in found] + [hi]
         free_at(seg, lo, f"start of segment {i}")
         free_at(seg, hi, f"end of segment {i}")
         for a, b in zip(samples, samples[1:]):
@@ -1048,7 +1053,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     d = p.dim
     faces = pt.k_faces(p, 2)
     span = _ortho_span(p, witness)
-    cid, u1, _plane = _validate_visibility_witness(p, face_id, other_id, span)
+    _cid, u1, _plane = _validate_visibility_witness(p, face_id, other_id, span)
     face = faces[face_id]
     edge = tuple(sorted(edge))
     edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]
@@ -1081,16 +1086,10 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     tail = tuple(span.int_rows[i] for i in _complete_basis(u1, span.int_rows))
     base = (u1n,) + tail
     slope = _slope(d - 2, 0, la.neg(v))
-    polys = segment_polynomials(WalkSegment(base, slope, (0, 2 * lam + 1)))
-    classes = pt.parallel_classes(p)
-    gaps = [lam]
-    for k, cls in enumerate(classes):
-        if k == cid:
-            continue
-        r = polys(cls).root()
-        if r is not None and r != lam:
-            gaps.append(abs(r - lam))
-    eps = min(gaps) / 2
+    # a root outside (0, 2 lam) is at least lam away from the event
+    seg = WalkSegment(base, slope, (0, 2 * lam))
+    events, _faults = _segment_events(seg, pt.parallel_classes(p))
+    eps = min([lam] + [abs(t - lam) for t, _ids in events if t != lam]) / 2
     u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
     w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))
     # across the event the edge flips sides in the sliding frame while

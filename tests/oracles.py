@@ -359,6 +359,32 @@ def oracle_degeneration_polynomial(segment, cls):
     return c0, c1
 
 
+def oracle_segment_events(seg, classes):
+    """The former event path of a walk segment: each class's crossing()
+    time into a dict keyed by Fraction, then sorted.
+
+    Returns (events, faults): events lists (t, class ids) for the roots
+    strictly inside the range, sorted by t, ids in class order; faults
+    lists (class id, message) in class order, with the message the
+    former path raised for that class.
+    """
+    polys = wk.segment_polynomials(seg)
+    found, faults = {}, []
+    for cid, cls in enumerate(classes):
+        try:
+            kind, r = polys(cls).crossing()
+        except WalkError as exc:
+            faults.append((cid, str(exc)))
+            continue
+        if kind == "inside":
+            found.setdefault(r, []).append(cid)
+        elif kind == "whole":
+            faults.append((cid, f"class {cid} is degenerate along the whole segment"))
+        elif kind == "end":
+            faults.append((cid, f"class {cid} degenerates at a segment endpoint (t={r})"))
+    return sorted(found.items()), faults
+
+
 class OracleSegment(namedtuple("OracleSegment", ["base", "slope", "t_range"])):
     """A walk segment held as Fraction rows: row i at t is base[i] +
     t * slope[i]. Its row arithmetic is the walk layer's before segments

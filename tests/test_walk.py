@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+from collections import Counter
 from fractions import Fraction as Fr
 from math import gcd, prod
 
@@ -29,6 +31,7 @@ from oracles import (
     oracle_degenerate_classes,
     oracle_degeneration_polynomial,
     oracle_hull_2d,
+    oracle_segment_events,
 )
 
 CUBE = fam.hypercube(3)
@@ -703,15 +706,15 @@ RATS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @st.composite
-def zoo_segments(draw):
-    """A zoo polytope and a random segment on it.
+def zoo_segments(draw, zoo=FRAME_ZOO):
+    """A polytope of the zoo and a random segment on it.
 
     Rational rows; one or several moving rows (several make most class
     determinants quadratic or worse); and, half the time, a first row
     kept inside one class plane, which degenerates that class along the
     whole segment.
     """
-    p = draw(st.sampled_from(FRAME_ZOO))
+    p = draw(st.sampled_from(zoo))
     d = p.dim
     row = st.tuples(*[RATS] * d)
     base = [draw(row) for _ in range(d - 2)]
@@ -1122,3 +1125,173 @@ def test_golden_walk_pn4():
     assert events[-1] == ("294599637082983/294803053736648", 61)
     log = ";".join(f"{t}:{c}" for t, c in events)
     assert hashlib.sha256(log.encode()).hexdigest() == PN4_GOLDEN_DIGEST
+
+
+# ------------------------------------------------------- one event scan
+
+
+def _planning_error(seg, classes, fault):
+    """The message a walk construction raises for one scan fault."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wk, "_segment_events", lambda *_: ([], [fault]))
+        with pytest.raises(WalkError) as exc:
+            wk._planned_events(seg, classes)
+    return str(exc.value)
+
+
+def assert_scan_matches_oracle(seg, classes, got=None):
+    events, faults = wk._segment_events(seg, classes) if got is None else got
+    want_events, want_faults = oracle_segment_events(seg, classes)
+    # groups, their order and their exact times
+    assert events == want_events
+    assert all(type(t) is Fr for t, _ids in events)
+    assert [f[0] for f in faults] == [cid for cid, _msg in want_faults]
+    for fault, (_cid, msg) in zip(faults, want_faults):
+        assert _planning_error(seg, classes, fault) == msg
+    if not faults:
+        assert wk._planned_events(seg, classes) == events
+
+
+WALK_SUITE = {
+    "cube3": lambda: fam.hypercube(3),
+    "cube4": lambda: fam.hypercube(4),
+    "pentagonal": lambda: fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+    "zono4": lambda: fam.zonotope(fam.random_generators(5, 4, 4)),
+    "pn4": lambda: fam.pn_polytope(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_SUITE))
+def test_segment_events_match_the_former_path_on_walks(name, monkeypatch):
+    # every segment the scan sees while planning (rejected candidates
+    # and half steps included), assembling and verifying the walks
+    p = WALK_SUITE[name]()
+    seen = []
+    scan = wk._segment_events
+
+    def recorded(seg, classes):
+        out = scan(seg, classes)
+        seen.append((seg, classes, out))
+        return out
+
+    monkeypatch.setattr(wk, "_segment_events", recorded)
+    for seed in range(3):
+        planes = sh.sample_admissible(p, f"walk:{seed}:{name}", 8)
+        for i in range(4):
+            wa, wb = planes[2 * i], planes[2 * i + 1]
+            plan = wk.full_walk(p, wa.complement, wb.complement, f"{seed}:{name}:{i}")
+            assert wk.verify_walk(p, plan).valid
+    monkeypatch.undo()
+    assert seen
+    for seg, classes, out in seen:
+        assert_scan_matches_oracle(seg, classes, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_segments((CUBE, TESS)))
+def test_segment_events_match_the_former_path_on_random_segments(case):
+    p, seg = case
+    assert_scan_matches_oracle(seg, pt.parallel_classes(p))
+
+
+# (polytope, base, slope, range); on the cube the class of span(e_i, e_j)
+# degenerates where the third coordinate of the row vanishes
+PLANTED = [
+    # the row stays in span(e0, e1): degenerate along the whole segment
+    (CUBE, ((1, 2, 0),), ((0, 1, 0),), (0, 1)),
+    # x0 = 1 - t vanishes at the end t = 1
+    (CUBE, ((1, 2, 3),), ((-1, 0, 0),), (0, 1)),
+    # two moving rows make the determinants quadratic
+    (TESS, ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1)), (0, 1)),
+    # x0 and x1 vanish together at t = 1/2
+    (CUBE, ((1, 2, 3),), ((-2, -4, -1),), (Fr(-1, 3), Fr(5, 7))),
+    # times 3/4, 1/4, 1/2 out of class order
+    (CUBE, ((3, 1, 2),), ((-4, -4, -4),), (0, 1)),
+    # a whole, an interior time and an end on one segment
+    (CUBE, ((1, 0, 3),), ((-2, 0, -3),), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PLANTED)))
+def test_segment_events_match_the_former_path_on_planted_segments(case):
+    p, base, slope, t_range = PLANTED[case]
+    assert_scan_matches_oracle(wk.WalkSegment(base, slope, t_range), pt.parallel_classes(p))
+
+
+def test_segment_events_hash_and_compare_no_fraction(monkeypatch):
+    plan = wk.full_walk(CUBE, la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)]), seed=1)
+    cases = [(seg, pt.parallel_classes(CUBE)) for seg in plan.segments] + [
+        (wk.WalkSegment(base, slope, t_range), pt.parallel_classes(p))
+        for p, base, slope, t_range in PLANTED
+    ]
+    calls = Counter()
+    for name in ("__hash__", "__lt__"):
+
+        def counted(self, *args, _real=getattr(Fr, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Fr, name, counted)
+    events = [wk._segment_events(seg, classes)[0] for seg, classes in cases]
+    assert calls == Counter()
+    # several times on one segment, and a shared time
+    assert any(len(found) > 2 for found in events)
+    assert any(len(ids) > 1 for found in events for _t, ids in found)
+    # the counters do count
+    assert hash(Fr(1, 3)) and Fr(1, 3) < Fr(1, 2)
+    assert calls == Counter({"__hash__": 1, "__lt__": 1})
+
+
+def test_first_shared_follows_class_order():
+    # the dict of the former path listed times by their first class
+    events = [(Fr(1, 4), [2, 3]), (Fr(1, 3), [4]), (Fr(1, 2), [0, 1])]
+    assert wk._first_shared(events) == [0, 1]
+    assert wk._first_shared(events[1:2]) is None
+
+
+def test_verify_names_junction_and_endpoint_degenerations():
+    # x0 = 1 - 2t vanishes at the junction t = 1/2, x2 = 3 - 3t at the
+    # plan's end t = 1
+    base, slope = ((1, 2, 3),), ((-2, 0, -3),)
+    a = wk.WalkSegment(base, slope, (0, Fr(1, 2)))
+    b = wk.WalkSegment(base, slope, (Fr(1, 2), 1))
+    x0 = class_id_by_span(CUBE, ((0, 1, 0), (0, 0, 1)))
+    x2 = class_id_by_span(CUBE, ((1, 0, 0), (0, 1, 0)))
+    ident = la.identity(3)
+    cert = wk.verify_walk(CUBE, wk.WalkPlan((a, b), (), ident, ident))
+    junction = f"class {x0} degenerates at a segment junction (t=1/2)"
+    endpoint = f"class {x2} degenerates at a segment endpoint (t=1)"
+    # segment 0 ends at the junction; segment 1 lists its classes in order
+    second = sorted([(x0, junction), (x2, endpoint)])
+    assert cert.violations == (junction,) + tuple(v for _cid, v in second)
+
+
+def test_assemble_rejects_classes_sharing_a_time():
+    # x0 and x1 vanish together at t = 1/2 of the second raw segment,
+    # which lands at t = 3/4 of the plan
+    quiet = wk.WalkSegment(((1, 2, 3),), ((0, 0, 0),), (0, 1))
+    shared = wk.WalkSegment(((1, 2, 3),), ((-2, -4, -1),), (0, 1))
+    x0 = class_id_by_span(CUBE, ((0, 1, 0), (0, 0, 1)))
+    x1 = class_id_by_span(CUBE, ((1, 0, 0), (0, 0, 1)))
+    ca, cb = sorted((x0, x1))
+    ident = la.identity(3)
+    msg = f"classes {ca} and {cb} degenerate together at t=3/4"
+    with pytest.raises(WalkError, match=re.escape(msg)):
+        wk._assemble(CUBE, [quiet, shared], ident, ident)
+
+
+def test_full_walk_checks_each_span_once(monkeypatch):
+    calls = []
+    check = wk._require_admissible
+
+    def counted(p, rows, what):
+        calls.append(what)
+        return check(p, rows, what)
+
+    monkeypatch.setattr(wk, "_require_admissible", counted)
+    plan = wk.full_walk(CUBE, la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)]), seed=1)
+    assert wk.verify_walk(CUBE, plan).valid
+    # the two endpoints, then each span that enters the hyperplane
+    assert calls[:2] == ["start", "end"]
+    assert calls[2:] == ["hyperplane entry"] * (len(calls) - 2)
+    assert len(calls) <= 4
