@@ -494,8 +494,8 @@ def chain_balance(p, cert):
     tr = wk.elementary_transformation(
         p, cert.face_id, cert.other_id, la.Subspace(cert.witness)
     )
-    wm = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at(-tr.epsilon / 2))
-    wp = sh.ProjectionPlane.from_orthogonal(tr.plus.rows_at(tr.epsilon / 2))
+    wm = sh.ProjectionPlane.from_orthogonal(tr.minus.span_at(-tr.epsilon / 2))
+    wp = sh.ProjectionPlane.from_orthogonal(tr.plus.span_at(tr.epsilon / 2))
     vis = len(cert.chains.visible)
     inv = len(cert.chains.invisible)
     if cert.other_chains is not None:
@@ -533,8 +533,8 @@ def definitions_equivalence_check(p, seed=0):
             probe, _v, eps = wk.crossing_probe(p, cid, span, la.primitive(rows[0]))
             k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(span)).k
             for t in (-eps / 2, eps / 2):
-                moved = probe.rows_at(t)
-                if next(sh.degenerate_classes(p, moved), None) is not None:
+                moved = probe.span_at(t)
+                if next(sh.degenerate_classes(p, moved.int_rows), None) is not None:
                     raise GeometryError("un-degenerated plane still degenerates")
                 w = sh.ProjectionPlane.from_orthogonal(moved)
                 if sh.shadow(p, w).k != k_here:

@@ -2,10 +2,12 @@
 
 Vectors are tuples of Fraction and matrices are tuples of such rows.
 Every function clears denominators row by row and runs on the integer
-kernels; rref, kernel_basis, solve_square and inverse share one
+kernels; rref, kernel_basis and the Subspace constructors share one
 fraction-free reduced form, kernels.rref_int, and build Fractions only
-from its result. A Subspace stores only integer rows, each over one
-positive multiplier; its Fraction basis is a view built on first read.
+from its result. There is no general solver: the one rotation the walks
+need, plane_rotation, has a closed form. A Subspace stores only integer
+rows, each over one positive multiplier; its Fraction basis is a view
+built on first read.
 """
 
 from fractions import Fraction
@@ -174,30 +176,6 @@ def kernel_basis(m, ncols=None):
     ]
 
 
-def _solve(a, right):
-    """a^-1 right for square a, the right block of the reduced form of
-    (a | right); None when a is singular, that is when a pivot is
-    missing from the left block."""
-    n = len(a)
-    if len(right) != n or any(len(r) != n for r in a):
-        raise DimensionError("need a square matrix and one right-hand row per row")
-    reduced, pivots, den = _reduce([tuple(r) + tuple(x) for r, x in zip(a, right)])
-    if pivots != tuple(range(n)):
-        return None
-    return _rationals((r[n:] for r in reduced), den)
-
-
-def solve_square(a, b):
-    """Solve a x = b for square a; returns None when a is singular."""
-    x = _solve(a, [(y,) for y in b])
-    return None if x is None else tuple(r[0] for r in x)
-
-
-def inverse(m):
-    """Matrix inverse; returns None when singular."""
-    return _solve(m, identity(len(m)))
-
-
 class Subspace:
     """A linear subspace given by an independent basis.
 
@@ -337,20 +315,6 @@ def _coerce_subspace(s):
     return Subspace(s)
 
 
-def gram_coords(v, basis):
-    """Coordinates of the orthogonal projection of v in the given basis.
-
-    Solves the normal equations G a = B v, with G the Gram matrix of the
-    basis. The basis must be independent, so G is invertible.
-    """
-    g = tuple(tuple(dot(bi, bj) for bj in basis) for bi in basis)
-    rhs = tuple(dot(bi, v) for bi in basis)
-    coords = solve_square(g, rhs)
-    if coords is None:
-        raise DegenerateBasisError("basis is linearly dependent")
-    return coords
-
-
 def int_intersection(a, b):
     """Integer vectors spanning the intersection of two subspaces of
     positive dimension in one ambient space.
@@ -378,39 +342,23 @@ def intersect(a, b):
     return span_of(int_intersection(a, b), ambient=a.ambient)
 
 
-def cayley_orthogonal(skew):
-    """Rational orthogonal matrix (I + S)(I - S)^-1 of a skew-symmetric S."""
-    m = as_mat(skew)
-    n = len(m)
-    for r in m:
-        if len(r) != n:
-            raise ParameterError("skew matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != -m[j][i]:
-                raise ParameterError("matrix is not skew-symmetric")
-    ident = identity(n)
-    plus = tuple(tuple(ident[i][j] + m[i][j] for j in range(n)) for i in range(n))
-    minus = tuple(tuple(ident[i][j] - m[i][j] for j in range(n)) for i in range(n))
-    inv = inverse(minus)
-    if inv is None:
-        raise ParameterError("I - S is singular")
-    return matmul(plus, inv)
-
-
 def plane_rotation(d, i, j, t):
     """Rational rotation acting in the (i, j) coordinate plane.
 
-    t is the Cayley parameter; small t gives a rotation close to the
-    identity.
+    It is the Cayley transform (I + S)(I - S)^-1 of the skew S with
+    S_ij = t, in closed form: the identity except for the (i, j) block
+    [[c, s], [-s, c]], with c = (1 - t^2) / (1 + t^2) and
+    s = 2t / (1 + t^2). Small t gives a rotation close to the identity.
     """
     if not (0 <= i < d and 0 <= j < d and i != j):
         raise ParameterError("rotation plane indices out of range")
     t = as_rat(t)
-    skew = [[ZERO] * d for _ in range(d)]
-    skew[i][j] = t
-    skew[j][i] = -t
-    return cayley_orthogonal(skew)
+    n = 1 + t * t
+    rows = [list(unit(d, k)) for k in range(d)]
+    rows[i][i] = rows[j][j] = (1 - t * t) / n
+    rows[i][j] = 2 * t / n
+    rows[j][i] = -rows[i][j]
+    return tuple(map(tuple, rows))
 
 
 def generalized_cross(vectors):

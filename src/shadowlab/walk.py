@@ -784,7 +784,11 @@ def verify_walk(p, plan):
     checks: affine determinants, free families at endpoints, events and
     midpoints, no event at a junction, no two classes sharing a time,
     junction spans equal, and the plan event log matching the
-    recomputation. A malformed plan is reported in the certificate, not raised.
+    recomputation entry by entry. The scan lists each segment's events
+    in time order, so when the segment ranges meet the recomputed log
+    is in (time, class id) order and a permuted plan log is rejected;
+    ranges that do not meet are a violation of their own. A malformed
+    plan is reported in the certificate, not raised.
     """
     violations = []
     events = []
@@ -847,9 +851,7 @@ def verify_walk(p, plan):
             continue
         if before != after:
             violations.append(f"junction spans differ between {i - 1} and {i}")
-    events.sort(key=lambda e: (e.time, e.class_id))
-    listed = sorted(plan.events, key=lambda e: (e.time, e.class_id))
-    if [tuple(e) for e in listed] != [tuple(e) for e in events]:
+    if [tuple(e) for e in plan.events] != [tuple(e) for e in events]:
         violations.append("plan event log disagrees with the recomputation")
     return WalkCertificate(not violations, tuple(events), tuple(violations))
 
@@ -1037,7 +1039,7 @@ def frame_chains(p, face, frame):
 
 def _before_chain(p, face_id, tr):
     lo, hi = tr.minus.t_range
-    w = sh.ProjectionPlane.from_orthogonal(tr.minus.rows_at((lo + hi) / 2))
+    w = sh.ProjectionPlane.from_orthogonal(tr.minus.span_at((lo + hi) / 2))
     return set(boundary_chains(p, face_id, w).visible)
 
 
@@ -1073,7 +1075,10 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     f1, f2 = face.span.int_rows
     g = f1 if kernels.rank_int((ebar, f1)) == 2 else f2
     v = la.primitive(_tilde(g, ebar))
-    alpha, beta = la.gram_coords(u1, (ebar, v))
+    # v is orthogonal to ebar, so u1's projection coordinates on
+    # (ebar, v) are two quotients of integer dot products
+    alpha = Fraction(kernels.dot(u1, ebar), kernels.dot(ebar, ebar))
+    beta = Fraction(kernels.dot(u1, v), kernels.dot(v, v))
     if alpha == 0:
         raise GeometryError("witness direction is orthogonal to the edge")
     lam = beta / alpha

@@ -2,9 +2,9 @@
 
 These deliberately use different algorithms (and sympy where convenient)
 from the library under test: subspaces build their Fraction basis at
-construction (the former eager Subspace), determinants and ranks go
-through sympy, echelon forms and square solves through Gauss-Jordan on
-Fractions and through sympy, facets come from hyperplane fitting over
+construction (the former eager Subspace), determinants, ranks and
+Cayley rotations go through sympy, echelon forms through Gauss-Jordan
+on Fractions and through sympy, facets come from hyperplane fitting over
 all d-subsets with nullspaces, k-faces from intersections over all
 facet subsets, planar hulls from pointwise extremeness tests plus an
 angle sort, visible configurations from a seeded search over random
@@ -122,28 +122,14 @@ def oracle_rref(m):
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
-def oracle_gauss_jordan(rows, n):
-    """Reduce the left n x n block of augmented Fraction rows to the
-    identity, in place; returns the rows, or None when the block is
-    singular. This was the library's solver before it went through the
-    fraction-free reduced form."""
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        pc = rows[col]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pc)]
-    return rows
+def oracle_cayley_rotation(d, i, j, t):
+    """(I + S)(I - S)^-1 through sympy's inverse, for the skew S whose
+    only nonzero entries are S_ij = t and S_ji = -t."""
+    s = sympy.zeros(d, d)
+    s[i, j], s[j, i] = sympy.Rational(t), -sympy.Rational(t)
+    ident = sympy.eye(d)
+    q = (ident + s) * (ident - s).inv()
+    return tuple(tuple(Fraction(x) for x in q.row(r)) for r in range(d))
 
 
 def oracle_sympy_rref(m):

@@ -12,6 +12,7 @@ import pytest
 
 import shadowlab.cli as cli
 import shadowlab.families as fam
+import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 from shadowlab.errors import SamplingError, WalkError
 
@@ -402,6 +403,24 @@ def test_repro_fig8():
     assert r["chains"]["visible"] and r["other_chains"]["invisible"]
 
 
+# sha256 of the full `repro <figure> --no-timestamp` report, pinned so
+# that a change which claims identical behaviour must keep every byte
+# (fig8 runs chain_balance)
+GOLDEN_REPROS = {
+    "fig2": "bed78ea669b2eeebfae225b470057af0977b3b938d416e4b0ddd30b2e8a9bf5c",
+    "fig3": "8bd899c90d482ae8d3d65e043312b897eeed6fd0b94d9a53de7f16e809084c24",
+    "fig6": "4829f64bee5075401ac01e30a26c4a9f38f5f47b5ceb9dfed2bdfb4aa1c8e07a",
+    "fig8": "db33b85cfb9c779d4f2d1c279860541bc30ecc9371c341209016f3325a404e0f",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(GOLDEN_REPROS))
+def test_repro_report_matches_golden_digest(figure):
+    code, out, _ = go(["repro", figure, "--no-timestamp"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPROS[figure]
+
+
 def test_repro_rejects_unknown_figure():
     assert go(["repro", "fig9"])[0] == 1
 
@@ -466,6 +485,28 @@ GOLDEN_CHECKS = {
     "cube6": (
         lambda: fam.hypercube(6),
         "79f337985aa3edfb1caee16cdd212ac4912d0cc6060f531b9c486fe4371db77c",
+    ),
+    "cube3": (
+        lambda: fam.hypercube(3),
+        "3dcaafa68509e2ae71f42b129e464ca8822d651c302aba2689ea120e5cc03c45",
+    ),
+    "pentagonal": (
+        lambda: fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+        "b1988739a7d877d00348383dc855f31a129a483e883e86c5a39c7c37c43f7e0e",
+    ),
+    "tetrahedron": (
+        lambda: pt.build([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        "88870a121dcb3848c1c88f9847b67d22d9151a9e0238b73f9dd447c9c26abb08",
+    ),
+    "simplex4": (
+        lambda: pt.build(
+            [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        ),
+        "d2dfd4ba833a1e3a98b86f505bc4bafca446b1c9d367b66987e6a8cc29aa6893",
+    ),
+    "zono4": (
+        lambda: fam.zonotope(fam.random_generators(5, 4, 4)),
+        "36840ec2fbbc0031f86d16b69908d1ffed079dde71bc43a8256cd2352dff4586",
     ),
 }
 

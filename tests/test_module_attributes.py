@@ -1,0 +1,100 @@
+"""Static guard: every name read from a shadowlab module exists.
+
+Parses the package and the tests with ast, maps each import alias of a
+shadowlab module (`import shadowlab.linalg as la`, `from . import
+kernels`, ...) and checks every attribute read through an alias, and
+every name a `from shadowlab... import` pulls in, against the imported
+module. A helper deleted from the package then fails here even when the
+only code that still names it sits in a branch that rarely runs.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "shadowlab").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+PACKAGE = "shadowlab"
+
+
+def _module_name(node):
+    """The absolute name of the module an ImportFrom reads."""
+    if node.level:
+        # relative imports occur only inside the package, one level deep
+        return f"{PACKAGE}.{node.module}" if node.module else PACKAGE
+    return node.module
+
+
+def stale_names(path):
+    """(line, dotted name) of each missing module attribute in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    aliases = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == PACKAGE:
+                    if a.asname:
+                        aliases[a.asname] = importlib.import_module(a.name)
+                    else:
+                        aliases[PACKAGE] = importlib.import_module(PACKAGE)
+        elif isinstance(node, ast.ImportFrom):
+            name = _module_name(node)
+            if name.split(".")[0] != PACKAGE:
+                continue
+            module = importlib.import_module(name)
+            for a in node.names:
+                if name == PACKAGE:
+                    # the package exports its modules only
+                    aliases[a.asname or a.name] = importlib.import_module(
+                        f"{PACKAGE}.{a.name}"
+                    )
+                elif not hasattr(module, a.name):
+                    missing.append((node.lineno, f"{name}.{a.name}"))
+
+    def resolve(expr):
+        """The module an expression names through the aliases, or None."""
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            owner = resolve(expr.value)
+            value = getattr(owner, expr.attr, None)
+            return value if isinstance(value, ModuleType) else None
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = resolve(node.value)
+            if owner is not None and not hasattr(owner, node.attr):
+                missing.append((node.lineno, f"{owner.__name__}.{node.attr}"))
+    return sorted(missing)
+
+
+def test_guard_sees_the_package_and_the_tests():
+    names = {p.name for p in FILES}
+    assert {"linalg.py", "walk.py", "test_linalg.py", "oracles.py"} <= names
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_attributes_exist(path):
+    assert stale_names(path) == []
+
+
+def test_guard_reports_a_stale_attribute(tmp_path):
+    src = tmp_path / "stale.py"
+    src.write_text(
+        "import shadowlab.linalg as la\n"
+        "from shadowlab import walk as wk\n"
+        "from shadowlab.errors import NoSuchError\n"
+        "def rarely():\n"
+        "    return la.no_such_helper, wk.verify_walk, la.det\n"
+    )
+    assert stale_names(src) == [
+        (3, "shadowlab.errors.NoSuchError"),
+        (5, "shadowlab.linalg.no_such_helper"),
+    ]

@@ -26,6 +26,7 @@ from oracles import (
     oracle_hull_2d,
     oracle_in_boundary,
     oracle_sample_admissible,
+    oracle_solve_gram,
     oracle_zonotope_shadow_size,
 )
 
@@ -513,9 +514,19 @@ def wrap_hull(points):
         hull.append(nxt)
 
 
+def gram_frame(w):
+    """v's coordinates in w's Gram frame, from sympy (oracle_solve_gram).
+    They are linear in v, so one solve per unit vector gives them all."""
+    d = w.ambient
+    cols = [oracle_solve_gram(w.basis.basis, la.unit(d, k)) for k in range(d)]
+    return lambda v: tuple(
+        sum((x * c[i] for x, c in zip(v, cols)), Fr(0)) for i in range(2)
+    )
+
+
 def fraction_shadow(p, w):
     """Hull ids, points and fibers in the Gram frame, as shadow() gives them."""
-    images = [la.gram_coords(v, w.basis.basis) for v in p.vertices]
+    images = list(map(gram_frame(w), p.vertices))
     assert sh.project(p, w) == images
     hull = wrap_hull(images)
     if len(p.vertices) <= 16:
@@ -530,9 +541,10 @@ def fraction_report(p, w, images, hull):
     """(class id, projected rank, member flags) per degenerating class."""
     edges = list(zip(hull, hull[1:] + hull[:1]))
     faces = pt.k_faces(p, 2)
+    coords = gram_frame(w)
     out = []
     for cid, cls in enumerate(pt.parallel_classes(p)):
-        g, h = (la.gram_coords(b, w.basis.basis) for b in cls.direction_plane.basis)
+        g, h = map(coords, cls.direction_plane.basis)
         if g[0] * h[1] - g[1] * h[0] != 0:
             continue
         prank = 1 if any(g + h) else 0

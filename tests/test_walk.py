@@ -1,6 +1,7 @@
 """Tests for certified walks, transformations and chain bookkeeping."""
 
 import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
+import shadowlab.equiproj as eq
 import shadowlab.families as fam
 import shadowlab.kernels as kernels
 import shadowlab.linalg as la
@@ -462,6 +464,23 @@ def test_verify_detects_dropped_event():
     assert any("event log" in v for v in cert.violations)
 
 
+def test_verify_rejects_a_permuted_event_log():
+    plan = wk.full_walk(
+        CUBE, la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)]), seed=1
+    )
+    assert len(set(e.time for e in plan.events)) > 1
+    # the recomputed log is the plan's, entry by entry
+    assert wk.verify_walk(CUBE, plan).events == plan.events
+    permuted = plan.events[1:] + plan.events[:1]
+    tampered = wk.WalkPlan(
+        plan.segments, permuted, plan.isometry, plan.isometry_inv
+    )
+    cert = wk.verify_walk(CUBE, tampered)
+    assert not cert.valid
+    assert cert.violations == ("plan event log disagrees with the recomputation",)
+    assert cert.events == plan.events
+
+
 def test_verify_detects_shared_event_time():
     seg = wk.WalkSegment(((1, 2, 3),), ((-2, -4, -1),), (0, 1))
     events = (
@@ -676,6 +695,58 @@ def test_chain_split_rejects_foreign_edge():
         wk.chain_split_transformations(PRISM, 0, 4, (0, 3), TRI_WIT)
     with pytest.raises(ParameterError):
         wk.chain_split_transformations(PRISM, 0, 4, (0, 5), TRI_WIT)
+
+
+def _split_fields(x):
+    """A transformation field as plain strings: segments by range, base
+    and slope, numbers by value."""
+    if isinstance(x, wk.WalkSegment):
+        return ["seg", _split_fields(x.t_range), _split_fields(x.base), _split_fields(x.slope)]
+    if isinstance(x, (tuple, list)):
+        return [_split_fields(y) for y in x]
+    if isinstance(x, (int, Fr)) and not isinstance(x, bool):
+        return str(Fr(x))
+    return repr(x)
+
+
+# sha256 over the outcome of chain_split_transformations for every edge
+# of the face of every visible_pairs certificate of seven polytopes: the
+# fields of both returned transformations, or the exception type and
+# message. Pinned so that a change to the split which claims identical
+# behaviour must keep every outcome.
+CHAIN_SPLIT_ZOO = {
+    "triprism": lambda: PRISM,
+    "cube3": lambda: CUBE,
+    "pentagonal": lambda: fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+    "cube4": lambda: TESS,
+    "perturbed": lambda: PERT,
+    "zono4": lambda: fam.zonotope(fam.random_generators(5, 4, 4)),
+    "pn4": lambda: fam.pn_polytope(4),
+}
+CHAIN_SPLIT_DIGEST = "9e9588ed90dcd1ddd7d6abf18b461ec0d7dd5b6ddc7796423aacf6fa122a68e0"
+
+
+def test_chain_split_outcomes_match_golden_digest():
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for name, make in CHAIN_SPLIT_ZOO.items():
+        p = make()
+        faces = pt.k_faces(p, 2)
+        for cert in eq.visible_pairs(p):
+            for e in pt.face_edges(p, faces[cert.face_id]):
+                edge = tuple(e.vertex_ids)
+                try:
+                    trs = wk.chain_split_transformations(
+                        p, cert.face_id, cert.other_id, edge, cert.witness
+                    )
+                    out = ["ok", [[_split_fields(f) for f in tr] for tr in trs]]
+                except Exception as exc:  # noqa: BLE001 - the message is pinned too
+                    out = ["err", type(exc).__name__, str(exc)]
+                outcomes[out[0]] += 1
+                key = [name, cert.face_id, cert.other_id, edge]
+                h.update(json.dumps(key + [out]).encode())
+    assert outcomes == {"ok": 254, "err": 247}
+    assert h.hexdigest() == CHAIN_SPLIT_DIGEST
 
 
 # ------------------------------------------------------------------- json
