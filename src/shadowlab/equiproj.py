@@ -320,7 +320,7 @@ def _signed_area(p, face, frame):
     return area
 
 
-def _cycle_nodes(p, cyc, fid, oid, eidx):
+def _cycle_nodes(cyc, fid, oid, eidx):
     out = []
     for x, y in zip(cyc, cyc[1:] + cyc[:1]):
         eid = eidx[tuple(sorted((x, y)))]
@@ -328,15 +328,16 @@ def _cycle_nodes(p, cyc, fid, oid, eidx):
     return tuple(out)
 
 
-def orient(p, cert, flip=False):
+def orient(p, cert):
     """Edge-2-faces of a certificate with orientations assigned.
 
     For a proper pair the slice of p along the affine hull of the two
     faces is a 3-polytope having them as parallel facets; traversing
     one clockwise and the other counterclockwise in a shared frame of
     their common direction plane is the boundary orientation induced
-    by outward normals. A lone face gets an arbitrary cyclic choice.
-    flip reverses every traversal; compensation cannot see it.
+    by outward normals. A lone face gets an arbitrary cyclic choice:
+    reversing a traversal negates whole groups, which compensation
+    cannot see.
     """
     faces = pt.k_faces(p, 2)
     fid = cert.face_id
@@ -346,22 +347,23 @@ def orient(p, cert, flip=False):
     eidx = pt.edge_index(p)
     f = faces[fid]
     if oid is None:
-        return _cycle_nodes(p, _traversal(p, f, flip), fid, None, eidx)
+        return _cycle_nodes(pt.face_cycle(p, f), fid, None, eidx)
     if not 0 <= oid < len(faces) or oid == fid:
         raise GeometryError(f"certificate names missing face {oid}")
     o = faces[oid]
     if f.span != o.span:
         raise GeometryError("certificate faces are not parallel")
-    off = la.sub(p.vertices[o.vertex_ids[0]], p.vertices[f.vertex_ids[0]])
-    if la.rank(f.span.int_rows + (off,)) != 3:
+    verts = p.int_vertices()[0]
+    off = tuple(map(sub, verts[o.vertex_ids[0]], verts[f.vertex_ids[0]]))
+    if kernels.rank_int(f.span.int_rows + (off,)) != 3:
         raise GeometryError("face pair does not span a 3-dimensional slice")
     # outward convention in the slice oriented by (frame, offset):
     # the face the offset points away from runs clockwise
     frame = f.span.int_rows
-    flip_f = (_signed_area(p, f, frame) > 0) != flip
-    flip_o = (_signed_area(p, o, frame) < 0) != flip
-    return _cycle_nodes(p, _traversal(p, f, flip_f), fid, oid, eidx) + (
-        _cycle_nodes(p, _traversal(p, o, flip_o), oid, fid, eidx)
+    flip_f = _signed_area(p, f, frame) > 0
+    flip_o = _signed_area(p, o, frame) < 0
+    return _cycle_nodes(_traversal(p, f, flip_f), fid, oid, eidx) + (
+        _cycle_nodes(_traversal(p, o, flip_o), oid, fid, eidx)
     )
 
 
@@ -383,30 +385,21 @@ def _compensating(p, n1, n2, edges):
     )
 
 
-def _matchings(idx):
-    if not idx:
-        yield ()
-        return
-    first = idx[0]
-    for j in range(1, len(idx)):
-        rest = idx[1:j] + idx[j + 1 :]
-        for sub in _matchings(rest):
-            yield ((first, idx[j]),) + sub
-
-
-def compensation_partition(p, certs, flip=False):
+def compensation_partition(p, certs):
     """Perfect compensation pairing of the certificates' edge-2-faces.
 
-    Compensation never crosses face pairs or edge directions, so the
-    compatibility graph splits into groups of at most four nodes; each
-    group is matched exhaustively. Returns a CompensationPairing, or
-    an Obstruction naming the first group without a perfect matching.
-    A larger group means broken face data and raises GeometryError
-    before the exhaustive matching can blow up.
+    Compensation never crosses face pairs or edge lines, so the nodes
+    split into groups of one face pair and one line, where two nodes
+    compensate iff they run along the line in opposite senses. A group
+    pairs iff as many run forward as backward, the k-th forward node
+    with the k-th backward one. Returns a CompensationPairing, or an
+    Obstruction naming the first group that does not pair. A face
+    holds at most two edges on a line, so a group of more than four
+    means broken face data and raises GeometryError.
     """
     nodes = []
     for cert in certs:
-        nodes.extend(orient(p, cert, flip=flip))
+        nodes.extend(orient(p, cert))
     nodes = tuple(nodes)
     edges = pt.k_faces(p, 1)
     groups = {}
@@ -416,11 +409,14 @@ def compensation_partition(p, certs, flip=False):
             if n.partner_id is None
             else tuple(sorted((n.face_id, n.partner_id)))
         )
-        dirkey = _direction_key(_edge_direction(p, edges[n.edge_id]))
-        groups.setdefault((pairkey, dirkey), []).append(i)
+        d = _edge_direction(p, edges[n.edge_id])
+        # the sense along the line that _direction_key scales to lead 1
+        forward = n.orientation * next(x for x in d if x) > 0
+        groups.setdefault((pairkey, _direction_key(d)), ([], []))[forward].append(i)
     pairs = []
     for key in sorted(groups):
-        idx = tuple(groups[key])
+        backward, forward = groups[key]
+        idx = tuple(sorted(backward + forward))
         if len(idx) > 4:
             raise GeometryError(
                 f"compensation group of {len(idx)} edge-2-faces, at most 4 expected"
@@ -429,16 +425,11 @@ def compensation_partition(p, certs, flip=False):
             return Obstruction(
                 nodes, idx, "odd number of edge-2-faces in the group"
             )
-        done = False
-        for cand in _matchings(idx):
-            if all(_compensating(p, nodes[i], nodes[j], edges) for i, j in cand):
-                pairs.extend(cand)
-                done = True
-                break
-        if not done:
+        if len(forward) != len(backward):
             return Obstruction(
                 nodes, idx, "no orientation-compatible pairing in the group"
             )
+        pairs.extend(tuple(sorted(pair)) for pair in zip(forward, backward))
     matched = sorted(i for pair in pairs for i in pair)
     if matched != list(range(len(nodes))):
         raise GeometryError("pairing failed to cover every edge-2-face")

@@ -7,8 +7,9 @@ Cayley rotations go through sympy, echelon forms through Gauss-Jordan
 on Fractions and through sympy, facets come from hyperplane fitting over
 all d-subsets with nullspaces, k-faces from intersections over all
 facet subsets, planar hulls from pointwise extremeness tests plus an
-angle sort, visible configurations from a seeded search over random
-witness planes, walk degeneration polynomials from rational
+angle sort, the compensation pairing from an exhaustive search of each
+group's matchings, visible configurations from a seeded search over
+random witness planes, walk degeneration polynomials from rational
 determinants at three times, walk segments from Fraction row
 arithmetic, degenerate classes from one stacked integer determinant per
 class, sampled plane bases from Fraction Subspaces, the cells of a
@@ -183,6 +184,55 @@ def oracle_compensating(p, n1, n2, edges):
     )
 
 
+def _oracle_matchings(idx):
+    """Every perfect matching of idx, the first node's partner first."""
+    if not idx:
+        yield ()
+        return
+    first = idx[0]
+    for j in range(1, len(idx)):
+        rest = idx[1:j] + idx[j + 1 :]
+        for tail in _oracle_matchings(rest):
+            yield ((first, idx[j]),) + tail
+
+
+def oracle_compensation_partition(p, certs):
+    """The compensation pairing by exhaustive matching, as the package
+    built it before it counted senses: the nodes of eq.orient grouped by
+    face pair and Fraction direction key, each group in key order
+    matched by the first perfect matching whose pairs pass
+    oracle_compensating. Returns a CompensationPairing, or the
+    Obstruction of the first odd group or group with no such matching."""
+    nodes = tuple(n for cert in certs for n in eq.orient(p, cert))
+    edges = pt.k_faces(p, 1)
+    groups = {}
+    for i, n in enumerate(nodes):
+        pairkey = tuple(sorted({n.face_id, n.partner_id} - {None}))
+        d = oracle_edge_direction(p, edges[n.edge_id])
+        groups.setdefault((pairkey, oracle_direction_key(d)), []).append(i)
+    pairs = []
+    for key in sorted(groups):
+        idx = tuple(groups[key])
+        if len(idx) % 2:
+            return eq.Obstruction(
+                nodes, idx, "odd number of edge-2-faces in the group"
+            )
+        cand = next(
+            (
+                m
+                for m in _oracle_matchings(idx)
+                if all(oracle_compensating(p, nodes[i], nodes[j], edges) for i, j in m)
+            ),
+            None,
+        )
+        if cand is None:
+            return eq.Obstruction(
+                nodes, idx, "no orientation-compatible pairing in the group"
+            )
+        pairs.extend(cand)
+    return eq.CompensationPairing(nodes, tuple(pairs))
+
+
 def oracle_solve_gram(basis, v):
     """Projection coordinates via sympy's linear solver."""
     b = sympy.Matrix([[sympy.Rational(x) for x in row] for row in basis])
@@ -246,7 +296,11 @@ def oracle_k_faces(points, k, facets=None):
 
 
 def _point_in_hull_2d(p, others):
-    """Exact membership of p in the convex hull of a 2D point list."""
+    """Exact membership of p in the convex hull of a 2D point list.
+
+    Past the point and segment passes, the triangles are fanned from
+    one apex: a ray from the apex through p leaves the hull through an
+    edge [b, c], so p lies in the triangle (apex, b, c)."""
     for q in others:
         if q == p:
             return True
@@ -259,7 +313,8 @@ def _point_in_hull_2d(p, others):
             t_den = ab[0] * ab[0] + ab[1] * ab[1]
             if t_den != 0 and 0 <= t_num <= t_den:
                 return True
-    for a, b, c in combinations(others, 3):
+    a = others[0]
+    for b, c in combinations(others[1:], 2):
         # collinear triples are no triangles; the segment pass covers them
         if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) == 0:
             continue

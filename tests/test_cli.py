@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import sys
 import time
 import types
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import shadowlab.cli as cli
 import shadowlab.families as fam
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
+import shadowlab.walk as wk
 from shadowlab.errors import SamplingError, WalkError
 
 CUBE_JSON = json.dumps([[int(b) for b in f"{i:03b}"] for i in range(8)])
@@ -525,8 +528,9 @@ def test_check_report_matches_golden_digest(name):
 
 # sha256 of the full `walk --seed 5 --no-timestamp` report (the end
 # planes, every segment's base and slope rows, the event log) between
-# two sample_admissible planes, pinned so that a change to the walk
-# layer which claims identical behaviour must keep every byte
+# two sample_admissible planes, or the two planes given, pinned so that
+# a change to the walk layer which claims identical behaviour must keep
+# every byte
 GOLDEN_WALKS = {
     "cube4": (
         lambda: fam.hypercube(4),
@@ -556,16 +560,27 @@ GOLDEN_WALKS = {
         lambda: fam.hyperprism_pnd(2, 5, 0),
         "f445068fba9aa4f7787462eeb3148264c432c0cd3ad4570d9db1189911d6c02a",
     ),
+    # the only pinned walk that runs the junction nudge and the
+    # contraction pre-step (see test_pn4_junction_walk_runs_rare_branches)
+    "pn4-junction": (
+        lambda: fam.pn_polytope(4),
+        "c9f04c36c339277b2c824d58f8e0f97f2bcbd69807175466961d6128644d4814",
+        ("[[0,1,0,1],[1,1,0,1]]", "[[0,0,1,0],[0,-1,2,-1]]"),
+    ),
 }
 
 
 def _walk_report(name):
-    p = GOLDEN_WALKS[name][0]()
-    wa, wb = sh.sample_admissible(p, f"golden-walk:{name}", 2)
+    make, _digest, *planes = GOLDEN_WALKS[name]
+    p = make()
     poly = json.dumps({"vertices": [[str(x) for x in v] for v in p.vertices]})
-    plane_a, plane_b = (
-        json.dumps([[str(x) for x in r] for r in w.basis.basis]) for w in (wa, wb)
-    )
+    if planes:
+        plane_a, plane_b = planes[0]
+    else:
+        wa, wb = sh.sample_admissible(p, f"golden-walk:{name}", 2)
+        plane_a, plane_b = (
+            json.dumps([[str(x) for x in r] for r in w.basis.basis]) for w in (wa, wb)
+        )
     argv = ["walk", "--polytope", poly, "--from", plane_a, "--to", plane_b]
     return go(argv + ["--seed", "5", "--no-timestamp"])
 
@@ -576,6 +591,36 @@ def test_walk_report_matches_golden_digest(name):
     assert code == 0
     assert json.loads(out)["events"]
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WALKS[name][1]
+
+
+def test_pn4_junction_walk_runs_rare_branches(monkeypatch):
+    # _fragment_to_hyperplane nudges a junction span apart when a
+    # crossing's first shared degeneration has equal spans, and
+    # _fragment_within takes a contraction pre-step on a shared one
+    runs = Counter()
+    first_shared = wk._first_shared
+    separate = wk._separate_junction_spans
+
+    def counted_first_shared(events):
+        shared = first_shared(events)
+        if shared is not None:
+            runs[sys._getframe(1).f_code.co_name] += 1
+        return shared
+
+    def counted_separate(*args):
+        pre = separate(*args)
+        runs["nudge"] += pre is not None
+        return pre
+
+    monkeypatch.setattr(wk, "_first_shared", counted_first_shared)
+    monkeypatch.setattr(wk, "_separate_junction_spans", counted_separate)
+    code, out, _ = _walk_report("pn4-junction")
+    assert code == 0
+    report = json.loads(out)
+    assert (len(report["segments"]), len(report["events"])) == (5, 111)
+    assert runs["nudge"] >= 1
+    # a contraction shared degeneration either raises or takes the pre-step
+    assert runs["_fragment_within"] >= 1
 
 
 def test_timestamp_is_the_only_varying_field():

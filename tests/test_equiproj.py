@@ -83,6 +83,19 @@ def oracle_has_perfect_matching(p, nodes):
     return rec(0)
 
 
+def negate_orientations(monkeypatch):
+    """Reverse every traversal: eq.orient with each node's orientation
+    negated. Compensation cannot see it."""
+    orient = eq.orient
+    monkeypatch.setattr(
+        eq,
+        "orient",
+        lambda p, cert: tuple(
+            n._replace(orientation=-n.orientation) for n in orient(p, cert)
+        ),
+    )
+
+
 def all_nodes(p, certs):
     out = []
     for c in certs:
@@ -302,23 +315,26 @@ def test_prism_triangles_anti_aligned():
         assert n.orientation == -m.orientation
 
 
-def test_orientation_flip_does_not_change_verdicts():
-    # reversing every traversal reindexes the nodes, so compare verdicts
-    # and pair validity rather than raw index tuples
-    for p, certs in ((CUBE, CUBE_CERTS), (PRISM, PRISM_CERTS)):
-        a = eq.compensation_partition(p, certs)
-        b = eq.compensation_partition(p, certs, flip=True)
-        assert isinstance(a, eq.CompensationPairing)
-        assert isinstance(b, eq.CompensationPairing)
+def test_orientation_flip_does_not_change_verdicts(monkeypatch):
+    # reversing every traversal negates every orientation: compare
+    # verdicts and pair validity
+    cases = ((CUBE, CUBE_CERTS), (PRISM, PRISM_CERTS), (TETRA, TETRA_CERTS))
+    before = [eq.compensation_partition(p, certs) for p, certs in cases]
+    negate_orientations(monkeypatch)
+    after = [eq.compensation_partition(p, certs) for p, certs in cases]
+    for (p, _certs), a, b in zip(cases, before, after):
+        assert type(a) is type(b)
+        assert [-n.orientation for n in a.edge_two_faces] == [
+            n.orientation for n in b.edge_two_faces
+        ]
+        if isinstance(a, eq.Obstruction):
+            assert p is TETRA
+            assert len(a.group) == len(b.group) == 1
+            continue
         assert len(a.pairs) == len(b.pairs)
         for out in (a, b):
             for i, j in out.pairs:
                 assert compensating_oracle(p, out.edge_two_faces[i], out.edge_two_faces[j])
-    a = eq.compensation_partition(TETRA, TETRA_CERTS)
-    b = eq.compensation_partition(TETRA, TETRA_CERTS, flip=True)
-    assert isinstance(a, eq.Obstruction)
-    assert isinstance(b, eq.Obstruction)
-    assert len(a.group) == len(b.group) == 1
 
 
 def test_orient_rejects_inconsistent_certificates():
@@ -346,10 +362,10 @@ def test_cube_partition_against_matching_oracle():
 
 
 def test_partition_rejects_oversize_group(monkeypatch):
-    # six edge-2-faces of one face along one edge direction: exhaustive
-    # matching is only meant for groups of at most four
+    # six edge-2-faces of one face along one edge line: a face holds at
+    # most two edges on a line, so no sound face pair gives more than four
     node = eq.EdgeTwoFace(0, 0, None, 1)
-    monkeypatch.setattr(eq, "orient", lambda p, cert, flip=False: (node,) * 6)
+    monkeypatch.setattr(eq, "orient", lambda p, cert: (node,) * 6)
     with pytest.raises(GeometryError, match="group of 6 edge-2-faces"):
         eq.compensation_partition(CUBE, CUBE_CERTS[:1])
 

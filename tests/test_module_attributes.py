@@ -4,12 +4,15 @@ Parses the package and the tests with ast, maps each import alias of a
 shadowlab module (`import shadowlab.linalg as la`, `from . import
 kernels`, ...) and checks every attribute read through an alias, and
 every name a `from shadowlab... import` pulls in, against the imported
-module. A helper deleted from the package then fails here even when the
-only code that still names it sits in a branch that rarely runs.
+module; and every keyword of a call `alias.fn(..., kw=...)` against the
+signature of fn. A helper or option deleted from the package then fails
+here even when the only code that still names it sits in a branch that
+rarely runs.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 from types import ModuleType
 
@@ -30,8 +33,22 @@ def _module_name(node):
     return node.module
 
 
+def _accepts(fn, kw):
+    """Whether fn takes the keyword kw; True when its signature is not
+    readable."""
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return True
+    if any(q.kind is q.VAR_KEYWORD for q in params.values()):
+        return True
+    q = params.get(kw)
+    return q is not None and q.kind in (q.POSITIONAL_OR_KEYWORD, q.KEYWORD_ONLY)
+
+
 def stale_names(path):
-    """(line, dotted name) of each missing module attribute in a file."""
+    """(line, dotted name) of each missing module attribute in a file,
+    and of each keyword its function does not take, as name(kw=)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     aliases = {}
     missing = []
@@ -72,6 +89,16 @@ def stale_names(path):
             owner = resolve(node.value)
             if owner is not None and not hasattr(owner, node.attr):
                 missing.append((node.lineno, f"{owner.__name__}.{node.attr}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = resolve(node.func.value)
+            fn = getattr(owner, node.func.attr, None)
+            if not callable(fn):
+                continue
+            for k in node.keywords:
+                # k.arg is None for a **mapping, which names no keyword
+                if k.arg is not None and not _accepts(fn, k.arg):
+                    name = f"{owner.__name__}.{node.func.attr}({k.arg}=)"
+                    missing.append((node.lineno, name))
     return sorted(missing)
 
 
@@ -97,4 +124,20 @@ def test_guard_reports_a_stale_attribute(tmp_path):
     assert stale_names(src) == [
         (3, "shadowlab.errors.NoSuchError"),
         (5, "shadowlab.linalg.no_such_helper"),
+    ]
+
+
+def test_guard_reports_a_stale_keyword(tmp_path):
+    src = tmp_path / "stale.py"
+    src.write_text(
+        "import shadowlab.equiproj as eq\n"
+        "from shadowlab import shadow as sh\n"
+        "def rarely(p, certs, opts):\n"
+        "    eq.compensation_partition(p, certs, flip=True)\n"
+        "    eq.is_equiprojective_sampled(p, seed=1, trials=4, **opts)\n"
+        "    return sh.sample_admissible(p, 0, 1, grid_bound=5, jitter=2)\n"
+    )
+    assert stale_names(src) == [
+        (4, "shadowlab.equiproj.compensation_partition(flip=)"),
+        (6, "shadowlab.shadow.sample_admissible(jitter=)"),
     ]
