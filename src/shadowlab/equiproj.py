@@ -17,9 +17,9 @@ that maximises or minimises c. So the configurations are constant on the
 cells of the common refinement of the normal fans of Q and -Q, where Q
 is the projection of p along P; that refinement is the normal fan of
 the difference body Q + (-Q) (Ziegler, Lectures on Polytopes, Prop.
-7.12), whose proper faces are enumerated one by one. Its facets come
-from integer gift wrapping (polytope.int_facets) and its lower faces
-from their closure; no Polytope is built for it. A cell lying in
+7.12), whose proper faces are enumerated one by one. Its facets and
+its faces of every dimension come from integer gift wrapping
+(polytope.int_facets); no Polytope is built for it. A cell lying in
 another class's orthogonal complement degenerates that class too and
 is skipped; every other cell has an exact witness plane. Certificates
 are proofs: every emitted witness is re-validated with exact
@@ -135,12 +135,10 @@ def _certify(p, face_id, other_id, rows):
     The witness span is built once and validated by
     elementary_transformation. The chains of the face and its partner
     are read off one hull, just before the crossing, at the plane
-    orthogonal to the probe's integer rows there (the kernel does not
-    depend on row scale).
+    orthogonal to the probe's rows there.
     """
     tr = wk.elementary_transformation(p, face_id, other_id, la.Subspace(rows))
-    before = la.int_subspace(tr.minus.int_rows_at(-tr.epsilon / 2)[0])
-    frame = sh.hull_frame(p, sh.ProjectionPlane.from_orthogonal(before))
+    frame = sh.hull_frame(p, tr.minus.plane_at(-tr.epsilon / 2))
     chains = _face_chains(p, face_id, frame)
     other = None
     if other_id is not None:
@@ -154,10 +152,10 @@ def _cells(p, cid):
     Yields (c, members). B is an integer basis of P's orthogonal
     complement, so the directions there are c = B^T l and c . v equals
     l . (B v): the cells are the normal cones of the proper faces G of
-    the difference body D of the points B v. D's facets come straight
-    from integer gift wrapping (pt.int_facets), with no Polytope built,
-    and its faces from their closure, visited by dimension, then by
-    vertex ids. Summing the facet normals through G gives a direction
+    the difference body D of the points B v. D's facets and faces come
+    straight from integer gift wrapping (pt.int_facets), with no
+    Polytope built; the faces are visited by dimension, then by vertex
+    ids. Summing the facet normals through G gives a direction
     inside its cone. A cone that lies in another class's orthogonal
     complement is skipped: bit j of a facet's mask says that its normal
     clears other class j, and a cone lies in that complement iff no
@@ -178,7 +176,7 @@ def _cells(p, cid):
     ]
     ys = {tuple(kernels.dot(b, v) for b in basis) for v in verts}
     points = sorted({tuple(map(sub, y, z)) for y in ys for z in ys})
-    body = pt.int_facets(points)[1]
+    _keep, body, by_dim = pt.int_facets(points)
     faces = pt.k_faces(p, 2)
 
     def cleared(l):
@@ -192,7 +190,6 @@ def _cells(p, cid):
     # each facet's vertex ids, its normal, its mask
     facets = [(frozenset(ids), n, cleared(n)) for ids, n, _off in body]
     full = (1 << len(others)) - 1
-    by_dim = pt.faces_by_dim(points, (vids for vids, _n, _m in facets))
 
     for k in range(len(basis)):
         for g in by_dim[k]:
@@ -485,8 +482,8 @@ def chain_balance(p, cert):
     tr = wk.elementary_transformation(
         p, cert.face_id, cert.other_id, la.Subspace(cert.witness)
     )
-    wm = sh.ProjectionPlane.from_orthogonal(tr.minus.span_at(-tr.epsilon / 2))
-    wp = sh.ProjectionPlane.from_orthogonal(tr.plus.span_at(tr.epsilon / 2))
+    wm = tr.minus.plane_at(-tr.epsilon / 2)
+    wp = tr.plus.plane_at(tr.epsilon / 2)
     vis = len(cert.chains.visible)
     inv = len(cert.chains.invisible)
     if cert.other_chains is not None:
@@ -524,10 +521,10 @@ def definitions_equivalence_check(p, seed=0):
             probe, _v, eps = wk.crossing_probe(p, cid, span, la.primitive(rows[0]))
             k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(span)).k
             for t in (-eps / 2, eps / 2):
-                moved = probe.span_at(t)
-                if next(sh.degenerate_classes(p, moved.int_rows), None) is not None:
+                w = probe.plane_at(t)
+                hit = next(sh.degenerate_classes(p, w.complement.int_rows), None)
+                if hit is not None:
                     raise GeometryError("un-degenerated plane still degenerates")
-                w = sh.ProjectionPlane.from_orthogonal(moved)
                 if sh.shadow(p, w).k != k_here:
                     matches = False
     return EquivalenceReport(events == 0, checked, events, k_ref, matches)

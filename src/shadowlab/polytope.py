@@ -2,21 +2,22 @@
 
 A Polytope is a validated full-dimensional vertex list: build() takes
 the vertices themselves, hull() any point cloud, of which it keeps the
-vertices. Both find the facets one way, int_facets, by gift wrapping on
-integer coordinates (Chand and Kapur 1970; Swart 1985): from one facet,
-each ridge is pivoted to the facet on its other side, and a facet's
-ridges are the facets of its own point set, found the same way one
-dimension down. The recursion ends in closed form at dimension 2 or
-below: the extremes of a line, the edges of a planar hull. The work
-grows with the number of faces, not with the C(n, d) subsets of n
-points. int_facets needs no Polytope, so callers that only want the
+vertices. Both find the face lattice one way, int_facets, by gift
+wrapping on integer coordinates (Chand and Kapur 1970; Swart 1985):
+from one facet, each ridge is pivoted to the facet on its other side,
+and a facet's ridges are the facets of its own point set, found the
+same way one dimension down. The recursion ends in closed form at
+dimension 2 or below: the extremes of a line, the edges of a planar
+hull. The work grows with the number of faces, not with the C(n, d)
+subsets of n points. The recursion's memo holds each face's own
+facets, so the faces of every dimension are read off it level by
+level. int_facets needs no Polytope, so callers that only want the
 facets and faces of an integer point set (the decider's difference
-bodies) call it and faces_by_dim directly.
-A Polytope stores its facets the same way, as ids and planes. The rest
-is computed on demand and cached: lower face ids by closing the facet
-vertex sets under intersection, every Face and its span in k_faces (the
-one builder), parallel classes of 2-faces by span equality, and
-proscribed directions as the pairwise span intersections.
+bodies) call it directly.
+A Polytope stores its face ids by dimension and its facets' planes.
+The rest is computed on demand and cached: every Face and its span in
+k_faces (the one builder), parallel classes of 2-faces by span
+equality, and proscribed directions as the pairwise span intersections.
 """
 
 from fractions import Fraction
@@ -93,7 +94,7 @@ class Polytope:
         self.label = label
         self.dim = len(vertices[0])
         self._int_vertices = int_vertices
-        # vertex ids of the proper faces by dimension, the facets' first
+        # vertex ids of the proper faces, by dimension
         self._face_ids = face_ids
         self._facet_planes = facet_planes
         self._faces_by_dim = {}
@@ -274,19 +275,24 @@ def _hull_facets(pts, memo):
 
 
 def int_facets(points):
-    """Vertices and facets of the hull of distinct integer points.
+    """Vertices, facets and faces of the hull of distinct integer points.
 
-    Returns (keep, facets). A point is a vertex iff the normals of the
-    facets through it span R^d; keep lists the vertex ids in order.
-    facets is the sorted list of (vertex ids, normal, offset), with
-    normal . x <= offset on every point and normal, offset primitive
-    together; the ids are sorted and name vertices only. Raises
+    Returns (keep, facets, faces). A point is a vertex iff the normals
+    of the facets through it span R^d; keep lists the vertex ids in
+    order. facets is the sorted list of (vertex ids, normal, offset),
+    with normal . x <= offset on every point and normal, offset
+    primitive together. faces maps each k = 0..d-1 to the sorted vertex
+    id tuples of the k-faces, read off the wrap's memo: it keys the
+    facets of the hull, and of each face of dimension 2 or more, by
+    that face's tight set, so the tight sets one level down are the
+    facets of those one level up. All ids are sorted and name vertices only. Raises
     PolytopeError when the points are not full-dimensional.
     """
     d = len(points[0])
     if _affine_rank(points) != d:
         raise PolytopeError("vertex set is not full-dimensional")
-    found = _hull_facets(dict(enumerate(points)), {})
+    memo = {}
+    found = _hull_facets(dict(enumerate(points)), memo)
     incident = [[] for _ in points]
     for tight, (normal, _off) in found.items():
         for i in tight:
@@ -297,7 +303,14 @@ def int_facets(points):
         (tuple(sorted(kept.intersection(t))), normal, off)
         for t, (normal, off) in found.items()
     )
-    return keep, facets
+    # the memo is keyed by whole tight sets, points inside faces included
+    faces, k, level = {}, d - 1, set(found)
+    while level:
+        faces[k] = sorted(tuple(sorted(kept.intersection(t))) for t in level)
+        level = {r for t in level for r in memo.get(t, ())}
+        k -= 1
+    faces[0] = [(i,) for i in keep]
+    return keep, facets, faces
 
 
 def hull(points, label=None):
@@ -319,30 +332,25 @@ def hull(points, label=None):
     if len(pts) < d + 1:
         raise PolytopeError(f"need at least {d + 1} vertices in dimension {d}")
     pts_int, mult = int_points(pts)
-    keep, facets = int_facets(pts_int)
+    keep, facets, faces = int_facets(pts_int)
+    planes = [(normal, off) for _ids, normal, off in facets]
     if len(keep) < len(pts):
-        # renumber the vertices (in order, so the facets stay sorted)
+        # renumber the vertices (in order, so the faces stay sorted)
         # and move the planes from the cloud's multiplier to theirs: a
         # dropped point may carry the largest denominator
         new_id = {i: j for j, i in enumerate(keep)}
         pts = tuple(pts[i] for i in keep)
         pts_int, v_mult = int_points(pts)
-        facets = [
-            (
-                tuple(new_id[i] for i in ids),
-                *_canonical_facet([mult * x for x in normal], v_mult * off),
-            )
-            for ids, normal, off in facets
+        faces = {
+            k: [tuple(new_id[i] for i in ids) for ids in ids_k]
+            for k, ids_k in faces.items()
+        }
+        planes = [
+            _canonical_facet([mult * x for x in normal], v_mult * off)
+            for normal, off in planes
         ]
         mult = v_mult
-
-    return Polytope(
-        pts,
-        label,
-        (pts_int, mult),
-        {d - 1: [ids for ids, _n, _o in facets]},
-        tuple((n, off) for _i, n, off in facets),
-    )
+    return Polytope(pts, label, (pts_int, mult), faces, tuple(planes))
 
 
 def build(vertices, label=None):
@@ -374,60 +382,18 @@ def facet_planes(p):
     return p._facet_planes
 
 
-def _all_proper_faces(facet_sets):
-    """Vertex sets of every proper face, as a set of frozensets.
-
-    Every proper face is an intersection of facets, so closing the
-    facet vertex sets under intersection with facets is exhaustive.
-    """
-    facet_sets = [frozenset(f) for f in facet_sets]
-    known = set(facet_sets)
-    queue = list(facet_sets)
-    while queue:
-        cur = queue.pop()
-        for fs in facet_sets:
-            nxt = cur & fs
-            if nxt and nxt not in known:
-                known.add(nxt)
-                queue.append(nxt)
-    return known
-
-
-def faces_by_dim(points, facet_sets):
-    """Vertex ids of every proper face of the hull of integer points.
-
-    facet_sets are the facets' vertex id sets. Returns a dict mapping
-    each dimension to the faces' sorted id tuples, in sorted order. A
-    facet has dimension d-1; any other face, the affine rank of its
-    points.
-    """
-    facet_sets = set(map(frozenset, facet_sets))
-    top = len(points[0]) - 1
-    out = {top: []}
-    for vset in _all_proper_faces(facet_sets):
-        ids = tuple(sorted(vset))
-        if vset in facet_sets:
-            out[top].append(ids)
-        else:
-            out.setdefault(_affine_rank([points[i] for i in ids]), []).append(ids)
-    for faces in out.values():
-        faces.sort()
-    return out
-
-
 def k_faces(p, k):
     """All k-faces, 0 <= k <= d-1, sorted by vertex ids.
 
     The one builder of Face objects and their spans; raises
-    PolytopeError when a span is not k-dimensional.
+    PolytopeError when a span is not k-dimensional, which also checks
+    the grading of the face ids.
     """
     if not (0 <= k <= p.dim - 1):
         raise ParameterError(f"k={k} out of range for dimension {p.dim}")
     if k in p._faces_by_dim:
         return p._faces_by_dim[k]
     pts = p.int_vertices()[0]
-    if k not in p._face_ids:
-        p._face_ids.update(faces_by_dim(pts, p._face_ids[p.dim - 1]))
     out = []
     for ids in p._face_ids[k]:
         base = pts[ids[0]]

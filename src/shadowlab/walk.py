@@ -144,6 +144,10 @@ class WalkSegment:
         family raises DegenerateBasisError."""
         return la.int_subspace(self.int_rows_at(t)[0])
 
+    def plane_at(self, t):
+        """The projection plane orthogonal to the span at t."""
+        return sh.ProjectionPlane.from_orthogonal(self.span_at(t))
+
     def _reparametrised(self, shift, f, t_range):
         """The family at t = shift + f*u, as a segment in u on t_range.
 
@@ -1038,8 +1042,7 @@ def frame_chains(p, face, frame):
 
 
 def _before_chain(p, face_id, tr):
-    lo, hi = tr.minus.t_range
-    w = sh.ProjectionPlane.from_orthogonal(tr.minus.span_at((lo + hi) / 2))
+    w = tr.minus.plane_at(-tr.epsilon / 2)
     return set(boundary_chains(p, face_id, w).visible)
 
 

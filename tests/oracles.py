@@ -6,7 +6,8 @@ construction (the former eager Subspace), determinants, ranks and
 Cayley rotations go through sympy, echelon forms through Gauss-Jordan
 on Fractions and through sympy, facets come from hyperplane fitting over
 all d-subsets with nullspaces, k-faces from intersections over all
-facet subsets, planar hulls from pointwise extremeness tests plus an
+facet subsets, the face lattice from closing the facets under
+intersection, planar hulls from pointwise extremeness tests plus an
 angle sort, the compensation pairing from an exhaustive search of each
 group's matchings, visible configurations from a seeded search over
 random witness planes, walk degeneration polynomials from rational
@@ -292,6 +293,42 @@ def oracle_k_faces(points, k, facets=None):
         rows = [[q[j] - base[j] for j in range(len(base))] for q in members[1:]]
         if oracle_rank(rows) == k:
             out.add(c)
+    return out
+
+
+def oracle_faces_by_dim(points, facet_sets):
+    """Vertex ids of every proper face of the hull of integer points, by
+    dimension, as polytope.int_facets returns them: the former closure.
+
+    facet_sets are the facets' vertex id sets. Every proper face is an
+    intersection of facets, so closing the facet vertex sets under
+    intersection with facets is exhaustive. A facet has dimension d-1;
+    any other face, the affine rank of its points. Returns a dict
+    mapping each dimension to the faces' sorted id tuples, in sorted
+    order.
+    """
+    facet_sets = list(set(map(frozenset, facet_sets)))
+    known = set(facet_sets)
+    queue = list(facet_sets)
+    while queue:
+        cur = queue.pop()
+        for fs in facet_sets:
+            nxt = cur & fs
+            if nxt and nxt not in known:
+                known.add(nxt)
+                queue.append(nxt)
+    top = len(points[0]) - 1
+    out = {top: []}
+    for vset in known:
+        ids = tuple(sorted(vset))
+        if vset in facet_sets:
+            out[top].append(ids)
+        else:
+            base = points[ids[0]]
+            rank = kernels.rank_int([tuple(map(sub, points[i], base)) for i in ids])
+            out.setdefault(rank, []).append(ids)
+    for faces in out.values():
+        faces.sort()
     return out
 
 

@@ -1,15 +1,21 @@
-"""The difference-body cells read off integer facets, and the closed-form
-low-dimensional hull they end in.
+"""The difference-body cells read off the integer gift wrap, the face
+lattice the wrap returns, and the closed-form low-dimensional hull it
+ends in.
 
 equiproj._cells takes each class's difference body from pt.int_facets
 without building a Polytope; it must yield exactly the cells, in the
-same order, as the Polytope route (oracles.oracle_cells). The gift wrap
-answers dimensions 1 and 2 in closed form; there its facets must be
-the brute-force ones, tight sets with collinear points included.
+same order, as the Polytope route (oracles.oracle_cells). The faces of
+every dimension that int_facets reads off the wrap's memo must be the
+closure of its facets under intersection (oracles.oracle_faces_by_dim),
+on the zoo, on every class's difference body and on random clouds with
+points inside faces. The gift wrap answers dimensions 1 and 2 in closed
+form; there its facets must be the brute-force ones, tight sets with
+collinear points included.
 """
 
 from fractions import Fraction as Fr
 from math import gcd
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,8 +23,15 @@ from hypothesis import assume, given, settings, strategies as st
 import shadowlab.equiproj as eq
 import shadowlab.families as fam
 import shadowlab.kernels as kernels
+import shadowlab.linalg as la
 import shadowlab.polytope as pt
-from oracles import oracle_cells, oracle_facets, oracle_hull_2d
+from oracles import (
+    oracle_cells,
+    oracle_faces_by_dim,
+    oracle_facets,
+    oracle_hull_2d,
+    oracle_k_faces,
+)
 
 POLYTOPES = {
     "cube3": lambda: fam.hypercube(3),
@@ -42,6 +55,81 @@ def test_cells_match_the_polytope_route(name):
         assert list(eq._cells(p, cid)) == list(oracle_cells(p, cid))
 
 
+def check_lattice(pts):
+    """int_facets' faces equal the closure of its facets."""
+    _keep, facets, faces = pt.int_facets(pts)
+    assert faces == oracle_faces_by_dim(pts, [ids for ids, _n, _o in facets])
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_lattice_matches_the_closure_on_the_zoo(name):
+    check_lattice(POLYTOPES[name]().int_vertices()[0])
+
+
+def body_points(p, cid):
+    """The points of a class's difference body, as equiproj._cells
+    builds them: every difference of the vertex images under a
+    primitive integer basis of the class plane's complement."""
+    rows = pt.parallel_classes(p)[cid].direction_plane.int_rows
+    basis = [la.primitive(b) for b in la.int_kernel(rows)]
+    ys = {tuple(kernels.dot(b, v) for b in basis) for v in p.int_vertices()[0]}
+    return sorted({tuple(map(sub, y, z)) for y in ys for z in ys})
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_lattice_matches_the_closure_on_the_difference_bodies(name):
+    p = POLYTOPES[name]()
+    for cid in range(len(pt.parallel_classes(p))):
+        check_lattice(body_points(p, cid))
+
+
+@st.composite
+def clouds(draw):
+    """Integer points in d = 3..5 that always hold a point the hull
+    drops: even coordinates on a small grid (so that coplanar points are
+    common), plus the midpoints of some pairs (points inside edges,
+    inside 2-faces and inside the hull) and one midpoint of a midpoint
+    and a point."""
+    d = draw(st.integers(3, 5))
+    coord = st.integers(-2, 2).map(lambda x: 2 * x)
+    pts = draw(
+        st.lists(
+            st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 5, unique=True
+        )
+    )
+    assume(kernels.rank_int([tuple(map(sub, q, pts[0])) for q in pts]) == d)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pts), st.sampled_from(pts)).filter(
+                lambda ab: ab[0] != ab[1]
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    mids = [tuple((x + y) // 2 for x, y in zip(a, b)) for a, b in pairs]
+    c, q = mids[0], draw(st.sampled_from(pts))
+    quarter = tuple(x + y for x, y in zip(c, q))
+    pts = [tuple(2 * x for x in r) for r in pts + mids] + [quarter]
+    return list(dict.fromkeys(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds())
+def test_lattice_matches_the_closure_on_clouds(pts):
+    check_lattice(pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(clouds())
+def test_hull_of_a_cloud_renumbers_every_face(pts):
+    poly = pt.hull(pts)
+    assert len(poly.vertices) < len(pts)
+    for k in range(poly.dim):
+        got = {frozenset(f.vertex_ids) for f in pt.k_faces(poly, k)}
+        assert got == oracle_k_faces(poly.vertices, k)
+
+
 def check_planes(pts, found):
     """Every (normal, offset) of found is primitive together, holds as
     <= on every point and is tight exactly on its id set."""
@@ -61,7 +149,7 @@ def test_one_dimensional_facets_are_the_extremes(xs):
     lo, hi = pts.index((min(xs),)), pts.index((max(xs),))
     assert set(found) == {frozenset({lo}), frozenset({hi})}
     check_planes(pts, found)
-    keep, facets = pt.int_facets(pts)
+    keep, facets, _faces = pt.int_facets(pts)
     assert keep == sorted((lo, hi))
     assert [ids for ids, _n, _o in facets] == sorted([(lo,), (hi,)])
     poly = pt.hull(pts)
@@ -103,7 +191,7 @@ def test_two_dimensional_facets_match_the_brute_force(pts):
     # the hull keeps the oracle's vertices; its facets are the oracle's
     # tight sets without the points inside edges
     verts = {tuple(int(x) for x in q) for q in oracle_hull_2d(pts)}
-    keep, facets = pt.int_facets(pts)
+    keep, facets, _faces = pt.int_facets(pts)
     assert keep == [i for i, q in enumerate(pts) if q in verts]
     assert [ids for ids, _n, _o in facets] == sorted(
         tuple(sorted(i for i in t if pts[i] in verts)) for t in want
@@ -119,8 +207,8 @@ def test_two_dimensional_facets_match_the_brute_force(pts):
 @settings(max_examples=100, deadline=None)
 @given(clouds_2d())
 def test_closure_groups_the_faces_of_a_polygon(pts):
-    keep, facets = pt.int_facets(pts)
-    by_dim = pt.faces_by_dim(pts, (ids for ids, _n, _o in facets))
-    assert by_dim[1] == [ids for ids, _n, _o in facets]
-    assert by_dim[0] == [(i,) for i in keep]
-    assert set(by_dim) == {0, 1}
+    keep, facets, faces = pt.int_facets(pts)
+    assert faces[1] == [ids for ids, _n, _o in facets]
+    assert faces[0] == [(i,) for i in keep]
+    assert set(faces) == {0, 1}
+    assert faces == oracle_faces_by_dim(pts, faces[1])

@@ -481,18 +481,34 @@ def test_chain_balance_tetrahedron_breaks():
 
 
 def test_balance_matches_size_conservation_everywhere():
-    # both directions of the balance criterion over every certificate
-    for p, certs in (
-        (CUBE, CUBE_CERTS),
-        (PRISM, PRISM_CERTS),
-        (TETRA, TETRA_CERTS),
-        (TESS, TESS_VERDICT.certificates),
-    ):
-        for c in certs:
+    # both directions of the balance criterion over every certificate;
+    # a "yes" keeps k across every certificate, a "no" changes it
+    # across at least one, not always in the obstructed group
+    zoo = (
+        (CUBE, True),
+        (PRISM, True),
+        (TESS, True),
+        (PENT, True),
+        (fam.zonotope(fam.random_generators(5, 4, 4)), True),
+        (fam.zonotope(fam.random_generators(6, 4, 7)), True),
+        (fam.zonotope(fam.random_generators(6, 5, 8)), True),
+        (TETRA, False),
+        (SIMPLEX4, False),
+        (PERT, False),
+        (fam.pn_polytope(4), False),
+        (fam.hyperprism_pnd(2, 5, 0), False),
+    )
+    for p, yes in zoo:
+        verdict = eq.is_equiprojective_combinatorial(p)
+        assert verdict.equiprojective is yes
+        kept = []
+        for c in verdict.certificates:
             r = eq.chain_balance(p, c)
             assert (r.k_before == r.k_after) == (
                 r.visible_total == r.invisible_total
             )
+            kept.append(r.k_before == r.k_after)
+        assert kept and (all(kept) if yes else not all(kept))
 
 
 # ------------------------------------------------------------ corollary

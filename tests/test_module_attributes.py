@@ -141,3 +141,90 @@ def test_guard_reports_a_stale_keyword(tmp_path):
         (4, "shadowlab.equiproj.compensation_partition(flip=)"),
         (6, "shadowlab.shadow.sample_admissible(jitter=)"),
     ]
+
+
+# Top-level definitions that no package code reads, each with the reason
+# it stays. A helper whose last caller goes then fails here until it is
+# deleted or given a reason.
+UNREAD = {
+    "kernels.sign_range": "traced by the benchmark",
+    "linalg.det": "traced by the benchmark",
+    "linalg.kernel_basis": "traced by the benchmark",
+    "walk.degeneration_polynomial": "traced by the benchmark",
+    "linalg.as_mat": "API for tests and users",
+    "linalg.matvec": "API for tests and users",
+    "shadow.project": "API for tests and users",
+    "walk.walk_to_hyperplane": "API for tests and users",
+    "walk.walk_within_hyperplane": "API for tests and users",
+    "walk.chain_split_transformations": "API for tests and users",
+    "equiproj.definitions_equivalence_check": "API for tests and users",
+}
+
+
+def unread_definitions(paths):
+    """Top-level defs and classes of a package's modules that no code of
+    the package reads, as 'module.name'.
+
+    paths are the package's module files; a module is named by its file
+    stem and reached through relative imports (`from . import m as a`,
+    `from .m import name`). A name counts as read when some module loads
+    it by name outside its own definition, or as an attribute of an
+    alias of its module.
+    """
+    defined = {}
+    read = set()
+    for path in paths:
+        mod = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        read.add(f"{node.module}.{a.name}")
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined[f"{mod}.{own}"] = path
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id != own:
+                        read.add(f"{mod}.{node.id}")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                ):
+                    read.add(f"{aliases[node.value.id]}.{node.attr}")
+    return set(defined) - read
+
+
+def test_every_unread_definition_has_a_reason():
+    package = [p for p in FILES if p.parent.name == PACKAGE]
+    assert unread_definitions(package) == set(UNREAD)
+
+
+def test_dead_code_guard_reports_an_unread_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import b as bb\n"
+        "from .b import by_import\n"
+        "def entry():\n"
+        "    return bb.by_attribute() + by_import() + helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def lonely(n):\n"
+        "    return lonely(n - 1) if n else 0\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def by_attribute():\n"
+        "    return 2\n"
+        "def by_import():\n"
+        "    return 3\n"
+        "class Orphan:\n"
+        "    pass\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_definitions(paths) == {"a.entry", "a.lonely", "b.Orphan"}
