@@ -236,9 +236,9 @@ def _witness(p, cid, c):
     integer rows over their stored multipliers g_i, U1 = g2 F1 + q g1 F2
     is g1 g2 u1 and g2 k_j + t^j F2 is g2 times the row k_j + t^j f2:
     positive multiples, so the same memberships (one rank_int per other
-    class) and the same degeneracies (the rows' complementary minors
-    against each class's cached minors). Fraction rows are built for
-    the returned candidate only: U1 / (g1 g2), and each tail row over g2.
+    class) and the same degeneracies (shadow.degenerate_classes must
+    list cid alone). Fraction rows are built for the returned candidate
+    only: U1 / (g1 g2), and each tail row over g2.
     """
     classes = pt.parallel_classes(p)
     plane = classes[cid].direction_plane
@@ -255,11 +255,7 @@ def _witness(p, cid, c):
                 tuple(g2 * x + t**j * y for x, y in zip(k, F2))
                 for j, k in enumerate(extra, 1)
             ]
-            rmin = sh._row_minors(p, [u1] + tail)
-            if all(
-                (k == cid) == (kernels.dot(rmin, cls.minors) == 0)
-                for k, cls in enumerate(classes)
-            ):
+            if list(sh.degenerate_classes(p, [u1] + tail)) == [cid]:
                 return (tuple(Fraction(x, g1 * g2) for x in u1),) + tuple(
                     tuple(Fraction(x, g2) for x in r) for r in tail
                 )
@@ -522,8 +518,7 @@ def definitions_equivalence_check(p, seed=0):
             k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(span)).k
             for t in (-eps / 2, eps / 2):
                 w = probe.plane_at(t)
-                hit = next(sh.degenerate_classes(p, w.complement.int_rows), None)
-                if hit is not None:
+                if not sh.is_admissible(p, w).ok:
                     raise GeometryError("un-degenerated plane still degenerates")
                 if sh.shadow(p, w).k != k_here:
                     matches = False

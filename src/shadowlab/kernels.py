@@ -1,9 +1,10 @@
 """Integer matrix kernels and the planar hull.
 
 Every exact determinant, rank and echelon form in the package funnels
-through these functions after denominators are cleared. They work on
-Python's arbitrary-precision integers and divide only exactly (Bareiss),
-so results are exact at any magnitude. The one 2D convex hull (monotone
+through these functions after denominators are cleared. One Bareiss
+loop serves all three: forward for det_int and rank_int, Gauss-Jordan
+for rref_int. It works on Python's arbitrary-precision integers and
+divides only exactly, so results are exact at any magnitude. The one 2D convex hull (monotone
 chain) lives here too: shadows, family self-tests and the gift wrap of
 polytope all end in it. It only compares and multiplies, so it is exact
 on integers and on Fractions alike.
@@ -15,48 +16,54 @@ from operator import mul
 USING_COMPILED = False
 
 
-def _eliminate(rows, ncols):
-    """Forward Bareiss elimination of integer rows of width ncols.
+def _bareiss(rows, ncols, jordan=False):
+    """Fraction-free Bareiss elimination of integer rows of width ncols.
 
-    Returns (rank, sign, last): sign is that of the row swaps and last
-    the last pivot, which for a square matrix of full rank is sign times
-    its determinant. Every update divides exactly by the previous pivot.
+    Returns (rows, pivots, sign, last): the eliminated rows, the pivot
+    columns, the sign of the row swaps and the last pivot, which for a
+    square matrix of full rank is sign times its determinant. The
+    forward mode updates only the rows below each pivot, from the next
+    column on, and leaves the entries under the pivots stale: enough
+    for det and rank. jordan updates every other row in every column,
+    which leaves the fraction-free reduced form. Every update divides
+    exactly by the previous pivot.
     """
     m = [list(r) for r in rows]
-    nrows = len(m)
     for r in m:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-    rank = 0
+    nrows = len(m)
+    pivots = []
     sign = 1
     prev = 1
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                piv = i
+        for piv in range(rank, nrows):
+            if m[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
             sign = -sign
-        pivot = m[rank][col]
         rk = m[rank]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
+        pivot = rk[col]
+        if jordan:
+            targets, cols = m[:rank] + m[rank + 1 :], range(ncols)
+        else:
+            targets, cols = m[rank + 1 :], range(col + 1, ncols)
+        for ri in targets:
             mic = ri[col]
-            for j in range(col + 1, ncols):
+            for j in cols:
                 q, rem = divmod(pivot * ri[j] - mic * rk[j], prev)
                 if rem:
                     raise AssertionError("fraction-free update was not exact")
                 ri[j] = q
-            ri[col] = 0
         prev = pivot
-        rank += 1
-    return rank, sign, prev
+        pivots.append(col)
+    return m, pivots, sign, prev
 
 
 def det_int(rows):
@@ -68,15 +75,15 @@ def det_int(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    rank, sign, last = _eliminate(rows, n)
-    return sign * last if rank == n else 0
+    _m, pivots, sign, last = _bareiss(rows, n)
+    return sign * last if len(pivots) == n else 0
 
 
 def rank_int(rows):
     """Rank of a rectangular integer matrix, fraction-free elimination."""
     if not rows:
         return 0
-    return _eliminate(rows, len(rows[0]))[0]
+    return len(_bareiss(rows, len(rows[0]))[1])
 
 
 def rref_int(rows):
@@ -86,32 +93,8 @@ def rref_int(rows):
     echelon form without its zero rows, every pivot entry of reduced is
     den, and each Bareiss step divides exactly by the previous pivot.
     """
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    if any(len(r) != ncols for r in m):
-        raise ValueError("ragged matrix")
-    pivots = []
-    prev = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        rk = m[rank]
-        pivot = rk[col]
-        for ri in m:
-            if ri is rk:
-                continue
-            mic = ri[col]
-            for j in range(ncols):
-                q, rem = divmod(pivot * ri[j] - mic * rk[j], prev)
-                if rem:
-                    raise AssertionError("fraction-free update was not exact")
-                ri[j] = q
-        prev = pivot
-        pivots.append(col)
-    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots), prev
+    m, pivots, _sign, den = _bareiss(rows, len(rows[0]) if rows else 0, jordan=True)
+    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots), den
 
 
 def dot(u, v):

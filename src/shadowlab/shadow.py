@@ -179,11 +179,7 @@ def project(p, w):
 
 def int_images(p, w):
     """Integer images of the vertices, in vertex order, and the multiplier."""
-    # a Polytope caches its integer vertices; any other vertex holder
-    # is scaled on the spot
-    pts, mult = (
-        p.int_vertices() if isinstance(p, pt.Polytope) else pt.int_points(p.vertices)
-    )
+    pts, mult = p.int_vertices()
     a1, a2 = w.basis.int_rows
     if len(pts[0]) != len(a1):
         raise DimensionError("plane and polytope dimensions differ")
@@ -244,30 +240,6 @@ def in_boundary(frame, vertex_ids):
     return True
 
 
-def _row_minors(p, ints):
-    """Signed complementary minors of d-2 integer rows: the row side of
-    every class degeneracy determinant."""
-    if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
-        raise DimensionError("stacked family is not square")
-    return kernels.complementary_minors(ints, p.dim)
-
-
-def class_degeneracy_det(p, ortho_rows, direction_plane):
-    """det of the stacked (W-orthogonal basis | 2-face direction basis).
-
-    Nonzero exactly when the class does not degenerate for the plane
-    with that orthogonal space. The integer determinant comes from the
-    minors, as in degenerate_classes, and is divided by the row scales.
-    """
-    if direction_plane.dim != 2 or direction_plane.ambient != p.dim:
-        raise DimensionError("stacked family is not square")
-    ints, scale = la.int_matrix(ortho_rows)
-    det = kernels.dot(
-        _row_minors(p, ints), kernels.plane_minors(*direction_plane.int_rows)
-    )
-    return Fraction(det, scale * direction_plane.int_scale)
-
-
 def degenerate_classes(p, rows):
     """Ids of the classes degenerating for the orthogonal span of rows.
 
@@ -278,7 +250,10 @@ def degenerate_classes(p, rows):
     keep every zero. Lazy and in class order, so next() stops at the
     first.
     """
-    rmin = _row_minors(p, la.int_matrix(rows)[0])
+    ints = la.int_matrix(rows)[0]
+    if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
+        raise DimensionError("stacked family is not square")
+    rmin = kernels.complementary_minors(ints, p.dim)
     return (
         cid
         for cid, cls in enumerate(pt.parallel_classes(p))

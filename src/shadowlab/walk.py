@@ -569,7 +569,7 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     # against the rest; zero means the fixed family is itself dependent
     # and the nudged junction determinant would stay zero for every step
     rest = (w, *others[1:], fb[0])
-    if sh.class_degeneracy_det(p, rest, classes[ca].direction_plane) == 0:
+    if ca in sh.degenerate_classes(p, rest):
         return None
     seg, whole = _half_step(classes, (u1, *others), 1, w)
     if whole:

@@ -4,10 +4,11 @@ These deliberately use different algorithms (and sympy where convenient)
 from the library under test: subspaces build their Fraction basis at
 construction (the former eager Subspace), determinants, ranks and
 Cayley rotations go through sympy, echelon forms through Gauss-Jordan
-on Fractions and through sympy, facets come from hyperplane fitting over
-all d-subsets with nullspaces, k-faces from intersections over all
-facet subsets, the face lattice from closing the facets under
-intersection, planar hulls from pointwise extremeness tests plus an
+on Fractions and through sympy, the integer det, rank and echelon form
+also through the two separate Bareiss loops the library once kept,
+facets come from hyperplane fitting over all d-subsets with nullspaces,
+k-faces from intersections over all facet subsets, the face lattice
+from closing the facets under intersection, planar hulls from pointwise extremeness tests plus an
 angle sort, the compensation pairing from an exhaustive search of each
 group's matchings, visible configurations from a seeded search over
 random witness planes, walk degeneration polynomials from rational
@@ -87,6 +88,104 @@ def oracle_rank(rows):
     if not rows:
         return 0
     return sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rank()
+
+
+def oracle_eliminate(rows, ncols):
+    """Forward Bareiss elimination of integer rows of width ncols.
+
+    Returns (rank, sign, last): sign is that of the row swaps and last
+    the last pivot, which for a square matrix of full rank is sign times
+    its determinant. Every update divides exactly by the previous pivot.
+    This was the library's det and rank loop before one loop also served
+    its echelon form.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    for r in m:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
+    rank = 0
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = None
+        for i in range(rank, nrows):
+            if m[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        pivot = m[rank][col]
+        rk = m[rank]
+        for i in range(rank + 1, nrows):
+            ri = m[i]
+            mic = ri[col]
+            for j in range(col + 1, ncols):
+                q, rem = divmod(pivot * ri[j] - mic * rk[j], prev)
+                if rem:
+                    raise AssertionError("fraction-free update was not exact")
+                ri[j] = q
+            ri[col] = 0
+        prev = pivot
+        rank += 1
+    return rank, sign, prev
+
+
+def oracle_det_int(rows):
+    """det_int on oracle_eliminate, as the library had it."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    rank, sign, last = oracle_eliminate(rows, n)
+    return sign * last if rank == n else 0
+
+
+def oracle_rank_int(rows):
+    """rank_int on oracle_eliminate, as the library had it."""
+    if not rows:
+        return 0
+    return oracle_eliminate(rows, len(rows[0]))[0]
+
+
+def oracle_rref_int(rows):
+    """Fraction-free Gauss-Jordan form of a rectangular integer matrix.
+
+    Returns (reduced, pivots, den): reduced / den is the reduced row
+    echelon form without its zero rows, every pivot entry of reduced is
+    den, and each Bareiss step divides exactly by the previous pivot.
+    This was the library's rref_int, a loop of its own.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    if any(len(r) != ncols for r in m):
+        raise ValueError("ragged matrix")
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        rk = m[rank]
+        pivot = rk[col]
+        for ri in m:
+            if ri is rk:
+                continue
+            mic = ri[col]
+            for j in range(ncols):
+                q, rem = divmod(pivot * ri[j] - mic * rk[j], prev)
+                if rem:
+                    raise AssertionError("fraction-free update was not exact")
+                ri[j] = q
+        prev = pivot
+        pivots.append(col)
+    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots), prev
 
 
 def oracle_rref(m):
@@ -698,6 +797,13 @@ def oracle_sample_admissible(p, rng_seed, count, grid_bound=100):
         if sh.is_admissible(p, w).ok:
             out.append(w)
     return out
+
+
+def oracle_class_degeneracy_det(rows, plane):
+    """det of the rows stacked over the class plane's basis, by sympy:
+    zero exactly when the class degenerates for the plane orthogonal to
+    the rows."""
+    return oracle_det(tuple(rows) + plane.basis)
 
 
 def oracle_degenerate_classes(p, rows):

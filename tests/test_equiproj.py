@@ -12,6 +12,7 @@ import shadowlab.shadow as sh
 import shadowlab.walk as wk
 from shadowlab.errors import GeometryError, ParameterError
 from oracles import (
+    oracle_class_degeneracy_det,
     oracle_boundary_members,
     oracle_lottery_configurations,
     oracle_solve_gram,
@@ -179,7 +180,7 @@ def test_certificate_witness_degenerates_one_class():
         cls = pt.k_faces(p, 2)[c.face_id].span
         zero = 0
         for k in pt.parallel_classes(p):
-            dv = sh.class_degeneracy_det(p, c.witness, k.direction_plane)
+            dv = oracle_class_degeneracy_det(c.witness, k.direction_plane)
             if dv == 0:
                 zero += 1
                 assert k.direction_plane == cls

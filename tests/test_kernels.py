@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab import kernels
-from oracles import oracle_det, oracle_hull_2d, oracle_rank
+from oracles import (
+    oracle_det,
+    oracle_det_int,
+    oracle_hull_2d,
+    oracle_rank,
+    oracle_rank_int,
+    oracle_rref_int,
+)
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -208,6 +215,64 @@ def test_minors_identity_matches_det_int(case):
     plane = kernels.plane_minors(a, b)
     assert len(comp) == len(plane) == d * (d - 1) // 2
     assert sum(x * y for x, y in zip(comp, plane)) == kernels.det_int(rows + [a, b])
+
+
+@st.composite
+def int_matrices(draw):
+    """0-6 integer rows of width 0-7, small or up to 10^30, with zero
+    rows and rows that repeat or sum earlier ones."""
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    row = st.lists(st.one_of(small_int, BIG), min_size=ncols, max_size=ncols)
+    m = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("free", "free", "zero", "repeat", "sum")))
+        if kind == "zero":
+            m.append([0] * ncols)
+        elif kind == "repeat" and m:
+            m.append(list(draw(st.sampled_from(m))))
+        elif kind == "sum" and m:
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            c = draw(small_int)
+            m.append([x + c * y for x, y in zip(a, b)])
+        else:
+            m.append(draw(row))
+    return m
+
+
+def outcome(fn, m):
+    """fn(m), or the ValueError text it raised."""
+    try:
+        return fn(m)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_matrices())
+def test_bareiss_loop_matches_the_two_old_loops(m):
+    assert kernels.rref_int(m) == oracle_rref_int(m)
+    assert kernels.rank_int(m) == oracle_rank_int(m)
+    # non-square matrices raise on both sides
+    assert outcome(kernels.det_int, m) == outcome(oracle_det_int, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.data())
+def test_bareiss_loop_rejects_ragged_rows_like_the_old_loops(m, data):
+    if not m:
+        return
+    i = data.draw(st.integers(min_value=0, max_value=len(m) - 1))
+    m[i] = m[i] + [data.draw(small_int)] * data.draw(st.sampled_from((1, 2)))
+    if len(m) == 1:
+        m.append([])
+    for new, old in (
+        (kernels.rref_int, oracle_rref_int),
+        (kernels.rank_int, oracle_rank_int),
+        (kernels.det_int, oracle_det_int),
+    ):
+        got = outcome(new, m)
+        assert got == outcome(old, m)
+        assert got[0] == "ValueError"
 
 
 @st.composite

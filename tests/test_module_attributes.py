@@ -158,7 +158,56 @@ UNREAD = {
     "walk.walk_within_hyperplane": "API for tests and users",
     "walk.chain_split_transformations": "API for tests and users",
     "equiproj.definitions_equivalence_check": "API for tests and users",
+    "polytope.facets": "API for tests and users",
+    "polytope.facet_planes": (
+        "API for tests and users; ROADMAP item 5 reads the stored planes"
+    ),
 }
+
+# Nodes that open a scope of their own for the names they bind.
+_SCOPES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Lambda,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _own_nodes(scope):
+    """The nodes of a scope's body, without those of nested scopes."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bound(scope):
+    """Names a function, lambda or comprehension binds: its parameters
+    and its assignment, for, with and comprehension targets."""
+    names = set()
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    return frozenset(names)
+
+
+def _free_loads(node, bound=frozenset()):
+    """Names loaded under node that no enclosing function, lambda or
+    comprehension binds: the loads that can read a module global."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in bound:
+            yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _free_loads(child, bound)
 
 
 def unread_definitions(paths):
@@ -168,8 +217,8 @@ def unread_definitions(paths):
     paths are the package's module files; a module is named by its file
     stem and reached through relative imports (`from . import m as a`,
     `from .m import name`). A name counts as read when some module loads
-    it by name outside its own definition, or as an attribute of an
-    alias of its module.
+    it by name outside its own definition, where no enclosing function
+    binds the same name, or as an attribute of an alias of its module.
     """
     defined = {}
     read = set()
@@ -189,11 +238,9 @@ def unread_definitions(paths):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
                 defined[f"{mod}.{own}"] = path
+            read.update(f"{mod}.{name}" for name in _free_loads(stmt) if name != own)
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    if node.id != own:
-                        read.add(f"{mod}.{node.id}")
-                elif (
+                if (
                     isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
                     and node.value.id in aliases
@@ -228,3 +275,33 @@ def test_dead_code_guard_reports_an_unread_definition(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert unread_definitions(paths) == {"a.entry", "a.lonely", "b.Orphan"}
+
+
+def test_dead_code_guard_sees_through_local_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def planes(p):\n"
+        "    return 1\n"
+        "def faces(p):\n"
+        "    return 2\n"
+        "def closed(p):\n"
+        "    return 3\n"
+        "def reader(p):\n"
+        "    return closed(p)\n"
+        "class Holder:\n"
+        "    def __init__(self, planes):\n"
+        "        self.planes = planes\n"
+        "def scan(points):\n"
+        "    faces = [q for q in points]\n"
+        "    for closed in faces:\n"
+        "        pass\n"
+        "    return faces, [x for x in closed], lambda planes: planes\n"
+    )
+    # a parameter, an assignment or a loop target named like a top-level
+    # def hides nothing: planes and faces stay unread, reader reads closed
+    assert unread_definitions([tmp_path / "a.py"]) == {
+        "a.planes",
+        "a.faces",
+        "a.reader",
+        "a.Holder",
+        "a.scan",
+    }

@@ -22,6 +22,7 @@ from shadowlab.errors import (
     SamplingError,
 )
 from oracles import (
+    oracle_class_degeneracy_det,
     oracle_degenerate_classes,
     oracle_hull_2d,
     oracle_in_boundary,
@@ -178,11 +179,12 @@ def test_shadow_hypercube_tilt_plane_frozen():
 
 
 def test_shadow_collinear_images_error():
+    vertices = tuple(
+        la.as_vec(v) for v in ((0, 0, 0), (1, 0, 1), (2, 0, 5), (3, 0, 2))
+    )
+    # no Polytope can hold these points, so a stub stands in for one
     stub = SimpleNamespace(
-        dim=3,
-        vertices=tuple(
-            la.as_vec(v) for v in ((0, 0, 0), (1, 0, 1), (2, 0, 5), (3, 0, 2))
-        ),
+        dim=3, vertices=vertices, int_vertices=lambda: pt.int_points(vertices)
     )
     w = sh.ProjectionPlane(((1, 0, 0), (0, 1, 0)))
     with pytest.raises(DegenerateShadowError):
@@ -276,7 +278,7 @@ def test_class_degeneracy_det_matches_report():
         report = sh.degeneration_report(p, w)
         listed = {e.class_id for e in report.degenerating}
         for cid, cls in enumerate(pt.parallel_classes(p)):
-            d = sh.class_degeneracy_det(p, ortho, cls.direction_plane)
+            d = oracle_class_degeneracy_det(ortho, cls.direction_plane)
             assert (d == 0) == (cid in listed)
 
 

@@ -30,6 +30,7 @@ from shadowlab.errors import (
 from oracles import (
     OracleSegment,
     oracle_affine_roots,
+    oracle_class_degeneracy_det,
     oracle_degenerate_classes,
     oracle_degeneration_polynomial,
     oracle_hull_2d,
@@ -69,7 +70,7 @@ def class_id_by_span(p, vectors):
 
 def is_admissible_rows(p, rows):
     return all(
-        sh.class_degeneracy_det(p, rows, c.direction_plane) != 0
+        oracle_class_degeneracy_det(rows, c.direction_plane) != 0
         for c in pt.parallel_classes(p)
     )
 
@@ -162,7 +163,7 @@ def test_constant_segment_polynomial():
     for cls in pt.parallel_classes(MOVED3):
         poly = wk.degeneration_polynomial(seg, cls)
         assert poly.c1 == 0
-        assert poly.c0 == sh.class_degeneracy_det(MOVED3, rows, cls.direction_plane)
+        assert poly.c0 == oracle_class_degeneracy_det(rows, cls.direction_plane)
         assert poly.at(Fr(1, 3)) == poly.c0
 
 
@@ -596,11 +597,11 @@ def test_transformation_halves_are_single_crossing():
     for t in (-tr.epsilon / 2, tr.epsilon / 2):
         rows = tr.minus.rows_at(t) if t < 0 else tr.plus.rows_at(t)
         for cid, cls in enumerate(classes):
-            dv = sh.class_degeneracy_det(PRISM, rows, cls.direction_plane)
+            dv = oracle_class_degeneracy_det(rows, cls.direction_plane)
             assert dv != 0
     rows0 = tr.minus.rows_at(0)
     for cid, cls in enumerate(classes):
-        dv = sh.class_degeneracy_det(PRISM, rows0, cls.direction_plane)
+        dv = oracle_class_degeneracy_det(rows0, cls.direction_plane)
         assert (dv == 0) == (cid == tri)
 
 
@@ -985,10 +986,15 @@ def zoo_rows(draw):
 def test_degenerate_classes_match_det_int_oracle(case):
     p, rows = case
     assert list(sh.degenerate_classes(p, rows)) == oracle_degenerate_classes(p, rows)
-    for cls in pt.parallel_classes(p):
+    # the zero set of the sympy determinant too, and la.det agrees with it
+    zero = []
+    for cid, cls in enumerate(pt.parallel_classes(p)):
         plane = cls.direction_plane
         want = la.det(tuple(la.as_mat(rows)) + plane.basis)
-        assert sh.class_degeneracy_det(p, rows, plane) == want
+        assert oracle_class_degeneracy_det(rows, plane) == want
+        if want == 0:
+            zero.append(cid)
+    assert list(sh.degenerate_classes(p, rows)) == zero
 
 
 @settings(max_examples=60, deadline=None)
