@@ -24,19 +24,22 @@ from .errors import (
 # a zonotope is built as the hull of all 2^m subset sums of its m
 # generators, so m is capped well above any family in use (6 at most)
 MAX_GENERATORS = 16
+# the d-cube and pnd build about 5 times slower per dimension (a 9-cube
+# in about 15 s, a 10-cube in about 72 s on a 2-CPU host), so d is capped
+MAX_CUBE_DIM = 9
 
 
-def _check_generator_count(m, what="generators"):
-    if m > MAX_GENERATORS:
-        raise ParameterError(f"{m} {what} exceed the cap of {MAX_GENERATORS}")
+def _check_generator_count(m, what="generators", cap=MAX_GENERATORS):
+    if m > cap:
+        raise ParameterError(f"{m} {what} exceed the cap of {cap}")
 
 
 def hypercube(d):
-    """The unit cube [0,1]^d: the zonotope of d unit generators, capped
-    as zonotopes are."""
+    """The unit cube [0,1]^d: the zonotope of d unit generators, with d
+    capped at MAX_CUBE_DIM."""
     if d < 2:
         raise ParameterError("dimension must be at least 2")
-    _check_generator_count(d, "unit generators")
+    _check_generator_count(d, "unit generators", MAX_CUBE_DIM)
     return pt.build(list(product((0, 1), repeat=d)), label=f"hypercube-{d}")
 
 
@@ -297,12 +300,12 @@ def hyperprism_pnd(n, d, seed):
     Each step adds Conv(0, e_k + rho) with a seeded small rational rho.
     The self-test re-checks the estranged degenerating triangles in the
     bottom copy; a failure suggests trying another seed. Each step
-    doubles the vertices, so the d - 4 steps are capped as zonotope
-    generators are.
+    doubles the vertices, so the d - 4 steps are capped to keep d at
+    most MAX_CUBE_DIM.
     """
     if d < 4:
         raise ParameterError("d must be at least 4")
-    _check_generator_count(d - 4, "prism doublings")
+    _check_generator_count(d - 4, "prism doublings", MAX_CUBE_DIM - 4)
     spec = PnSpec(n)
     p = pn_polytope(spec)
     for k in range(5, d + 1):

@@ -4,7 +4,9 @@ Every exact determinant, rank and echelon form in the package funnels
 through these functions after denominators are cleared. One Bareiss
 loop serves all three: forward for det_int and rank_int, Gauss-Jordan
 for rref_int. It works on Python's arbitrary-precision integers and
-divides only exactly, so results are exact at any magnitude. The one 2D convex hull (monotone
+divides only exactly, so results are exact at any magnitude. The one
+greedy rank-raising row scan, independent, serves the gift wrap and
+the walk's crossing bases. The one 2D convex hull (monotone
 chain) lives here too: shadows, family self-tests and the gift wrap of
 polytope all end in it. It only compares and multiplies, so it is exact
 on integers and on Fractions alike.
@@ -84,6 +86,18 @@ def rank_int(rows):
     if not rows:
         return 0
     return len(_bareiss(rows, len(rows[0]))[1])
+
+
+def independent(rows, candidates, limit):
+    """Indices of the candidates that raise the rank of the independent
+    integer rows and the candidates kept before them, in order, while
+    fewer than limit rows are held."""
+    kept, out = list(rows), []
+    for i, r in enumerate(candidates):
+        if len(kept) < limit and rank_int(kept + [r]) > len(kept):
+            kept.append(r)
+            out.append(i)
+    return out
 
 
 def rref_int(rows):

@@ -142,17 +142,6 @@ def _canonical_facet(normal, offset):
     return tuple(normal), offset
 
 
-def _independent(rows, candidates, limit):
-    """rows extended by each candidate that raises the rank, up to limit rows."""
-    rows = list(rows)
-    for r in candidates:
-        if len(rows) == limit:
-            break
-        if kernels.rank_int(rows + [r]) > len(rows):
-            rows.append(r)
-    return rows
-
-
 def _pivot(pts, normal, offset, m, mo):
     """Rotate a supporting hyperplane about a codimension-2 flat.
 
@@ -193,12 +182,13 @@ def _first_facet(pts):
     while True:
         base = pts[tight[0]]
         diffs = [tuple(map(sub, pts[i], base)) for i in tight[1:]]
-        rows = _independent([normal], diffs, k)
+        rows = [normal] + [diffs[i] for i in kernels.independent([normal], diffs, k)]
         if len(rows) == k:
             return frozenset(tight), normal, offset
         # a direction orthogonal to the normal and the tight face: the
         # rotation towards it keeps the tight face on the hyperplane
-        m = la.generalized_cross(_independent(rows, units, k - 1))
+        rows += [units[i] for i in kernels.independent(rows, units, k - 1)]
+        m = la.generalized_cross(rows)
         normal, offset, met = _pivot(pts, normal, offset, m, kernels.dot(m, base))
         tight += met
 

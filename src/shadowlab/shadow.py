@@ -319,14 +319,14 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
     """Admissible planes with seeded integer-grid bases.
 
     Rejection sampling over bases with entries in [-grid_bound,
-    grid_bound]; deterministic for a fixed seed. Raises DimensionError
-    below dimension 2 and SamplingError after 1000 * count failed
-    attempts.
+    grid_bound]; deterministic for a fixed seed. Raises ParameterError
+    for count or grid_bound below 1, DimensionError below dimension 2
+    and SamplingError after 1000 * count failed attempts.
     """
     if count < 1:
         raise ParameterError("count must be at least 1")
-    if grid_bound < 0:
-        raise ParameterError("grid_bound must be at least 0")
+    if grid_bound < 1:
+        raise ParameterError("grid_bound must be at least 1")
     if p.dim < 2:
         raise DimensionError(f"dimension {p.dim} has no planar projections")
     rng = random.Random(rng_seed)

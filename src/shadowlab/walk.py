@@ -914,17 +914,6 @@ def _tilde(v, u):
     return tuple(uu * a - vu * b for a, b in zip(v, u))
 
 
-def _complete_basis(first, rows):
-    """The indices of the integer rows that raise the rank of first and
-    the rows kept before them, in order."""
-    kept, out = [first], []
-    for i, r in enumerate(rows):
-        if kernels.rank_int(kept + [r]) > len(kept):
-            kept.append(r)
-            out.append(i)
-    return out
-
-
 def crossing_probe(p, cid, witness, u1, reverse=False):
     """The segment that moves a single-class witness off its class.
 
@@ -951,9 +940,9 @@ def crossing_probe(p, cid, witness, u1, reverse=False):
     v = la.primitive(kern[0])
     if reverse:
         v = la.neg(v)
-    rows = [(tuple(u1), v, 1)] + [
-        (ints[i], (0,) * d, span.int_mults[i]) for i in _complete_basis(u1, ints)
-    ]
+    # room for d - 1 rows, so that a u1 outside the witness shows
+    keep = kernels.independent([u1], ints, d - 1)
+    rows = [(tuple(u1), v, 1)] + [(ints[i], (0,) * d, span.int_mults[i]) for i in keep]
     if len(rows) != d - 2:
         raise GeometryError("degenerating direction escapes the witness")
     probe = WalkSegment._of(tuple(rows), (Fraction(-1), la.ONE))
@@ -1041,11 +1030,6 @@ def frame_chains(p, face, frame):
     return ChainState(visible, frozenset(edges) - visible, fixed)
 
 
-def _before_chain(p, face_id, tr):
-    w = tr.minus.plane_at(-tr.epsilon / 2)
-    return set(boundary_chains(p, face_id, w).visible)
-
-
 def chain_split_transformations(p, face_id, other_id, edge, witness):
     """Two transformations around one edge event of a visible face.
 
@@ -1054,6 +1038,9 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     just after the edge event; their visible chains differ exactly by
     that edge. The face must carry no second edge parallel to the
     chosen one, and the witness direction must not be orthogonal to it.
+    A reversed crossing is the forward one read backwards, so the
+    chains of all four orientation pairings are read off the two
+    forward crossings.
     """
     d = p.dim
     faces = pt.k_faces(p, 2)
@@ -1064,13 +1051,14 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]
     if edge not in edge_ids:
         raise ParameterError(f"{edge} is not an edge of face {face_id}")
-    ebar = la.primitive(la.sub(p.vertices[edge[1]], p.vertices[edge[0]]))
+    verts = p.int_vertices()[0]
+    ebar = la.primitive(la.sub(verts[edge[1]], verts[edge[0]]))
     directions = {}
     for other_edge in edge_ids:
         if other_edge == edge:
             continue
-        dirn = la.sub(p.vertices[other_edge[1]], p.vertices[other_edge[0]])
-        if la.rank((ebar, dirn)) < 2:
+        dirn = la.sub(verts[other_edge[1]], verts[other_edge[0]])
+        if not any(kernels.plane_minors(ebar, dirn)):
             raise ParameterError(
                 f"edge {other_edge} of face {face_id} is parallel to {edge}"
             )
@@ -1091,7 +1079,8 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     if lam == 0:
         raise GeometryError("witness already degenerates along the edge")
     u1n = la.scale(u1, 1 / alpha)
-    tail = tuple(span.int_rows[i] for i in _complete_basis(u1, span.int_rows))
+    keep = kernels.independent([u1], span.int_rows, d - 2)
+    tail = tuple(span.int_rows[i] for i in keep)
     base = (u1n,) + tail
     slope = _slope(d - 2, 0, la.neg(v))
     # a root outside (0, 2 lam) is at least lam away from the event
@@ -1112,26 +1101,26 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
             raise WalkError(
                 f"edge {other_edge} changes sides across the event"
             )
-    variants = {}
-
-    def built(span, rev):
-        key = (id(span), rev)
-        if key not in variants:
-            variants[key] = elementary_transformation(
-                p, face_id, other_id, span, reverse=rev
-            )
-        return variants[key]
-
+    sides = (w_minus, w_plus)
+    forward = [elementary_transformation(p, face_id, other_id, w) for w in sides]
+    # chains[side][rev]: the visible chain just before the crossing; the
+    # reversed crossing starts where the forward one ends
+    chains = [
+        [
+            boundary_chains(p, face_id, half.plane_at(t)).visible
+            for half, t in ((tr.minus, -tr.epsilon / 2), (tr.plus, tr.epsilon / 2))
+        ]
+        for tr in forward
+    ]
     for rev1 in (False, True):
         for rev2 in (False, True):
-            tr1 = built(w_minus, rev1)
-            tr2 = built(w_plus, rev2)
-            c1 = _before_chain(p, face_id, tr1)
-            c2 = _before_chain(p, face_id, tr2)
-            if edge not in c2 and c1 == c2 | {edge}:
-                return tr1, tr2
-            if edge not in c1 and c2 == c1 | {edge}:
-                return tr1, tr2
+            if chains[0][rev1] ^ chains[1][rev2] == {edge}:
+                return tuple(
+                    elementary_transformation(p, face_id, other_id, w, reverse=True)
+                    if rev
+                    else tr
+                    for w, tr, rev in zip(sides, forward, (rev1, rev2))
+                )
     raise GeometryError("no orientation pairing splits the chains at the edge")
 
 

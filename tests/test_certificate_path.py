@@ -111,6 +111,25 @@ def test_transformations_match_fraction_oracle(name):
             assert typed((v, eps)) == typed((ov, oeps))
 
 
+def test_crossing_probe_rejects_a_u1_outside_the_witness():
+    # the probe base is u1 completed by witness rows: a u1 off the
+    # witness would leave one row too many
+    p = polytope("cube4")
+    seen = 0
+    for cid, _fid, _oid, rows in certificates(p):
+        span = la.Subspace(rows)
+        for u1 in la.identity(p.dim):
+            if span.contains(u1):
+                continue
+            message = "^degenerating direction escapes the witness$"
+            with pytest.raises(GeometryError, match=message):
+                oracle_crossing_probe(p, cid, rows, u1)
+            with pytest.raises(GeometryError, match=message):
+                wk.crossing_probe(p, cid, span, u1)
+            seen += 1
+    assert seen
+
+
 @pytest.mark.parametrize("name", sorted(POLYTOPES))
 def test_visible_pairs_match_oracle_certificates(name):
     p = polytope(name)

@@ -105,8 +105,10 @@ def test_generate_usage_errors():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--family", "hypercube", "--dim", "17"], "17 unit generators exceed the cap of 16"),
-        (["--family", "pnd", "--n", "2", "--dim", "21"], "17 prism doublings exceed the cap of 16"),
+        (["--family", "hypercube", "--dim", "17"], "17 unit generators exceed the cap of 9"),
+        (["--family", "pnd", "--n", "2", "--dim", "21"], "17 prism doublings exceed the cap of 5"),
+        (["--family", "hypercube", "--dim", "10"], "10 unit generators exceed the cap of 9"),
+        (["--family", "pnd", "--n", "2", "--dim", "10"], "6 prism doublings exceed the cap of 5"),
     ],
 )
 def test_generate_cube_like_families_are_capped(argv, message):
@@ -162,9 +164,11 @@ def test_shadow_usage_errors():
 
 
 def test_shadow_negative_grid_bound_is_usage_error():
-    code, out, err = go(["shadow", "--polytope", CUBE_JSON, "--grid-bound", "-1"])
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "grid_bound" in err
+    # a zero grid can never give a plane, so it is a usage error too
+    for bound in ("-1", "0"):
+        code, out, err = go(["shadow", "--polytope", CUBE_JSON, "--grid-bound", bound])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "grid_bound" in err
 
 
 def test_shadow_sampling_failure_is_undecided(monkeypatch):

@@ -19,7 +19,6 @@ from shadowlab.errors import (
     DimensionError,
     InadmissiblePlaneError,
     ParameterError,
-    SamplingError,
 )
 from oracles import (
     oracle_class_degeneracy_det,
@@ -391,8 +390,8 @@ def test_sample_admissible_errors():
         sh.sample_admissible(CUBE, 1, 0)
     with pytest.raises(ParameterError):
         sh.sample_admissible(CUBE, 1, 1, grid_bound=-1)
-    # zero grid leaves only rank-0 candidates, so the budget runs out
-    with pytest.raises(SamplingError):
+    # a zero grid leaves only rank-0 candidates: refused before any draw
+    with pytest.raises(ParameterError, match="grid_bound must be at least 1"):
         sh.sample_admissible(CUBE, 1, 1, grid_bound=0)
 
 

@@ -750,6 +750,28 @@ def test_chain_split_outcomes_match_golden_digest():
     assert h.hexdigest() == CHAIN_SPLIT_DIGEST
 
 
+def test_reversed_crossing_is_the_forward_one_read_backwards():
+    # chain_split_transformations reads a reversed crossing's chains off
+    # the forward one; the integer rows, not only their spans, must swap
+    checked = 0
+    for make in CHAIN_SPLIT_ZOO.values():
+        p = make()
+        for cert in eq.visible_pairs(p):
+            fwd, rev = (
+                wk.elementary_transformation(
+                    p, cert.face_id, cert.other_id, cert.witness, reverse=r
+                )
+                for r in (False, True)
+            )
+            eps = fwd.epsilon
+            assert (rev.epsilon, rev.w1, rev.w2) == (eps, fwd.w1, fwd.w2)
+            assert rev.sign_coefficient == -fwd.sign_coefficient
+            assert rev.minus.int_rows_at(-eps / 2) == fwd.plus.int_rows_at(eps / 2)
+            assert rev.plus.int_rows_at(eps / 2) == fwd.minus.int_rows_at(-eps / 2)
+            checked += 1
+    assert checked == 145
+
+
 # ------------------------------------------------------------------- json
 
 
@@ -1073,13 +1095,14 @@ def test_walk_segment_matches_fraction_oracle(case):
         _assert_segment_matches(seg, ref, t)
 
 
-def _complete_basis_by_rational_rank(first, rows):
+def _complete_basis_by_rational_rank(first, rows, limit):
     comp, kept = [first], []
     for i, r in enumerate(rows):
         if la.rank(tuple(comp) + (r,)) > len(comp):
             comp.append(r)
             kept.append(i)
-    return kept
+    # the rows held are first and the kept ones
+    return kept[: limit - 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1092,10 +1115,13 @@ def test_complete_basis_matches_rational_rank(case, data):
         rows.append(rows[0])
     first = la.as_vec(data.draw(st.tuples(*[RATS] * p.dim)))
     assume(any(first))
-    # _complete_basis runs on the rows scaled to integers
+    # the gift wrap asks for d and d - 1 rows, the walk for d - 2 and
+    # d - 1; at 1 the starting row alone already reaches the limit
+    limit = data.draw(st.integers(1, p.dim))
+    # kernels.independent runs on the rows scaled to integers
     ints = [tuple(la.int_row(r)[0]) for r in rows]
-    got = wk._complete_basis(tuple(la.int_row(first)[0]), ints)
-    assert got == _complete_basis_by_rational_rank(first, rows)
+    got = kernels.independent([tuple(la.int_row(first)[0])], ints, limit)
+    assert got == _complete_basis_by_rational_rank(first, rows, limit)
 
 
 def test_verify_reports_wrong_row_width():
