@@ -158,22 +158,37 @@ def _cells(p, cid):
     ids. Summing the facet normals through G gives a direction
     inside its cone. A cone that lies in another class's orthogonal
     complement is skipped: bit j of a facet's mask says that its normal
-    clears other class j, and a cone lies in that complement iff no
-    normal through G clears it. Inside any other cone, the sum weighted
-    by the powers of t = 1, 2, ... leaves every such complement for all
-    but finitely many t. These tests run on l, against the rows B r of
-    the other classes (c . r = l . B r). members are the ids of the
+    clears span j, and a cone lies in that complement iff no normal
+    through G clears it. Inside any other cone, the sum weighted by the
+    powers of t = 1, 2, ... leaves every such complement for all but
+    finitely many t. These tests run on l, against the rows B r of the
+    other classes (c . r = l . B r). Classes whose projected rows span
+    one space share a bit, keyed by the primitive minors of the two rows
+    or, when they are parallel, by the primitive row. A class whose
+    projected rows span the whole (d-2)-space gets none: the normals
+    and the weighted sums are nonzero, since a proper face's normal cone
+    is pointed, so they always clear it. members are the ids of the
     class's faces lying in the face of p that maximises or minimises c.
     """
     classes = pt.parallel_classes(p)
     cls = classes[cid]
     verts = p.int_vertices()[0]
     basis = [la.primitive(b) for b in la.int_kernel(cls.direction_plane.int_rows)]
-    others = [
-        [tuple(kernels.dot(b, r) for b in basis) for r in o.direction_plane.int_rows]
-        for k, o in enumerate(classes)
-        if k != cid
-    ]
+    spans = {}
+    for k, o in enumerate(classes):
+        if k == cid:
+            continue
+        r1, r2 = (
+            tuple(kernels.dot(b, r) for b in basis) for r in o.direction_plane.int_rows
+        )
+        minors = kernels.plane_minors(r1, r2)
+        # the rows are not both zero: o's plane is not P
+        rank = 2 if any(minors) else 1
+        if rank == len(basis):
+            continue
+        key = la.primitive(minors) if rank == 2 else la.primitive(r1 if any(r1) else r2)
+        spans.setdefault((rank, key), (r1, r2))
+    others = list(spans.values())
     ys = {tuple(kernels.dot(b, v) for b in basis) for v in verts}
     points = sorted({tuple(map(sub, y, z)) for y in ys for z in ys})
     _keep, body, by_dim = pt.int_facets(points)
@@ -235,20 +250,22 @@ def _witness(p, cid, c):
     The search runs on integer rows. With F_i = g_i f_i the class's
     integer rows over their stored multipliers g_i, U1 = g2 F1 + q g1 F2
     is g1 g2 u1 and g2 k_j + t^j F2 is g2 times the row k_j + t^j f2:
-    positive multiples, so the same memberships (one rank_int per other
-    class) and the same degeneracies (shadow.degenerate_classes must
-    list cid alone). Fraction rows are built for the returned candidate
-    only: U1 / (g1 g2), and each tail row over g2.
+    positive multiples, so the same memberships and the same
+    degeneracies (shadow.degenerate_classes must list cid alone). U1
+    lies in another class's plane exactly when kernels.in_plane finds
+    every 3x3 minor of U1 and that plane zero, read off the class's
+    cached plane minors. Fraction rows are built for the returned
+    candidate only: U1 / (g1 g2), and each tail row over g2.
     """
     classes = pt.parallel_classes(p)
     plane = classes[cid].direction_plane
     F1, F2 = plane.int_rows
     g1, g2 = plane.int_mults
     extra = [la.primitive(k) for k in la.int_kernel((F1, F2, c))]
-    others = [o.direction_plane.int_rows for k, o in enumerate(classes) if k != cid]
+    others = [o.minors for k, o in enumerate(classes) if k != cid]
     for q in range(len(classes) + 1):
         u1 = tuple(g2 * x + q * g1 * y for x, y in zip(F1, F2))
-        if any(kernels.rank_int(o + (u1,)) == 2 for o in others):
+        if any(kernels.in_plane(u1, m) for m in others):
             continue
         for t in range(len(extra) * len(classes) + 1):
             tail = [
@@ -461,7 +478,7 @@ def is_equiprojective_sampled(p, seed=0, trials=200):
     k0 = None
     first = None
     for w in planes:
-        k = sh.shadow(p, w).k
+        k = len(sh.hull_frame(p, w).hull)
         if k0 is None:
             k0, first = k, w
         elif k != k0:

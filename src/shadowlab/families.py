@@ -27,6 +27,9 @@ MAX_GENERATORS = 16
 # the d-cube and pnd build about 5 times slower per dimension (a 9-cube
 # in about 15 s, a 10-cube in about 72 s on a 2-CPU host), so d is capped
 MAX_CUBE_DIM = 9
+# check --mode both on pn_polytope(m) takes 12 to 16 s at m = 13 and 16 to
+# 23 s at m = 14 on a 2-CPU host, so m is capped where it stays within 20 s
+MAX_TRIANGLES = 13
 
 
 def _check_generator_count(m, what="generators", cap=MAX_GENERATORS):
@@ -213,8 +216,8 @@ class PnSpec:
     Rational points on the unit circle replace the quarter-arc angles:
     the parameters run strictly increasing through the arc, and the
     projected segments of half-length eps must stay pairwise disjoint.
-    m is the triangle count; the guaranteed simultaneous-degeneracy
-    count n never exceeds it.
+    m is the triangle count, at most MAX_TRIANGLES; the guaranteed
+    simultaneous-degeneracy count n never exceeds it.
     """
 
     __slots__ = ("n", "m", "eps", "circle_points")
@@ -225,6 +228,7 @@ class PnSpec:
         m = n if m is None else m
         if m < n:
             raise ParameterError("m must be at least n")
+        _check_generator_count(m, "triangles", MAX_TRIANGLES)
         eps = Fraction(1, 4 * (m + 1) ** 2) if eps is None else la.as_rat(eps)
         if eps <= 0:
             raise ParameterError("eps must be positive")

@@ -6,13 +6,19 @@ loop serves all three: forward for det_int and rank_int, Gauss-Jordan
 for rref_int. It works on Python's arbitrary-precision integers and
 divides only exactly, so results are exact at any magnitude. The one
 greedy rank-raising row scan, independent, serves the gift wrap and
-the walk's crossing bases. The one 2D convex hull (monotone
+the walk's crossing bases. in_plane tests a vector against a plane
+through the plane's 2x2 minors, and generalized_cross gives the
+cofactor normal of d-1 rows. The one 2D convex hull (monotone
 chain) lives here too: shadows, family self-tests and the gift wrap of
 polytope all end in it. It only compares and multiplies, so it is exact
 on integers and on Fractions alike.
 """
 
+from functools import cache
+from itertools import combinations
 from operator import mul
+
+from .errors import DimensionError
 
 # Read by the benchmark's run header (bench/run.py); always False.
 USING_COMPILED = False
@@ -121,6 +127,50 @@ def plane_minors(a, b):
     per column pair i < j, in lexicographic pair order."""
     n = len(a)
     return tuple(a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+@cache
+def _triples(n):
+    """Each column triple i < j < k with the positions of the pairs
+    (j, k), (i, k) and (i, j) in plane_minors' order."""
+    pos = {pair: idx for idx, pair in enumerate(combinations(range(n), 2))}
+    return tuple(
+        (i, j, k, pos[j, k], pos[i, k], pos[i, j])
+        for i, j, k in combinations(range(n), 3)
+    )
+
+
+def in_plane(u, minors):
+    """Whether the integer vector u lies in the plane of two independent
+    rows whose plane_minors are minors.
+
+    It does exactly when the three rows have rank 2, that is when every
+    3x3 minor u_i m_jk - u_j m_ik + u_k m_ij vanishes (Laplace expansion
+    along u); the scan stops at the first that does not.
+    """
+    for i, j, k, jk, ik, ij in _triples(len(u)):
+        if u[i] * minors[jk] - u[j] * minors[ik] + u[k] * minors[ij]:
+            return False
+    return True
+
+
+def generalized_cross(rows):
+    """Integer vector orthogonal to d-1 integer rows of width d.
+
+    Component j is the signed cofactor det(rows without column j) times
+    (-1)^j; the zero vector comes back exactly when the rows are
+    dependent.
+    """
+    d = len(rows[0]) if rows else 0
+    if len(rows) != d - 1:
+        raise DimensionError("need d-1 vectors in dimension d")
+    if any(len(r) != d for r in rows):
+        raise DimensionError("vectors of mixed lengths")
+    out = []
+    for j in range(d):
+        term = det_int([[r[c] for c in range(d) if c != j] for r in rows])
+        out.append(-term if j % 2 else term)
+    return tuple(out)
 
 
 def cross2(o, a, b):

@@ -361,31 +361,6 @@ def plane_rotation(d, i, j, t):
     return tuple(map(tuple, rows))
 
 
-def generalized_cross(vectors):
-    """Vector orthogonal to d-1 independent vectors in R^d.
-
-    Component j is the signed cofactor of the matrix whose rows are the
-    inputs; the zero vector comes back exactly when they are dependent.
-    The cofactors are integer determinants of the rows scaled to
-    integers, so integer rows give integer components.
-    """
-    k = len(vectors)
-    d = len(vectors[0]) if vectors else 0
-    if k != d - 1:
-        raise DimensionError("need d-1 vectors in dimension d")
-    rows, denom = int_matrix(vectors)
-    if any(len(r) != d for r in rows):
-        raise DimensionError("vectors of mixed lengths")
-    out = []
-    for j in range(d):
-        minor = [[r[c] for c in range(d) if c != j] for r in rows]
-        term = kernels.det_int(minor)
-        out.append(term if j % 2 == 0 else -term)
-    if denom == 1:
-        return tuple(out)
-    return tuple(Fraction(x, denom) for x in out)
-
-
 def rat_str(x):
     """Serialise a rational as "p/q", or "p" when the denominator is 1."""
     x = as_rat(x)

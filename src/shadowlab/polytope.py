@@ -142,22 +142,30 @@ def _canonical_facet(normal, offset):
     return tuple(normal), offset
 
 
-def _pivot(pts, normal, offset, m, mo):
+def _below(pts, normal, offset):
+    """(id, point, h) for each point strictly below the hyperplane
+    normal . x = offset, h = offset - normal . p > 0, in pts order."""
+    out = []
+    for i, p in pts.items():
+        h = offset - kernels.dot(normal, p)
+        if h:
+            out.append((i, p, h))
+    return out
+
+
+def _pivot(below, normal, offset, m, mo):
     """Rotate a supporting hyperplane about a codimension-2 flat.
 
-    The hyperplane normal . x = offset supports pts (a dict of integer
-    points) from above; m . x <= mo holds on its tight points, with
-    equality on the flat. Among the points below it, with
-    h = offset - normal . p > 0, the rotation first meets those that
+    The hyperplane normal . x = offset supports a set of integer points
+    from above, and below lists its points off the hyperplane (_below);
+    m . x <= mo holds on its tight points, with equality on the flat.
+    Among the points below, the rotation first meets those that
     maximise g / h, g = m . p - mo; candidates are compared by
     cross-multiplying. Returns the new normal and offset, primitive
     together, and the ids met.
     """
     best_g, best_h, met = 0, 0, []
-    for i, p in pts.items():
-        h = offset - kernels.dot(normal, p)
-        if not h:
-            continue
+    for i, p, h in below:
         g = kernels.dot(m, p) - mo
         if not met or g * best_h > best_g * h:
             best_g, best_h, met = g, h, [i]
@@ -188,19 +196,45 @@ def _first_facet(pts):
         # a direction orthogonal to the normal and the tight face: the
         # rotation towards it keeps the tight face on the hyperplane
         rows += [units[i] for i in kernels.independent(rows, units, k - 1)]
-        m = la.generalized_cross(rows)
-        normal, offset, met = _pivot(pts, normal, offset, m, kernels.dot(m, base))
+        m = kernels.generalized_cross(rows)
+        below = _below(pts, normal, offset)
+        normal, offset, met = _pivot(below, normal, offset, m, kernels.dot(m, base))
         tight += met
 
 
-def _low_facets(pts):
+def _mirror(ids, n):
+    """The ids of the negated points, for n points sorted so that point
+    n - 1 - i is minus point i."""
+    return frozenset(n - 1 - i for i in ids)
+
+
+def _mirror_lattice(memo, key, n):
+    """Enter in memo the mirror of the face key and of every face below
+    it: ids through _mirror, each normal negated, offsets kept."""
+    stack = [key]
+    while stack:
+        key = stack.pop()
+        image = _mirror(key, n)
+        if image in memo:
+            continue
+        ridges = memo[key]
+        memo[image] = {
+            _mirror(r, n): (tuple(-x for x in m), mo) for r, (m, mo) in ridges.items()
+        }
+        stack.extend(r for r in ridges if r in memo)
+
+
+def _low_facets(pts, symmetric):
     """Facets of full-dimensional integer points in dimension 1 or 2.
 
     Same output as _hull_facets, in closed form: in dimension 1 the
     minimum and the maximum; in dimension 2 one facet per edge of the
     strict hull, taken counterclockwise, whose outward normal turns the
     edge direction clockwise. An edge's tight set is every point on its
-    line, collinear points included.
+    line, collinear points included. When the points are symmetric
+    (ids 0..n-1, point n - 1 - i minus point i), the hull's second half
+    is its first half negated, in the same order, so only the first
+    half's edges are scanned for their tight sets.
     """
     if len(next(iter(pts.values()))) == 1:
         lo = min(p[0] for p in pts.values())
@@ -210,18 +244,24 @@ def _low_facets(pts):
             frozenset(i for i, p in pts.items() if p[0] == hi): ((1,), hi),
         }
     cycle = kernels.strict_hull_2d(pts.values())
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    if symmetric:
+        edges = edges[: len(edges) // 2]
     found = {}
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    for a, b in edges:
         normal, offset = _canonical_facet(
             (b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0]
         )
         n0, n1 = normal
         tight = frozenset(i for i, (x, y) in pts.items() if n0 * x + n1 * y == offset)
         found[tight] = (normal, offset)
+    if symmetric:
+        for tight, ((n0, n1), offset) in list(found.items()):
+            found[_mirror(tight, len(pts))] = ((-n0, -n1), offset)
     return found
 
 
-def _hull_facets(pts, memo):
+def _hull_facets(pts, memo, symmetric=False):
     """Facets of full-dimensional integer points, by gift wrapping.
 
     pts maps point ids to distinct integer coordinates. Returns a dict
@@ -232,17 +272,29 @@ def _hull_facets(pts, memo):
     keeps the lexicographically first coordinates on which the face
     projects one to one, whichever facet it is reached from, so memo
     keys the results by id set alone: every ridge is met from two
-    facets. The recursion ends in dimension 2 or 1, in closed form.
+    facets. Each popped facet lists its points below it once (_below),
+    and every ridge's pivot reads that list. The recursion ends in
+    dimension 2 or 1, in closed form.
+
+    symmetric says that the ids are 0..n-1 with point n - 1 - i minus
+    point i. Then each facet found brings its mirror (ids through
+    _mirror, normal negated, same offset), which is never popped: its
+    memo sub-lattice is the popped facet's, mirrored (_mirror_lattice),
+    and the mirror of each pivoted ridge counts as pivoted, since the
+    facets on its two sides are the mirrors of the pivot's two.
     """
     key = frozenset(pts)
     if key in memo:
         return memo[key]
     k = len(next(iter(pts.values())))
     if k <= 2:
-        memo[key] = _low_facets(pts)
+        memo[key] = _low_facets(pts, symmetric)
         return memo[key]
+    n = len(pts)
     tight, normal, offset = _first_facet(pts)
     found = {tight: (normal, offset)}
+    if symmetric:
+        found[_mirror(tight, n)] = (tuple(-x for x in normal), offset)
     queue = [tight]
     pivoted = set()
     while queue:
@@ -250,16 +302,24 @@ def _hull_facets(pts, memo):
         normal, offset = found[tight]
         c = max(j for j in range(k) if normal[j])
         face = {i: p[:c] + p[c + 1 :] for i, p in pts.items() if i in tight}
-        for ridge, (m, mo) in _hull_facets(face, memo).items():
+        ridges = _hull_facets(face, memo)
+        if symmetric:
+            _mirror_lattice(memo, tight, n)
+        below = _below(pts, normal, offset)
+        for ridge, (m, mo) in ridges.items():
             # the facet on the other side of a ridge is found once
             if ridge in pivoted:
                 continue
             pivoted.add(ridge)
-            nxt, off, met = _pivot(pts, normal, offset, m[:c] + (0,) + m[c:], mo)
+            if symmetric:
+                pivoted.add(_mirror(ridge, n))
+            nxt, off, met = _pivot(below, normal, offset, m[:c] + (0,) + m[c:], mo)
             nxt_tight = ridge.union(met)
             if nxt_tight not in found:
                 found[nxt_tight] = (nxt, off)
                 queue.append(nxt_tight)
+                if symmetric:
+                    found[_mirror(nxt_tight, n)] = (tuple(-x for x in nxt), off)
     memo[key] = found
     return found
 
@@ -275,19 +335,32 @@ def int_facets(points):
     id tuples of the k-faces, read off the wrap's memo: it keys the
     facets of the hull, and of each face of dimension 2 or more, by
     that face's tight set, so the tight sets one level down are the
-    facets of those one level up. All ids are sorted and name vertices only. Raises
-    PolytopeError when the points are not full-dimensional.
+    facets of those one level up. All ids are sorted and name vertices
+    only. Raises PolytopeError when the points are not
+    full-dimensional.
+
+    When point n - 1 - i is minus point i for every i, as for the
+    sorted difference bodies of equiproj, the wrap mirrors each facet
+    it finds (_hull_facets) and the vertex test runs on the first half
+    of the ids only: point n - 1 - i is a vertex iff point i is.
     """
     d = len(points[0])
     if _affine_rank(points) != d:
         raise PolytopeError("vertex set is not full-dimensional")
+    n = len(points)
+    symmetric = all(
+        points[n - 1 - i] == tuple(-x for x in points[i]) for i in range((n + 1) // 2)
+    )
     memo = {}
-    found = _hull_facets(dict(enumerate(points)), memo)
+    found = _hull_facets(dict(enumerate(points)), memo, symmetric)
     incident = [[] for _ in points]
     for tight, (normal, _off) in found.items():
         for i in tight:
             incident[i].append(normal)
-    keep = [i for i in range(len(points)) if kernels.rank_int(incident[i]) == d]
+    half = (n + 1) // 2 if symmetric else n
+    keep = [i for i in range(half) if kernels.rank_int(incident[i]) == d]
+    if symmetric:
+        keep += [n - 1 - i for i in reversed(keep) if n - 1 - i >= half]
     kept = set(keep)
     facets = sorted(
         (tuple(sorted(kept.intersection(t))), normal, off)

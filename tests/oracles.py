@@ -6,7 +6,9 @@ construction (the former eager Subspace), determinants, ranks and
 Cayley rotations go through sympy, echelon forms through Gauss-Jordan
 on Fractions and through sympy, the integer det, rank and echelon form
 also through the two separate Bareiss loops the library once kept,
-facets come from hyperplane fitting over all d-subsets with nullspaces,
+facets come from hyperplane fitting over all d-subsets with nullspaces
+and from the plain gift wrap (every facet popped, every ridge pivoted,
+no mirrors),
 k-faces from intersections over all facet subsets, the face lattice
 from closing the facets under intersection, planar hulls from pointwise extremeness tests plus an
 angle sort, the compensation pairing from an exhaustive search of each
@@ -26,6 +28,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import sub
 
 import sympy
@@ -429,6 +432,131 @@ def oracle_faces_by_dim(points, facet_sets):
     for faces in out.values():
         faces.sort()
     return out
+
+
+def _oracle_canonical(normal, offset):
+    g = gcd(*normal, offset)
+    return tuple(x // g for x in normal), offset // g
+
+
+def _oracle_pivot(pts, normal, offset, m, mo):
+    """The plain wrap's pivot: two dot products per point per ridge."""
+    best_g, best_h, met = 0, 0, []
+    for i, p in pts.items():
+        h = offset - kernels.dot(normal, p)
+        if not h:
+            continue
+        g = kernels.dot(m, p) - mo
+        if not met or g * best_h > best_g * h:
+            best_g, best_h, met = g, h, [i]
+        elif g * best_h == best_g * h:
+            met.append(i)
+    new = [best_g * a + best_h * b for a, b in zip(normal, m)]
+    new, off = _oracle_canonical(new, best_g * offset + best_h * mo)
+    return new, off, met
+
+
+def _oracle_first_facet(pts):
+    k = len(next(iter(pts.values())))
+    lo = min(p[0] for p in pts.values())
+    normal, offset = (-1,) + (0,) * (k - 1), -lo
+    tight = [i for i, p in pts.items() if p[0] == lo]
+    units = [tuple(int(j == c) for j in range(k)) for c in range(k)]
+    while True:
+        base = pts[tight[0]]
+        rows = [normal]
+        for i in tight[1:]:
+            diff = tuple(map(sub, pts[i], base))
+            if len(rows) < k and oracle_rank_int(rows + [diff]) > len(rows):
+                rows.append(diff)
+        if len(rows) == k:
+            return frozenset(tight), normal, offset
+        for u in units:
+            if len(rows) < k - 1 and oracle_rank_int(rows + [u]) > len(rows):
+                rows.append(u)
+        # the cofactor normal of the k - 1 rows
+        m = tuple(
+            (-1) ** j * oracle_det_int([r[:j] + r[j + 1 :] for r in rows])
+            for j in range(k)
+        )
+        normal, offset, met = _oracle_pivot(pts, normal, offset, m, kernels.dot(m, base))
+        tight += met
+
+
+def _oracle_low_facets(pts):
+    if len(next(iter(pts.values()))) == 1:
+        lo = min(p[0] for p in pts.values())
+        hi = max(p[0] for p in pts.values())
+        return {
+            frozenset(i for i, p in pts.items() if p[0] == lo): ((-1,), -lo),
+            frozenset(i for i, p in pts.items() if p[0] == hi): ((1,), hi),
+        }
+    cycle = kernels.strict_hull_2d(pts.values())
+    found = {}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        normal, offset = _oracle_canonical(
+            (b[1] - a[1], a[0] - b[0]), a[0] * b[1] - a[1] * b[0]
+        )
+        tight = frozenset(i for i, q in pts.items() if kernels.dot(normal, q) == offset)
+        found[tight] = (normal, offset)
+    return found
+
+
+def _oracle_hull_facets(pts, memo):
+    key = frozenset(pts)
+    if key in memo:
+        return memo[key]
+    k = len(next(iter(pts.values())))
+    if k <= 2:
+        memo[key] = _oracle_low_facets(pts)
+        return memo[key]
+    tight, normal, offset = _oracle_first_facet(pts)
+    found = {tight: (normal, offset)}
+    queue = [tight]
+    pivoted = set()
+    while queue:
+        tight = queue.pop()
+        normal, offset = found[tight]
+        c = max(j for j in range(k) if normal[j])
+        face = {i: p[:c] + p[c + 1 :] for i, p in pts.items() if i in tight}
+        for ridge, (m, mo) in _oracle_hull_facets(face, memo).items():
+            if ridge in pivoted:
+                continue
+            pivoted.add(ridge)
+            nxt, off, met = _oracle_pivot(pts, normal, offset, m[:c] + (0,) + m[c:], mo)
+            nxt_tight = ridge.union(met)
+            if nxt_tight not in found:
+                found[nxt_tight] = (nxt, off)
+                queue.append(nxt_tight)
+    memo[key] = found
+    return found
+
+
+def oracle_int_facets(points):
+    """polytope.int_facets as the plain gift wrap: every facet is popped
+    and every ridge pivoted with two dot products per point, with no
+    mirrored facets, and the vertex test runs on every point. Returns
+    (keep, facets, faces) in int_facets' form."""
+    d = len(points[0])
+    memo = {}
+    found = _oracle_hull_facets(dict(enumerate(points)), memo)
+    incident = [[] for _ in points]
+    for tight, (normal, _off) in found.items():
+        for i in tight:
+            incident[i].append(normal)
+    keep = [i for i in range(len(points)) if oracle_rank_int(incident[i]) == d]
+    kept = set(keep)
+    facets = sorted(
+        (tuple(sorted(kept.intersection(t))), normal, off)
+        for t, (normal, off) in found.items()
+    )
+    faces, k, level = {}, d - 1, set(found)
+    while level:
+        faces[k] = sorted(tuple(sorted(kept.intersection(t))) for t in level)
+        level = {r for t in level for r in memo.get(t, ())}
+        k -= 1
+    faces[0] = [(i,) for i in keep]
+    return keep, facets, faces
 
 
 def _point_in_hull_2d(p, others):

@@ -109,6 +109,7 @@ def test_generate_usage_errors():
         (["--family", "pnd", "--n", "2", "--dim", "21"], "17 prism doublings exceed the cap of 5"),
         (["--family", "hypercube", "--dim", "10"], "10 unit generators exceed the cap of 9"),
         (["--family", "pnd", "--n", "2", "--dim", "10"], "6 prism doublings exceed the cap of 5"),
+        (["--family", "pn", "--n", "14"], "14 triangles exceed the cap of 13"),
     ],
 )
 def test_generate_cube_like_families_are_capped(argv, message):

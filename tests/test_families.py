@@ -363,6 +363,14 @@ def test_pn_validation():
         fam.pn_polytope(2, eps=Fr(1, 2))
 
 
+def test_pn_caps_its_triangles():
+    # check --mode both took 12 to 16 s on pn(13) and up to 23 s on pn(14)
+    assert len(fam.pn_polytope(13).vertices) == 39
+    for n, m in ((14, None), (2, 14)):
+        with pytest.raises(ParameterError, match="14 triangles exceed the cap of 13"):
+            fam.pn_polytope(n, m=m)
+
+
 # ----------------------------------------------------------- pnd hyperprism
 
 

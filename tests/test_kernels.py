@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shadowlab import kernels
+from shadowlab.errors import DimensionError
 from oracles import (
     oracle_det,
     oracle_det_int,
@@ -156,6 +157,48 @@ def test_rref_int_rank_and_pivots(m):
     assert len(reduced) == len(pivots) == oracle_rank(m)
     for i, p in enumerate(pivots):
         assert [r[p] for r in reduced] == [den if k == i else 0 for k in range(len(reduced))]
+
+
+def test_generalized_cross_is_orthogonal():
+    rows = [(1, 2, 0, 0), (0, 1, 1, 0), (3, 0, 0, 1)]
+    n = kernels.generalized_cross(rows)
+    assert all(isinstance(x, int) for x in n)
+    assert any(n)
+    assert all(kernels.dot(n, r) == 0 for r in rows)
+
+
+def test_generalized_cross_dependent_gives_zero():
+    rows = [(1, 2, 0), (2, 4, 0)]
+    assert kernels.generalized_cross(rows) == (0, 0, 0)
+
+
+def test_generalized_cross_rejects_ragged_rows():
+    with pytest.raises(DimensionError):
+        kernels.generalized_cross([(1, 0, 0), (0, 1, 0, 5)])
+
+
+@st.composite
+def plane_and_vector(draw):
+    """Two independent integer rows of width 3..6 and a vector that is
+    half the time a combination of them."""
+    d = draw(st.integers(3, 6))
+    row = st.tuples(*[small_int] * d)
+    a, b = draw(row), draw(row)
+    assume(oracle_rank_int([a, b]) == 2)
+    if draw(st.booleans()):
+        s, t = draw(small_int), draw(small_int)
+        u = tuple(s * x + t * y for x, y in zip(a, b))
+    else:
+        u = draw(row)
+    return a, b, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(plane_and_vector())
+def test_in_plane_matches_rank_int(case):
+    a, b, u = case
+    got = kernels.in_plane(u, kernels.plane_minors(a, b))
+    assert got == (kernels.rank_int([a, b, u]) == 2)
 
 
 def test_minors_of_small_widths():

@@ -188,18 +188,6 @@ def test_plane_rotation_touches_two_coords():
     assert la.matvec(r, la.unit(4, 2)) == la.unit(4, 2)
 
 
-def test_generalized_cross_is_orthogonal():
-    rows = la.as_mat([[1, 2, 0, 0], [0, 1, 1, 0], [3, 0, 0, 1]])
-    n = la.generalized_cross(rows)
-    assert not la.is_zero_vec(n)
-    assert all(la.dot(n, r) == 0 for r in rows)
-
-
-def test_generalized_cross_dependent_gives_zero():
-    rows = la.as_mat([[1, 2, 0], [2, 4, 0]])
-    assert la.is_zero_vec(la.generalized_cross(rows))
-
-
 def test_primitive_canonical_form():
     assert la.primitive((Fr(-2, 3), Fr(4, 3))) == (1, -2)
     assert la.primitive((0, Fr(5, 7))) == (0, 1)
@@ -238,10 +226,9 @@ def test_kernel_basis_matches_rank():
     "call",
     [
         lambda: la.rref([(1, 0), (0, 1, 3)]),
-        lambda: la.generalized_cross([(1, 0, 0), (0, 1, 0, 5)]),
         lambda: la.Subspace([(1, 0, 0)], ambient=5),
     ],
-    ids=["rref", "generalized_cross", "subspace"],
+    ids=["rref", "subspace"],
 )
 def test_ragged_input_raises(call):
     with pytest.raises(DimensionError):
