@@ -5,8 +5,9 @@ through these functions after denominators are cleared. One Bareiss
 loop serves all three: forward for det_int and rank_int, Gauss-Jordan
 for rref_int. It works on Python's arbitrary-precision integers and
 divides only exactly, so results are exact at any magnitude. The one
-greedy rank-raising row scan, independent, serves the gift wrap and
-the walk's crossing bases. in_plane tests a vector against a plane
+greedy rank-raising row scan, independent, serves the gift wrap, its
+full-dimension check and the walk's crossing bases; it stops once it
+holds limit rows. in_plane tests a vector against a plane
 through the plane's 2x2 minors, and generalized_cross gives the
 cofactor normal of d-1 rows. The one 2D convex hull (monotone
 chain) lives here too: shadows, family self-tests and the gift wrap of
@@ -100,7 +101,9 @@ def independent(rows, candidates, limit):
     fewer than limit rows are held."""
     kept, out = list(rows), []
     for i, r in enumerate(candidates):
-        if len(kept) < limit and rank_int(kept + [r]) > len(kept):
+        if len(kept) >= limit:
+            break
+        if rank_int(kept + [r]) > len(kept):
             kept.append(r)
             out.append(i)
     return out

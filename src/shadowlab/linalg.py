@@ -176,6 +176,10 @@ def kernel_basis(m, ncols=None):
     ]
 
 
+# the canonical_key of a Subspace whose rows are its reduced echelon form
+_REDUCED = object()
+
+
 class Subspace:
     """A linear subspace given by an independent basis.
 
@@ -241,8 +245,11 @@ class Subspace:
 
     def canonical_key(self):
         """Canonical form of the span, usable as a dict key: the Fraction
-        rows of its reduced row echelon form."""
-        if self._key is None:
+        rows of its reduced row echelon form, built on first read; a
+        span_of result already holds that form as its basis."""
+        if self._key is _REDUCED:
+            self._key = self.basis
+        elif self._key is None:
             reduced, _pivots, den = kernels.rref_int(self.int_rows)
             self._key = _rationals(reduced, den)
         return self._key
@@ -283,13 +290,17 @@ def span_of(vectors, ambient=None):
 
     The basis is the reduced row echelon form. rref_int's rows are
     independent by construction, so the Subspace is filled in directly
-    (Subspace._of).
+    (Subspace._of). Those rows are also the canonical key, so the
+    Subspace is marked _REDUCED and canonical_key reads its basis, with
+    no second rref_int.
     """
     vectors = tuple(vectors)
     if not vectors:
         return Subspace((), ambient=ambient)
     reduced, _pivots, den = _reduce(vectors)
-    return Subspace._of(reduced, den, len(vectors[0]))
+    s = Subspace._of(reduced, den, len(vectors[0]))
+    s._key = _REDUCED
+    return s
 
 
 def kernel_space(m):

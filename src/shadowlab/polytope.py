@@ -126,11 +126,13 @@ def int_points(points):
 
 
 def _affine_rank(points):
-    """Affine rank of integer points."""
+    """Affine rank of integer points: the differences from the first
+    point are scanned only until d of them are independent."""
     if len(points) <= 1:
         return 0
     base = points[0]
-    return kernels.rank_int([tuple(map(sub, q, base)) for q in points[1:]])
+    diffs = (tuple(map(sub, q, base)) for q in points[1:])
+    return len(kernels.independent([], diffs, len(base)))
 
 
 def _canonical_facet(normal, offset):

@@ -11,12 +11,16 @@ Everything here is exact. A segment stores each row as an integer
 base and slope pair over one positive multiplier (WalkSegment);
 rescaling, reversal, the reference rotation and the spans verify_walk
 compares all run on those integers, and Fraction rows are built only at
-the API edge (base, slope, rows_at, to_json_dict). Each determinant is
-held by its two integer end values over one positive denominator
-(AffinePoly). Their signs alone say whether a class degenerates on the
-segment, at an end, or along all of it. One scan (_segment_events)
-reads them for planning, assembly and verify_walk and keys each event
-time by an integer, so no Fraction is hashed or sorted.
+the API edge (base, slope, rows_at, to_json_dict). The complementary
+minors of a segment's integer rows at its two ends are built once per
+segment (SegmentMinors), which also proves once that every class
+determinant is affine on it; a class's two end values are then two dot
+products, over one positive denominator (AffinePoly). Their signs alone
+say whether a class degenerates on the segment, at an end, or along all
+of it. One scan (_segment_events) reads them for planning, assembly and
+verify_walk and keys each event time by an integer, so no Fraction is
+hashed or sorted; verify_walk reads the rank of the rows at its sample
+times off the same two minor vectors.
 Randomness only picks candidate directions; every candidate is accepted
 or rejected by these integer sign tests, and all searches are capped
 and seeded.
@@ -287,47 +291,118 @@ ElementaryTransformation = namedtuple(
 ChainState = namedtuple("ChainState", ["visible", "invisible", "fixed"])
 
 
+class SegmentMinors:
+    """The complementary minors of one segment's integer rows at its two
+    ends, and whether every class determinant is affine on it.
+
+    lo_vals and hi_vals are kernels.complementary_minors of
+    int_rows_at(lo) and int_rows_at(hi), each times the other end's
+    scale, so that both sit over den, the product of the two scales:
+    the minor vector at lo is lo_vals / den. A class's end values are
+    then two dot products with its plane minors (end_values).
+
+    The minor vector is a polynomial of degree at most d-2 in t. When
+    the nonzero slope rows have rank at most 1, every wedge term with
+    two slope rows vanishes, so it is affine: this holds for every
+    segment the walk constructions build (one moving row, or the
+    contraction's multiples of one row) and for their rescaled,
+    reversed and mapped images. Otherwise it is evaluated at the d-3
+    interior points lo + k (hi - lo) / (d-2); d-1 points are exact for
+    its degree, so the vector is affine exactly when they lie on the
+    line through the ends. Only when that fails are those points kept,
+    and each class is tested at them. free_at reads the rank of the
+    rows at any t off the same end vectors on an affine segment.
+    """
+
+    __slots__ = ("segment", "lo_vals", "hi_vals", "den", "_inner")
+
+    def __init__(self, segment):
+        rows = segment._rows
+        d = len(rows[0][0])
+        if len(rows) + 2 != d:
+            raise DimensionError("stacked family is not square")
+        lo, hi = segment.t_range
+        (r_lo, s_lo), (r_hi, s_hi) = (
+            (kernels.complementary_minors(ints, d), scale)
+            for ints, scale in map(segment.int_rows_at, (lo, hi))
+        )
+        self.segment = segment
+        self.lo_vals = tuple(x * s_hi for x in r_lo)
+        self.hi_vals = tuple(x * s_lo for x in r_hi)
+        self.den = s_lo * s_hi
+        self._inner = None
+        moving = [s for _b, s, _c in rows if any(s)]
+        if all(not any(kernels.plane_minors(moving[0], s)) for s in moving[1:]):
+            return
+        n = d - 2
+        inner = []
+        for k in range(1, n):
+            ints, scale = segment.int_rows_at(lo + (hi - lo) * k / n)
+            inner.append((k, kernels.complementary_minors(ints, d), scale))
+        if any(
+            n * x * self.den != scale * ((n - k) * a + k * b)
+            for k, vals, scale in inner
+            for x, a, b in zip(vals, self.lo_vals, self.hi_vals)
+        ):
+            self._inner = tuple(inner)
+
+    def end_values(self, cls):
+        """The class determinant at lo and at hi as two integers over
+        den * the plane's int_scale; WalkError when it is not affine."""
+        m = cls.minors
+        a, b = kernels.dot(self.lo_vals, m), kernels.dot(self.hi_vals, m)
+        if self._inner is not None:
+            n = len(self._inner) + 1
+            for k, vals, scale in self._inner:
+                if n * kernels.dot(vals, m) * self.den != scale * ((n - k) * a + k * b):
+                    raise WalkError(_NOT_AFFINE)
+        return a, b
+
+    def poly(self, cls, a, b):
+        """The AffinePoly of a class with end values (a, b)."""
+        lo, hi = self.segment.t_range
+        return AffinePoly(a, b, self.den * cls.direction_plane.int_scale, lo, hi)
+
+    def __call__(self, cls):
+        return self.poly(cls, *self.end_values(cls))
+
+    def free_at(self, t):
+        """Whether the rows at the Fraction t are independent, that is
+        whether the minor vector at t is nonzero. On an affine segment
+        it is ((hi - t) lo_vals + (t - lo) hi_vals) / ((hi - lo) den);
+        with t = p/q the two weights times q * lo.den * hi.den are
+        integers, and that factor is positive. Otherwise rank_int of
+        the integer rows at t."""
+        if self._inner is not None:
+            seg = self.segment
+            return kernels.rank_int(seg.int_rows_at(t)[0]) == len(seg._rows)
+        lo, hi = self.segment.t_range
+        p, q = t.numerator, t.denominator
+        wa = (hi.numerator * q - p * hi.denominator) * lo.denominator
+        wb = (p * lo.denominator - lo.numerator * q) * hi.denominator
+        return any(wa * x + wb * y for x, y in zip(self.lo_vals, self.hi_vals))
+
+
 def segment_polynomials(segment):
     """Exact affine degeneration determinants of one segment, by class.
 
-    The segment's integer rows at both ends and at the midpoint
-    (int_rows_at) give their complementary minors once. The returned
-    function takes a class and gives its AffinePoly from three dot
-    products of those minors with the class's plane minors, each an
-    integer determinant (kernels.complementary_minors). The two end
-    values, brought over one positive denominator, are the AffinePoly;
-    the midpoint value confirms that the determinant is affine, and
-    no Fraction is built. For a class whose determinant is not affine
-    in t it raises WalkError.
+    Returns the segment's SegmentMinors, built once: called on a class,
+    it gives the class's AffinePoly from two dot products of the end
+    minor vectors with the class's plane minors (each minor an integer
+    determinant, kernels.complementary_minors), over one positive
+    denominator, and no Fraction is built. Affinity is proved once for
+    the whole segment; for a class whose determinant is not affine in t
+    it raises WalkError.
     """
-    d = len(segment._rows[0][0])
-    if len(segment._rows) + 2 != d:
-        raise DimensionError("stacked family is not square")
-    lo, hi = segment.t_range
-    (r_lo, s_lo), (r_hi, s_hi), (r_mid, s_mid) = (
-        (kernels.complementary_minors(rows, d), scale)
-        for rows, scale in map(segment.int_rows_at, (lo, hi, (lo + hi) / 2))
-    )
-    s_ends = s_lo * s_hi
-
-    def poly(cls):
-        a, b, m = (kernels.dot(r, cls.minors) for r in (r_lo, r_hi, r_mid))
-        # the end values over the common factor s_lo * s_hi; affine
-        # means the midpoint value m / s_mid is their mean
-        a, b = a * s_hi, b * s_lo
-        if 2 * m * s_ends != (a + b) * s_mid:
-            raise WalkError(_NOT_AFFINE)
-        return AffinePoly(a, b, s_ends * cls.direction_plane.int_scale, lo, hi)
-
-    return poly
+    return SegmentMinors(segment)
 
 
 def degeneration_polynomial(segment, cls):
     """Exact affine degeneration determinant of one class on a segment.
 
-    Its integer end values, confirmed affine by a midpoint evaluation;
-    a determinant that is not affine in t raises WalkError. A loop over
-    classes calls segment_polynomials once.
+    Its integer end values, from SegmentMinors; a determinant that is
+    not affine in t raises WalkError. A loop over classes calls
+    segment_polynomials once.
     """
     return segment_polynomials(segment)(cls)
 
@@ -471,27 +546,27 @@ def _require_admissible(p, rows, what):
         raise InadmissiblePlaneError(f"{what} span degenerates class {cid}")
 
 
-def _segment_events(seg, classes):
-    """(events, faults) of the classes on a segment, each classed by the
-    signs of its end values (AffinePoly.kind). events lists (t, class
-    ids) for the roots inside the range, one entry per time, in time
-    order; faults lists (class id, "whole" | "end" | "not affine", the
-    end or None) in class order. A root sits at the fraction a / (a - b)
-    of the range, so over L, the lcm of the |a - b|, the integer
-    a * (L / (a - b)) keys its time. One Fraction is built per time."""
-    polys = segment_polynomials(seg)
+def _segment_events(polys, classes):
+    """(events, faults) of the classes on a segment, given its
+    SegmentMinors, each class classed by the signs of its end values.
+    events lists (t, class ids) for the roots inside the range, one
+    entry per time, in time order; faults lists (class id, "whole" |
+    "end" | "not affine", the end or None) in class order. Only a class
+    that vanishes on the closed range gets an AffinePoly. A root sits
+    at the fraction a / (a - b) of the range, so over L, the lcm of the
+    |a - b|, the integer a * (L / (a - b)) keys its time. One Fraction
+    is built per time."""
     inside, faults = [], []
     for cid, cls in enumerate(classes):
         try:
-            poly = polys(cls)
+            a, b = polys.end_values(cls)
         except WalkError:
             faults.append((cid, "not affine", None))
             continue
-        kind = poly.kind
-        if kind == "inside":
-            inside.append((poly, cid))
-        elif kind != "none":
-            faults.append((cid, *poly.crossing()))
+        if not (a and b):
+            faults.append((cid, *polys.poly(cls, a, b).crossing()))
+        elif (a < 0) != (b < 0):
+            inside.append((polys.poly(cls, a, b), cid))
     scale = lcm(*(poly.a - poly.b for poly, _cid in inside))
     groups = {}
     for poly, cid in inside:
@@ -504,7 +579,7 @@ def _segment_events(seg, classes):
 def _planned_events(seg, classes):
     """_segment_events of a segment a walk construction built, where the
     first fault, which constructions must never make, raises WalkError."""
-    events, faults = _segment_events(seg, classes)
+    events, faults = _segment_events(segment_polynomials(seg), classes)
     if faults:
         cid, kind, t = faults[0]
         if kind == "whole":
@@ -528,7 +603,7 @@ def _half_step(classes, base, i, w):
     along the whole line (such a class has no root, so it does not
     bound s)."""
     seg = WalkSegment(base, _slope(len(base), i, w), (0, 2))
-    events, faults = _segment_events(seg, classes)
+    events, faults = _segment_events(segment_polynomials(seg), classes)
     step = events[0][0] / 2 if events else la.ONE
     whole = any(kind == "whole" for _cid, kind, _t in faults)
     return WalkSegment._of(seg._rows, (la.ZERO, step)), whole
@@ -786,7 +861,8 @@ def verify_walk(p, plan):
 
     Recomputes every degeneration polynomial, isolates the roots, and
     checks: affine determinants, free families at endpoints, events and
-    midpoints, no event at a junction, no two classes sharing a time,
+    midpoints (SegmentMinors.free_at, on the minors of the segment's own
+    scan), no event at a junction, no two classes sharing a time,
     junction spans equal, and the plan event log matching the
     recomputation entry by entry. The scan lists each segment's events
     in time order, so when the segment ranges meet the recomputed log
@@ -806,8 +882,8 @@ def verify_walk(p, plan):
     lo0 = segs[0].t_range[0]
     hi_last = segs[-1].t_range[1]
 
-    def free_at(seg, t, label):
-        if kernels.rank_int(seg.int_rows_at(t)[0]) != d - 2:
+    def free_at(polys, t, label):
+        if not polys.free_at(t):
             violations.append(f"family loses rank at t={t} ({label})")
 
     for i, seg in enumerate(segs):
@@ -822,7 +898,8 @@ def verify_walk(p, plan):
             continue
         if i and segs[i - 1].t_range[1] != lo:
             violations.append(f"segments {i - 1} and {i} ranges do not meet")
-        found, faults = _segment_events(seg, classes)
+        polys = segment_polynomials(seg)
+        found, faults = _segment_events(polys, classes)
         for cid, kind, t in faults:
             if kind == "whole":
                 violations.append(f"class {cid} is degenerate along segment {i}")
@@ -837,12 +914,12 @@ def verify_walk(p, plan):
                     f"classes {ids[0]} and {ids[1]} share the event time {t}"
                 )
             events.extend(DegenerationEvent(t, cid) for cid in ids)
-            free_at(seg, t, f"event in segment {i}")
+            free_at(polys, t, f"event in segment {i}")
         samples = [lo] + [t for t, _ids in found] + [hi]
-        free_at(seg, lo, f"start of segment {i}")
-        free_at(seg, hi, f"end of segment {i}")
+        free_at(polys, lo, f"start of segment {i}")
+        free_at(polys, hi, f"end of segment {i}")
         for a, b in zip(samples, samples[1:]):
-            free_at(seg, (a + b) / 2, f"between events in segment {i}")
+            free_at(polys, (a + b) / 2, f"between events in segment {i}")
     for i in range(1, len(segs)):
         t = segs[i].t_range[0]
         if segs[i - 1].t_range[1] != t:
@@ -952,9 +1029,9 @@ def crossing_probe(p, cid, witness, u1, reverse=False):
     for k, cls in enumerate(classes):
         if k == cid:
             continue
-        poly = polys(cls)
-        if poly.a != poly.b:
-            gap = (abs(poly.a + poly.b), abs(poly.a - poly.b))
+        a, b = polys.end_values(cls)
+        if a != b:
+            gap = (abs(a + b), abs(a - b))
             if near is None or gap[0] * near[1] < near[0] * gap[1]:
                 near = gap
     eps = Fraction(1) if near is None else Fraction(near[0], 2 * near[1])
@@ -1085,7 +1162,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     slope = _slope(d - 2, 0, la.neg(v))
     # a root outside (0, 2 lam) is at least lam away from the event
     seg = WalkSegment(base, slope, (0, 2 * lam))
-    events, _faults = _segment_events(seg, pt.parallel_classes(p))
+    events, _faults = _segment_events(segment_polynomials(seg), pt.parallel_classes(p))
     eps = min([lam] + [abs(t - lam) for t, _ids in events if t != lam]) / 2
     u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
     w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))

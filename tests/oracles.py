@@ -14,11 +14,12 @@ from closing the facets under intersection, planar hulls from pointwise extremen
 angle sort, the compensation pairing from an exhaustive search of each
 group's matchings, visible configurations from a seeded search over
 random witness planes, walk degeneration polynomials from rational
-determinants at three times, walk segments from Fraction row
-arithmetic, degenerate classes from one stacked integer determinant per
-class, sampled plane bases from Fraction Subspaces, the cells of a
-class from its difference body built as a Polytope, witnesses,
-crossing probes, elementary transformations and certificates from
+determinants at d - 1 times and from per-class integer dot products at
+the ends and interior times (the three-point scan), walk segments from
+Fraction row arithmetic, degenerate classes from one stacked integer
+determinant per class, sampled plane bases from Fraction Subspaces, the
+cells of a class from its difference body built as a Polytope,
+witnesses, crossing probes, elementary transformations and certificates from
 Fraction rows and Fraction kernel bases, the visibility chains of a
 2-face from visible-edge degrees and a path traced through its vertex
 pairs, and shadow boundary containment from a scan of every hull edge.
@@ -642,11 +643,24 @@ def oracle_affine_roots(a, b, lo, hi):
     return [t] if lo <= t <= hi else []
 
 
+def _oracle_inner_times(lo, hi, d):
+    """The midpoint, and in d >= 5 also lo + (hi - lo) / j for j = 3 ..
+    d - 2: with the two ends at least d - 1 distinct times, which pin
+    down a determinant of degree at most d - 2."""
+    return [(lo + hi) / 2] + [lo + (hi - lo) / j for j in range(3, d - 1)]
+
+
+def _oracle_on_line(lo, hi, a, b, t, v):
+    """Whether v is the value at t of the line through (lo, a), (hi, b)."""
+    return v * (hi - lo) == a * (hi - t) + b * (t - lo)
+
+
 def oracle_degeneration_polynomial(segment, cls):
     """(c0, c1) of det(segment rows at t | class plane basis) = c0 + c1 t.
 
     Rational determinants of the rows at both ends interpolate it, and
-    one at the midpoint confirms it; a determinant that is not affine in
+    ones at the midpoint and, in d >= 5, at further interior times
+    (d - 1 times in all) confirm it; a determinant that is not affine in
     t raises WalkError.
     """
     lo, hi = segment.t_range
@@ -655,25 +669,56 @@ def oracle_degeneration_polynomial(segment, cls):
     def dv(t):
         return la.det(segment.rows_at(t) + extra)
 
-    a = dv(lo)
-    c1 = (dv(hi) - a) / (hi - lo)
-    c0 = a - c1 * lo
-    mid = (lo + hi) / 2
-    if dv(mid) != c0 + c1 * mid:
-        raise WalkError("degeneration determinant is not affine on the segment")
-    return c0, c1
+    a, b = dv(lo), dv(hi)
+    for t in _oracle_inner_times(lo, hi, len(extra[0])):
+        if not _oracle_on_line(lo, hi, a, b, t, dv(t)):
+            raise WalkError("degeneration determinant is not affine on the segment")
+    c1 = (b - a) / (hi - lo)
+    return a - c1 * lo, c1
+
+
+def oracle_segment_polynomials(segment):
+    """The former segment_polynomials, the three-point scan: per class,
+    dot products of the class's plane minors with the complementary
+    minors of the integer rows at both ends and at the midpoint, the
+    midpoint value confirming that the determinant is affine. In d >= 5
+    it also confirms at the further times of _oracle_inner_times, class
+    by class. Returns a function of a class giving its AffinePoly, or
+    raising WalkError when the determinant is not affine."""
+    d = len(segment.base[0])
+    lo, hi = segment.t_range
+
+    def minors_at(t):
+        rows, scale = segment.int_rows_at(t)
+        return kernels.complementary_minors(rows, d), scale
+
+    (r_lo, s_lo), (r_hi, s_hi) = minors_at(lo), minors_at(hi)
+    inner = [(t, *minors_at(t)) for t in _oracle_inner_times(lo, hi, d)]
+    s_ends = s_lo * s_hi
+
+    def poly(cls):
+        a = kernels.dot(r_lo, cls.minors) * s_hi
+        b = kernels.dot(r_hi, cls.minors) * s_lo
+        for t, r, s in inner:
+            v = Fraction(kernels.dot(r, cls.minors), s)
+            if not _oracle_on_line(lo, hi, Fraction(a, s_ends), Fraction(b, s_ends), t, v):
+                raise WalkError("degeneration determinant is not affine on the segment")
+        return wk.AffinePoly(a, b, s_ends * cls.direction_plane.int_scale, lo, hi)
+
+    return poly
 
 
 def oracle_segment_events(seg, classes):
     """The former event path of a walk segment: each class's crossing()
-    time into a dict keyed by Fraction, then sorted.
+    time, from the three-point scan, into a dict keyed by Fraction, then
+    sorted.
 
     Returns (events, faults): events lists (t, class ids) for the roots
     strictly inside the range, sorted by t, ids in class order; faults
     lists (class id, message) in class order, with the message the
     former path raised for that class.
     """
-    polys = wk.segment_polynomials(seg)
+    polys = oracle_segment_polynomials(seg)
     found, faults = {}, []
     for cid, cls in enumerate(classes):
         try:
@@ -1142,7 +1187,7 @@ def oracle_crossing_probe(p, cid, rows, u1, reverse=False):
         raise GeometryError("degenerating direction escapes the witness")
     slope = (v,) + tuple((la.ZERO,) * d for _ in range(d - 3))
     probe = wk.WalkSegment(tuple(comp), slope, (-1, 1))
-    polys = wk.segment_polynomials(probe)
+    polys = oracle_segment_polynomials(probe)
     eps = None
     for k, cls in enumerate(classes):
         if k == cid:

@@ -4,12 +4,14 @@ import hashlib
 from fractions import Fraction as Fr
 from itertools import combinations, product
 from math import comb, gcd
+from operator import sub
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from shadowlab import families as fam
+from shadowlab import kernels
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab.errors import ParameterError, PolytopeError
@@ -93,6 +95,29 @@ def test_build_rejects_flat_input():
 def test_build_rejects_too_few_points():
     with pytest.raises(PolytopeError):
         pt.build([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+
+
+@st.composite
+def flat_clouds(draw):
+    """Integer points on a random affine flat of R^d, d = 1..5: a base
+    point plus integer combinations of at most d random rows, so the
+    flat is often of lower dimension than d."""
+    d = draw(st.integers(1, 5))
+    coord = st.integers(-4, 4)
+    rows = draw(st.lists(st.tuples(*[coord] * d), max_size=d))
+    base = draw(st.tuples(*[coord] * d))
+    combos = draw(st.lists(st.tuples(*[coord] * len(rows)), min_size=1, max_size=12))
+    return [
+        tuple(b + sum(c * r[j] for c, r in zip(cs, rows)) for j, b in enumerate(base))
+        for cs in combos
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_clouds())
+def test_affine_rank_matches_rank_int(points):
+    diffs = [tuple(map(sub, q, points[0])) for q in points[1:]]
+    assert pt._affine_rank(points) == (kernels.rank_int(diffs) if diffs else 0)
 
 
 def test_cube_facets():
@@ -324,6 +349,22 @@ EDGE_ZOO = [
     fam.zonotope(fam.random_generators(6, 4, 7)),
     simplex4(),
 ]
+
+
+@pytest.mark.parametrize("p", EDGE_ZOO, ids=lambda p: p.label)
+def test_face_span_keys_equal_the_recomputed_reduced_form(p, monkeypatch):
+    # span_of sets each face span's key from its own reduced form, so
+    # reading the key of a fresh span runs no second rref_int
+    rref = kernels.rref_int
+    for k in range(1, p.dim):
+        for face in pt.k_faces(p, k):
+            reduced, _pivots, den = rref(face.span.int_rows)
+            want = tuple(tuple(Fr(x, den) for x in r) for r in reduced)
+            assert face.span.canonical_key() == want
+            fresh = la.span_of(face.span.int_rows, ambient=p.dim)
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "rref_int", None)
+                assert fresh.canonical_key() == want
 
 
 @pytest.mark.parametrize("p", EDGE_ZOO, ids=lambda p: p.label)

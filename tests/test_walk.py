@@ -800,25 +800,36 @@ RATS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @st.composite
-def zoo_segments(draw, zoo=FRAME_ZOO):
+def zoo_segments(draw, zoo=FRAME_ZOO, slopes="any"):
     """A polytope of the zoo and a random segment on it.
 
     Rational rows; one or several moving rows (several make most class
     determinants quadratic or worse); and, half the time, a first row
     kept inside one class plane, which degenerates that class along the
-    whole segment.
+    whole segment. slopes="one" makes every slope row a multiple of one
+    row (rank at most 1, as on every segment the walks build);
+    slopes="many" keeps at least two independent slope rows (a zoo in
+    d >= 4).
     """
     p = draw(st.sampled_from(zoo))
     d = p.dim
     row = st.tuples(*[RATS] * d)
     base = [draw(row) for _ in range(d - 2)]
-    moving = draw(st.integers(1, d - 2))
-    slope = [draw(row) if i < moving else (0,) * d for i in range(d - 2)]
+    if slopes == "one":
+        w = draw(row)
+        slope = [la.scale(w, draw(RATS)) for _ in range(d - 2)]
+    else:
+        moving = draw(st.integers(2 if slopes == "many" else 1, d - 2))
+        slope = [draw(row) if i < moving else (0,) * d for i in range(d - 2)]
     if draw(st.booleans()):
         f1, f2 = draw(st.sampled_from(pt.parallel_classes(p))).direction_plane.basis
         a, b, c, e = (draw(RATS) for _ in range(4))
         base[0] = la.add(la.scale(f1, a), la.scale(f2, b))
         slope[0] = la.add(la.scale(f1, c), la.scale(f2, e))
+        if slopes == "one":
+            slope[1:] = [la.scale(slope[0], draw(RATS)) for _ in slope[1:]]
+    if slopes == "many":
+        assume(la.rank(slope) >= 2)
     lo = draw(RATS)
     hi = lo + draw(st.fractions(min_value=Fr(1, 8), max_value=3, max_denominator=8))
     return p, wk.WalkSegment(base, slope, (lo, hi))
@@ -1243,7 +1254,9 @@ def _planning_error(seg, classes, fault):
 
 
 def assert_scan_matches_oracle(seg, classes, got=None):
-    events, faults = wk._segment_events(seg, classes) if got is None else got
+    if got is None:
+        got = wk._segment_events(wk.segment_polynomials(seg), classes)
+    events, faults = got
     want_events, want_faults = oracle_segment_events(seg, classes)
     # groups, their order and their exact times
     assert events == want_events
@@ -1272,9 +1285,9 @@ def test_segment_events_match_the_former_path_on_walks(name, monkeypatch):
     seen = []
     scan = wk._segment_events
 
-    def recorded(seg, classes):
-        out = scan(seg, classes)
-        seen.append((seg, classes, out))
+    def recorded(polys, classes):
+        out = scan(polys, classes)
+        seen.append((polys.segment, classes, out))
         return out
 
     monkeypatch.setattr(wk, "_segment_events", recorded)
@@ -1321,6 +1334,128 @@ def test_segment_events_match_the_former_path_on_planted_segments(case):
     assert_scan_matches_oracle(wk.WalkSegment(base, slope, t_range), pt.parallel_classes(p))
 
 
+# A hypercube(5) segment whose determinant against span(e3, e4) is
+# t^3 + 1 on [-2, 2]: its end values -7 and 9 have mean 1, its value at
+# the midpoint, so a midpoint test alone reads it as affine with a root
+# at -1/4, although the only root is -1.
+CUBIC5 = (
+    fam.hypercube(5),
+    ((0, 1, 0, 1, 0), (0, 0, 1, 0, 1), (1, 0, 0, 0, 0)),
+    ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
+    (-2, 2),
+)
+
+
+def test_a_cubic_that_passes_the_midpoint_test_is_not_affine():
+    p, base, slope, t_range = CUBIC5
+    seg = wk.WalkSegment(base, slope, t_range)
+    classes = pt.parallel_classes(p)
+    cid = class_id_by_span(p, ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
+    plane = classes[cid].direction_plane.basis
+    assert [la.det(seg.rows_at(t) + plane) for t in (-2, 0, 2)] == [-7, 1, 9]
+    with pytest.raises(WalkError, match="not affine"):
+        wk.degeneration_polynomial(seg, classes[cid])
+    with pytest.raises(WalkError, match="not affine"):
+        oracle_degeneration_polynomial(seg, classes[cid])
+    events, faults = wk._segment_events(wk.segment_polynomials(seg), classes)
+    assert (cid, "not affine", None) in faults
+    assert all(cid not in ids and t != Fr(-1, 4) for t, ids in events)
+    assert_scan_matches_oracle(seg, classes)
+    ident = la.identity(5)
+    cert = wk.verify_walk(p, wk.WalkPlan((seg,), (), ident, ident))
+    assert f"segment 0, class {cid}: {wk._NOT_AFFINE}" in cert.violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(zoo_segments(slopes="one"))
+def test_segment_events_match_the_three_point_scan_on_rank_one_slopes(case):
+    p, seg = case
+    assert_scan_matches_oracle(seg, pt.parallel_classes(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zoo_segments(FRAME_ZOO[3:], slopes="many"))
+def test_segment_events_match_the_three_point_scan_on_wider_slopes(case):
+    p, seg = case
+    assert_scan_matches_oracle(seg, pt.parallel_classes(p))
+
+
+@st.composite
+def planted_rank_losses(draw):
+    """A zoo segment with rank-one or wider slopes, a time t and more
+    random times; half the time the first row is reset so that the rows
+    at t are dependent (row 0 at t a multiple of row 1, or zero)."""
+    slopes = draw(st.sampled_from(("one", "many")))
+    p, seg = draw(zoo_segments(FRAME_ZOO if slopes == "one" else FRAME_ZOO[3:], slopes))
+    t = draw(RATS)
+    if draw(st.booleans()):
+        rows = seg.rows_at(t)
+        target = la.scale(rows[1], draw(RATS)) if len(rows) > 1 else wk._zero_vec(p.dim)
+        base = (la.sub(target, la.scale(seg.slope[0], t)),) + seg.base[1:]
+        seg = wk.WalkSegment(base, seg.slope, seg.t_range)
+    return p, seg, [t] + draw(st.lists(RATS, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_rank_losses())
+def test_free_at_matches_rank_int(case):
+    p, seg, times = case
+    polys = wk.segment_polynomials(seg)
+    lo, hi = seg.t_range
+    found, _faults = wk._segment_events(polys, pt.parallel_classes(p))
+    # verify_walk's sample times, then the planted and random ones
+    samples = [lo] + [t for t, _ids in found] + [hi]
+    times = samples + [(a + b) / 2 for a, b in zip(samples, samples[1:])] + times
+    for t in times:
+        want = kernels.rank_int(seg.int_rows_at(t)[0]) == p.dim - 2
+        assert polys.free_at(Fr(t)) == want
+
+
+def test_walk_segments_take_the_affine_path(monkeypatch):
+    # each scan of full_walk and verify_walk builds its SegmentMinors
+    # from the two end minor vectors alone, verify_walk's rank checks
+    # read the minors of its own scan, and none runs rank_int
+    calls = Counter()
+    for name in ("complementary_minors", "rank_int"):
+
+        def counted(*args, _real=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    built, scanned, checked = [], [], []
+    init, scan, free_at = wk.SegmentMinors.__init__, wk._segment_events, wk.SegmentMinors.free_at
+
+    def counted_init(self, segment):
+        before = calls["complementary_minors"]
+        init(self, segment)
+        built.append(calls["complementary_minors"] - before)
+
+    def recorded_scan(polys, classes):
+        scanned.append(polys)
+        return scan(polys, classes)
+
+    def counted_free_at(self, t):
+        before = calls["rank_int"]
+        out = free_at(self, t)
+        checked.append((self, calls["rank_int"] - before))
+        return out
+
+    monkeypatch.setattr(wk.SegmentMinors, "__init__", counted_init)
+    monkeypatch.setattr(wk.SegmentMinors, "free_at", counted_free_at)
+    monkeypatch.setattr(wk, "_segment_events", recorded_scan)
+    for name in ("cube4", "pn4"):
+        p = WALK_SUITE[name]()
+        planes = sh.sample_admissible(p, f"affine:{name}", 4)
+        for i in range(2):
+            plan = wk.full_walk(p, planes[2 * i].complement, planes[2 * i + 1].complement, i)
+            assert wk.verify_walk(p, plan).valid
+    assert built and set(built) == {2}
+    assert len(built) == len(scanned)
+    own = {id(polys) for polys in scanned}
+    assert checked and all(id(polys) in own and n == 0 for polys, n in checked)
+
+
 def test_segment_events_hash_and_compare_no_fraction(monkeypatch):
     plan = wk.full_walk(CUBE, la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)]), seed=1)
     cases = [(seg, pt.parallel_classes(CUBE)) for seg in plan.segments] + [
@@ -1335,7 +1470,9 @@ def test_segment_events_hash_and_compare_no_fraction(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(Fr, name, counted)
-    events = [wk._segment_events(seg, classes)[0] for seg, classes in cases]
+    events = [
+        wk._segment_events(wk.segment_polynomials(seg), classes)[0] for seg, classes in cases
+    ]
     assert calls == Counter()
     # several times on one segment, and a shared time
     assert any(len(found) > 2 for found in events)
