@@ -14,7 +14,8 @@ compares all run on those integers, and Fraction rows are built only at
 the API edge (base, slope, rows_at, to_json_dict). The complementary
 minors of a segment's integer rows at its two ends are built once per
 segment (SegmentMinors), which also proves once that every class
-determinant is affine on it; a class's two end values are then two dot
+determinant is affine on it when the slope rows have rank at most 1, as
+on every segment the walks build; a class's two end values are then two dot
 products, over one positive denominator (AffinePoly). Their signs alone
 say whether a class degenerates on the segment, at an end, or along all
 of it. One scan (_segment_events) reads them for planning, assembly and
@@ -306,12 +307,11 @@ class SegmentMinors:
     two slope rows vanishes, so it is affine: this holds for every
     segment the walk constructions build (one moving row, or the
     contraction's multiples of one row) and for their rescaled,
-    reversed and mapped images. Otherwise it is evaluated at the d-3
-    interior points lo + k (hi - lo) / (d-2); d-1 points are exact for
-    its degree, so the vector is affine exactly when they lie on the
-    line through the ends. Only when that fails are those points kept,
-    and each class is tested at them. free_at reads the rank of the
-    rows at any t off the same end vectors on an affine segment.
+    reversed and mapped images. Otherwise the minor vectors at the d-3
+    interior points lo + k (hi - lo) / (d-2) are kept, and each class is
+    tested at them; d-1 points are exact for its degree. free_at reads
+    the rank of the rows at any t off the same end vectors when the
+    slopes have rank at most 1.
     """
 
     __slots__ = ("segment", "lo_vals", "hi_vals", "den", "_inner")
@@ -339,12 +339,7 @@ class SegmentMinors:
         for k in range(1, n):
             ints, scale = segment.int_rows_at(lo + (hi - lo) * k / n)
             inner.append((k, kernels.complementary_minors(ints, d), scale))
-        if any(
-            n * x * self.den != scale * ((n - k) * a + k * b)
-            for k, vals, scale in inner
-            for x, a, b in zip(vals, self.lo_vals, self.hi_vals)
-        ):
-            self._inner = tuple(inner)
+        self._inner = tuple(inner)
 
     def end_values(self, cls):
         """The class determinant at lo and at hi as two integers over
@@ -368,11 +363,11 @@ class SegmentMinors:
 
     def free_at(self, t):
         """Whether the rows at the Fraction t are independent, that is
-        whether the minor vector at t is nonzero. On an affine segment
-        it is ((hi - t) lo_vals + (t - lo) hi_vals) / ((hi - lo) den);
+        whether the minor vector at t is nonzero. When the slopes have
+        rank at most 1 it is ((hi - t) lo_vals + (t - lo) hi_vals) / ((hi - lo) den);
         with t = p/q the two weights times q * lo.den * hi.den are
-        integers, and that factor is positive. Otherwise rank_int of
-        the integer rows at t."""
+        integers, and that factor is positive. When the slopes have
+        rank 2 or more, rank_int of the integer rows at t."""
         if self._inner is not None:
             seg = self.segment
             return kernels.rank_int(seg.int_rows_at(t)[0]) == len(seg._rows)
@@ -391,8 +386,9 @@ def segment_polynomials(segment):
     minor vectors with the class's plane minors (each minor an integer
     determinant, kernels.complementary_minors), over one positive
     denominator, and no Fraction is built. Affinity is proved once for
-    the whole segment; for a class whose determinant is not affine in t
-    it raises WalkError.
+    the whole segment when its slope rows have rank at most 1, and
+    otherwise per class at d-1 points; for a class whose determinant is
+    not affine in t it raises WalkError.
     """
     return SegmentMinors(segment)
 
