@@ -146,7 +146,7 @@ def _certify(p, face_id, other_id, rows):
     return VisibilityCertificate(face_id, other_id, tuple(rows), chains, other)
 
 
-def _cells(p, cid):
+def _cells(p, cid, one_per_pair=False):
     """Every valid cell of a class, with the members visible on it.
 
     Yields (c, members). B is an integer basis of P's orthogonal
@@ -169,6 +169,11 @@ def _cells(p, cid):
     and the weighted sums are nonzero, since a proper face's normal cone
     is pointed, so they always clear it. members are the ids of the
     class's faces lying in the face of p that maximises or minimises c.
+
+    D is closed under negation, sorted, so the mirror -G of a face G
+    has the ids n - 1 - i of G's. Its cell is -1 times G's, valid iff
+    G's is, with the same members. one_per_pair skips each G whose
+    mirror sorts before it: the one of the pair visited first stays.
     """
     classes = pt.parallel_classes(p)
     cls = classes[cid]
@@ -206,8 +211,11 @@ def _cells(p, cid):
     facets = [(frozenset(ids), n, cleared(n)) for ids, n, _off in body]
     full = (1 << len(others)) - 1
 
+    last = len(points) - 1
     for k in range(len(basis)):
         for g in by_dim[k]:
+            if one_per_pair and tuple(last - i for i in reversed(g)) < g:
+                continue
             cone = []
             seen = 0
             for vids, n, mask in facets:
@@ -280,11 +288,17 @@ def _witness(p, cid, c):
 
 
 def _survey(p):
-    """A certificate for every visible configuration of one or two faces."""
+    """A certificate for every visible configuration of one or two faces.
+
+    A configuration's witness grows from the c of the first cell that
+    shows it. The cells of a body face and of its mirror show the same
+    members, and the first of the pair comes first, so one cell per
+    mirror pair is read (_cells' one_per_pair).
+    """
     certs = []
     for cid in range(len(pt.parallel_classes(p))):
         found = {}
-        for c, conf in _cells(p, cid):
+        for c, conf in _cells(p, cid, one_per_pair=True):
             if len(conf) in (1, 2):
                 found.setdefault(conf, c)
         for conf in sorted(found):

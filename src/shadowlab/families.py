@@ -25,10 +25,10 @@ from .errors import (
 # generators, so m is capped well above any family in use (6 at most)
 MAX_GENERATORS = 16
 # the d-cube and pnd build about 5 times slower per dimension (a 9-cube
-# in about 15 s, a 10-cube in about 72 s on a 2-CPU host), so d is capped
+# in about 3.5 s, a 10-cube in about 18 s on a 2-CPU host), so d is capped
 MAX_CUBE_DIM = 9
-# check --mode both on pn_polytope(m) takes 12 to 16 s at m = 13 and 16 to
-# 23 s at m = 14 on a 2-CPU host, so m is capped where it stays within 20 s
+# check --mode both on pn_polytope(m) takes 10 to 13 s at m = 13 and 12 to
+# 19 s at m = 14 on a 2-CPU host, so m is capped where it stays within 20 s
 MAX_TRIANGLES = 13
 
 

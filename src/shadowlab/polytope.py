@@ -6,14 +6,17 @@ vertices. Both find the face lattice one way, int_facets, by gift
 wrapping on integer coordinates (Chand and Kapur 1970; Swart 1985):
 from one facet, each ridge is pivoted to the facet on its other side,
 and a facet's ridges are the facets of its own point set, found the
-same way one dimension down. The recursion ends in closed form at
-dimension 2 or below: the extremes of a line, the edges of a planar
-hull. The work grows with the number of faces, not with the C(n, d)
-subsets of n points. The recursion's memo holds each face's own
-facets, so the faces of every dimension are read off it level by
-level. int_facets needs no Polytope, so callers that only want the
-facets and faces of an integer point set (the decider's difference
-bodies) call it directly.
+same way one dimension down, starting from the ridge the facet was
+entered by. The recursion ends in closed form at dimension 2 or below:
+the extremes of a line, the edges of a planar hull. The work grows
+with the number of faces, not with the C(n, d) subsets of n points. A
+centrally symmetric cloud (every cube, zonotope and difference body)
+is wrapped centred at the origin, where each facet found brings its
+mirror. The recursion's memo holds each face's own facets, so the
+faces of every dimension are read off it level by level. int_facets
+needs no Polytope, so callers that only want the facets and faces of
+an integer point set (the decider's difference bodies) call it
+directly.
 A Polytope stores its face ids by dimension and its facets' planes.
 The rest is computed on demand and cached: every Face and its span in
 k_faces (the one builder), parallel classes of 2-faces by span
@@ -23,7 +26,7 @@ equality, and proscribed directions as the pairwise span intersections.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 
 from . import kernels
 from . import linalg as la
@@ -146,11 +149,15 @@ def _canonical_facet(normal, offset):
 
 def _below(pts, normal, offset):
     """(id, point, h) for each point strictly below the hyperplane
-    normal . x = offset, h = offset - normal . p > 0, in pts order."""
+    normal . x = offset, h = offset - normal . p > 0, in pts order.
+    Raises PolytopeError when a point lies above it: the hyperplane
+    was to support the points, so the wrap's data are broken."""
     out = []
     for i, p in pts.items():
         h = offset - kernels.dot(normal, p)
         if h:
+            if h < 0:
+                raise PolytopeError("a point lies above a facet of the gift wrap")
             out.append((i, p, h))
     return out
 
@@ -263,7 +270,23 @@ def _low_facets(pts, symmetric):
     return found
 
 
-def _hull_facets(pts, memo, symmetric=False):
+def _ridge_seed(ridge, n0, o0, normal, offset, c):
+    """The ridge between the facets n0 . x <= o0 and normal . x <=
+    offset as a facet of the second one's points with coordinate c
+    dropped, for _hull_facets' seed: (tight ids, normal, offset). On
+    that facet x_c = (offset - sum of normal_j x_j, j != c) / normal_c,
+    which turns n0 . x <= o0 into g . x <= g0 with g_j = s n0_j -
+    n0_c normal_j and g0 = s o0 - n0_c offset, s = normal_c, both
+    negated when s < 0."""
+    s, t = normal[c], n0[c]
+    g = [s * a - t * b for j, (a, b) in enumerate(zip(n0, normal)) if j != c]
+    g0 = s * o0 - t * offset
+    if s < 0:
+        g, g0 = [-x for x in g], -g0
+    return (ridge, *_canonical_facet(g, g0))
+
+
+def _hull_facets(pts, memo, symmetric=False, seed=None):
     """Facets of full-dimensional integer points, by gift wrapping.
 
     pts maps point ids to distinct integer coordinates. Returns a dict
@@ -277,6 +300,11 @@ def _hull_facets(pts, memo, symmetric=False):
     facets. Each popped facet lists its points below it once (_below),
     and every ridge's pivot reads that list. The recursion ends in
     dimension 2 or 1, in closed form.
+
+    The wrap starts from seed, a facet (tight ids, normal, offset)
+    when one is known, else from _first_facet. A facet found by a
+    pivot seeds its own points' wrap with the ridge it was entered by
+    (_ridge_seed), so _first_facet runs once per recursion level.
 
     symmetric says that the ids are 0..n-1 with point n - 1 - i minus
     point i. Then each facet found brings its mirror (ids through
@@ -293,18 +321,22 @@ def _hull_facets(pts, memo, symmetric=False):
         memo[key] = _low_facets(pts, symmetric)
         return memo[key]
     n = len(pts)
-    tight, normal, offset = _first_facet(pts)
+    tight, normal, offset = seed or _first_facet(pts)
     found = {tight: (normal, offset)}
     if symmetric:
         found[_mirror(tight, n)] = (tuple(-x for x in normal), offset)
-    queue = [tight]
+    # each facet to pop, with the ridge it was entered by and the facet
+    # on that ridge's other side
+    queue = [(tight, None)]
     pivoted = set()
     while queue:
-        tight = queue.pop()
+        tight, entry = queue.pop()
         normal, offset = found[tight]
         c = max(j for j in range(k) if normal[j])
         face = {i: p[:c] + p[c + 1 :] for i, p in pts.items() if i in tight}
-        ridges = _hull_facets(face, memo)
+        # a planar facet's wrap is closed-form and takes no seed
+        sub_seed = _ridge_seed(*entry, normal, offset, c) if entry and k > 3 else None
+        ridges = _hull_facets(face, memo, seed=sub_seed)
         if symmetric:
             _mirror_lattice(memo, tight, n)
         below = _below(pts, normal, offset)
@@ -319,7 +351,7 @@ def _hull_facets(pts, memo, symmetric=False):
             nxt_tight = ridge.union(met)
             if nxt_tight not in found:
                 found[nxt_tight] = (nxt, off)
-                queue.append(nxt_tight)
+                queue.append((nxt_tight, (ridge, normal, offset)))
                 if symmetric:
                     found[_mirror(nxt_tight, n)] = (tuple(-x for x in nxt), off)
     memo[key] = found
@@ -341,18 +373,27 @@ def int_facets(points):
     only. Raises PolytopeError when the points are not
     full-dimensional.
 
-    When point n - 1 - i is minus point i for every i, as for the
-    sorted difference bodies of equiproj, the wrap mirrors each facet
-    it finds (_hull_facets) and the vertex test runs on the first half
-    of the ids only: point n - 1 - i is a vertex iff point i is.
+    A centrally symmetric cloud is wrapped mirrored. Sorted, its first
+    and last points sum to s, twice its centre. When the points are
+    sorted already and s = 0, as for the difference bodies of equiproj,
+    point n - 1 - i is minus point i: the wrap mirrors each facet it
+    finds (_hull_facets) and the vertex test runs on the first half of
+    the ids only, since point n - 1 - i is a vertex iff point i is.
+    Any other centrally symmetric cloud goes through its sorted copy
+    centred at the origin (_centred).
     """
     d = len(points[0])
     if _affine_rank(points) != d:
         raise PolytopeError("vertex set is not full-dimensional")
     n = len(points)
+    order = sorted(range(n), key=points.__getitem__)
+    s = tuple(map(add, points[order[0]], points[order[-1]]))
     symmetric = all(
-        points[n - 1 - i] == tuple(-x for x in points[i]) for i in range((n + 1) // 2)
+        tuple(map(add, points[order[i]], points[order[n - 1 - i]])) == s
+        for i in range(1, (n + 1) // 2)
     )
+    if symmetric and (any(s) or order != list(range(n))):
+        return _centred(points, order, s)
     memo = {}
     found = _hull_facets(dict(enumerate(points)), memo, symmetric)
     incident = [[] for _ in points]
@@ -376,6 +417,28 @@ def int_facets(points):
         k -= 1
     faces[0] = [(i,) for i in keep]
     return keep, facets, faces
+
+
+def _centred(points, order, s):
+    """int_facets of a centrally symmetric cloud through its copy f x - t,
+    t = f s / 2 (f = 1 when s is even, else 2), in sorted order: that
+    copy is sorted with s = 0. Its ids map back through order, and its
+    facet m . y <= mo is f m . x <= mo + m . t."""
+    f = 1 if all(x % 2 == 0 for x in s) else 2
+    t = tuple(f * x // 2 for x in s)
+    keep, facets, faces = int_facets(
+        [tuple(f * x - y for x, y in zip(points[i], t)) for i in order]
+    )
+
+    def back(ids):
+        return tuple(sorted(order[i] for i in ids))
+
+    facets = sorted(
+        (back(ids), *_canonical_facet([f * x for x in m], mo + kernels.dot(m, t)))
+        for ids, m, mo in facets
+    )
+    faces = {k: sorted(map(back, ids_k)) for k, ids_k in faces.items()}
+    return sorted(order[i] for i in keep), facets, faces
 
 
 def hull(points, label=None):

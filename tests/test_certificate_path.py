@@ -5,16 +5,22 @@ walk.elementary_transformation and crossing_probe validate the witness
 once and read every kernel off integer rows. Each must give exactly what
 the Fraction bodies in tests/oracles.py give: the same witness rows as
 Fractions, every ElementaryTransformation field equal in value and in
-type, and the same certificates from visible_pairs.
+type, and the same certificates from visible_pairs. The survey reads
+one cell per mirror pair of each difference body's faces; the oracle
+survey reads every cell, on the zoo, zonotope #8, pn(6) and small
+random hulls, centrally symmetric or not.
 """
 
 import re
 from fractions import Fraction
+from operator import sub
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import shadowlab.equiproj as eq
 import shadowlab.families as fam
+import shadowlab.kernels as kernels
 import shadowlab.linalg as la
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
@@ -39,12 +45,19 @@ POLYTOPES = {
     "pnd5": lambda: fam.hyperprism_pnd(2, 5, 0),
 }
 
+# more classes and a wider body for the survey alone
+SURVEYED = {
+    **POLYTOPES,
+    "zono8": lambda: fam.zonotope(fam.random_generators(6, 5, 8)),
+    "pn6": lambda: fam.pn_polytope(6),
+}
+
 _BUILT = {}
 
 
 def polytope(name):
     if name not in _BUILT:
-        _BUILT[name] = POLYTOPES[name]()
+        _BUILT[name] = SURVEYED[name]()
     return _BUILT[name]
 
 
@@ -130,12 +143,38 @@ def test_crossing_probe_rejects_a_u1_outside_the_witness():
     assert seen
 
 
-@pytest.mark.parametrize("name", sorted(POLYTOPES))
-def test_visible_pairs_match_oracle_certificates(name):
-    p = polytope(name)
+def check_visible_pairs(p):
     got, want = eq.visible_pairs(p), oracle_visible_pairs(p)
     assert got == want
     assert [typed(c.witness) for c in got] == [typed(c.witness) for c in want]
+
+
+@pytest.mark.parametrize("name", sorted(SURVEYED))
+def test_visible_pairs_match_oracle_certificates(name):
+    check_visible_pairs(polytope(name))
+
+
+@st.composite
+def small_hulls(draw):
+    """The hull of d + 2 to d + 4 integer points in d = 4 or 5, or of
+    those points and their mirror images through a drawn centre."""
+    d = draw(st.integers(4, 5))
+    coord = st.integers(-2, 2)
+    pts = draw(
+        st.lists(st.tuples(*[coord] * d), min_size=d + 2, max_size=d + 4, unique=True)
+    )
+    if draw(st.booleans()):
+        s = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        pts = sorted(set(pts) | {tuple(a - x for a, x in zip(s, q)) for q in pts})
+    assume(kernels.rank_int([tuple(map(sub, q, pts[0])) for q in pts]) == d)
+    return pt.hull(pts)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_hulls())
+def test_visible_pairs_on_small_hulls_match_oracle_certificates(p):
+    # oracle_visible_pairs reads every cell of every class's body
+    check_visible_pairs(p)
 
 
 TRI_PRISM = fam.prism(((0, 0), (1, 0), (0, 1)), (0, 0, 1))

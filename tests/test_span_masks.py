@@ -3,8 +3,10 @@
 equiproj._cells gives the other classes one bit per distinct span of
 their rows projected into the class's complement, and none to a class
 whose rows span all of it. oracles.oracle_cells keeps one bit per other
-class. The certificates of _survey must not tell them apart: on pn(6),
-where most classes drop out, and on random hulls in d = 4 and 5.
+class. _survey reads one cell per mirror pair of the difference body's
+faces (_cells' one_per_pair); the oracle yields every cell. The
+certificates of _survey must not tell them apart: on pn(6), where most
+classes drop out, and on random hulls in d = 4 and 5.
 """
 
 from operator import sub
@@ -19,8 +21,14 @@ import shadowlab.polytope as pt
 from oracles import oracle_cells
 
 
+def every_cell(p, cid, one_per_pair):
+    """oracle_cells in place of _survey's call of _cells: every cell,
+    with one bit per other class, the mirror pairs' later cells kept."""
+    return oracle_cells(p, cid)
+
+
 def check_survey(p):
-    with mock.patch.object(eq, "_cells", oracle_cells):
+    with mock.patch.object(eq, "_cells", every_cell):
         want = eq._survey(p)
     assert eq._survey(p) == want
 
