@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import equiproj as eq
 from . import families as fam
@@ -462,28 +463,21 @@ def _cmd_check(ns):
 
 
 def _estranged_subset(p, face_ids, need):
-    """Backtracking search for `need` faces with pairwise point spans."""
+    """The first `need` faces of face_ids, in combinations order, whose
+    spans meet pairwise in a point, or None."""
     faces = pt.k_faces(p, 2)
 
     def apart(a, b):
         return la.intersect(faces[a].span, faces[b].span).dim == 0
 
-    chosen = []
-
-    def rec(i):
-        if len(chosen) == need:
-            return True
-        if i == len(face_ids):
-            return False
-        f = face_ids[i]
-        if all(apart(f, g) for g in chosen):
-            chosen.append(f)
-            if rec(i + 1):
-                return True
-            chosen.pop()
-        return rec(i + 1)
-
-    return list(chosen) if rec(0) else None
+    return next(
+        (
+            list(subset)
+            for subset in combinations(face_ids, need)
+            if all(apart(a, b) for a, b in combinations(subset, 2))
+        ),
+        None,
+    )
 
 
 def _repro_fig2(report):

@@ -9,19 +9,21 @@ to exactly one parallel class.
 
 Everything here is exact. A segment stores each row as an integer
 base and slope pair over one positive multiplier (WalkSegment);
-rescaling, reversal, the reference rotation and the spans verify_walk
-compares all run on those integers, and Fraction rows are built only at
-the API edge (base, slope, rows_at, to_json_dict). The complementary
-minors of a segment's integer rows at its two ends are built once per
-segment (SegmentMinors), which also proves once that every class
-determinant is affine on it when the slope rows have rank at most 1, as
-on every segment the walks build; a class's two end values are then two dot
+rescaling, reversal and the reference rotation run on those integers,
+the walk fragments hand each other integer rows, and Fraction rows are
+built only at the API edge (base, slope, rows_at, to_json_dict). The
+complementary minors of a segment's integer rows at its two ends, the
+Pluecker vector of its span there, are built once per segment
+(SegmentMinors), which also proves once that every class determinant
+is affine on it when the slope rows have rank at most 1, as on every
+segment the walks build; a class's two end values are then two dot
 products, over one positive denominator (AffinePoly). Their signs alone
 say whether a class degenerates on the segment, at an end, or along all
 of it. One scan (_segment_events) reads them for planning, assembly and
 verify_walk and keys each event time by an integer, so no Fraction is
 hashed or sorted; verify_walk reads the rank of the rows at its sample
-times off the same two minor vectors.
+times off the same two minor vectors, and tests that two segments meet
+in one span by the proportionality of their minor vectors there.
 Randomness only picks candidate directions; every candidate is accepted
 or rejected by these integer sign tests, and all searches are capped
 and seeded.
@@ -37,7 +39,6 @@ from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
 from .errors import (
-    DegenerateBasisError,
     DimensionError,
     GeometryError,
     InadmissiblePlaneError,
@@ -378,29 +379,15 @@ class SegmentMinors:
         return any(wa * x + wb * y for x, y in zip(self.lo_vals, self.hi_vals))
 
 
-def segment_polynomials(segment):
-    """Exact affine degeneration determinants of one segment, by class.
-
-    Returns the segment's SegmentMinors, built once: called on a class,
-    it gives the class's AffinePoly from two dot products of the end
-    minor vectors with the class's plane minors (each minor an integer
-    determinant, kernels.complementary_minors), over one positive
-    denominator, and no Fraction is built. Affinity is proved once for
-    the whole segment when its slope rows have rank at most 1, and
-    otherwise per class at d-1 points; for a class whose determinant is
-    not affine in t it raises WalkError.
-    """
-    return SegmentMinors(segment)
-
-
 def degeneration_polynomial(segment, cls):
     """Exact affine degeneration determinant of one class on a segment.
 
-    Its integer end values, from SegmentMinors; a determinant that is
-    not affine in t raises WalkError. A loop over classes calls
-    segment_polynomials once.
+    Its integer end values, two dot products of the segment's end minor
+    vectors with the class's plane minors (SegmentMinors); a determinant
+    that is not affine in t raises WalkError. A loop over classes builds
+    the SegmentMinors once and calls it on each class.
     """
-    return segment_polynomials(segment)(cls)
+    return SegmentMinors(segment)(cls)
 
 
 def _eta_line(a, b):
@@ -575,7 +562,7 @@ def _segment_events(polys, classes):
 def _planned_events(seg, classes):
     """_segment_events of a segment a walk construction built, where the
     first fault, which constructions must never make, raises WalkError."""
-    events, faults = _segment_events(segment_polynomials(seg), classes)
+    events, faults = _segment_events(SegmentMinors(seg), classes)
     if faults:
         cid, kind, t = faults[0]
         if kind == "whole":
@@ -592,17 +579,15 @@ def _first_shared(events):
 
 
 def _half_step(classes, base, i, w):
-    """The segment that moves row i of base along w for t in [0, s],
-    where s is half the smallest positive root of any class determinant
-    on that line, capped at 1: half the first event time inside (0, 2),
-    or 1 when there is none. Also whether some class is degenerate
-    along the whole line (such a class has no root, so it does not
-    bound s)."""
+    """The segment that moves row i of the admissible base along w for
+    t in [0, s], where s is half the smallest positive root of any class
+    determinant on that line, capped at 1: half the first event time
+    inside (0, 2), or 1 when there is none. No class determinant is zero
+    at t = 0, so none is zero along the whole line."""
     seg = WalkSegment(base, _slope(len(base), i, w), (0, 2))
-    events, faults = _segment_events(segment_polynomials(seg), classes)
+    events, _faults = _segment_events(SegmentMinors(seg), classes)
     step = events[0][0] / 2 if events else la.ONE
-    whole = any(kind == "whole" for _cid, kind, _t in faults)
-    return WalkSegment._of(seg._rows, (la.ZERO, step)), whole
+    return WalkSegment._of(seg._rows, (la.ZERO, step))
 
 
 def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
@@ -642,40 +627,30 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     rest = (w, *others[1:], fb[0])
     if ca in sh.degenerate_classes(p, rest):
         return None
-    seg, whole = _half_step(classes, (u1, *others), 1, w)
-    if whole:
-        return None
+    seg = _half_step(classes, (u1, *others), 1, w)
     others[0] = la.add(others[0], la.scale(w, seg.t_range[1]))
     return seg
 
 
-def _fragment_to_hyperplane(p, start, seed, etas):
-    """Raw segments from an admissible Subspace to one inside the
-    reference hyperplane, given p's eta directions. Returns (segments,
-    end span)."""
+def _fragment_to_hyperplane(p, rows0, seed):
+    """Raw segments from the admissible span of the integer rows rows0
+    to one inside the reference hyperplane. Returns (segments, integer
+    rows of the end span)."""
     d = p.dim
-    rows0 = start.int_rows
     if all(r[0] == 0 for r in rows0):
-        return [], start
+        return [], rows0
     classes = pt.parallel_classes(p)
-    arr, pivots = la.rref(rows0)
-    if pivots[0] != 0:
-        raise WalkError("echelon form lost the first coordinate")
+    # some row has a nonzero first coordinate, so the first pivot is there
+    arr = la.rref(rows0)[0]
     u1 = arr[0]
     others = list(arr[1:])
     segs = []
     rng = random.Random(f"walk-to:{seed}")
     last_error = "no candidate crossing direction was admissible"
-    eta_rows = la.int_matrix(etas)[0]
     for _ in range(_SEARCH_CAP):
+        # a v whose end span meets an eta direction, or whose end rows
+        # are dependent, has a class degenerate at t = 1: an end fault
         v = (1,) + tuple(rng.randint(-9, 9) for _ in range(d - 1))
-        # outside every span(basis, eta): guarantees finitely many
-        # events and an admissible endpoint inside the hyperplane
-        rmin = kernels.complementary_minors(la.int_matrix((u1, *others))[0], d)
-        if any(
-            kernels.dot(rmin, kernels.plane_minors(eta, v)) == 0 for eta in eta_rows
-        ):
-            continue
         seg = WalkSegment((u1, *others), _slope(d - 2, 0, la.neg(v)), (0, 1))
         try:
             events = _planned_events(seg, classes)
@@ -687,11 +662,14 @@ def _fragment_to_hyperplane(p, start, seed, etas):
             segs.append(seg)
             end_rows = seg.int_rows_at(1)[0]
             _require_admissible(p, end_rows, "hyperplane entry")
-            return segs, la.int_subspace(end_rows)
+            return segs, end_rows
         ca, cb = shared[0], shared[1]
-        sa = la.span_of(tuple(others) + classes[ca].direction_plane.int_rows)
-        sb = la.span_of(tuple(others) + classes[cb].direction_plane.int_rows)
-        if sa != sb or not others:
+        # (others, Fa) and (others, Fb) are independent, since the start
+        # is admissible, so they span one space exactly when the stack
+        # of all of them has rank d - 1
+        fa = classes[ca].direction_plane.int_rows
+        fb = classes[cb].direction_plane.int_rows
+        if la.rank(tuple(others) + fa + fb) != d - 1:
             last_error = (
                 f"classes {ca} and {cb} shared a degeneration time"
             )
@@ -706,12 +684,11 @@ def _fragment_to_hyperplane(p, start, seed, etas):
     raise WalkError(f"crossing search exhausted its budget: {last_error}")
 
 
-def _fragment_within(p, start, seed, etas):
-    """Raw segments from an admissible Subspace inside the reference
-    hyperplane down to span(e2, ..., e_{d-1}), given p's eta
-    directions. Returns (segments, end span)."""
+def _fragment_within(p, rows0, seed, etas):
+    """Raw segments from the admissible span of the integer rows rows0,
+    inside the reference hyperplane, down to span(e2, ..., e_{d-1}),
+    given p's eta directions."""
     d = p.dim
-    rows0 = start.int_rows
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
     classes = pt.parallel_classes(p)
@@ -727,9 +704,7 @@ def _fragment_within(p, start, seed, etas):
             break
         idx = pivots.index(missing + 1)
         base = tuple((la.ZERO, *r) for r in arr)
-        seg, whole = _half_step(classes, base, idx, la.unit(d, missing + 1))
-        if whole:
-            raise WalkError("a class is degenerate across a staircase step")
+        seg = _half_step(classes, base, idx, la.unit(d, missing + 1))
         segs.append(seg)
         nudge = la.scale(la.unit(cols, missing), seg.t_range[1])
         arr, pivots = la.rref(
@@ -741,24 +716,23 @@ def _fragment_within(p, start, seed, etas):
     # now every row reads unit(p) + x_p * e_last in reduced coordinates
     xs = [row[target] for row in arr]
     last = la.unit(d, d - 1)
-    end_rows = tuple(la.unit(d, i) for i in range(1, d - 1))
     for _ in range(_SEARCH_CAP):
         if all(x == 0 for x in xs):
-            return segs, la.Subspace(end_rows)
+            return segs
         base = tuple(la.add(la.unit(d, i + 1), la.scale(last, x)) for i, x in enumerate(xs))
         slope = tuple(la.scale(last, -x) for x in xs)
         seg = WalkSegment(base, slope, (Fraction(0), Fraction(1)))
         shared = _first_shared(_planned_events(seg, classes))
         if shared is None:
             segs.append(seg)
-            return segs, la.Subspace(end_rows)
+            return segs
         ca, cb = shared[0], shared[1]
         diff = la.sub(etas[ca], etas[cb])
         j = next((i for i in range(1, d - 1) if diff[i] != 0), None)
         if j is None:
             raise WalkError(f"classes {ca} and {cb} share an eta direction")
         # one unit of x along coordinate j separates the two roots
-        pre, _whole = _half_step(classes, base, j - 1, last)
+        pre = _half_step(classes, base, j - 1, last)
         segs.append(pre)
         xs[j - 1] += pre.t_range[1]
     raise WalkError("contraction produced inseparable degenerations")
@@ -782,15 +756,16 @@ def _assemble(p, raw_segments, isometry, isometry_inv):
     return WalkPlan(tuple(segments), tuple(events), isometry, isometry_inv)
 
 
-def _identity_walk(p, fragment, start, seed):
-    """The plan of one fragment walk on p as it stands (no rotation)."""
+def _identity_walk(p, start, fragment):
+    """The plan of one fragment walk on p as it stands (no rotation):
+    fragment maps the start's integer rows and p's eta directions to
+    raw segments."""
     planes = [cls.direction_plane.int_rows for cls in pt.parallel_classes(p)]
     etas = [e.eta for e in _etas(planes)]
-    span = _ortho_span(p, start)
-    _require_admissible(p, span.int_rows, "start")
-    segs, _ = fragment(p, span, seed, etas)
+    rows = _ortho_span(p, start).int_rows
+    _require_admissible(p, rows, "start")
     ident = la.identity(p.dim)
-    return _assemble(p, segs, ident, ident)
+    return _assemble(p, fragment(rows, etas), ident, ident)
 
 
 def walk_to_hyperplane(p, start, seed=0):
@@ -801,7 +776,9 @@ def walk_to_hyperplane(p, start, seed=0):
     it). A start already inside the hyperplane yields an empty plan.
     Every event time is an exact rational shared by no two classes.
     """
-    return _identity_walk(p, _fragment_to_hyperplane, start, seed)
+    return _identity_walk(
+        p, start, lambda rows, _etas: _fragment_to_hyperplane(p, rows, seed)[0]
+    )
 
 
 def walk_within_hyperplane(p, start, seed=0):
@@ -811,7 +788,9 @@ def walk_within_hyperplane(p, start, seed=0):
     The start span must be admissible and contained in the hyperplane.
     A start equal to the reference span yields an empty plan.
     """
-    return _identity_walk(p, _fragment_within, start, seed)
+    return _identity_walk(
+        p, start, lambda rows, etas: _fragment_within(p, rows, seed, etas)
+    )
 
 
 def full_walk(p, frm, to, seed=0):
@@ -837,12 +816,12 @@ def full_walk(p, frm, to, seed=0):
     def push(span):
         # rot r = fwd r / den is a positive multiple of fwd r: same span,
         # and admissible on q since span is admissible on p
-        return la.int_subspace(tuple(_int_map(fwd, r) for r in span.int_rows))
+        return tuple(_int_map(fwd, r) for r in span.int_rows)
 
-    a_to, a_end = _fragment_to_hyperplane(q, push(span_a), f"{seed}:a", etas)
-    a_in, _ = _fragment_within(q, a_end, f"{seed}:aw", etas)
-    b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b", etas)
-    b_in, _ = _fragment_within(q, b_end, f"{seed}:bw", etas)
+    a_to, a_end = _fragment_to_hyperplane(q, push(span_a), f"{seed}:a")
+    a_in = _fragment_within(q, a_end, f"{seed}:aw", etas)
+    b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b")
+    b_in = _fragment_within(q, b_end, f"{seed}:bw", etas)
     chain = (
         a_to
         + a_in
@@ -860,11 +839,16 @@ def verify_walk(p, plan):
     midpoints (SegmentMinors.free_at, on the minors of the segment's own
     scan), no event at a junction, no two classes sharing a time,
     junction spans equal, and the plan event log matching the
-    recomputation entry by entry. The scan lists each segment's events
-    in time order, so when the segment ranges meet the recomputed log
-    is in (time, class id) order and a permuted plan log is rejected;
-    ranges that do not meet are a violation of their own. A malformed
-    plan is reported in the certificate, not raised.
+    recomputation entry by entry. Two segments meet in one span exactly
+    when their minor vectors at the junction, the earlier segment's
+    hi_vals and the later one's lo_vals, are proportional; a zero
+    vector is a dependent family, which free_at reports, and a junction
+    next to a segment of the wrong shape is not compared. The scan lists
+    each segment's events in time order, so when the segment ranges
+    meet the recomputed log is in (time, class id) order and a permuted
+    plan log is rejected; ranges that do not meet are a violation of
+    their own. A malformed plan is reported in the certificate, not
+    raised.
     """
     violations = []
     events = []
@@ -877,6 +861,8 @@ def verify_walk(p, plan):
     classes = pt.parallel_classes(p)
     lo0 = segs[0].t_range[0]
     hi_last = segs[-1].t_range[1]
+    # the SegmentMinors of each segment of the right shape, by index
+    minors = {}
 
     def free_at(polys, t, label):
         if not polys.free_at(t):
@@ -894,7 +880,7 @@ def verify_walk(p, plan):
             continue
         if i and segs[i - 1].t_range[1] != lo:
             violations.append(f"segments {i - 1} and {i} ranges do not meet")
-        polys = segment_polynomials(seg)
+        polys = minors[i] = SegmentMinors(seg)
         found, faults = _segment_events(polys, classes)
         for cid, kind, t in faults:
             if kind == "whole":
@@ -917,16 +903,15 @@ def verify_walk(p, plan):
         for a, b in zip(samples, samples[1:]):
             free_at(polys, (a + b) / 2, f"between events in segment {i}")
     for i in range(1, len(segs)):
-        t = segs[i].t_range[0]
-        if segs[i - 1].t_range[1] != t:
+        if i - 1 not in minors or i not in minors:
             continue
-        try:
-            before = segs[i - 1].span_at(t)
-            after = segs[i].span_at(t)
-        except DegenerateBasisError:
-            # a dependent family at the junction; free_at reports it
+        if segs[i - 1].t_range[1] != segs[i].t_range[0]:
             continue
-        if before != after:
+        x, y = minors[i - 1].hi_vals, minors[i].lo_vals
+        # y is a multiple of x, read at x's first nonzero entry; a zero
+        # vector on either side passes
+        k = next((k for k, xk in enumerate(x) if xk), 0)
+        if any(xj * y[k] != yj * x[k] for xj, yj in zip(x, y)):
             violations.append(f"junction spans differ between {i - 1} and {i}")
     if [tuple(e) for e in plan.events] != [tuple(e) for e in events]:
         violations.append("plan event log disagrees with the recomputation")
@@ -1019,7 +1004,7 @@ def crossing_probe(p, cid, witness, u1, reverse=False):
     if len(rows) != d - 2:
         raise GeometryError("degenerating direction escapes the witness")
     probe = WalkSegment._of(tuple(rows), (Fraction(-1), la.ONE))
-    polys = segment_polynomials(probe)
+    polys = SegmentMinors(probe)
     # the smallest |root| so far, as (|a + b|, |a - b|)
     near = None
     for k, cls in enumerate(classes):
@@ -1158,7 +1143,7 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     slope = _slope(d - 2, 0, la.neg(v))
     # a root outside (0, 2 lam) is at least lam away from the event
     seg = WalkSegment(base, slope, (0, 2 * lam))
-    events, _faults = _segment_events(segment_polynomials(seg), pt.parallel_classes(p))
+    events, _faults = _segment_events(SegmentMinors(seg), pt.parallel_classes(p))
     eps = min([lam] + [abs(t - lam) for t, _ids in events if t != lam]) / 2
     u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
     w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))

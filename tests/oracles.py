@@ -22,7 +22,10 @@ cells of a class from its difference body built as a Polytope,
 witnesses, crossing probes, elementary transformations and certificates from
 Fraction rows and Fraction kernel bases, the visibility chains of a
 2-face from visible-edge degrees and a path traced through its vertex
-pairs, and shadow boundary containment from a scan of every hull edge.
+pairs, shadow boundary containment from a scan of every hull edge, the
+estranged face subset by backtracking, and a walk's junction spans and
+the crossing search's tests (its eta pre-filter, its shared junction
+span) as the walk layer once made them, from Subspaces.
 """
 
 import random
@@ -46,6 +49,7 @@ from shadowlab.errors import (
     GeometryError,
     InadmissiblePlaneError,
     ParameterError,
+    PolytopeError,
     WalkError,
 )
 
@@ -537,8 +541,11 @@ def oracle_int_facets(points):
     """polytope.int_facets as the plain gift wrap: every facet is popped
     and every ridge pivoted with two dot products per point, with no
     mirrored facets, and the vertex test runs on every point. Returns
-    (keep, facets, faces) in int_facets' form."""
+    (keep, facets, faces) in int_facets' form; PolytopeError when the
+    points are not full-dimensional, where the wrap would never end."""
     d = len(points[0])
+    if oracle_rank_int([list(map(sub, q, points[0])) for q in points[1:]]) != d:
+        raise PolytopeError("vertex set is not full-dimensional")
     memo = {}
     found = _oracle_hull_facets(dict(enumerate(points)), memo)
     incident = [[] for _ in points]
@@ -1270,3 +1277,66 @@ def oracle_zonotope_shadow_size(generators, w):
                     f"generators {i} and {j} project to parallel segments"
                 )
     return 2 * len(gens)
+
+
+def oracle_estranged_subset(p, face_ids, need):
+    """The former cli._estranged_subset: include-first backtracking for
+    `need` faces with pairwise point spans."""
+    faces = pt.k_faces(p, 2)
+
+    def apart(a, b):
+        return la.intersect(faces[a].span, faces[b].span).dim == 0
+
+    chosen = []
+
+    def rec(i):
+        if len(chosen) == need:
+            return True
+        if i == len(face_ids):
+            return False
+        f = face_ids[i]
+        if all(apart(f, g) for g in chosen):
+            chosen.append(f)
+            if rec(i + 1):
+                return True
+            chosen.pop()
+        return rec(i + 1)
+
+    return list(chosen) if rec(0) else None
+
+
+def oracle_junction_violations(segments):
+    """verify_walk's former junction check: at each t where two segment
+    ranges meet, both spans built as Subspaces by span_at and compared,
+    a dependent family (DegenerateBasisError) skipped."""
+    out = []
+    for i in range(1, len(segments)):
+        t = segments[i].t_range[0]
+        if segments[i - 1].t_range[1] != t:
+            continue
+        try:
+            before = segments[i - 1].span_at(t)
+            after = segments[i].span_at(t)
+        except DegenerateBasisError:
+            continue
+        if before != after:
+            out.append(f"junction spans differ between {i - 1} and {i}")
+    return out
+
+
+def oracle_crossing_prefilter(u1, others, etas, v):
+    """The crossing search's former eta pre-filter: whether it skipped
+    the candidate v from the start (u1, *others), that is whether
+    det(u1, others, eta, v) = 0 for some class eta direction."""
+    d = len(v)
+    rmin = kernels.complementary_minors(la.int_matrix((u1, *others))[0], d)
+    eta_rows = la.int_matrix(etas)[0]
+    return any(kernels.dot(rmin, kernels.plane_minors(eta, v)) == 0 for eta in eta_rows)
+
+
+def oracle_shared_junction_span(others, fa, fb):
+    """The crossing search's former junction test: whether span(others,
+    Fa) and span(others, Fb) are one Subspace, with others nonempty."""
+    sa = la.span_of(tuple(others) + fa)
+    sb = la.span_of(tuple(others) + fb)
+    return sa == sb and bool(others)

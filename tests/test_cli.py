@@ -11,16 +11,20 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shadowlab.cli as cli
 import shadowlab.families as fam
+import shadowlab.linalg as la
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 import shadowlab.walk as wk
 from shadowlab.errors import SamplingError, WalkError
+from oracles import oracle_estranged_subset
 
 CUBE_JSON = json.dumps([[int(b) for b in f"{i:03b}"] for i in range(8)])
 TETRA_JSON = json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+CUBE4 = fam.hypercube(4)
 GOOD_PLANE = "[[1,2,0],[0,1,3]]"
 OTHER_PLANE = "[[2,1,1],[1,3,2]]"
 
@@ -409,6 +413,37 @@ def test_repro_fig8():
     assert r["visible_total"] == r["invisible_total"]
     assert r["k_before"] == r["k_after"] == 5
     assert r["chains"]["visible"] and r["other_chains"]["invisible"]
+
+
+def _cube4_face(i, j):
+    """The first 2-face of the 4-cube spanned by e_i and e_j."""
+    key = la.span_of((la.unit(4, i), la.unit(4, j))).canonical_key()
+    return next(
+        fid for fid, f in enumerate(pt.k_faces(CUBE4, 2)) if f.span.canonical_key() == key
+    )
+
+
+def test_estranged_subset_passes_a_first_face_with_no_partner():
+    # span(e0, e1) meets both later spans in a line, so the greedy first
+    # choice has no partner; span(e0, e2) and span(e1, e3) meet in 0
+    order = [_cube4_face(0, 1), _cube4_face(0, 2), _cube4_face(1, 3)]
+    assert cli._estranged_subset(CUBE4, order, 2) == order[1:]
+    assert oracle_estranged_subset(CUBE4, order, 2) == order[1:]
+
+
+ESTRANGED_ZOO = [CUBE4, fam.pn_polytope(3), fam.pn_polytope(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_estranged_subset_matches_backtracking(data):
+    p = data.draw(st.sampled_from(ESTRANGED_ZOO))
+    face_ids = data.draw(
+        st.lists(st.integers(0, len(pt.k_faces(p, 2)) - 1), unique=True, max_size=9)
+    )
+    need = data.draw(st.integers(0, 4))
+    got = cli._estranged_subset(p, face_ids, need)
+    assert got == oracle_estranged_subset(p, face_ids, need)
 
 
 # sha256 of the full `repro <figure> --no-timestamp` report, pinned so

@@ -135,6 +135,20 @@ def test_family_builds_match_the_plain_wrap(name):
     assert polytope_fields(build(arg)) == polytope_fields(plain(build, arg))
 
 
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],
+    ],
+    ids=["collinear-d2", "coplanar-d3"],
+)
+def test_both_wraps_reject_a_cloud_that_is_not_full_dimensional(pts):
+    for wrap in (pt.int_facets, oracle_int_facets):
+        with pytest.raises(PolytopeError, match="not full-dimensional"):
+            wrap(pts)
+
+
 def test_a_point_above_the_facet_stops_the_wrap():
     square = {0: (0, 0), 1: (2, 0), 2: (0, 2), 3: (2, 2)}
     with pytest.raises(PolytopeError):
