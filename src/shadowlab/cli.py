@@ -221,14 +221,12 @@ def _cmd_generate(ns):
         p = fam.pn_polytope(ns.n, ns.triangles, eps)
         params["n"] = ns.n
         params["triangles"] = ns.triangles if ns.triangles is not None else ns.n
-    elif family == "pnd":
+    else:  # pnd: argparse's choices admit exactly these six families
         if ns.n is None or ns.dim is None:
             raise UsageError("pnd needs --n and --dim")
         p = fam.hyperprism_pnd(ns.n, ns.dim, seed)
         params["n"] = ns.n
         params["dim"] = ns.dim
-    else:
-        raise UsageError(f"unknown family {family!r}")
     report = {
         "command": "generate",
         "family": family,
@@ -277,19 +275,16 @@ def _cmd_shadow(ns):
     if ns.plane is not None:
         w = _load_plane(ns.plane, p.dim, "plane")
         rep = sh.degeneration_report(p, w)
-        try:
-            poly = sh.shadow(p, w)
-            k, hull = poly.k, list(poly.hull_vertex_ids)
-        except DegenerateShadowError:
-            k, hull = None, None
+        # p is full-dimensional and w has rank 2: the hull has 3+ vertices
+        poly = sh.shadow(p, w)
         report = {
             "command": "shadow",
             "seed": seed,
             "plane": _rows_json(w.basis.basis),
             "admissible": rep.admissible,
             "degenerating_classes": _degeneration_json(p, rep),
-            "k": k,
-            "hull_vertex_ids": hull,
+            "k": poly.k,
+            "hull_vertex_ids": list(poly.hull_vertex_ids),
         }
         return EXIT_OK, report
     planes = sh.sample_admissible(p, seed, ns.count, ns.grid_bound)
@@ -408,9 +403,11 @@ def _cmd_check(ns):
         "vertex_count": len(p.vertices),
     }
     sampling = ns.mode in ("sampled", "both")
+    # the sampled decider's own checks, made before the survey runs
     if sampling and ns.trials < 2:
-        # the sampled decider's own check, made before the survey runs
         raise ParameterError("need at least two trials to compare")
+    if sampling and ns.trials > sh.MAX_SAMPLES:
+        raise ParameterError(f"{ns.trials} samples exceed the cap of {sh.MAX_SAMPLES}")
     comb = samp = None
     if ns.mode in ("combinatorial", "both"):
         comb = eq.is_equiprojective_combinatorial(p, seed)

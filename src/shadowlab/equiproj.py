@@ -484,7 +484,8 @@ def is_equiprojective_sampled(p, seed=0, trials=200):
 
     A constant size over all trials supports equiprojectivity; two
     differing planes are an exact disproof, returned as the
-    counterexample (plane, k, plane, k).
+    counterexample (plane, k, plane, k). Fewer than two trials, or more
+    than shadow.MAX_SAMPLES, raise ParameterError.
     """
     if trials < 2:
         raise ParameterError("need at least two trials to compare")

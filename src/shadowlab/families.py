@@ -312,11 +312,14 @@ def hyperprism_pnd(n, d, seed):
     _check_generator_count(d - 4, "prism doublings", MAX_CUBE_DIM - 4)
     spec = PnSpec(n)
     p = pn_polytope(spec)
+    # a prism keeps every point of its base as a vertex: one build at the end
+    verts = p.vertices
     for k in range(5, d + 1):
         rng = random.Random(f"pnd:{seed}:{k}")
         rho = tuple(Fraction(rng.randint(-50, 50), 1000) for _ in range(k))
         g = la.add(la.unit(k, k - 1), rho)
-        bottom = [v + (la.ZERO,) for v in p.vertices]
-        p = pt.build(bottom + [la.add(v, g) for v in bottom], label=f"pnd-{n}d{k}")
+        bottom = [v + (la.ZERO,) for v in verts]
+        verts = bottom + [la.add(v, g) for v in bottom]
+    p = pt.build(verts, label=f"pnd-{n}d{d}") if d > 4 else p
     _triangle_self_test(p, spec, f" (seed {seed}; try another seed)")
     return p

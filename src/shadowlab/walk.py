@@ -24,6 +24,8 @@ verify_walk and keys each event time by an integer, so no Fraction is
 hashed or sorted; verify_walk reads the rank of the rows at its sample
 times off the same two minor vectors, and tests that two segments meet
 in one span by the proportionality of their minor vectors there.
+A crossing's frame is read off its direction v (the witness plane is
+span(w1, v)), and a chain split slides on the face plane's (ebar, v).
 Randomness only picks candidate directions; every candidate is accepted
 or rejected by these integer sign tests, and all searches are capped
 and seeded.
@@ -267,7 +269,7 @@ WalkPlan = namedtuple(
 )
 
 ReferenceFrame = namedtuple(
-    "ReferenceFrame", ["rotation", "inverse", "moved", "etas", "int_inverse"]
+    "ReferenceFrame", ["rotation", "inverse", "moved", "int_inverse"]
 )
 
 WalkCertificate = namedtuple(
@@ -495,19 +497,14 @@ def reference_frame(p):
     """p's reference isometry, cached on p the first time it is asked.
 
     Holds the rotation, its inverse, the moved copy (whose lattice
-    caches fill as the walks use them), the moved copy's eta directions
-    and the inverse as (integer rows, one positive denominator).
-    verify_walk never reads it.
+    caches fill as the walks use them) and the inverse as (integer
+    rows, one positive denominator). verify_walk never reads it.
     """
     if p._frame is None:
-        rot, etas = reference_isometry(p)
+        rot = reference_isometry(p)[0]
         m, den = pt.int_points(rot)
         p._frame = ReferenceFrame(
-            rot,
-            la.transpose(rot),
-            pt.apply_isometry(p, rot),
-            tuple(e.eta for e in etas),
-            (la.transpose(m), den),
+            rot, la.transpose(rot), pt.apply_isometry(p, rot), (la.transpose(m), den)
         )
     return p._frame
 
@@ -684,10 +681,10 @@ def _fragment_to_hyperplane(p, rows0, seed):
     raise WalkError(f"crossing search exhausted its budget: {last_error}")
 
 
-def _fragment_within(p, rows0, seed, etas):
+def _fragment_within(p, rows0, seed):
     """Raw segments from the admissible span of the integer rows rows0,
-    inside the reference hyperplane, down to span(e2, ..., e_{d-1}),
-    given p's eta directions."""
+    inside the reference hyperplane, down to span(e2, ..., e_{d-1}).
+    p must be in the reference arrangement."""
     d = p.dim
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
@@ -727,8 +724,9 @@ def _fragment_within(p, rows0, seed, etas):
             segs.append(seg)
             return segs
         ca, cb = shared[0], shared[1]
-        diff = la.sub(etas[ca], etas[cb])
-        j = next((i for i in range(1, d - 1) if diff[i] != 0), None)
+        # the first coordinate where the etas, at last coordinate 1, differ
+        ea, eb = (_eta_line(*classes[c].direction_plane.int_rows) for c in (ca, cb))
+        j = next((i for i in range(1, d - 1) if ea[i] * eb[-1] != eb[i] * ea[-1]), None)
         if j is None:
             raise WalkError(f"classes {ca} and {cb} share an eta direction")
         # one unit of x along coordinate j separates the two roots
@@ -758,14 +756,13 @@ def _assemble(p, raw_segments, isometry, isometry_inv):
 
 def _identity_walk(p, start, fragment):
     """The plan of one fragment walk on p as it stands (no rotation):
-    fragment maps the start's integer rows and p's eta directions to
-    raw segments."""
-    planes = [cls.direction_plane.int_rows for cls in pt.parallel_classes(p)]
-    etas = [e.eta for e in _etas(planes)]
+    fragment maps the start's integer rows to raw segments. p must be
+    in the reference arrangement (_etas raises WalkError otherwise)."""
+    _etas([cls.direction_plane.int_rows for cls in pt.parallel_classes(p)])
     rows = _ortho_span(p, start).int_rows
     _require_admissible(p, rows, "start")
     ident = la.identity(p.dim)
-    return _assemble(p, fragment(rows, etas), ident, ident)
+    return _assemble(p, fragment(rows), ident, ident)
 
 
 def walk_to_hyperplane(p, start, seed=0):
@@ -776,9 +773,7 @@ def walk_to_hyperplane(p, start, seed=0):
     it). A start already inside the hyperplane yields an empty plan.
     Every event time is an exact rational shared by no two classes.
     """
-    return _identity_walk(
-        p, start, lambda rows, _etas: _fragment_to_hyperplane(p, rows, seed)[0]
-    )
+    return _identity_walk(p, start, lambda rows: _fragment_to_hyperplane(p, rows, seed)[0])
 
 
 def walk_within_hyperplane(p, start, seed=0):
@@ -788,9 +783,7 @@ def walk_within_hyperplane(p, start, seed=0):
     The start span must be admissible and contained in the hyperplane.
     A start equal to the reference span yields an empty plan.
     """
-    return _identity_walk(
-        p, start, lambda rows, etas: _fragment_within(p, rows, seed, etas)
-    )
+    return _identity_walk(p, start, lambda rows: _fragment_within(p, rows, seed))
 
 
 def full_walk(p, frm, to, seed=0):
@@ -809,7 +802,7 @@ def full_walk(p, frm, to, seed=0):
     if span_a == span_b:
         ident = la.identity(p.dim)
         return WalkPlan((), (), ident, ident)
-    rot, inv, q, etas, int_inv = reference_frame(p)
+    rot, inv, q, int_inv = reference_frame(p)
     # the rotation is orthogonal, so M^T / den is rot for int_inv = (M, den)
     fwd = tuple(zip(*int_inv[0]))
 
@@ -819,9 +812,9 @@ def full_walk(p, frm, to, seed=0):
         return tuple(_int_map(fwd, r) for r in span.int_rows)
 
     a_to, a_end = _fragment_to_hyperplane(q, push(span_a), f"{seed}:a")
-    a_in = _fragment_within(q, a_end, f"{seed}:aw", etas)
+    a_in = _fragment_within(q, a_end, f"{seed}:aw")
     b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b")
-    b_in = _fragment_within(q, b_end, f"{seed}:bw", etas)
+    b_in = _fragment_within(q, b_end, f"{seed}:bw")
     chain = (
         a_to
         + a_in
@@ -1029,31 +1022,23 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     has rank d-1, so v is unique up to sign; reverse flips it. minus
     and plus are the certified half-segments on either side.
 
-    The w1/w2 rows frame the moving image plane: w1 spans the kernel of
-    (witness rows, v), w2 completes it inside the witness plane, and
+    The w1/w2 rows frame the moving image plane. v is orthogonal to
+    the witness, so the witness plane is span(w1, v) with w1 orthogonal
+    to v: w2 is primitive(v) and sign_coefficient v.w2 = +-|v|^2, and
     the projected coordinate of u1 along the moving frame changes sign
     with t * sign_coefficient, which is the exchange of the two chains.
-    The witness is validated once, as one Subspace, and every kernel is
-    read off integer rows: w2 comes from the integer rows of the
-    validated witness plane.
+    The witness is validated once; every vector is read off integer
+    rows, and the only kernel is crossing_probe's.
     """
     span = _ortho_span(p, witness)
     cid, u1, plane = _validate_visibility_witness(p, face_id, other_id, span)
     probe, v, eps = crossing_probe(p, cid, span, u1, reverse)
     minus = WalkSegment._of(probe._rows, (-eps, la.ZERO))
     plus = WalkSegment._of(probe._rows, (la.ZERO, eps))
-    kern2 = la.int_kernel(probe.int_rows_at(0)[0] + (v,))
-    if len(kern2) != 1:
-        raise GeometryError("crossing family is not free")
-    w1 = la.primitive(kern2[0])
-    pick = next(b for b in plane.basis.int_rows if kernels.rank_int((w1, b)) == 2)
-    w2 = la.primitive(_tilde(pick, w1))
+    pick = next(b for b in plane.basis.int_rows if any(kernels.plane_minors(b, v)))
+    w1, w2 = la.primitive(_tilde(pick, v)), la.primitive(v)
     coeff = Fraction(kernels.dot(v, w2))
-    if coeff == 0:
-        raise GeometryError("crossing direction lies inside the witness")
-    return ElementaryTransformation(
-        face_id, other_id, minus, plus, u1, v, w1, w2, coeff, eps
-    )
+    return ElementaryTransformation(face_id, other_id, minus, plus, u1, v, w1, w2, coeff, eps)
 
 
 def boundary_chains(p, face_id, w):
@@ -1088,6 +1073,63 @@ def frame_chains(p, face, frame):
     return ChainState(visible, frozenset(edges) - visible, fixed)
 
 
+def _edge_slide(p, face_id, other_id, edge, witness):
+    """(eps, w_minus, w_plus) around the event of the sorted edge: on
+    the face plane's orthogonal integer pair (ebar, v), v turned so that
+    u1 / alpha = ebar + lam v with lam > 0, the witness slides as
+    span(ebar + s v, tail), the event at s = 0, w_minus at s = eps."""
+    d = p.dim
+    span = _ortho_span(p, witness)
+    u1 = _validate_visibility_witness(p, face_id, other_id, span)[1]
+    face = pt.k_faces(p, 2)[face_id]
+    edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]
+    if edge not in edge_ids:
+        raise ParameterError(f"{edge} is not an edge of face {face_id}")
+    verts = p.int_vertices()[0]
+    ebar = la.primitive(la.sub(verts[edge[1]], verts[edge[0]]))
+    others = [(e, la.sub(verts[e[1]], verts[e[0]])) for e in edge_ids if e != edge]
+    for other_edge, dirn in others:
+        if not any(kernels.plane_minors(ebar, dirn)):
+            raise ParameterError(
+                f"edge {other_edge} of face {face_id} is parallel to {edge}"
+            )
+    f1, f2 = face.span.int_rows
+    g = f1 if kernels.rank_int((ebar, f1)) == 2 else f2
+    v = la.primitive(_tilde(g, ebar))
+    # (ebar, v) is an orthogonal integer frame of the face plane, and u1
+    # is alpha ebar + beta v with alpha = ue / |ebar|^2, beta = uv / |v|^2
+    ee, vv = kernels.dot(ebar, ebar), kernels.dot(v, v)
+    ue, uv = kernels.dot(u1, ebar), kernels.dot(u1, v)
+    if ue == 0:
+        raise GeometryError("witness direction is orthogonal to the edge")
+    if ue * uv < 0:
+        v, uv = la.neg(v), -uv
+    if uv == 0:
+        raise GeometryError("witness already degenerates along the edge")
+    # a root outside (-lam, lam) is at least lam away from the event
+    lam = Fraction(uv * ee, ue * vv)
+    keep = kernels.independent([u1], span.int_rows, d - 2)
+    tail = tuple(span.int_rows[i] for i in keep)
+    rows = ((ebar, v, 1),) + tuple((r, (0,) * d, 1) for r in tail)
+    seg = WalkSegment._of(rows, (-lam, lam))
+    events, _faults = _segment_events(SegmentMinors(seg), pt.parallel_classes(p))
+    eps = min([lam] + [abs(s) for s, _ids in events if s != 0]) / 2
+    n, m = eps.numerator, eps.denominator
+    w_minus, w_plus = (
+        la.span_of((tuple(m * x + k * y for x, y in zip(ebar, v)),) + tail)
+        for k in (n, -n)
+    )
+    # on the two sides the edge's component is -+eps vv ee (it flips);
+    # another edge e's is ee (e.v) -+ eps vv (e.ebar), and must not flip
+    for other_edge, dirn in others:
+        a, b = m * ee * kernels.dot(dirn, v), n * vv * kernels.dot(dirn, ebar)
+        if a * a <= b * b:
+            raise WalkError(
+                f"edge {other_edge} changes sides across the event"
+            )
+    return eps, w_minus, w_plus
+
+
 def chain_split_transformations(p, face_id, other_id, edge, witness):
     """Two transformations around one edge event of a visible face.
 
@@ -1096,70 +1138,13 @@ def chain_split_transformations(p, face_id, other_id, edge, witness):
     just after the edge event; their visible chains differ exactly by
     that edge. The face must carry no second edge parallel to the
     chosen one, and the witness direction must not be orthogonal to it.
+    The witnesses come from an integer slide (_edge_slide) past the event.
     A reversed crossing is the forward one read backwards, so the
     chains of all four orientation pairings are read off the two
     forward crossings.
     """
-    d = p.dim
-    faces = pt.k_faces(p, 2)
-    span = _ortho_span(p, witness)
-    _cid, u1, _plane = _validate_visibility_witness(p, face_id, other_id, span)
-    face = faces[face_id]
     edge = tuple(sorted(edge))
-    edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]
-    if edge not in edge_ids:
-        raise ParameterError(f"{edge} is not an edge of face {face_id}")
-    verts = p.int_vertices()[0]
-    ebar = la.primitive(la.sub(verts[edge[1]], verts[edge[0]]))
-    directions = {}
-    for other_edge in edge_ids:
-        if other_edge == edge:
-            continue
-        dirn = la.sub(verts[other_edge[1]], verts[other_edge[0]])
-        if not any(kernels.plane_minors(ebar, dirn)):
-            raise ParameterError(
-                f"edge {other_edge} of face {face_id} is parallel to {edge}"
-            )
-        directions[other_edge] = dirn
-    f1, f2 = face.span.int_rows
-    g = f1 if kernels.rank_int((ebar, f1)) == 2 else f2
-    v = la.primitive(_tilde(g, ebar))
-    # v is orthogonal to ebar, so u1's projection coordinates on
-    # (ebar, v) are two quotients of integer dot products
-    alpha = Fraction(kernels.dot(u1, ebar), kernels.dot(ebar, ebar))
-    beta = Fraction(kernels.dot(u1, v), kernels.dot(v, v))
-    if alpha == 0:
-        raise GeometryError("witness direction is orthogonal to the edge")
-    lam = beta / alpha
-    if lam < 0:
-        v = la.neg(v)
-        lam = -lam
-    if lam == 0:
-        raise GeometryError("witness already degenerates along the edge")
-    u1n = la.scale(u1, 1 / alpha)
-    keep = kernels.independent([u1], span.int_rows, d - 2)
-    tail = tuple(span.int_rows[i] for i in keep)
-    base = (u1n,) + tail
-    slope = _slope(d - 2, 0, la.neg(v))
-    # a root outside (0, 2 lam) is at least lam away from the event
-    seg = WalkSegment(base, slope, (0, 2 * lam))
-    events, _faults = _segment_events(SegmentMinors(seg), pt.parallel_classes(p))
-    eps = min([lam] + [abs(t - lam) for t, _ids in events if t != lam]) / 2
-    u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
-    w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))
-    # across the event the edge flips sides in the sliding frame while
-    # every other edge of the face stays put
-    t_minus, t_plus = _tilde(v, u_minus), _tilde(v, u_plus)
-    s_before, s_after = la.dot(ebar, t_minus), la.dot(ebar, t_plus)
-    if s_before == 0 or s_after == 0 or (s_before < 0) == (s_after < 0):
-        raise WalkError("edge component does not change sign at the event")
-    for other_edge, dirn in directions.items():
-        b, a = la.dot(dirn, t_minus), la.dot(dirn, t_plus)
-        if b == 0 or a == 0 or (b < 0) != (a < 0):
-            raise WalkError(
-                f"edge {other_edge} changes sides across the event"
-            )
-    sides = (w_minus, w_plus)
+    _eps, *sides = _edge_slide(p, face_id, other_id, edge, witness)
     forward = [elementary_transformation(p, face_id, other_id, w) for w in sides]
     # chains[side][rev]: the visible chain just before the crossing; the
     # reversed crossing starts where the forward one ends

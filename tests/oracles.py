@@ -20,7 +20,8 @@ Fraction row arithmetic, degenerate classes from one stacked integer
 determinant per class, sampled plane bases from Fraction Subspaces, the
 cells of a class from its difference body built as a Polytope,
 witnesses, crossing probes, elementary transformations and certificates from
-Fraction rows and Fraction kernel bases, the visibility chains of a
+Fraction rows and Fraction kernel bases, the chain split's slide from
+Fraction rows and a Fraction frame of both sliding rows, the visibility chains of a
 2-face from visible-edge degrees and a path traced through its vertex
 pairs, shadow boundary containment from a scan of every hull edge, the
 estranged face subset by backtracking, and a walk's junction spans and
@@ -1340,3 +1341,89 @@ def oracle_shared_junction_span(others, fa, fb):
     sa = la.span_of(tuple(others) + fa)
     sb = la.span_of(tuple(others) + fb)
     return sa == sb and bool(others)
+
+
+def oracle_edge_slide(p, face_id, other_id, edge, witness):
+    """walk._edge_slide as the chain split once made it: u1 scaled by
+    1 / alpha in Fractions, the slide scanned as a Fraction WalkSegment
+    u1 / alpha - t v on (0, 2 lam), and both sides tested on the
+    components of every face edge, the chosen one included, along the
+    Fraction frame _tilde(v, u) of the two sliding rows. edge is
+    sorted; returns (eps, w_minus, w_plus)."""
+    d = p.dim
+    faces = pt.k_faces(p, 2)
+    span = wk._ortho_span(p, witness)
+    _cid, u1, _plane = wk._validate_visibility_witness(p, face_id, other_id, span)
+    face = faces[face_id]
+    edge_ids = [tuple(e.vertex_ids) for e in pt.face_edges(p, face)]
+    if edge not in edge_ids:
+        raise ParameterError(f"{edge} is not an edge of face {face_id}")
+    verts = p.int_vertices()[0]
+    ebar = la.primitive(la.sub(verts[edge[1]], verts[edge[0]]))
+    directions = {}
+    for other_edge in edge_ids:
+        if other_edge == edge:
+            continue
+        dirn = la.sub(verts[other_edge[1]], verts[other_edge[0]])
+        if not any(kernels.plane_minors(ebar, dirn)):
+            raise ParameterError(
+                f"edge {other_edge} of face {face_id} is parallel to {edge}"
+            )
+        directions[other_edge] = dirn
+    f1, f2 = face.span.int_rows
+    g = f1 if kernels.rank_int((ebar, f1)) == 2 else f2
+    v = la.primitive(wk._tilde(g, ebar))
+    alpha = Fraction(kernels.dot(u1, ebar), kernels.dot(ebar, ebar))
+    beta = Fraction(kernels.dot(u1, v), kernels.dot(v, v))
+    if alpha == 0:
+        raise GeometryError("witness direction is orthogonal to the edge")
+    lam = beta / alpha
+    if lam < 0:
+        v = la.neg(v)
+        lam = -lam
+    if lam == 0:
+        raise GeometryError("witness already degenerates along the edge")
+    u1n = la.scale(u1, 1 / alpha)
+    keep = kernels.independent([u1], span.int_rows, d - 2)
+    tail = tuple(span.int_rows[i] for i in keep)
+    slope = wk._slope(d - 2, 0, la.neg(v))
+    seg = wk.WalkSegment((u1n,) + tail, slope, (0, 2 * lam))
+    events, _faults = wk._segment_events(wk.SegmentMinors(seg), pt.parallel_classes(p))
+    eps = min([lam] + [abs(t - lam) for t, _ids in events if t != lam]) / 2
+    u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
+    w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))
+    t_minus, t_plus = _oracle_tilde(v, u_minus), _oracle_tilde(v, u_plus)
+    s_before, s_after = la.dot(ebar, t_minus), la.dot(ebar, t_plus)
+    if s_before == 0 or s_after == 0 or (s_before < 0) == (s_after < 0):
+        raise WalkError("edge component does not change sign at the event")
+    for other_edge, dirn in directions.items():
+        b, a = la.dot(dirn, t_minus), la.dot(dirn, t_plus)
+        if b == 0 or a == 0 or (b < 0) != (a < 0):
+            raise WalkError(f"edge {other_edge} changes sides across the event")
+    return eps, w_minus, w_plus
+
+
+def oracle_chain_split_transformations(p, face_id, other_id, edge, witness):
+    """walk.chain_split_transformations on oracle_edge_slide: the two
+    forward crossings and the first orientation pairing whose visible
+    chains differ by exactly the edge, as the library reads them."""
+    edge = tuple(sorted(edge))
+    _eps, *sides = oracle_edge_slide(p, face_id, other_id, edge, witness)
+    forward = [wk.elementary_transformation(p, face_id, other_id, w) for w in sides]
+    chains = [
+        [
+            wk.boundary_chains(p, face_id, half.plane_at(t)).visible
+            for half, t in ((tr.minus, -tr.epsilon / 2), (tr.plus, tr.epsilon / 2))
+        ]
+        for tr in forward
+    ]
+    for rev1 in (False, True):
+        for rev2 in (False, True):
+            if chains[0][rev1] ^ chains[1][rev2] == {edge}:
+                return tuple(
+                    wk.elementary_transformation(p, face_id, other_id, w, reverse=True)
+                    if rev
+                    else tr
+                    for w, tr, rev in zip(sides, forward, (rev1, rev2))
+                )
+    raise GeometryError("no orientation pairing splits the chains at the edge")

@@ -32,6 +32,7 @@ from oracles import (
     oracle_visible_pairs,
     oracle_witness,
 )
+from test_walk import face_witnesses
 
 PENTAGON = ((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2))
 
@@ -143,6 +144,18 @@ def test_crossing_probe_rejects_a_u1_outside_the_witness():
     assert seen
 
 
+def test_crossing_probe_rejects_a_witness_holding_the_face_plane():
+    # witness + face plane then has rank d - 2, and no unique crossing
+    p = polytope("cube4")
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        rows = cls.direction_plane.basis
+        message = "^witness plus face plane does not have rank d-1$"
+        with pytest.raises(GeometryError, match=message):
+            oracle_crossing_probe(p, cid, rows, la.primitive(rows[0]))
+        with pytest.raises(GeometryError, match=message):
+            wk.crossing_probe(p, cid, la.Subspace(rows), la.primitive(rows[0]))
+
+
 def check_visible_pairs(p):
     got, want = eq.visible_pairs(p), oracle_visible_pairs(p)
     assert got == want
@@ -218,3 +231,27 @@ def test_tess_tilt_matches_fraction_oracle():
         got = wk.elementary_transformation(TESS, a, b, la.Subspace(TILT4), reverse)
         want = oracle_elementary_transformation(TESS, a, b, TILT4, reverse)
         assert transformation_fields(got) == transformation_fields(want)
+
+
+def _transformation_outcome(f, *args):
+    try:
+        return transformation_fields(f(*args))
+    except (GeometryError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+DRAWN = {name: polytope(name) for name in ("cube4", "perturbed", "pentagonal", "pn4")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(face_witnesses(DRAWN), st.booleans())
+def test_transformations_match_fraction_oracle_on_drawn_witnesses(case, reverse):
+    # the integer frame (w1 off v and the witness plane) against the
+    # oracle's two Fraction kernels, rejections included
+    p, fid, oid, rows = case
+    got = _transformation_outcome(
+        wk.elementary_transformation, p, fid, oid, la.Subspace(rows), reverse
+    )
+    assert got == _transformation_outcome(
+        oracle_elementary_transformation, p, fid, oid, rows, reverse
+    )

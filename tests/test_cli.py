@@ -125,6 +125,18 @@ def test_generate_cube_like_families_are_capped(argv, message):
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "pn"], "pn needs --n"),
+        (["--family", "pnd", "--dim", "5"], "pnd needs --n and --dim"),
+        (["--family", "pnd", "--n", "2"], "pnd needs --n and --dim"),
+    ],
+)
+def test_generate_pn_families_need_their_counts(argv, message):
+    assert go(["generate"] + argv) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- shadow
 
 
@@ -184,6 +196,63 @@ def test_shadow_sampling_failure_is_undecided(monkeypatch):
     code, out, err = go(["shadow", "--polytope", CUBE_JSON])
     assert code == 2
     assert "undecided" in err
+
+
+def test_shadow_count_above_the_cap_fails_before_any_draw(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a plane was drawn")
+
+    monkeypatch.setattr(cli.sh, "ProjectionPlane", boom)
+    over = str(sh.MAX_SAMPLES + 1)
+    code, out, err = go(["shadow", "--polytope", CUBE_JSON, "--count", over])
+    assert (code, out) == (1, "")
+    assert err == f"error: {over} samples exceed the cap of {sh.MAX_SAMPLES}\n"
+
+
+BAD_INPUTS = [
+    # _as_rational: a bool, a bad string, a float
+    (["shadow", "--polytope", "[[true,0,0],[1,0,0],[0,1,0],[0,0,1]]"],
+     "polytope vertices: expected a rational, got True"),
+    (["shadow", "--polytope", '[["1/0",0,0],[1,0,0],[0,1,0],[0,0,1]]'],
+     "polytope vertices: not a rational string: '1/0'"),
+    (["shadow", "--polytope", CUBE_JSON, "--plane", "[[0.5,0,0],[0,1,0]]"],
+     "plane: expected an integer or 'p/q' string, got 0.5"),
+    # _as_vector and _as_matrix
+    (["shadow", "--polytope", "[[0,0,0],5]"], "polytope vertices: expected a non-empty list"),
+    (["shadow", "--polytope", "[[0,0,0],[]]"], "polytope vertices: expected a non-empty list"),
+    (["shadow", "--polytope", "[]"], "polytope vertices: expected a non-empty list of rows"),
+    (["shadow", "--polytope", '{"vertices": 3}'],
+     "polytope vertices: expected a non-empty list of rows"),
+    (["shadow", "--polytope", "[[0,0,0],[1,0]]"], "polytope vertices: rows of mixed lengths"),
+    # _load_polytope: schema, vertices, dimension
+    (["shadow", "--polytope", '{"schema": 2, "vertices": [[0,0],[1,0],[0,1]]}'],
+     "polytope: unsupported schema 2"),
+    (["shadow", "--polytope", '{"schema": 1}'], "polytope: missing 'vertices'"),
+    (["shadow", "--polytope", '{"dimension": 3, "vertices": [[0,0],[1,0],[0,1]]}'],
+     "polytope: 'dimension' does not match the vertices"),
+    # _load_plane, dict form and raises
+    (["shadow", "--polytope", CUBE_JSON, "--plane", '{"vectors": [[1,0,0],[0,1,0]]}'],
+     "plane: missing 'rows'"),
+    (["shadow", "--polytope", CUBE_JSON, "--plane", '{"rows": [[1,0,0]]}'],
+     "plane: a projection plane needs exactly 2 rows"),
+    (["shadow", "--polytope", CUBE_JSON, "--plane", "[[1,0],[0,1]]"],
+     "plane: rows have length 2, polytope lives in 3"),
+    (["walk", "--polytope", CUBE_JSON, "--from", GOOD_PLANE, "--to", '{"basis": [[1,0,0],[2,0,0]]}'],
+     "to: basis is linearly dependent"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS)
+def test_bad_input_is_a_usage_error_with_its_message(argv, message):
+    assert go(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("key", ["rows", "basis"])
+def test_shadow_reads_a_plane_given_as_a_dict(key):
+    plane = json.dumps({key: json.loads(GOOD_PLANE)})
+    assert report(["shadow", "--polytope", CUBE_JSON, "--plane", plane]) == report(
+        ["shadow", "--polytope", CUBE_JSON, "--plane", GOOD_PLANE]
+    )
 
 
 # ------------------------------------------------------------------ walk
@@ -364,6 +433,19 @@ def test_check_too_few_trials_fails_before_any_decider(monkeypatch, mode):
     assert code == 1
     assert out == ""
     assert err == "error: need at least two trials to compare\n"
+
+
+@pytest.mark.parametrize("mode", ["sampled", "both"])
+def test_check_trials_above_the_cap_fail_before_any_decider(monkeypatch, mode):
+    def boom(*args, **kwargs):
+        raise AssertionError("a decider ran")
+
+    monkeypatch.setattr(cli.eq, "is_equiprojective_combinatorial", boom)
+    monkeypatch.setattr(cli.eq, "is_equiprojective_sampled", boom)
+    over = str(sh.MAX_SAMPLES + 1)
+    code, out, err = go(["check", "--polytope", CUBE_JSON, "--mode", mode, "--trials", over])
+    assert (code, out) == (1, "")
+    assert err == f"error: {over} samples exceed the cap of {sh.MAX_SAMPLES}\n"
 
 
 def test_check_combinatorial_ignores_trials():
@@ -677,3 +759,11 @@ def test_help_exits_clean():
     assert go(["--help"])[0] == 0
     assert go(["check", "--help"])[0] == 0
     assert go([])[0] == 1
+
+
+def test_main_exits_with_the_run_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["shadowlab", "generate", "--family", "hypercube"])
+    with pytest.raises(SystemExit) as done:
+        cli.main()
+    assert done.value.code == 1
+    assert capsys.readouterr().err == "error: hypercube needs --dim\n"

@@ -448,6 +448,16 @@ def test_sampled_needs_two_trials():
         eq.is_equiprojective_sampled(CUBE, 0, 1)
 
 
+def test_sampled_trials_above_the_cap_fail_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a plane")
+
+    monkeypatch.setattr(sh.random, "Random", no_draws)
+    over = sh.MAX_SAMPLES + 1
+    with pytest.raises(ParameterError, match=f"^{over} samples exceed the cap of {sh.MAX_SAMPLES}$"):
+        eq.is_equiprojective_sampled(CUBE, 0, over)
+
+
 def test_deciders_agree_on_small_zoo():
     for p in (CUBE, PRISM, PENT, TETRA):
         a = eq.is_equiprojective_combinatorial(p)

@@ -16,6 +16,7 @@ from shadowlab.errors import (
     DimensionError,
     ParameterError,
     PolytopeError,
+    SamplingError,
 )
 from oracles import oracle_hull_2d
 
@@ -299,6 +300,29 @@ def test_random_generators_validation():
         fam.random_generators(2, 3, 0)
     with pytest.raises(ParameterError):
         fam.random_generators(3, 1, 0)
+
+
+class ScriptedRng:
+    """A stand-in for random.Random that deals the given integers in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, _lo, _hi):
+        return next(self.values)
+
+
+def test_random_generators_skip_a_dependent_draw(monkeypatch):
+    # (2, 2) is parallel to the first generator, so it is drawn and dropped
+    monkeypatch.setattr(fam.random, "Random", lambda _seed: ScriptedRng([1, 1, 2, 2, 1, 0]))
+    assert fam.random_generators(2, 2, 0) == ((1, 1), (1, 0))
+
+
+def test_random_generators_give_up_after_their_budget(monkeypatch):
+    # the zero vector is never independent: 64 draws per generator, then stop
+    monkeypatch.setattr(fam.random, "Random", lambda _seed: ScriptedRng([0] * 2 * 64 * 2))
+    with pytest.raises(SamplingError, match="^no generic generator family found$"):
+        fam.random_generators(2, 2, 0)
 
 
 # -------------------------------------------------------------- pn polytope

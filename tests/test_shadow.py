@@ -407,6 +407,39 @@ def test_sample_admissible_needs_two_dimensions(monkeypatch):
         sh.sample_admissible(segment, 0, 64)
 
 
+def test_sample_admissible_skips_dependent_draws(monkeypatch):
+    # on the unit grid many drawn pairs are dependent; each is skipped
+    skipped = []
+    int_subspace = sh.la.int_subspace
+
+    def counted(rows):
+        try:
+            return int_subspace(rows)
+        except DegenerateBasisError:
+            skipped.append(rows)
+            raise
+
+    monkeypatch.setattr(sh.la, "int_subspace", counted)
+    planes = sh.sample_admissible(CUBE, 0, 20, grid_bound=1)
+    assert len(planes) == 20 and skipped
+    assert all(sh.is_admissible(CUBE, w).ok for w in planes)
+
+
+def test_sample_count_above_the_cap_fails_before_any_draw(monkeypatch):
+    # every plane is kept, so an oversized count is refused up front
+    def no_draws(*args):
+        raise AssertionError("drew a candidate")
+
+    monkeypatch.setattr(sh.random, "Random", no_draws)
+    over = sh.MAX_SAMPLES + 1
+    with pytest.raises(ParameterError, match=f"^{over} samples exceed the cap of {sh.MAX_SAMPLES}$"):
+        sh.sample_admissible(CUBE, 0, over)
+
+
+def test_sample_count_at_the_cap_is_drawn():
+    assert len(sh.sample_admissible(CUBE, 0, sh.MAX_SAMPLES)) == sh.MAX_SAMPLES
+
+
 def test_zonotope_shadow_size_examples():
     cube_gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert oracle_zonotope_shadow_size(cube_gens, SKEW3) == 6

@@ -9,7 +9,7 @@ from fractions import Fraction as Fr
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, assume
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shadowlab.equiproj as eq
@@ -30,9 +30,11 @@ from shadowlab.errors import (
 from oracles import (
     OracleSegment,
     oracle_affine_roots,
+    oracle_chain_split_transformations,
     oracle_class_degeneracy_det,
     oracle_degenerate_classes,
     oracle_degeneration_polynomial,
+    oracle_edge_slide,
     oracle_hull_2d,
     oracle_segment_events,
 )
@@ -306,6 +308,26 @@ def test_to_hyperplane_requires_arrangement():
     # the unrotated cube has axis directions inside the hyperplane
     with pytest.raises(WalkError):
         wk.walk_to_hyperplane(CUBE, la.span_of([(1, 1, 1)]), seed=0)
+
+
+# the 3-cube turned in the (e1, e2) plane: no class plane lies in x_1 = 0,
+# but the plane of class 1 meets it in the line of e3
+TURNED3 = pt.apply_isometry(CUBE, la.plane_rotation(3, 0, 1, Fr(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (CUBE, "class 0 meets the reference hyperplane in dimension 2, expected a line"),
+        (TURNED3, "class 1 eta direction has zero last coordinate"),
+    ],
+)
+def test_both_api_walks_require_the_arrangement(p, message):
+    # the walks read their etas off the class planes, but still refuse a
+    # polytope off the reference arrangement up front
+    for walk in (wk.walk_to_hyperplane, wk.walk_within_hyperplane):
+        with pytest.raises(WalkError, match=f"^{message}; rotate the polytope first$"):
+            walk(p, la.span_of([(1, 1, 1)]), seed=0)
 
 
 def test_to_hyperplane_rejects_wrong_dimension():
@@ -758,6 +780,112 @@ def test_reversed_crossing_is_the_forward_one_read_backwards():
             assert rev.plus.int_rows_at(eps / 2) == fwd.minus.int_rows_at(-eps / 2)
             checked += 1
     assert checked == 145
+
+
+def _split_outcome(f, *args):
+    """f(*args) as plain data: the slide's eps and both witness spans,
+    the fields of the two transformations, or the error's type and
+    message."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the message is compared too
+        return ["err", type(exc).__name__, str(exc)]
+    if isinstance(out[0], Fr):
+        eps, w_minus, w_plus = out
+        return ["ok", repr(eps), [(w.int_rows, w.int_mults) for w in (w_minus, w_plus)]]
+    return ["ok", [[_split_fields(x) for x in tr] for tr in out]]
+
+
+def assert_split_matches_the_fraction_route(p, fid, oid, edge, witness):
+    edge = tuple(sorted(edge))
+    args = (p, fid, oid, edge, witness)
+    assert _split_outcome(wk._edge_slide, *args) == _split_outcome(oracle_edge_slide, *args)
+    got = _split_outcome(wk.chain_split_transformations, *args)
+    assert got == _split_outcome(oracle_chain_split_transformations, *args)
+    return got[0]
+
+
+def test_chain_splits_match_the_fraction_route_on_the_zoo():
+    # the integer slide against the Fraction one it replaced, on every
+    # edge of every certificate of the pinned zoo
+    outcomes = Counter()
+    for make in CHAIN_SPLIT_ZOO.values():
+        p = make()
+        faces = pt.k_faces(p, 2)
+        for cert in eq.visible_pairs(p):
+            for e in pt.face_edges(p, faces[cert.face_id]):
+                outcomes[
+                    assert_split_matches_the_fraction_route(
+                        p, cert.face_id, cert.other_id, e.vertex_ids, cert.witness
+                    )
+                ] += 1
+    assert outcomes == {"ok": 254, "err": 247}
+
+
+SPLIT_DRAWN = {
+    "triprism": PRISM,
+    "pentagonal": CHAIN_SPLIT_ZOO["pentagonal"](),
+    "perturbed": PERT,
+    "pn2": PN2,
+    "pn4": fam.pn_polytope(4),
+}
+
+
+@st.composite
+def face_witnesses(draw, polytopes):
+    """A polytope of the dict polytopes, a face, an optional partner of
+    its class, and a witness: a direction of the face plane and d - 3
+    small integer rows, valid or not."""
+    p = polytopes[draw(st.sampled_from(sorted(polytopes)))]
+    d = p.dim
+    cls = draw(st.sampled_from(pt.parallel_classes(p)))
+    fid = draw(st.sampled_from(cls.member_ids))
+    oid = draw(st.sampled_from((None,) + tuple(m for m in cls.member_ids if m != fid)))
+    f1, f2 = cls.direction_plane.int_rows
+    a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    small = st.tuples(*[st.integers(-3, 3)] * d)
+    rows = (tuple(a * x + b * y for x, y in zip(f1, f2)),) + tuple(
+        draw(small) for _ in range(d - 3)
+    )
+    assume(kernels.rank_int(rows) == d - 2)
+    return p, fid, oid, rows
+
+
+@st.composite
+def drawn_splits(draw):
+    """face_witnesses on SPLIT_DRAWN, with one of the face's edges."""
+    p, fid, oid, rows = draw(face_witnesses(SPLIT_DRAWN))
+    edge = draw(st.sampled_from(pt.face_edges(p, pt.k_faces(p, 2)[fid]))).vertex_ids
+    return p, fid, oid, edge, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_splits())
+# the witness direction orthogonal to the edge; along it, where the
+# other face through the edge degenerates too
+@example((PRISM, 0, None, (1, 2), ((1, 1, 0),)))
+@example((PRISM, 0, 4, (0, 1), ((1, 0, 0),)))
+def test_chain_splits_match_the_fraction_route_on_drawn_witnesses(case):
+    p, fid, oid, edge, rows = case
+    assert_split_matches_the_fraction_route(p, fid, oid, edge, la.Subspace(rows))
+
+
+@pytest.mark.parametrize("u1", [(1, 2, 0), (1, 3, 0)])
+def test_chain_split_rejects_an_edge_that_changes_sides(monkeypatch, u1):
+    # The slide ebar + s v holds the direction of another face edge e at
+    # some s0, where the other 2-face through e degenerates, so a scan
+    # of the lattice's classes keeps eps below |s0| and e never changes
+    # sides. A scan that misses that class leaves eps = lam / 2: on the
+    # prism's triangle (0, 1, 2), with edge (0, 1), ebar = e0 and v = e1,
+    # the edge (1, 2) runs along ebar - v, so s0 = -1, which is -eps at
+    # u1 = (1, 2, 0) (e's component is 0 on one side) and inside
+    # (-eps, eps) at u1 = (1, 3, 0).
+    monkeypatch.setattr(wk, "_segment_events", lambda polys, classes: ([], []))
+    witness = la.span_of([u1])
+    message = "^edge \\(1, 2\\) changes sides across the event$"
+    for split in (wk.chain_split_transformations, oracle_chain_split_transformations):
+        with pytest.raises(WalkError, match=message):
+            split(PRISM, 0, None, (0, 1), witness)
 
 
 # ------------------------------------------------------------------- json
