@@ -434,11 +434,14 @@ def compensation_partition(p, certs):
             else tuple(sorted((n.face_id, n.partner_id)))
         )
         d = _edge_direction(p, edges[n.edge_id])
-        # the sense along the line that _direction_key scales to lead 1
+        # the sense along the line that la.primitive (and _direction_key)
+        # scales to a positive lead
         forward = n.orientation * next(x for x in d if x) > 0
-        groups.setdefault((pairkey, _direction_key(d)), ([], []))[forward].append(i)
+        groups.setdefault((pairkey, la.primitive(d)), ([], []))[forward].append(i)
     pairs = []
-    for key in sorted(groups):
+    # a line has one primitive direction; its Fraction key, built once
+    # per group, sorts the groups as it did when it keyed them
+    for key in sorted(groups, key=lambda key: (key[0], _direction_key(key[1]))):
         backward, forward = groups[key]
         idx = tuple(sorted(backward + forward))
         if len(idx) > 4:

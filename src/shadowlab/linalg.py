@@ -393,14 +393,10 @@ def primitive(v):
     Denominators are cleared, the gcd is divided out, and the first
     nonzero entry is made positive.
     """
-    ints = int_row(v)[0]
-    if not any(ints):
-        raise ParameterError("zero vector has no direction")
+    ints = v if all(type(x) is int for x in v) else int_row(v)[0]
     g = gcd(*ints)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    if not g:
+        raise ParameterError("zero vector has no direction")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)

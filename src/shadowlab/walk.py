@@ -19,9 +19,9 @@ is affine on it when the slope rows have rank at most 1, as on every
 segment the walks build; a class's two end values are then two dot
 products, over one positive denominator (AffinePoly). Their signs alone
 say whether a class degenerates on the segment, at an end, or along all
-of it. One scan (_segment_events) reads them for planning, assembly and
-verify_walk and keys each event time by an integer, so no Fraction is
-hashed or sorted; verify_walk reads the rank of the rows at its sample
+of it. One scan (_segment_events) reads them for planning, whose events
+the plan keeps, and for verify_walk, and keys each event time by an
+integer, so no Fraction is hashed or sorted; verify_walk reads the rank of the rows at its sample
 times off the same two minor vectors, and tests that two segments meet
 in one span by the proportionality of their minor vectors there.
 A crossing's frame is read off its direction v (the witness plane is
@@ -269,7 +269,7 @@ WalkPlan = namedtuple(
 )
 
 ReferenceFrame = namedtuple(
-    "ReferenceFrame", ["rotation", "inverse", "moved", "int_inverse"]
+    "ReferenceFrame", ["rotation", "inverse", "moved", "int_inverse", "class_ids"]
 )
 
 WalkCertificate = namedtuple(
@@ -497,15 +497,17 @@ def reference_frame(p):
     """p's reference isometry, cached on p the first time it is asked.
 
     Holds the rotation, its inverse, the moved copy (whose lattice
-    caches fill as the walks use them) and the inverse as (integer
-    rows, one positive denominator). verify_walk never reads it.
+    caches fill as the walks use them), the inverse as (integer rows,
+    one positive denominator) and p's id of each class of the copy,
+    read off a member face (the copy keeps p's face ids but orders its
+    classes by the moved spans). verify_walk never reads it.
     """
     if p._frame is None:
         rot = reference_isometry(p)[0]
         m, den = pt.int_points(rot)
-        p._frame = ReferenceFrame(
-            rot, la.transpose(rot), pt.apply_isometry(p, rot), (la.transpose(m), den)
-        )
+        q = pt.apply_isometry(p, rot)
+        ids = [_class_of_face(p, cls.member_ids[0]) for cls in pt.parallel_classes(q)]
+        p._frame = ReferenceFrame(rot, la.transpose(rot), q, (la.transpose(m), den), ids)
     return p._frame
 
 
@@ -630,9 +632,9 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
 
 
 def _fragment_to_hyperplane(p, rows0, seed):
-    """Raw segments from the admissible span of the integer rows rows0
-    to one inside the reference hyperplane. Returns (segments, integer
-    rows of the end span)."""
+    """Raw pieces (_assemble) from the admissible span of the integer
+    rows rows0 to one inside the reference hyperplane. Returns (pieces,
+    integer rows of the end span)."""
     d = p.dim
     if all(r[0] == 0 for r in rows0):
         return [], rows0
@@ -656,10 +658,8 @@ def _fragment_to_hyperplane(p, rows0, seed):
             continue
         shared = _first_shared(events)
         if shared is None:
-            segs.append(seg)
-            end_rows = seg.int_rows_at(1)[0]
-            _require_admissible(p, end_rows, "hyperplane entry")
-            return segs, end_rows
+            segs.append((seg, events))
+            return segs, seg.int_rows_at(1)[0]
         ca, cb = shared[0], shared[1]
         # (others, Fa) and (others, Fb) are independent, since the start
         # is admissible, so they span one space exactly when the stack
@@ -677,14 +677,14 @@ def _fragment_to_hyperplane(p, rows0, seed):
                 f"could not split the junction span of classes {ca} and {cb}"
             )
             continue
-        segs.append(pre)
+        segs.append((pre, ()))
     raise WalkError(f"crossing search exhausted its budget: {last_error}")
 
 
 def _fragment_within(p, rows0, seed):
-    """Raw segments from the admissible span of the integer rows rows0,
-    inside the reference hyperplane, down to span(e2, ..., e_{d-1}).
-    p must be in the reference arrangement."""
+    """Raw pieces (_assemble) from the admissible span of the integer
+    rows rows0, inside the reference hyperplane, down to span(e2, ...,
+    e_{d-1}). p must be in the reference arrangement."""
     d = p.dim
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
@@ -702,7 +702,7 @@ def _fragment_within(p, rows0, seed):
         idx = pivots.index(missing + 1)
         base = tuple((la.ZERO, *r) for r in arr)
         seg = _half_step(classes, base, idx, la.unit(d, missing + 1))
-        segs.append(seg)
+        segs.append((seg, ()))
         nudge = la.scale(la.unit(cols, missing), seg.t_range[1])
         arr, pivots = la.rref(
             tuple(la.add(r, nudge) if i == idx else r for i, r in enumerate(arr))
@@ -719,9 +719,10 @@ def _fragment_within(p, rows0, seed):
         base = tuple(la.add(la.unit(d, i + 1), la.scale(last, x)) for i, x in enumerate(xs))
         slope = tuple(la.scale(last, -x) for x in xs)
         seg = WalkSegment(base, slope, (Fraction(0), Fraction(1)))
-        shared = _first_shared(_planned_events(seg, classes))
+        events = _planned_events(seg, classes)
+        shared = _first_shared(events)
         if shared is None:
-            segs.append(seg)
+            segs.append((seg, events))
             return segs
         ca, cb = shared[0], shared[1]
         # the first coordinate where the etas, at last coordinate 1, differ
@@ -731,38 +732,40 @@ def _fragment_within(p, rows0, seed):
             raise WalkError(f"classes {ca} and {cb} share an eta direction")
         # one unit of x along coordinate j separates the two roots
         pre = _half_step(classes, base, j - 1, last)
-        segs.append(pre)
+        segs.append((pre, ()))
         xs[j - 1] += pre.t_range[1]
     raise WalkError("contraction produced inseparable degenerations")
 
 
-def _assemble(p, raw_segments, isometry, isometry_inv):
-    """Chain raw segments onto [0, 1] and recompute the event log."""
-    classes = pt.parallel_classes(p)
-    n = len(raw_segments)
-    segments = []
-    events = []
-    for k, seg in enumerate(raw_segments):
-        piece = seg.rescaled(Fraction(k, n), Fraction(k + 1, n))
-        for t, ids in _planned_events(piece, classes):
-            if len(ids) > 1:
-                raise WalkError(
-                    f"classes {ids[0]} and {ids[1]} degenerate together at t={t}"
-                )
-            events.append(DegenerationEvent(t, ids[0]))
-        segments.append(piece)
+def _assemble(pieces, isometry, isometry_inv):
+    """Chain raw pieces onto [0, 1] and place their events on that clock.
+
+    A piece is a raw segment and its planning scan's events, (t, [class
+    id]) in time order: planning keeps a segment only when no two
+    classes share a time (_first_shared), and half-steps have none. A
+    piece with events runs on [0, 1]; the k-th of n, rescaled onto
+    [k/n, (k+1)/n], has raw time num/den at (k den + num) / (n den).
+    """
+    n = len(pieces)
+    segments, events = [], []
+    for k, (seg, found) in enumerate(pieces):
+        segments.append(seg.rescaled(Fraction(k, n), Fraction(k + 1, n)))
+        events.extend(
+            DegenerationEvent(Fraction(k * t.denominator + t.numerator, n * t.denominator), ids[0])
+            for t, ids in found
+        )
     return WalkPlan(tuple(segments), tuple(events), isometry, isometry_inv)
 
 
 def _identity_walk(p, start, fragment):
     """The plan of one fragment walk on p as it stands (no rotation):
-    fragment maps the start's integer rows to raw segments. p must be
+    fragment maps the start's integer rows to raw pieces. p must be
     in the reference arrangement (_etas raises WalkError otherwise)."""
     _etas([cls.direction_plane.int_rows for cls in pt.parallel_classes(p)])
     rows = _ortho_span(p, start).int_rows
     _require_admissible(p, rows, "start")
     ident = la.identity(p.dim)
-    return _assemble(p, fragment(rows), ident, ident)
+    return _assemble(fragment(rows), ident, ident)
 
 
 def walk_to_hyperplane(p, start, seed=0):
@@ -791,9 +794,12 @@ def full_walk(p, frm, to, seed=0):
 
     Conjugates by the reference isometry (reference_frame, built once
     per polytope), walks both endpoints to the reference span, and
-    glues the second half reversed. The returned plan is expressed in
-    the original coordinates; the rotation used internally is recorded
-    in the isometry fields.
+    glues the second half reversed, events and all (t -> 1 - t). The
+    returned plan is expressed in the original coordinates; the rotation
+    used internally is recorded in the isometry fields. Its events are
+    the planning scans' on the rotated copy under p's class ids: the
+    orthogonal pull-back scales each class determinant by a nonzero
+    constant, so the roots stay.
     """
     span_a = _ortho_span(p, frm)
     span_b = _ortho_span(p, to)
@@ -802,7 +808,7 @@ def full_walk(p, frm, to, seed=0):
     if span_a == span_b:
         ident = la.identity(p.dim)
         return WalkPlan((), (), ident, ident)
-    rot, inv, q, int_inv = reference_frame(p)
+    rot, inv, q, int_inv, to_p = reference_frame(p)
     # the rotation is orthogonal, so M^T / den is rot for int_inv = (M, den)
     fwd = tuple(zip(*int_inv[0]))
 
@@ -815,13 +821,12 @@ def full_walk(p, frm, to, seed=0):
     a_in = _fragment_within(q, a_end, f"{seed}:aw")
     b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b")
     b_in = _fragment_within(q, b_end, f"{seed}:bw")
-    chain = (
-        a_to
-        + a_in
-        + [s.reversed() for s in reversed(b_in)]
-        + [s.reversed() for s in reversed(b_to)]
-    )
-    return _assemble(p, [seg.mapped(int_inv) for seg in chain], rot, inv)
+    back = [(s.reversed(), [(1 - t, ids) for t, ids in ev[::-1]]) for s, ev in b_to + b_in]
+    pieces = [
+        (s.mapped(int_inv), [(t, [to_p[c] for c in ids]) for t, ids in ev])
+        for s, ev in a_to + a_in + back[::-1]
+    ]
+    return _assemble(pieces, rot, inv)
 
 
 def verify_walk(p, plan):

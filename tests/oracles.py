@@ -24,9 +24,11 @@ Fraction rows and Fraction kernel bases, the chain split's slide from
 Fraction rows and a Fraction frame of both sliding rows, the visibility chains of a
 2-face from visible-edge degrees and a path traced through its vertex
 pairs, shadow boundary containment from a scan of every hull edge, the
-estranged face subset by backtracking, and a walk's junction spans and
+estranged face subset by backtracking, a walk's junction spans and
 the crossing search's tests (its eta pre-filter, its shared junction
-span) as the walk layer once made them, from Subspaces.
+span) as the walk layer once made them, from Subspaces, and a walk's
+event log from a second scan of every rescaled segment on the original
+polytope.
 """
 
 import random
@@ -1323,6 +1325,26 @@ def oracle_junction_violations(segments):
         if before != after:
             out.append(f"junction spans differ between {i - 1} and {i}")
     return out
+
+
+def oracle_assemble(p, raw_segments, isometry, isometry_inv):
+    """The walk plan as _assemble once built it: each raw segment
+    rescaled onto its slot of [0, 1] and scanned again on p by
+    _planned_events, a time shared by two classes refused."""
+    classes = pt.parallel_classes(p)
+    n = len(raw_segments)
+    segments = []
+    events = []
+    for k, seg in enumerate(raw_segments):
+        piece = seg.rescaled(Fraction(k, n), Fraction(k + 1, n))
+        for t, ids in wk._planned_events(piece, classes):
+            if len(ids) > 1:
+                raise WalkError(
+                    f"classes {ids[0]} and {ids[1]} degenerate together at t={t}"
+                )
+            events.append(wk.DegenerationEvent(t, ids[0]))
+        segments.append(piece)
+    return wk.WalkPlan(tuple(segments), tuple(events), isometry, isometry_inv)
 
 
 def oracle_crossing_prefilter(u1, others, etas, v):

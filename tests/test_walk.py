@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-import re
 from collections import Counter
 from fractions import Fraction as Fr
 from math import gcd, prod
@@ -1622,7 +1621,7 @@ def test_verify_names_junction_and_endpoint_degenerations():
     assert cert.violations == (junction,) + tuple(v for _cid, v in second)
 
 
-def test_assemble_rejects_classes_sharing_a_time():
+def test_a_shared_time_is_refused_by_planning_and_by_verify_walk():
     # x0 and x1 vanish together at t = 1/2 of the second raw segment,
     # which lands at t = 3/4 of the plan
     quiet = wk.WalkSegment(((1, 2, 3),), ((0, 0, 0),), (0, 1))
@@ -1630,10 +1629,21 @@ def test_assemble_rejects_classes_sharing_a_time():
     x0 = class_id_by_span(CUBE, ((0, 1, 0), (0, 0, 1)))
     x1 = class_id_by_span(CUBE, ((1, 0, 0), (0, 0, 1)))
     ca, cb = sorted((x0, x1))
+    events = wk._planned_events(shared, pt.parallel_classes(CUBE))
+    assert events == [(Fr(1, 2), [ca, cb])]
+    # planning keeps a segment only when no time is shared
+    assert wk._first_shared(events) == [ca, cb]
+    # a plan that kept it anyway lists the first class at 3/4, and
+    # verify_walk's own scan names the shared time
     ident = la.identity(3)
-    msg = f"classes {ca} and {cb} degenerate together at t=3/4"
-    with pytest.raises(WalkError, match=re.escape(msg)):
-        wk._assemble(CUBE, [quiet, shared], ident, ident)
+    plan = wk._assemble([(quiet, []), (shared, events)], ident, ident)
+    assert plan.events == (wk.DegenerationEvent(Fr(3, 4), ca),)
+    cert = wk.verify_walk(CUBE, plan)
+    assert cert.violations == (
+        f"classes {ca} and {cb} share the event time 3/4",
+        "plan event log disagrees with the recomputation",
+    )
+    assert cert.events == ((Fr(3, 4), ca), (Fr(3, 4), cb))
 
 
 def test_full_walk_checks_each_span_once(monkeypatch):
@@ -1647,7 +1657,6 @@ def test_full_walk_checks_each_span_once(monkeypatch):
     monkeypatch.setattr(wk, "_require_admissible", counted)
     plan = wk.full_walk(CUBE, la.span_of([(1, 2, 3)]), la.span_of([(3, -1, 5)]), seed=1)
     assert wk.verify_walk(CUBE, plan).valid
-    # the two endpoints, then each span that enters the hyperplane
-    assert calls[:2] == ["start", "end"]
-    assert calls[2:] == ["hyperplane entry"] * (len(calls) - 2)
-    assert len(calls) <= 4
+    # the two endpoints only: the crossing scan rejects a segment whose
+    # end span degenerates a class, dependent end rows included
+    assert calls == ["start", "end"]
