@@ -16,6 +16,7 @@ from itertools import combinations
 
 from . import equiproj as eq
 from . import families as fam
+from . import kernels
 from . import linalg as la
 from . import polytope as pt
 from . import shadow as sh
@@ -465,7 +466,8 @@ def _estranged_subset(p, face_ids, need):
     faces = pt.k_faces(p, 2)
 
     def apart(a, b):
-        return la.intersect(faces[a].span, faces[b].span).dim == 0
+        # two 2-face planes meet in 0 exactly when their rows stack to rank 4
+        return kernels.rank_int(faces[a].span.int_rows + faces[b].span.int_rows) == 4
 
     return next(
         (

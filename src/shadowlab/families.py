@@ -267,7 +267,8 @@ def _triangle_self_test(p, spec, hint):
             raise PolytopeError(f"triangle {i} does not degenerate{hint}")
         spans.append(face.span)
     for i, j in combinations(range(spec.m), 2):
-        if la.intersect(spans[i], spans[j]).dim != 0:
+        # two 2-face planes meet in 0 exactly when their rows stack to rank 4
+        if kernels.rank_int(spans[i].int_rows + spans[j].int_rows) != 4:
             raise PolytopeError(
                 f"triangles {i} and {j} share a direction{hint}"
             )

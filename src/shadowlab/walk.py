@@ -21,9 +21,11 @@ products, over one positive denominator (AffinePoly). Their signs alone
 say whether a class degenerates on the segment, at an end, or along all
 of it. One scan (_segment_events) reads them for planning, whose events
 the plan keeps, and for verify_walk, and keys each event time by an
-integer, so no Fraction is hashed or sorted; verify_walk reads the rank of the rows at its sample
-times off the same two minor vectors, and tests that two segments meet
-in one span by the proportionality of their minor vectors there.
+integer, so no Fraction is hashed or sorted. verify_walk tests that two
+segments meet in one span by the proportionality of their minor vectors
+there, and needs no rank test of its own: where the rows are dependent
+every class determinant is zero, so the scan reports that time as one
+shared by every class, or as a fault of every class.
 A crossing's frame is read off its direction v (the witness plane is
 span(w1, v)), and a chain split slides on the face plane's (ebar, v).
 Randomness only picks candidate directions; every candidate is accepted
@@ -87,7 +89,8 @@ class WalkSegment:
     reversal and rotation, all of which run on them. The Fraction rows
     (base, slope, rows_at) are built only when asked for, at the API
     edge. Row independence over the closed range is a promise of the
-    constructors, checked again by verify_walk.
+    constructors; verify_walk rejects a family that breaks it, since
+    every class determinant is zero where the rows are dependent.
     """
 
     __slots__ = ("t_range", "_rows")
@@ -312,9 +315,13 @@ class SegmentMinors:
     contraction's multiples of one row) and for their rescaled,
     reversed and mapped images. Otherwise the minor vectors at the d-3
     interior points lo + k (hi - lo) / (d-2) are kept, and each class is
-    tested at them; d-1 points are exact for its degree. free_at reads
-    the rank of the rows at any t off the same end vectors when the
-    slopes have rank at most 1.
+    tested at them; d-1 points are exact for its degree.
+
+    The minor vector at t is zero exactly when the rows at t are
+    dependent, and then every class determinant is zero at t. So a
+    segment whose family loses rank at t0 on the closed range has no
+    class free of it: each class is not affine, zero along the whole
+    segment, zero at an end t0, or has its one root at t0 inside.
     """
 
     __slots__ = ("segment", "lo_vals", "hi_vals", "den", "_inner")
@@ -363,22 +370,6 @@ class SegmentMinors:
 
     def __call__(self, cls):
         return self.poly(cls, *self.end_values(cls))
-
-    def free_at(self, t):
-        """Whether the rows at the Fraction t are independent, that is
-        whether the minor vector at t is nonzero. When the slopes have
-        rank at most 1 it is ((hi - t) lo_vals + (t - lo) hi_vals) / ((hi - lo) den);
-        with t = p/q the two weights times q * lo.den * hi.den are
-        integers, and that factor is positive. When the slopes have
-        rank 2 or more, rank_int of the integer rows at t."""
-        if self._inner is not None:
-            seg = self.segment
-            return kernels.rank_int(seg.int_rows_at(t)[0]) == len(seg._rows)
-        lo, hi = self.segment.t_range
-        p, q = t.numerator, t.denominator
-        wa = (hi.numerator * q - p * hi.denominator) * lo.denominator
-        wb = (p * lo.denominator - lo.numerator * q) * hi.denominator
-        return any(wa * x + wb * y for x, y in zip(self.lo_vals, self.hi_vals))
 
 
 def degeneration_polynomial(segment, cls):
@@ -833,20 +824,26 @@ def verify_walk(p, plan):
     """Independent certificate for a walk plan.
 
     Recomputes every degeneration polynomial, isolates the roots, and
-    checks: affine determinants, free families at endpoints, events and
-    midpoints (SegmentMinors.free_at, on the minors of the segment's own
-    scan), no event at a junction, no two classes sharing a time,
-    junction spans equal, and the plan event log matching the
-    recomputation entry by entry. Two segments meet in one span exactly
-    when their minor vectors at the junction, the earlier segment's
-    hi_vals and the later one's lo_vals, are proportional; a zero
-    vector is a dependent family, which free_at reports, and a junction
-    next to a segment of the wrong shape is not compared. The scan lists
-    each segment's events in time order, so when the segment ranges
-    meet the recomputed log is in (time, class id) order and a permuted
-    plan log is rejected; ranges that do not meet are a violation of
-    their own. A malformed plan is reported in the certificate, not
-    raised.
+    checks: affine determinants, no event at a segment end, no two
+    classes sharing a time, junction spans equal, and the plan event log
+    matching the recomputation entry by entry. Two segments meet in one
+    span exactly when their minor vectors at the junction, the earlier
+    segment's hi_vals and the later one's lo_vals, are proportional; a
+    junction next to a segment of the wrong shape is not compared.
+
+    No rank is tested: where a segment's rows are dependent, at t0,
+    every class determinant is zero (SegmentMinors), so every class
+    faults (not affine, whole, or an end at t0, as at a junction with a
+    zero minor vector) or has its root at t0 inside, a time the scan
+    shows shared by every class, since d >= 3 gives two classes or more.
+    So a time every class shares, or an end where every class faults,
+    may mean a dependent family.
+
+    The scan lists each segment's events in time order, so when the
+    segment ranges meet the recomputed log is in (time, class id) order
+    and a permuted plan log is rejected; ranges that do not meet are a
+    violation of their own. A malformed plan is reported in the
+    certificate, not raised.
     """
     violations = []
     events = []
@@ -861,13 +858,7 @@ def verify_walk(p, plan):
     hi_last = segs[-1].t_range[1]
     # the SegmentMinors of each segment of the right shape, by index
     minors = {}
-
-    def free_at(polys, t, label):
-        if not polys.free_at(t):
-            violations.append(f"family loses rank at t={t} ({label})")
-
     for i, seg in enumerate(segs):
-        lo, hi = seg.t_range
         if len(seg._rows) != d - 2:
             violations.append(f"segment {i} has {len(seg._rows)} rows")
             continue
@@ -876,7 +867,7 @@ def verify_walk(p, plan):
                 f"segment {i} rows have width {len(seg._rows[0][0])}, expected {d}"
             )
             continue
-        if i and segs[i - 1].t_range[1] != lo:
+        if i and segs[i - 1].t_range[1] != seg.t_range[0]:
             violations.append(f"segments {i - 1} and {i} ranges do not meet")
         polys = minors[i] = SegmentMinors(seg)
         found, faults = _segment_events(polys, classes)
@@ -894,12 +885,6 @@ def verify_walk(p, plan):
                     f"classes {ids[0]} and {ids[1]} share the event time {t}"
                 )
             events.extend(DegenerationEvent(t, cid) for cid in ids)
-            free_at(polys, t, f"event in segment {i}")
-        samples = [lo] + [t for t, _ids in found] + [hi]
-        free_at(polys, lo, f"start of segment {i}")
-        free_at(polys, hi, f"end of segment {i}")
-        for a, b in zip(samples, samples[1:]):
-            free_at(polys, (a + b) / 2, f"between events in segment {i}")
     for i in range(1, len(segs)):
         if i - 1 not in minors or i not in minors:
             continue
@@ -907,7 +892,7 @@ def verify_walk(p, plan):
             continue
         x, y = minors[i - 1].hi_vals, minors[i].lo_vals
         # y is a multiple of x, read at x's first nonzero entry; a zero
-        # vector on either side passes
+        # vector on either side passes, as the scan faults every class there
         k = next((k for k, xk in enumerate(x) if xk), 0)
         if any(xj * y[k] != yj * x[k] for xj, yj in zip(x, y)):
             violations.append(f"junction spans differ between {i - 1} and {i}")

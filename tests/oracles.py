@@ -26,9 +26,9 @@ Fraction rows and a Fraction frame of both sliding rows, the visibility chains o
 pairs, shadow boundary containment from a scan of every hull edge, the
 estranged face subset by backtracking, a walk's junction spans and
 the crossing search's tests (its eta pre-filter, its shared junction
-span) as the walk layer once made them, from Subspaces, and a walk's
+span) as the walk layer once made them, from Subspaces, a walk's
 event log from a second scan of every rescaled segment on the original
-polytope.
+polytope, and a walk's rank losses from rank_int at sampled times.
 """
 
 import random
@@ -743,6 +743,25 @@ def oracle_segment_events(seg, classes):
         elif kind == "end":
             faults.append((cid, f"class {cid} degenerates at a segment endpoint (t={r})"))
     return sorted(found.items()), faults
+
+
+def oracle_rank_losses(p, plan):
+    """verify_walk's former sampled rank check: rank_int of each
+    segment's integer rows at its two ends, at the event times of its
+    three-point scan (oracle_segment_events) and at the midpoint between
+    each two consecutive samples. Returns (segment index, t) for every
+    sample where the rows are dependent, in segment and time order."""
+    classes = pt.parallel_classes(p)
+    out = []
+    for i, seg in enumerate(plan.segments):
+        lo, hi = seg.t_range
+        found, _faults = oracle_segment_events(seg, classes)
+        samples = [lo] + [t for t, _ids in found] + [hi]
+        times = sorted(samples + [(a + b) / 2 for a, b in zip(samples, samples[1:])])
+        out.extend(
+            (i, t) for t in times if kernels.rank_int(seg.int_rows_at(t)[0]) < p.dim - 2
+        )
+    return out
 
 
 class OracleSegment(namedtuple("OracleSegment", ["base", "slope", "t_range"])):

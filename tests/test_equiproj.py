@@ -1,6 +1,8 @@
 """Tests for visibility certificates, compensation and the deciders."""
 
+from collections import Counter
 from fractions import Fraction as Fr
+from math import comb
 
 import pytest
 
@@ -572,3 +574,19 @@ def test_signed_area_sign_matches_gram_frame(p):
         )
         assert want != 0
         assert _sign(eq._signed_area(p, face, face.span.int_rows)) == _sign(want)
+
+
+@pytest.mark.parametrize(
+    "m,d,seed",
+    [(d, d, None) for d in range(3, 7)]
+    + [(m, d, s) for m, d in ((5, 4), (6, 4), (6, 5)) for s in (0, 1, 4)],
+)
+def test_survey_is_complete_on_zonotopes_in_closed_form(m, d, seed):
+    # a class {g_i, g_j} of a zonotope of m generic generators has one
+    # certificate per antipodal vertex pair of the zonotope of the other
+    # m - 2 generators projected along its plane, in dimension d - 2,
+    # which has 2 sum_{i < d-2} C(m-3, i) vertices (Buck 1943; Zaslavsky)
+    p = fam.hypercube(d) if seed is None else fam.zonotope(fam.random_generators(m, d, seed))
+    per_class = Counter(wk._class_of_face(p, c.face_id) for c in eq.visible_pairs(p))
+    assert len(pt.parallel_classes(p)) == comb(m, 2)
+    assert per_class == {cid: sum(comb(m - 3, i) for i in range(d - 2)) for cid in range(comb(m, 2))}

@@ -150,6 +150,7 @@ UNREAD = {
     "kernels.sign_range": "traced by the benchmark",
     "linalg.det": "traced by the benchmark",
     "linalg.kernel_basis": "traced by the benchmark",
+    "linalg.intersect": "traced by the benchmark",
     "walk.degeneration_polynomial": "traced by the benchmark",
     "linalg.as_mat": "API for tests and users",
     "linalg.matvec": "API for tests and users",

@@ -35,6 +35,7 @@ from oracles import (
     oracle_degeneration_polynomial,
     oracle_edge_slide,
     oracle_hull_2d,
+    oracle_rank_losses,
     oracle_segment_events,
 )
 
@@ -526,16 +527,21 @@ def test_verify_detects_junction_mismatch():
 
 def test_verify_reports_dependent_junction_as_rank_loss():
     # the row vanishes at the junction t=1/2, so both minor vectors
-    # there are zero and no span is compared; free_at names the rank loss
+    # there are zero and no span is compared; every class of either
+    # segment is zero at that end, and the scan names each
     a = wk.WalkSegment(((1, 2, 3),), ((-2, -4, -6),), (0, Fr(1, 2)))
     b = wk.WalkSegment(((-1, -2, -3),), ((2, 4, 6),), (Fr(1, 2), 1))
     ident = la.identity(3)
     cert = wk.verify_walk(CUBE, wk.WalkPlan((a, b), (), ident, ident))
     assert not cert.valid
-    assert any("loses rank at t=1/2" in v for v in cert.violations)
+    side = tuple(f"class {c} degenerates at a segment junction (t=1/2)" for c in range(3))
+    assert cert.violations == side + side
 
 
 def test_verify_detects_rank_loss():
+    # row 0 vanishes at t=1/2: the class of span(e2, e3) has its root
+    # there, and every other class meets span(e0, e1), so it is zero
+    # along the whole segment
     cid = class_id_by_span(TESS, ((0, 0, 1, 0), (0, 0, 0, 1)))
     seg = wk.WalkSegment(
         ((1, 0, 0, 0), (0, 1, 0, 0)),
@@ -546,7 +552,10 @@ def test_verify_detects_rank_loss():
     ident = la.identity(4)
     cert = wk.verify_walk(TESS, wk.WalkPlan((seg,), events, ident, ident))
     assert not cert.valid
-    assert any("loses rank" in v for v in cert.violations)
+    assert cid == 0
+    assert cert.violations == tuple(
+        f"class {c} is degenerate along segment 0" for c in range(1, 6)
+    )
 
 
 def test_verify_detects_endpoint_event():
@@ -1495,41 +1504,92 @@ def test_segment_events_match_the_three_point_scan_on_wider_slopes(case):
     assert_scan_matches_oracle(seg, pt.parallel_classes(p))
 
 
+def _dependent_at(seg, t, c):
+    """seg with row 0 reset so that at t it is c times row 1, or zero
+    when there is one row: the rows at t are dependent."""
+    rows = seg.rows_at(t)
+    target = la.scale(rows[1], c) if len(rows) > 1 else wk._zero_vec(len(rows[0]))
+    base = (la.sub(target, la.scale(seg.slope[0], t)),) + seg.base[1:]
+    return wk.WalkSegment(base, seg.slope, seg.t_range)
+
+
+def _time_in(draw, lo, hi, ends=True):
+    """A time of [lo, hi], an end when ends allows it, else inside."""
+    f = st.fractions(min_value=0, max_value=1, max_denominator=9)
+    if ends:
+        f = st.sampled_from((Fr(0), Fr(1))) | f
+    else:
+        f = f.filter(lambda x: 0 < x < 1)
+    return lo + (hi - lo) * draw(f)
+
+
 @st.composite
 def planted_rank_losses(draw):
-    """A zoo segment with rank-one or wider slopes, a time t and more
-    random times; half the time the first row is reset so that the rows
-    at t are dependent (row 0 at t a multiple of row 1, or zero)."""
+    """A zoo segment with rank-one or wider slopes; most of the time its
+    rows are made dependent at an end or at a time inside its range."""
     slopes = draw(st.sampled_from(("one", "many")))
     p, seg = draw(zoo_segments(FRAME_ZOO if slopes == "one" else FRAME_ZOO[3:], slopes))
-    t = draw(RATS)
-    if draw(st.booleans()):
-        rows = seg.rows_at(t)
-        target = la.scale(rows[1], draw(RATS)) if len(rows) > 1 else wk._zero_vec(p.dim)
-        base = (la.sub(target, la.scale(seg.slope[0], t)),) + seg.base[1:]
-        seg = wk.WalkSegment(base, seg.slope, seg.t_range)
-    return p, seg, [t] + draw(st.lists(RATS, max_size=4))
+    if draw(st.integers(0, 9)) < 7:
+        seg = _dependent_at(seg, _time_in(draw, *seg.t_range), draw(RATS))
+    return p, (seg,)
 
 
-@settings(max_examples=80, deadline=None)
-@given(planted_rank_losses())
-def test_free_at_matches_rank_int(case):
-    p, seg, times = case
-    polys = wk.SegmentMinors(seg)
+@st.composite
+def planted_dependent_junctions(draw):
+    """Two segments on [lo, t] and [t, hi], with rank-one slopes, that
+    meet at t in one dependent family: a planted segment cut at t, the
+    later part given a slope of its own."""
+    p, seg = draw(zoo_segments(slopes="one"))
     lo, hi = seg.t_range
-    found, _faults = wk._segment_events(polys, pt.parallel_classes(p))
-    # verify_walk's sample times, then the planted and random ones
-    samples = [lo] + [t for t, _ids in found] + [hi]
-    times = samples + [(a + b) / 2 for a, b in zip(samples, samples[1:])] + times
-    for t in times:
-        want = kernels.rank_int(seg.int_rows_at(t)[0]) == p.dim - 2
-        assert polys.free_at(Fr(t)) == want
+    t = _time_in(draw, lo, hi, ends=False)
+    seg = _dependent_at(seg, t, draw(RATS))
+    w = draw(st.tuples(*[RATS] * p.dim))
+    slope = tuple(la.scale(w, draw(RATS)) for _ in seg.base)
+    base = tuple(la.sub(r, la.scale(s, t)) for r, s in zip(seg.rows_at(t), slope))
+    return p, (wk.WalkSegment._of(seg._rows, (lo, t)), wk.WalkSegment(base, slope, (t, hi)))
+
+
+def assert_rank_losses_rejected(p, segs):
+    """Every rank loss the oracle finds fails verify_walk, given the
+    plan's own recomputed event log so that only the rank can matter;
+    on a segment with no fault, the loss is a time every class shares."""
+    ident = la.identity(p.dim)
+    plan = wk.WalkPlan(segs, (), ident, ident)
+    plan = plan._replace(events=wk.verify_walk(p, plan).events)
+    cert = wk.verify_walk(p, plan)
+    assert "plan event log disagrees with the recomputation" not in cert.violations
+    losses = oracle_rank_losses(p, plan)
+    if losses:
+        assert not cert.valid
+    classes = pt.parallel_classes(p)
+    for i, t in losses:
+        if not oracle_segment_events(segs[i], classes)[1]:
+            assert any(v.endswith(f" share the event time {t}") for v in cert.violations)
+    return losses
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_rank_losses())
+# the row vanishes at t = 1/2, where every class of the cube has its
+# root, and at the end t = 1, where every class faults
+@example((CUBE, (wk.WalkSegment(((1, 2, 3),), ((-2, -4, -6),), (0, 1)),)))
+@example((CUBE, (wk.WalkSegment(((1, 2, 3),), ((-1, -2, -3),), (0, 1)),)))
+def test_verify_walk_rejects_every_rank_loss_the_oracle_finds(case):
+    assert_rank_losses_rejected(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_dependent_junctions())
+def test_verify_walk_rejects_a_planted_dependent_junction(case):
+    p, segs = case
+    t = segs[1].t_range[0]
+    assert (0, t) in assert_rank_losses_rejected(p, segs)
 
 
 def test_walk_segments_take_the_affine_path(monkeypatch):
     # each scan of full_walk and verify_walk builds its SegmentMinors
-    # from the two end minor vectors alone, verify_walk's rank checks
-    # read the minors of its own scan, and none runs rank_int
+    # from the two end minor vectors alone, and verify_walk runs no
+    # rank_int
     calls = Counter()
     for name in ("complementary_minors", "rank_int"):
 
@@ -1538,8 +1598,8 @@ def test_walk_segments_take_the_affine_path(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    built, scanned, checked = [], [], []
-    init, scan, free_at = wk.SegmentMinors.__init__, wk._segment_events, wk.SegmentMinors.free_at
+    built, scanned = [], []
+    init, scan = wk.SegmentMinors.__init__, wk._segment_events
 
     def counted_init(self, segment):
         before = calls["complementary_minors"]
@@ -1550,25 +1610,18 @@ def test_walk_segments_take_the_affine_path(monkeypatch):
         scanned.append(polys)
         return scan(polys, classes)
 
-    def counted_free_at(self, t):
-        before = calls["rank_int"]
-        out = free_at(self, t)
-        checked.append((self, calls["rank_int"] - before))
-        return out
-
     monkeypatch.setattr(wk.SegmentMinors, "__init__", counted_init)
-    monkeypatch.setattr(wk.SegmentMinors, "free_at", counted_free_at)
     monkeypatch.setattr(wk, "_segment_events", recorded_scan)
     for name in ("cube4", "pn4"):
         p = WALK_SUITE[name]()
         planes = sh.sample_admissible(p, f"affine:{name}", 4)
         for i in range(2):
             plan = wk.full_walk(p, planes[2 * i].complement, planes[2 * i + 1].complement, i)
+            before = calls["rank_int"]
             assert wk.verify_walk(p, plan).valid
+            assert calls["rank_int"] == before
     assert built and set(built) == {2}
     assert len(built) == len(scanned)
-    own = {id(polys) for polys in scanned}
-    assert checked and all(id(polys) in own and n == 0 for polys, n in checked)
 
 
 def test_segment_events_hash_and_compare_no_fraction(monkeypatch):
