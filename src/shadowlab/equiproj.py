@@ -22,8 +22,8 @@ its faces of every dimension come from integer gift wrapping
 (polytope.int_facets); no Polytope is built for it. A cell lying in
 another class's orthogonal complement degenerates that class too and
 is skipped; every other cell has an exact witness plane. Certificates
-are proofs: every emitted witness is re-validated with exact
-arithmetic, and the absence of one is a proof as well.
+are proofs by construction (see _certify), and the absence of one is a
+proof as well.
 """
 
 from collections import namedtuple
@@ -129,16 +129,24 @@ def _face_chains(p, face_id, frame):
     return FaceChains(face_id, state.fixed, visible, invisible)
 
 
-def _certify(p, face_id, other_id, rows):
-    """Build a certificate from an exact witness, re-validating it.
+def _certify(p, cid, face_id, other_id, rows):
+    """The certificate of class cid's visible members face_id and
+    other_id at _witness's rows.
 
-    The witness span is built once and validated by
-    elementary_transformation. The chains of the face and its partner
-    are read off one hull, just before the crossing, at the plane
-    orthogonal to the probe's rows there.
+    The chains are read off one hull, at the crossing probe's plane
+    just before the crossing (t = -eps / 2). The witness is valid by
+    construction and is not checked again. Only class cid degenerates
+    at it: _witness returns no other rows. It meets the class plane P
+    in a line: crossing_probe raises unless witness + P has rank d - 1
+    and the witness holds u1, the primitive rows[0]. The members lie on
+    the shadow boundary: every row is orthogonal to the cell's c, so c
+    lies in the witness plane, and projecting onto it keeps c . x. The
+    face of p where c . x is largest or smallest, which holds each
+    member, lands on the shadow's supporting line there, and that line
+    meets the shadow in one closed edge or a vertex.
     """
-    tr = wk.elementary_transformation(p, face_id, other_id, la.Subspace(rows))
-    frame = sh.hull_frame(p, tr.minus.plane_at(-tr.epsilon / 2))
+    probe, _v, eps = wk.crossing_probe(p, cid, rows, la.primitive(rows[0]))
+    frame = sh.hull_frame(p, probe.plane_at(-eps / 2))
     chains = _face_chains(p, face_id, frame)
     other = None
     if other_id is not None:
@@ -304,7 +312,7 @@ def _survey(p):
         for conf in sorted(found):
             rows = _witness(p, cid, found[conf])
             other = conf[1] if len(conf) == 2 else None
-            certs.append(_certify(p, conf[0], other, rows))
+            certs.append(_certify(p, cid, conf[0], other, rows))
     return tuple(certs)
 
 
@@ -391,24 +399,6 @@ def orient(p, cert):
     )
 
 
-def _compensating(p, n1, n2, edges):
-    d1 = _edge_direction(p, edges[n1.edge_id])
-    d2 = _edge_direction(p, edges[n2.edge_id])
-    if not _parallel(d1, d2):
-        return False
-    # d2 = mu d1, and mu has the sign of d1[i] d2[i]
-    i = next(j for j, x in enumerate(d1) if x != 0)
-    if n1.orientation * n2.orientation * d1[i] * d2[i] >= 0:
-        return False
-    if n1.face_id == n2.face_id and n1.partner_id == n2.partner_id:
-        return n1.edge_id != n2.edge_id
-    return (
-        n1.partner_id is not None
-        and n1.face_id == n2.partner_id
-        and n1.partner_id == n2.face_id
-    )
-
-
 def compensation_partition(p, certs):
     """Perfect compensation pairing of the certificates' edge-2-faces.
 
@@ -420,7 +410,18 @@ def compensation_partition(p, certs):
     Obstruction naming the first group that does not pair. A face
     holds at most two edges on a line, so a group of more than four
     means broken face data and raises GeometryError.
+
+    Only the input is checked: two certificates naming one set of faces
+    raise ParameterError. The pairs need no check. Every node is in one
+    group, and a group that pairs has as many forward nodes as
+    backward, so every node is paired. A pair shares a face pair and a
+    line, so its edges are parallel, and it runs in opposite senses.
+    Its edges differ: a certificate's two faces are parallel and share
+    no edge, and no two certificates name the same faces.
     """
+    named = [frozenset({cert.face_id, cert.other_id} - {None}) for cert in certs]
+    if len(set(named)) != len(named):
+        raise ParameterError("two certificates name the same faces")
     nodes = []
     for cert in certs:
         nodes.extend(orient(p, cert))
@@ -457,12 +458,6 @@ def compensation_partition(p, certs):
                 nodes, idx, "no orientation-compatible pairing in the group"
             )
         pairs.extend(tuple(sorted(pair)) for pair in zip(forward, backward))
-    matched = sorted(i for pair in pairs for i in pair)
-    if matched != list(range(len(nodes))):
-        raise GeometryError("pairing failed to cover every edge-2-face")
-    for i, j in pairs:
-        if not _compensating(p, nodes[i], nodes[j], edges):
-            raise GeometryError("pairing holds a non-compensating pair")
     return CompensationPairing(nodes, tuple(pairs))
 
 

@@ -34,6 +34,9 @@ COPIED = ("src", "tests", "bench", "pyproject.toml")
 Mutant = namedtuple("Mutant", ["id", "file", "old", "new", "tests"])
 
 WALK = "src/shadowlab/walk.py"
+EQUIPROJ = "src/shadowlab/equiproj.py"
+POLYTOPE = "src/shadowlab/polytope.py"
+KERNELS = "src/shadowlab/kernels.py"
 DIFFERENTIAL = "tests/test_walk.py::test_verify_walk_rejects_every_rank_loss_the_oracle_finds"
 
 MUTANTS = [
@@ -112,6 +115,46 @@ MUTANTS = [
         'violations.append(f"class {cid} degenerates at a segment {edge} (t={t})")',
         "pass",
         [DIFFERENTIAL],
+    ),
+    # the survey's chains, read off its crossing probe
+    Mutant(
+        "chains-read-after-the-crossing",
+        EQUIPROJ,
+        "probe.plane_at(-eps / 2)",
+        "probe.plane_at(eps / 2)",
+        ["tests/test_certificate_path.py::test_visible_pairs_match_oracle_certificates"],
+    ),
+    # the compensation pairs, which the pairing does not re-test
+    Mutant(
+        "forward-paired-with-forward",
+        EQUIPROJ,
+        "zip(forward, backward)",
+        "zip(forward, forward)",
+        ["tests/test_compensation_keys.py::test_every_pair_passes_the_fraction_test"],
+    ),
+    # the mirrored wrap of centrally symmetric clouds
+    Mutant(
+        "mirrored-offset-negated",
+        POLYTOPE,
+        "found[_mirror(tight, n)] = (tuple(-x for x in normal), offset)",
+        "found[_mirror(tight, n)] = (tuple(-x for x in normal), -offset)",
+        ["tests/test_mirrored_wrap.py::test_class_bodies_match_the_plain_wrap"],
+    ),
+    Mutant(
+        "mirror-lattice-dropped",
+        POLYTOPE,
+        "_mirror_lattice(memo, tight, n)",
+        "None",
+        ["tests/test_mirrored_wrap.py::test_class_bodies_match_the_plain_wrap"],
+    ),
+    # the witness search's membership test on cached minors
+    Mutant(
+        "in-plane-one-minor",
+        KERNELS,
+        "        if u[i] * minors[jk] - u[j] * minors[ik] + u[k] * minors[ij]:\n"
+        "            return False\n",
+        "        return not (u[i] * minors[jk] - u[j] * minors[ik] + u[k] * minors[ij])\n",
+        ["tests/test_kernels.py::test_in_plane_matches_rank_int"],
     ),
 ]
 

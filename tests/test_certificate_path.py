@@ -1,14 +1,19 @@
 """The integer certificate path against its Fraction oracles.
 
 equiproj._witness searches on integer class rows, and
-walk.elementary_transformation and crossing_probe validate the witness
-once and read every kernel off integer rows. Each must give exactly what
-the Fraction bodies in tests/oracles.py give: the same witness rows as
-Fractions, every ElementaryTransformation field equal in value and in
-type, and the same certificates from visible_pairs. The survey reads
-one cell per mirror pair of each difference body's faces; the oracle
-survey reads every cell, on the zoo, zonotope #8, pn(6) and small
-random hulls, centrally symmetric or not.
+walk.elementary_transformation and crossing_probe read every kernel off
+integer rows; elementary_transformation validates a caller's witness
+once. Each must give exactly what the Fraction bodies in
+tests/oracles.py give: the same witness rows as Fractions, every
+ElementaryTransformation field equal in value and in type, and the same
+certificates from visible_pairs. The survey validates no witness of its
+own, since each is valid by construction: its _certify reads the chains
+off crossing_probe's plane, while the oracle survey validates every
+witness through the Fraction transformation and reads the chains off
+its minus half-segment. The survey reads one cell per mirror pair of
+each difference body's faces; the oracle survey reads every cell, on
+the zoo, zonotope #8, pn(6) and small random hulls, centrally symmetric
+or not.
 """
 
 import re

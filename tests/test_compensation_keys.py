@@ -1,6 +1,8 @@
 """The compensation pairing on integer edge directions, against the
-Fraction keying, rank test and mu sign it replaced, and against the
-exhaustive matching of each group it replaced (tests/oracles.py)."""
+Fraction keying it replaced and against the exhaustive matching of each
+group it replaced (tests/oracles.py). The pairing does not test its
+own pairs, so every pair it returns must pass the Fraction compensation
+test, and input that names one set of faces twice must be refused."""
 
 from fractions import Fraction as Fr
 from functools import cache
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import shadowlab.equiproj as eq
 import shadowlab.families as fam
 import shadowlab.polytope as pt
-from shadowlab.errors import PolytopeError
+from shadowlab.errors import ParameterError, PolytopeError
 from oracles import (
     oracle_compensating,
     oracle_compensation_partition,
@@ -52,7 +54,6 @@ def surveyed(name):
 def fraction_keying(monkeypatch):
     monkeypatch.setattr(eq, "_edge_direction", oracle_edge_direction)
     monkeypatch.setattr(eq, "_direction_key", oracle_direction_key)
-    monkeypatch.setattr(eq, "_compensating", oracle_compensating)
 
 
 @pytest.mark.parametrize("negated", [False, True])
@@ -71,12 +72,22 @@ def test_partition_matches_fraction_keying(name, negated, monkeypatch):
     assert got == want
 
 
+def assert_pairs_compensate(p, got):
+    """Every pair of a CompensationPairing passes the Fraction test."""
+    if isinstance(got, eq.CompensationPairing):
+        nodes = got.edge_two_faces
+        edges = pt.k_faces(p, 1)
+        for i, j in got.pairs:
+            assert oracle_compensating(p, nodes[i], nodes[j], edges)
+
+
 def assert_matches_exhaustive_matching(p, certs):
     got = eq.compensation_partition(p, certs)
     want = oracle_compensation_partition(p, certs)
     # the same nodes and pairs, or the same group and reason
     assert type(got) is type(want)
     assert got == want
+    assert_pairs_compensate(p, got)
     paired = isinstance(got, eq.CompensationPairing)
     assert paired == oracle_has_perfect_matching(p, got.edge_two_faces)
     return got
@@ -129,26 +140,46 @@ def test_partition_matches_exhaustive_matching_on_drawn_hulls(p):
     assert_matches_exhaustive_matching(p, eq._survey(p))
 
 
-def test_compensating_matches_fraction_test():
-    # every pair of edge-2-faces of one face pair agrees with the
-    # Fraction test; among them are edges whose direction starts with a
-    # negative entry (pn4, pnd5, the prism), where the sign of mu is
-    # not that of the second direction's entry alone
-    negative = 0
+def test_every_pair_passes_the_fraction_test():
+    # among the edges are some whose direction starts with a negative
+    # entry (pn4, pnd5, the prism), whose forward sense is the reverse
+    # of the edge's own; negated orientations are run through
+    # assert_matches_exhaustive_matching on the zoo
+    negative = paired = 0
     for name in sorted(POLYTOPES):
         p, certs = surveyed(name)
+        got = eq.compensation_partition(p, certs)
+        assert_pairs_compensate(p, got)
+        paired += isinstance(got, eq.CompensationPairing)
         edges = pt.k_faces(p, 1)
-        nodes = eq.compensation_partition(p, certs).edge_two_faces
-        for n1 in nodes:
-            d1 = oracle_edge_direction(p, edges[n1.edge_id])
-            i = next(j for j, x in enumerate(d1) if x)
-            negative += d1[i] < 0
-            for n2 in nodes:
-                if {n1.face_id, n1.partner_id} != {n2.face_id, n2.partner_id}:
-                    continue
-                want = oracle_compensating(p, n1, n2, edges)
-                assert eq._compensating(p, n1, n2, edges) == want
-    assert negative
+        for n in got.edge_two_faces:
+            d = oracle_edge_direction(p, edges[n.edge_id])
+            negative += next(x for x in d if x) < 0
+    assert negative and paired
+
+
+def swapped(cert):
+    """The certificate of a face pair with its two faces swapped."""
+    return cert._replace(
+        face_id=cert.other_id,
+        other_id=cert.face_id,
+        chains=cert.other_chains,
+        other_chains=cert.chains,
+    )
+
+
+@pytest.mark.parametrize("name", ["prism", "cube4"])
+def test_partition_refuses_faces_named_twice(name):
+    # the pairing does not check its own pairs, so a list that names one
+    # set of faces twice is refused before any pair is formed
+    p, certs = surveyed(name)
+    pair = next(c for c in certs if c.other_id is not None)
+    for bad in (certs + certs, certs + (swapped(pair),), (pair, swapped(pair))):
+        with pytest.raises(ParameterError, match="name the same faces"):
+            eq.compensation_partition(p, bad)
+    # a face alone and the same face in a pair are different sets
+    alone = pair._replace(other_id=None, other_chains=None)
+    assert eq.compensation_partition(p, (pair, alone)).edge_two_faces
 
 
 entry = st.integers(min_value=-30, max_value=30)

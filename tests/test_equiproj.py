@@ -274,6 +274,40 @@ def test_visible_pairs_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fam.hypercube(4),
+        lambda: fam.pn_polytope(4),
+        lambda: fam.hyperprism_pnd(2, 5, 0),
+        lambda: fam.perturbed_hypercube(Fr(1, 100)),
+    ],
+    ids=["cube4", "pn4", "pnd5", "perturbed"],
+)
+def test_survey_reads_each_certificate_off_one_hull(make, monkeypatch):
+    # a witness is valid by construction: the survey builds one shadow
+    # hull per certificate, for its chains, and validates no witness
+    p = make()
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(sh, "hull_frame", counted("hull_frame", sh.hull_frame))
+    monkeypatch.setattr(
+        wk,
+        "_validate_visibility_witness",
+        counted("validate", wk._validate_visibility_witness),
+    )
+    certs = eq._survey(p)
+    assert certs
+    assert calls == {"hull_frame": len(certs)}
+
+
 # ----------------------------------------------------------- orientation
 
 
