@@ -330,26 +330,23 @@ def _traversal(p, face, flipped):
 
 
 def _signed_area(p, face, frame):
-    """Twice the signed area of the face cycle's integer image under the
-    integer rows frame of its plane.
-
-    Its sign is that of the area in the plane's Gram coordinates: the
-    integer image is their image under the Gram matrix composed with the
-    positive row and vertex factors, a map of positive determinant.
+    """The turn of the face cycle's first three vertices' integer
+    images under the integer rows frame of its plane (or of a parallel
+    face's, which is one to one on it too). In a strictly convex
+    polygon every turn in cycle order has the sign of its area, and that
+    is the sign in the plane's Gram coordinates: the integer image is
+    their image under the Gram matrix composed with the positive row and
+    vertex factors, a map of positive determinant.
     """
     verts = p.int_vertices()[0]
-    origin = verts[face.vertex_ids[0]]
-    xs = []
-    for v in pt.face_cycle(p, face):
-        diff = tuple(map(sub, verts[v], origin))
-        xs.append(tuple(kernels.dot(a, diff) for a in frame))
-    area = sum(
-        x1 * y2 - x2 * y1
-        for (x1, y1), (x2, y2) in zip(xs, xs[1:] + xs[:1])
+    a, b, c = (
+        tuple(kernels.dot(r, verts[v]) for r in frame)
+        for v in pt.face_cycle(p, face)[:3]
     )
-    if area == 0:
+    turn = kernels.cross2(a, b, c)
+    if turn == 0:
         raise GeometryError("degenerate face cycle")
-    return area
+    return turn
 
 
 def _cycle_nodes(cyc, fid, oid, eidx):

@@ -20,7 +20,8 @@ directly.
 A Polytope stores its face ids by dimension and its facets' planes.
 The rest is computed on demand and cached: every Face and its span in
 k_faces (the one builder), parallel classes of 2-faces by span
-equality, and proscribed directions as the pairwise span intersections.
+equality, proscribed directions as the pairwise span intersections,
+and 2-face cycles, each the planar hull of its polygon (face_cycle).
 """
 
 from fractions import Fraction
@@ -587,37 +588,32 @@ def edge_index(p):
 
 
 def face_cycle(p, face):
-    """Vertex ids of a 2-face in boundary-cycle order, as a tuple
-    cached on the polytope.
+    """Vertex ids of a 2-face in boundary-cycle order, as a tuple cached
+    on the polytope: from the smallest id toward its smaller neighbour.
 
-    The cycle starts at the smallest vertex id; direction is not
-    specified here (callers orient it).
+    A 2-face is a strictly convex polygon, ordered by the one planar
+    hull (kernels.strict_hull_2d) of its vertices' images (f1 . v,
+    f2 . v) under its span's integer rows. Their Gram matrix is
+    nonsingular, so the map is one to one on the face's plane, and
+    every vertex of p in the face is a vertex of the polygon: the strict
+    hull keeps every id, in cyclic order. Fewer ids mean broken data.
     """
     if face.dim != 2:
         raise ParameterError("face_cycle needs a 2-face")
     cycle = p._cycles.get(face.vertex_ids)
     if cycle is not None:
         return cycle
-    adj = {v: [] for v in face.vertex_ids}
-    for edge in face_edges(p, face):
-        a, b = edge.vertex_ids
-        adj[a].append(b)
-        adj[b].append(a)
-    for v, nb in adj.items():
-        if len(nb) != 2:
-            raise PolytopeError(f"2-face boundary broken at vertex {v}")
-    start = face.vertex_ids[0]
-    cycle = [start]
-    prev = None
-    cur = start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-    cycle = p._cycles[face.vertex_ids] = tuple(cycle)
+    verts = p.int_vertices()[0]
+    f1, f2 = face.span.int_rows
+    ids = {(kernels.dot(f1, verts[v]), kernels.dot(f2, verts[v])): v for v in face.vertex_ids}
+    ring = [ids[q] for q in kernels.strict_hull_2d(ids)]
+    if len(ring) != len(face.vertex_ids):
+        raise PolytopeError(f"2-face {face.vertex_ids} is not a convex polygon")
+    i = ring.index(face.vertex_ids[0])
+    ring = ring[i:] + ring[:i]
+    if ring[1] > ring[-1]:
+        ring[1:] = ring[:0:-1]
+    cycle = p._cycles[face.vertex_ids] = tuple(ring)
     return cycle
 
 

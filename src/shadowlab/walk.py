@@ -605,8 +605,8 @@ def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
     if w[0] != 0:
         span_a = classes[ca].direction_plane
         lines = (pd.line for pd in pt.proscribed_directions(p))
-        pf = next((ln for ln in lines if span_a.contains(ln)), None)
-        if pf is None or pf[0] == 0:
+        pf = next(ln for ln in lines if span_a.contains(ln))
+        if pf[0] == 0:
             return None
         # pf spans a line of the class plane, already inside fixed, so
         # the translated w keeps its rank contribution
@@ -672,7 +672,7 @@ def _fragment_to_hyperplane(p, rows0, seed):
     raise WalkError(f"crossing search exhausted its budget: {last_error}")
 
 
-def _fragment_within(p, rows0, seed):
+def _fragment_within(p, rows0):
     """Raw pieces (_assemble) from the admissible span of the integer
     rows rows0, inside the reference hyperplane, down to span(e2, ...,
     e_{d-1}). p must be in the reference arrangement."""
@@ -770,14 +770,14 @@ def walk_to_hyperplane(p, start, seed=0):
     return _identity_walk(p, start, lambda rows: _fragment_to_hyperplane(p, rows, seed)[0])
 
 
-def walk_within_hyperplane(p, start, seed=0):
+def walk_within_hyperplane(p, start):
     """Walk inside the reference hyperplane down to the reference
     orthogonal span(e2, ..., e_{d-1}).
 
     The start span must be admissible and contained in the hyperplane.
     A start equal to the reference span yields an empty plan.
     """
-    return _identity_walk(p, start, lambda rows: _fragment_within(p, rows, seed))
+    return _identity_walk(p, start, lambda rows: _fragment_within(p, rows))
 
 
 def full_walk(p, frm, to, seed=0):
@@ -809,9 +809,9 @@ def full_walk(p, frm, to, seed=0):
         return tuple(_int_map(fwd, r) for r in span.int_rows)
 
     a_to, a_end = _fragment_to_hyperplane(q, push(span_a), f"{seed}:a")
-    a_in = _fragment_within(q, a_end, f"{seed}:aw")
+    a_in = _fragment_within(q, a_end)
     b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b")
-    b_in = _fragment_within(q, b_end, f"{seed}:bw")
+    b_in = _fragment_within(q, b_end)
     back = [(s.reversed(), [(1 - t, ids) for t, ids in ev[::-1]]) for s, ev in b_to + b_in]
     pieces = [
         (s.mapped(int_inv), [(t, [to_p[c] for c in ids]) for t, ids in ev])
@@ -964,12 +964,12 @@ def crossing_probe(p, cid, witness, u1, reverse=False):
     complement of witness + class plane, which has rank d-1, so v is
     unique up to sign; reverse flips it. Returns (probe, v, eps): probe
     moves the witness, based at u1 and its rows, along v for t in
-    [-1, 1], and eps is half the smallest |t| at which another class
-    degenerates on it (1 if none does). The kernel and the probe rows
-    come from the witness's stored integer rows and multipliers; on
-    [-1, 1] a class's root is (a + b) / (a - b) in its end values, so
-    the smallest |t| is found by cross-multiplication and eps is the
-    one Fraction built.
+    [-1, 1]. eps is half the smallest |root| of another class anywhere
+    on the probe's line, so it can exceed 1; it is 1 only when no other
+    class has a root. The kernel and the probe rows come from the
+    witness's stored integer rows and multipliers; a class's root is
+    (a + b) / (a - b) in its end values at -1 and 1, so the smallest
+    |root| is found by cross-multiplication and eps is the one Fraction built.
     """
     d = p.dim
     classes = pt.parallel_classes(p)

@@ -156,6 +156,51 @@ MUTANTS = [
         "        return not (u[i] * minors[jk] - u[j] * minors[ik] + u[k] * minors[ij])\n",
         ["tests/test_kernels.py::test_in_plane_matches_rank_int"],
     ),
+    # a 2-face's cycle read off its hull, and its sense off one turn
+    Mutant(
+        "face-cycle-not-reversed",
+        POLYTOPE,
+        "    if ring[1] > ring[-1]:\n        ring[1:] = ring[:0:-1]\n",
+        "",
+        ["tests/test_polytope.py::test_face_cycle_matches_the_adjacency_walk"],
+    ),
+    Mutant(
+        "face-cycle-not-rotated",
+        POLYTOPE,
+        "    ring = ring[i:] + ring[:i]\n",
+        "",
+        ["tests/test_polytope.py::test_face_cycle_matches_the_adjacency_walk"],
+    ),
+    Mutant(
+        "turn-read-backwards",
+        EQUIPROJ,
+        "turn = kernels.cross2(a, b, c)",
+        "turn = kernels.cross2(a, c, b)",
+        ["tests/test_equiproj.py::test_signed_area_matches_the_shoelace_on_every_certificate_pair"],
+    ),
+    # the gift wrap's seeded ridges and closed-form planar facets
+    Mutant(
+        "ridge-seed-not-negated",
+        POLYTOPE,
+        "    if s < 0:\n        g, g0 = [-x for x in g], -g0\n",
+        "",
+        ["tests/test_polytope.py::test_gift_wrapping_matches_oracle_on_zoo"],
+    ),
+    Mutant(
+        "low-facets-mirror-not-negated",
+        POLYTOPE,
+        "found[_mirror(tight, len(pts))] = ((-n0, -n1), offset)",
+        "found[_mirror(tight, len(pts))] = ((n0, n1), offset)",
+        ["tests/test_mirrored_wrap.py::test_class_bodies_match_the_plain_wrap"],
+    ),
+    # the survey's span masks
+    Mutant(
+        "cells-skip-rank-d-3",
+        EQUIPROJ,
+        "if rank == len(basis):",
+        "if rank >= len(basis) - 1:",
+        ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
+    ),
 ]
 
 

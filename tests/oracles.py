@@ -11,8 +11,10 @@ and from the plain gift wrap (every facet popped, every ridge pivoted,
 no mirrors),
 k-faces from intersections over all facet subsets, the face lattice
 from closing the facets under intersection, planar hulls from pointwise extremeness tests plus an
-angle sort, the compensation pairing from an exhaustive search of each
-group's matchings, visible configurations from a seeded search over
+angle sort, 2-face cycles from a walk of adjacency lists over a scan of every
+edge and their sense from a shoelace over every vertex, the
+compensation pairing from an exhaustive search of each group's
+matchings, visible configurations from a seeded search over
 random witness planes, walk degeneration polynomials from rational
 determinants at d - 1 times and from per-class integer dot products at
 the ends and interior times (the three-point scan), walk segments from
@@ -897,6 +899,42 @@ def oracle_face_edges(p, face):
     """Edges of p inside a face, by a scan of every edge of p."""
     inside = set(face.vertex_ids)
     return [e for e in pt.k_faces(p, 1) if set(e.vertex_ids) <= inside]
+
+
+def oracle_face_cycle(p, face):
+    """pt.face_cycle as the graph walk it once was: adjacency lists over
+    the face's edges, found by a scan of every edge of p, walked from
+    the smallest id toward the neighbour its first edge in edge order
+    names, which is its smaller one."""
+    adj = {v: [] for v in face.vertex_ids}
+    for edge in oracle_face_edges(p, face):
+        a, b = edge.vertex_ids
+        adj[a].append(b)
+        adj[b].append(a)
+    for v, nb in adj.items():
+        if len(nb) != 2:
+            raise PolytopeError(f"2-face boundary broken at vertex {v}")
+    start = face.vertex_ids[0]
+    cycle = [start]
+    prev = None
+    cur = start
+    while True:
+        a, b = adj[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+    return tuple(cycle)
+
+
+def oracle_signed_area(p, face, frame):
+    """Twice the signed area of the oracle cycle's image under the rows
+    frame, by the shoelace over every vertex, on Fraction vertices."""
+    origin = p.vertices[face.vertex_ids[0]]
+    diffs = [la.sub(p.vertices[v], origin) for v in oracle_face_cycle(p, face)]
+    xs = [tuple(sum(Fraction(r) * x for r, x in zip(row, diff)) for row in frame) for diff in diffs]
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(xs, xs[1:] + xs[:1]))
 
 
 def oracle_in_boundary(frame, vertex_ids):

@@ -17,6 +17,7 @@ from oracles import (
     oracle_class_degeneracy_det,
     oracle_boundary_members,
     oracle_lottery_configurations,
+    oracle_signed_area,
     oracle_solve_gram,
 )
 
@@ -608,6 +609,33 @@ def test_signed_area_sign_matches_gram_frame(p):
         )
         assert want != 0
         assert _sign(eq._signed_area(p, face, face.span.int_rows)) == _sign(want)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [CUBE, TESS, PENT, PERT, ZONO],
+    ids=["cube3", "cube4", "pentagonal", "perturbed", "zonotope"],
+)
+def test_signed_area_matches_the_shoelace_on_every_certificate_pair(p):
+    # orient reads both faces of a pair in the first one's frame; one
+    # turn must give the sign of the whole oracle cycle's area
+    faces = pt.k_faces(p, 2)
+    pairs = [c for c in eq.visible_pairs(p) if c.other_id is not None]
+    assert pairs
+    for cert in pairs:
+        frame = faces[cert.face_id].span.int_rows
+        for fid in (cert.face_id, cert.other_id):
+            want = oracle_signed_area(p, faces[fid], frame)
+            assert want != 0
+            assert _sign(eq._signed_area(p, faces[fid], frame)) == _sign(want)
+
+
+def test_signed_area_refuses_a_flat_frame():
+    # a frame of one row twice maps the face onto a line: no turn
+    face = pt.k_faces(TESS, 2)[0]
+    row = face.span.int_rows[0]
+    with pytest.raises(GeometryError, match="^degenerate face cycle$"):
+        eq._signed_area(TESS, face, (row, row))
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,20 @@ from operator import sub
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shadowlab import families as fam
 from shadowlab import kernels
 from shadowlab import linalg as la
 from shadowlab import polytope as pt
 from shadowlab.errors import ParameterError, PolytopeError
-from oracles import oracle_face_edges, oracle_facets, oracle_k_faces, oracle_rank
+from oracles import (
+    oracle_face_cycle,
+    oracle_face_edges,
+    oracle_facets,
+    oracle_k_faces,
+    oracle_rank,
+)
 
 
 def cube_vertices(d=3):
@@ -383,6 +389,48 @@ def test_face_edges_match_the_edge_scan(p):
     index = pt.edge_index(p)
     assert pt.edge_index(p) is index
     assert [pt.k_faces(p, 1)[i].vertex_ids for i in index.values()] == list(index)
+
+
+@pytest.mark.parametrize("p", EDGE_ZOO, ids=lambda p: p.label)
+def test_face_cycle_matches_the_adjacency_walk(p, monkeypatch):
+    # a fresh copy, so that no cycle is cached; face_cycle reads each
+    # polygon off its hull, with no edge lookup
+    q = pt.build(p.vertices, p.label)
+    faces = pt.k_faces(q, 2)
+    monkeypatch.setattr(pt, "face_edges", None)
+    monkeypatch.setattr(pt, "edge_index", None)
+    for face in faces:
+        assert pt.face_cycle(q, face) == oracle_face_cycle(q, face)
+
+
+@st.composite
+def small_hulls(draw):
+    """The hull of d + 2 to d + 4 integer points in d = 3, 4 or 5."""
+    d = draw(st.integers(3, 5))
+    coord = st.integers(-2, 2)
+    pts = draw(
+        st.lists(st.tuples(*[coord] * d), min_size=d + 2, max_size=d + 4, unique=True)
+    )
+    assume(kernels.rank_int([tuple(map(sub, q, pts[0])) for q in pts]) == d)
+    return pt.hull(pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_hulls())
+def test_face_cycle_matches_the_adjacency_walk_on_small_hulls(p):
+    for face in pt.k_faces(p, 2):
+        assert pt.face_cycle(p, face) == oracle_face_cycle(p, face)
+
+
+def test_face_cycle_refuses_a_face_off_its_plane():
+    # a face that also names a vertex off its plane: that vertex shares
+    # an image with a face vertex, so the hull keeps fewer ids
+    p = pt.build(cube_vertices())
+    f = pt.facets(p)[0]
+    other = next(v for v in range(len(p.vertices)) if v not in f.vertex_ids)
+    broken = pt.Face(f.vertex_ids + (other,), 2, f.span)
+    with pytest.raises(PolytopeError, match="is not a convex polygon$"):
+        pt.face_cycle(p, broken)
 
 
 @pytest.mark.parametrize("p", EDGE_ZOO, ids=lambda p: p.label)

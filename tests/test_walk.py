@@ -327,7 +327,7 @@ def test_both_api_walks_require_the_arrangement(p, message):
     # polytope off the reference arrangement up front
     for walk in (wk.walk_to_hyperplane, wk.walk_within_hyperplane):
         with pytest.raises(WalkError, match=f"^{message}; rotate the polytope first$"):
-            walk(p, la.span_of([(1, 1, 1)]), seed=0)
+            walk(p, la.span_of([(1, 1, 1)]))
 
 
 def test_to_hyperplane_rejects_wrong_dimension():
@@ -337,15 +337,13 @@ def test_to_hyperplane_rejects_wrong_dimension():
 
 def test_within_empty_at_reference():
     ref = la.span_of([(0, 1, 0, 0), (0, 0, 1, 0)])
-    plan = wk.walk_within_hyperplane(MOVED4, ref, seed=0)
+    plan = wk.walk_within_hyperplane(MOVED4, ref)
     assert plan.segments == ()
     assert wk.verify_walk(MOVED4, plan).valid
 
 
 def test_within_cube_reaches_reference():
-    plan = wk.walk_within_hyperplane(
-        MOVED3, la.span_of([(0, 1, Fr(1, 2))]), seed=0
-    )
+    plan = wk.walk_within_hyperplane(MOVED3, la.span_of([(0, 1, Fr(1, 2))]))
     assert len(plan.segments) == 1
     assert plan.segments[-1].span_at(1) == la.span_of([(0, 1, 0)])
     cert = wk.verify_walk(MOVED3, plan)
@@ -355,7 +353,7 @@ def test_within_cube_reaches_reference():
 def test_within_tesseract_staircase():
     start = la.span_of([(0, 1, Fr(-1, 2), 0), (0, 0, 0, 1)])
     assert is_admissible_rows(MOVED4, start.basis)
-    plan = wk.walk_within_hyperplane(MOVED4, start, seed=0)
+    plan = wk.walk_within_hyperplane(MOVED4, start)
     assert len(plan.segments) == 2
     assert len(plan.events) == 4
     assert plan.segments[-1].span_at(1) == la.span_of(
@@ -367,12 +365,12 @@ def test_within_tesseract_staircase():
 
 def test_within_rejects_start_outside_hyperplane():
     with pytest.raises(ParameterError):
-        wk.walk_within_hyperplane(MOVED3, la.span_of([(1, 1, 1)]), seed=0)
+        wk.walk_within_hyperplane(MOVED3, la.span_of([(1, 1, 1)]))
 
 
 def test_within_rejects_inadmissible_start():
     with pytest.raises(InadmissiblePlaneError):
-        wk.walk_within_hyperplane(MOVED3, la.span_of([ETAS3[0].eta]), seed=0)
+        wk.walk_within_hyperplane(MOVED3, la.span_of([ETAS3[0].eta]))
 
 
 # --------------------------------------------------------------- full walk

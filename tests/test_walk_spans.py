@@ -384,13 +384,20 @@ def once(monkeypatch, module, name, value, skip=0):
     monkeypatch.setattr(module, name, fake)
 
 
+def junction_planes(q, rows, v):
+    """The integer plane rows of the two classes that share a junction
+    span on the crossing from the start rows toward candidate v."""
+    arr, _ = la.rref(rows)
+    classes = pt.parallel_classes(q)
+    shared = wk._first_shared(wk._planned_events(crossing(q, arr[0], arr[1:], v), classes))
+    return [classes[c].direction_plane.int_rows for c in shared[:2]]
+
+
 def rank_raising(q, rows, v, first):
     """A nudge candidate w that _separate_junction_spans accepts from the
     start rows after candidate v, with w[0] == 0 or not."""
     arr, _ = la.rref(rows)
-    classes = pt.parallel_classes(q)
-    shared = wk._first_shared(wk._planned_events(crossing(q, arr[0], arr[1:], v), classes))
-    fa, fb = (classes[c].direction_plane.int_rows for c in shared[:2])
+    fa, fb = junction_planes(q, rows, v)
     fixed = tuple(arr[2:]) + fa + (fb[0],)
     for tail in product(range(-3, 4), repeat=q.dim - 1):
         w = (first,) + tail
@@ -408,10 +415,14 @@ def test_an_unsplit_junction_span_is_retried(monkeypatch, checks, d, why):  # no
         # every nudge candidate lies in the span of the fixed family
         nudge = [0] * (d * (wk._SEARCH_CAP // 2))
     elif why == "no proscribed line":
-        # a nudge off the reference hyperplane, and no proscribed line
-        # in the class plane to slide it back along
+        # a nudge off the reference hyperplane, and the first proscribed
+        # line in the class plane lies inside the hyperplane, so no line
+        # slides the nudge back into it
         nudge = list(rank_raising(q, rows, v, 1))
-        once(monkeypatch, pt, "proscribed_directions", [])
+        a, b = junction_planes(q, rows, v)[0]
+        line = tuple(a[0] * y - b[0] * x for x, y in zip(a, b))
+        assert any(line)
+        once(monkeypatch, pt, "proscribed_directions", [SimpleNamespace(line=line)])
     else:
         # a nudge inside the hyperplane, and every class degenerate
         # against it
