@@ -96,11 +96,12 @@ def _direction_key(d):
     return tuple(Fraction(x, pivot) for x in d)
 
 
-def _face_chains(p, face_id, frame):
-    """The chains of a 2-face as edge ids: the two arcs of its cycle
-    between its two fixed points, each read from the smaller one."""
+def _face_chains(p, face_id, rows):
+    """The chains of a 2-face as edge ids at the plane with these
+    integer rows: the two arcs of its cycle between its two fixed
+    points, each read from the smaller one."""
     face = pt.k_faces(p, 2)[face_id]
-    state = wk.frame_chains(p, face, frame)
+    state = wk.frame_chains(p, face, rows)
     if len(state.fixed) != 2:
         raise GeometryError(
             f"face {face_id} has {len(state.fixed)} fixed points, wanted 2"
@@ -129,29 +130,38 @@ def _face_chains(p, face_id, frame):
     return FaceChains(face_id, state.fixed, visible, invisible)
 
 
-def _certify(p, cid, face_id, other_id, rows):
+def _certify(p, cid, face_id, other_id, rows, mults):
     """The certificate of class cid's visible members face_id and
-    other_id at _witness's rows.
+    other_id at _witness's integer rows over their multipliers mults.
 
-    The chains are read off one hull, at the crossing probe's plane
-    just before the crossing (t = -eps / 2). The witness is valid by
-    construction and is not checked again. Only class cid degenerates
-    at it: _witness returns no other rows. It meets the class plane P
-    in a line: crossing_probe raises unless witness + P has rank d - 1
-    and the witness holds u1, the primitive rows[0]. The members lie on
-    the shadow boundary: every row is orthogonal to the cell's c, so c
-    lies in the witness plane, and projecting onto it keeps c . x. The
-    face of p where c . x is largest or smallest, which holds each
-    member, lands on the shadow's supporting line there, and that line
-    meets the shadow in one closed edge or a vertex.
+    The chains are read with no shadow hull at the crossing probe's
+    plane just before the crossing, t = -eps / 2: the integer kernel of
+    the probe's integer rows there. walk.frame_chains reads each face
+    edge [a, b] at a's graph neighbours, by local optimality, which is
+    exact wherever no edge collapses (shadow.edge_on_boundary). None
+    does there: on (-eps, eps) only class cid degenerates, at 0, and a
+    collapsed edge would degenerate the classes of its 2-faces.
+
+    The witness is valid by construction and is not checked again.
+    Only class cid degenerates at it: _witness returns no other rows.
+    It meets the class plane P in a line: crossing_probe raises unless
+    witness + P has rank d - 1 and the witness holds u1, the primitive
+    rows[0]. The members lie on the shadow boundary: every row is
+    orthogonal to the cell's c, so c lies in the witness plane, and
+    projecting onto it keeps c . x. The face of p where c . x is
+    largest or smallest, which holds each member, lands on the shadow's
+    supporting line there, and that line meets the shadow in one closed
+    edge or a vertex. The Fraction witness rows rows[i] / mults[i] are
+    built for the certificate only.
     """
-    probe, _v, eps = wk.crossing_probe(p, cid, rows, la.primitive(rows[0]))
-    frame = sh.hull_frame(p, probe.plane_at(-eps / 2))
-    chains = _face_chains(p, face_id, frame)
+    probe, _v, eps = wk.crossing_probe(p, cid, rows, mults, la.primitive(rows[0]))
+    plane = la.int_kernel(probe.int_rows_at(-eps / 2)[0])
+    chains = _face_chains(p, face_id, plane)
     other = None
     if other_id is not None:
-        other = _face_chains(p, other_id, frame)
-    return VisibilityCertificate(face_id, other_id, tuple(rows), chains, other)
+        other = _face_chains(p, other_id, plane)
+    witness = tuple(tuple(Fraction(x, m) for x in r) for r, m in zip(rows, mults))
+    return VisibilityCertificate(face_id, other_id, witness, chains, other)
 
 
 def _cells(p, cid, one_per_pair=False):
@@ -254,7 +264,9 @@ def _cells(p, cid, one_per_pair=False):
 
 
 def _witness(p, cid, c):
-    """Orthogonal rows of a plane through c where only class cid degenerates.
+    """Orthogonal rows of a plane through c where only class cid
+    degenerates, as (integer rows, positive multipliers): the rows are
+    rows[i] / mults[i].
 
     The rows are u1 = f1 + q f2 on the class's basis and, in dimension
     4 and up, the rows k_j + t^j f2, with k_j a basis of the complement
@@ -270,8 +282,8 @@ def _witness(p, cid, c):
     degeneracies (shadow.degenerate_classes must list cid alone). U1
     lies in another class's plane exactly when kernels.in_plane finds
     every 3x3 minor of U1 and that plane zero, read off the class's
-    cached plane minors. Fraction rows are built for the returned
-    candidate only: U1 / (g1 g2), and each tail row over g2.
+    cached plane minors. The multipliers are g1 g2 for U1 and g2 for
+    each tail row.
     """
     classes = pt.parallel_classes(p)
     plane = classes[cid].direction_plane
@@ -289,9 +301,7 @@ def _witness(p, cid, c):
                 for j, k in enumerate(extra, 1)
             ]
             if list(sh.degenerate_classes(p, [u1] + tail)) == [cid]:
-                return (tuple(Fraction(x, g1 * g2) for x in u1),) + tuple(
-                    tuple(Fraction(x, g2) for x in r) for r in tail
-                )
+                return (u1, *tail), (g1 * g2,) + (g2,) * len(tail)
     raise GeometryError("witness grid exhausted, polytope data broken")
 
 
@@ -310,9 +320,9 @@ def _survey(p):
             if len(conf) in (1, 2):
                 found.setdefault(conf, c)
         for conf in sorted(found):
-            rows = _witness(p, cid, found[conf])
+            rows, mults = _witness(p, cid, found[conf])
             other = conf[1] if len(conf) == 2 else None
-            certs.append(_certify(p, cid, conf[0], other, rows))
+            certs.append(_certify(p, cid, conf[0], other, rows, mults))
     return tuple(certs)
 
 
@@ -488,7 +498,7 @@ def is_equiprojective_sampled(p, seed=0, trials=200):
     k0 = None
     first = None
     for w in planes:
-        k = len(sh.hull_frame(p, w).hull)
+        k = len(kernels.strict_hull_2d(set(sh.int_images(p, w)[0])))
         if k0 is None:
             k0, first = k, w
         elif k != k0:
@@ -538,11 +548,10 @@ def definitions_equivalence_check(p, seed=0):
             if members:
                 continue
             events += 1
-            rows = _witness(p, cid, c)
-            span = la.Subspace(rows)
+            rows, mults = _witness(p, cid, c)
             # the witness meets the class plane in its first row
-            probe, _v, eps = wk.crossing_probe(p, cid, span, la.primitive(rows[0]))
-            k_here = sh.shadow(p, sh.ProjectionPlane.from_orthogonal(span)).k
+            probe, _v, eps = wk.crossing_probe(p, cid, rows, mults, la.primitive(rows[0]))
+            k_here = sh.shadow(p, sh.ProjectionPlane(la.int_kernel(rows))).k
             for t in (-eps / 2, eps / 2):
                 w = probe.plane_at(t)
                 if not sh.is_admissible(p, w).ok:

@@ -21,7 +21,8 @@ A Polytope stores its face ids by dimension and its facets' planes.
 The rest is computed on demand and cached: every Face and its span in
 k_faces (the one builder), parallel classes of 2-faces by span
 equality, proscribed directions as the pairwise span intersections,
-and 2-face cycles, each the planar hull of its polygon (face_cycle).
+2-face cycles, each the planar hull of its polygon (face_cycle), and
+each vertex's graph neighbours (neighbours).
 """
 
 from fractions import Fraction
@@ -108,6 +109,8 @@ class Polytope:
         self._frame = None
         # edge ids by vertex pair (edge_index)
         self._edge_idx = None
+        # each vertex's graph neighbours (neighbours)
+        self._neighbours = None
         # 2-face boundary cycles by vertex ids (face_cycle)
         self._cycles = {}
 
@@ -585,6 +588,20 @@ def edge_index(p):
     if p._edge_idx is None:
         p._edge_idx = {e.vertex_ids: i for i, e in enumerate(k_faces(p, 1))}
     return p._edge_idx
+
+
+def neighbours(p):
+    """Each vertex's neighbours in the graph of p, read off its edges,
+    as a tuple of vertex id tuples in vertex order, cached on the
+    polytope."""
+    if p._neighbours is None:
+        adj = [[] for _ in p.vertices]
+        for e in k_faces(p, 1):
+            a, b = e.vertex_ids
+            adj[a].append(b)
+            adj[b].append(a)
+        p._neighbours = tuple(map(tuple, adj))
+    return p._neighbours
 
 
 def face_cycle(p, face):

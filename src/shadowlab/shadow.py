@@ -25,7 +25,7 @@ Everything stays exact.
 import random
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from . import kernels
 from . import linalg as la
@@ -34,6 +34,7 @@ from .errors import (
     DegenerateBasisError,
     DegenerateShadowError,
     DimensionError,
+    InadmissiblePlaneError,
     ParameterError,
     SamplingError,
 )
@@ -242,6 +243,36 @@ def in_boundary(frame, vertex_ids):
         if not common:
             return False
     return True
+
+
+def edge_on_boundary(p, edge, rows):
+    """Whether the image of p's edge (a, b) lies in the shadow boundary
+    of the plane with integer rows (a1, a2), read at a's neighbours.
+
+    With (s, t) the image of b - a, the row y = s a2 - t a1 has
+    y . (x - a) = cross2(A, B, X) for every x and its image X. So the
+    image of the edge lies in the boundary, that is in one closed hull
+    edge, exactly when the line through A and B supports the shadow:
+    when a maximises or minimises y over p. A vertex no worse than its
+    graph neighbours for a linear functional is optimal on the
+    polytope (Ziegler, Lectures on Polytopes, ch. 3), so the test reads
+    y . (w - a) over a's neighbours w only (b among them, at 0): all
+    <= 0 or all >= 0. That is exact wherever (s, t) is not (0, 0). An
+    edge whose image is a point degenerates the class of every 2-face
+    through it; such a plane raises InadmissiblePlaneError.
+    """
+    a, b = edge
+    verts = p.int_vertices()[0]
+    a1, a2 = rows
+    va = verts[a]
+    e = list(map(sub, verts[b], va))
+    s, t = sum(map(mul, a1, e)), sum(map(mul, a2, e))
+    if not (s or t):
+        raise InadmissiblePlaneError(f"edge {edge} collapses to a point")
+    y = [s * x2 - t * x1 for x1, x2 in zip(a1, a2)]
+    base = sum(map(mul, y, va))
+    vals = [sum(map(mul, y, verts[w])) for w in pt.neighbours(p)[a]]
+    return max(vals) <= base or min(vals) >= base
 
 
 def degenerate_classes(p, rows):

@@ -955,38 +955,38 @@ def _tilde(v, u):
     return tuple(uu * a - vu * b for a, b in zip(v, u))
 
 
-def crossing_probe(p, cid, witness, u1, reverse=False):
+def crossing_probe(p, cid, rows, mults, u1, reverse=False):
     """The segment that moves a single-class witness off its class.
 
-    witness (a Subspace, or its rows) is the orthogonal span of a plane
-    where only class cid degenerates, meeting its plane in the integer
-    line u1. The crossing direction v generates the orthogonal
-    complement of witness + class plane, which has rank d-1, so v is
-    unique up to sign; reverse flips it. Returns (probe, v, eps): probe
-    moves the witness, based at u1 and its rows, along v for t in
-    [-1, 1]. eps is half the smallest |root| of another class anywhere
-    on the probe's line, so it can exceed 1; it is 1 only when no other
-    class has a root. The kernel and the probe rows come from the
-    witness's stored integer rows and multipliers; a class's root is
-    (a + b) / (a - b) in its end values at -1 and 1, so the smallest
-    |root| is found by cross-multiplication and eps is the one Fraction built.
+    rows[i] / mults[i] (integer rows, positive multipliers) span the
+    orthogonal span of a plane where only class cid degenerates,
+    meeting its plane P in the integer line u1. The crossing direction
+    v generates the orthogonal complement of witness + P, which has
+    rank d-1, so v is unique up to sign; reverse flips it. Returns
+    (probe, v, eps): probe moves the witness, based at u1 and its rows,
+    along v for t in [-1, 1]. eps is half the smallest |root| of another
+    class anywhere on the probe's line (1 when none has one), and class
+    cid's determinant is t det(v, tail, P), so only cid degenerates on
+    (-eps, eps), at 0: no edge collapses at -eps / 2, where frame_chains'
+    local test is exact. A class's root is (a + b) / (a - b) in its end
+    values at -1 and 1, so the smallest |root| is found by
+    cross-multiplication and eps is the one Fraction built.
     """
     d = p.dim
     classes = pt.parallel_classes(p)
-    span = _ortho_span(p, witness)
-    ints = span.int_rows
-    kern = la.int_kernel(ints + classes[cid].direction_plane.int_rows)
+    kern = la.int_kernel((*rows, *classes[cid].direction_plane.int_rows))
     if len(kern) != 1:
         raise GeometryError("witness plus face plane does not have rank d-1")
     v = la.primitive(kern[0])
     if reverse:
         v = la.neg(v)
     # room for d - 1 rows, so that a u1 outside the witness shows
-    keep = kernels.independent([u1], ints, d - 1)
-    rows = [(tuple(u1), v, 1)] + [(ints[i], (0,) * d, span.int_mults[i]) for i in keep]
-    if len(rows) != d - 2:
+    keep = kernels.independent([u1], rows, d - 1)
+    zero = (0,) * d
+    fixed = [_reduced(rows[i], zero, mults[i]) for i in keep]
+    if len(fixed) != d - 3:
         raise GeometryError("degenerating direction escapes the witness")
-    probe = WalkSegment._of(tuple(rows), (Fraction(-1), la.ONE))
+    probe = WalkSegment._of(((tuple(u1), v, 1), *fixed), (Fraction(-1), la.ONE))
     polys = SegmentMinors(probe)
     # the smallest |root| so far, as (|a + b|, |a - b|)
     near = None
@@ -1022,7 +1022,7 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
     """
     span = _ortho_span(p, witness)
     cid, u1, plane = _validate_visibility_witness(p, face_id, other_id, span)
-    probe, v, eps = crossing_probe(p, cid, span, u1, reverse)
+    probe, v, eps = crossing_probe(p, cid, span.int_rows, span.int_mults, u1, reverse)
     minus = WalkSegment._of(probe._rows, (-eps, la.ZERO))
     plus = WalkSegment._of(probe._rows, (la.ZERO, eps))
     pick = next(b for b in plane.basis.int_rows if any(kernels.plane_minors(b, v)))
@@ -1034,28 +1034,28 @@ def elementary_transformation(p, face_id, other_id, witness, reverse=False):
 def boundary_chains(p, face_id, w):
     """Visible and invisible edge chains of a 2-face for one plane.
 
-    An edge is visible when its image lies in the shadow boundary, that
-    is in one closed hull edge. Fixed points are the face vertices
-    meeting exactly one visible edge.
+    An edge is visible when its image lies in the shadow boundary;
+    frame_chains reads that on the plane's integer rows, on p's graph.
+    Fixed points are the face vertices meeting exactly one visible edge.
     """
     faces = pt.k_faces(p, 2)
     if not 0 <= face_id < len(faces):
         raise ParameterError(f"no 2-face with id {face_id}")
-    return frame_chains(p, faces[face_id], sh.hull_frame(p, w))
+    return frame_chains(p, faces[face_id], w.basis.int_rows)
 
 
-def frame_chains(p, face, frame):
-    """boundary_chains of a 2-face, given the plane's sh.HullFrame, so
-    that faces seen on one plane share its hull.
-
-    One walk around the face cycle flags each edge. Every vertex of the
-    face has two face edges, so the fixed points are the cycle vertices
-    where the flag flips.
+def frame_chains(p, face, rows):
+    """boundary_chains at the plane with integer rows (a1, a2). Edge
+    [a, b] with image (s, t) is visible iff a maximises or minimises
+    y = s a2 - t a1 over p (y . (x - a) is cross2(A, B, X)), that is,
+    by local optimality, over a's graph neighbours (sh.edge_on_boundary),
+    exact unless the edge collapses (InadmissiblePlaneError). The fixed
+    points are the cycle vertices where the flag flips.
     """
     cycle = pt.face_cycle(p, face)
     after = cycle[1:] + cycle[:1]
     edges = [tuple(sorted(e)) for e in zip(cycle, after)]
-    seen = [sh.in_boundary(frame, e) for e in edges]
+    seen = [sh.edge_on_boundary(p, e, rows) for e in edges]
     # after[i] joins edge i to edge i + 1
     flips = zip(after, seen, seen[1:] + seen[:1])
     fixed = tuple(sorted(v for v, s, t in flips if s != t))

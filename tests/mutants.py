@@ -37,6 +37,8 @@ WALK = "src/shadowlab/walk.py"
 EQUIPROJ = "src/shadowlab/equiproj.py"
 POLYTOPE = "src/shadowlab/polytope.py"
 KERNELS = "src/shadowlab/kernels.py"
+SHADOW = "src/shadowlab/shadow.py"
+CHAINS = "tests/test_face_chains.py::test_frame_chains_match_the_degree_count"
 DIFFERENTIAL = "tests/test_walk.py::test_verify_walk_rejects_every_rank_loss_the_oracle_finds"
 
 MUTANTS = [
@@ -116,13 +118,44 @@ MUTANTS = [
         "pass",
         [DIFFERENTIAL],
     ),
-    # the survey's chains, read off its crossing probe
+    # the survey's chains, read at its crossing probe's plane
     Mutant(
         "chains-read-after-the-crossing",
         EQUIPROJ,
-        "probe.plane_at(-eps / 2)",
-        "probe.plane_at(eps / 2)",
+        "probe.int_rows_at(-eps / 2)",
+        "probe.int_rows_at(eps / 2)",
         ["tests/test_certificate_path.py::test_visible_pairs_match_oracle_certificates"],
+    ),
+    # each face edge read by local optimality on the polytope graph
+    Mutant(
+        "edge-test-one-sign",
+        SHADOW,
+        "return max(vals) <= base or min(vals) >= base",
+        "return max(vals) <= base",
+        [CHAINS],
+    ),
+    Mutant(
+        "edge-test-rows-swapped",
+        SHADOW,
+        "y = [s * x2 - t * x1 for x1, x2 in zip(a1, a2)]",
+        "y = [s * x1 - t * x2 for x1, x2 in zip(a1, a2)]",
+        [CHAINS],
+    ),
+    # y . b = y . a, so reading b's value, or b's neighbours, is exact
+    # too: those edits are equivalent, and not listed
+    Mutant(
+        "edge-test-no-offset",
+        SHADOW,
+        "base = sum(map(mul, y, va))",
+        "base = 0",
+        [CHAINS],
+    ),
+    Mutant(
+        "neighbours-one-way",
+        POLYTOPE,
+        "            adj[b].append(a)\n",
+        "",
+        [CHAINS],
     ),
     # the compensation pairs, which the pairing does not re-test
     Mutant(

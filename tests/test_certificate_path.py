@@ -7,13 +7,14 @@ once. Each must give exactly what the Fraction bodies in
 tests/oracles.py give: the same witness rows as Fractions, every
 ElementaryTransformation field equal in value and in type, and the same
 certificates from visible_pairs. The survey validates no witness of its
-own, since each is valid by construction: its _certify reads the chains
-off crossing_probe's plane, while the oracle survey validates every
-witness through the Fraction transformation and reads the chains off
-its minus half-segment. The survey reads one cell per mirror pair of
-each difference body's faces; the oracle survey reads every cell, on
-the zoo, zonotope #8, pn(6) and small random hulls, centrally symmetric
-or not.
+own, since each is valid by construction: its _certify hands
+crossing_probe the witness's integer rows and reads the chains at the
+probe's plane by local optimality, while the oracle survey validates
+every witness through the Fraction transformation and reads the chains
+off the shadow hull at its minus half-segment. The survey reads one
+cell per mirror pair of each difference body's faces; the oracle survey
+reads every cell, on the zoo, zonotope #8, pn(6) and small random
+hulls, centrally symmetric or not.
 """
 
 import re
@@ -107,7 +108,8 @@ def test_witness_matches_fraction_oracle(name):
     seen = 0
     for cid in range(len(pt.parallel_classes(p))):
         for c, _members in eq._cells(p, cid):
-            got = eq._witness(p, cid, c)
+            rows, mults = eq._witness(p, cid, c)
+            got = tuple(tuple(Fraction(x, m) for x in r) for r, m in zip(rows, mults))
             assert typed(got) == typed(oracle_witness(p, cid, c))
             assert all(isinstance(x, Fraction) for r in got for x in r)
             seen += 1
@@ -124,7 +126,10 @@ def test_transformations_match_fraction_oracle(name):
             got = wk.elementary_transformation(p, fid, oid, la.Subspace(rows), reverse)
             want = oracle_elementary_transformation(p, fid, oid, rows, reverse)
             assert transformation_fields(got) == transformation_fields(want)
-            probe, v, eps = wk.crossing_probe(p, cid, rows, got.u1, reverse)
+            span = la.Subspace(rows)
+            probe, v, eps = wk.crossing_probe(
+                p, cid, span.int_rows, span.int_mults, got.u1, reverse
+            )
             oprobe, ov, oeps = oracle_crossing_probe(p, cid, rows, want.u1, reverse)
             assert segment_fields(probe) == segment_fields(oprobe)
             assert typed((v, eps)) == typed((ov, oeps))
@@ -144,7 +149,7 @@ def test_crossing_probe_rejects_a_u1_outside_the_witness():
             with pytest.raises(GeometryError, match=message):
                 oracle_crossing_probe(p, cid, rows, u1)
             with pytest.raises(GeometryError, match=message):
-                wk.crossing_probe(p, cid, span, u1)
+                wk.crossing_probe(p, cid, span.int_rows, span.int_mults, u1)
             seen += 1
     assert seen
 
@@ -153,12 +158,13 @@ def test_crossing_probe_rejects_a_witness_holding_the_face_plane():
     # witness + face plane then has rank d - 2, and no unique crossing
     p = polytope("cube4")
     for cid, cls in enumerate(pt.parallel_classes(p)):
-        rows = cls.direction_plane.basis
+        plane = cls.direction_plane
+        rows = plane.basis
         message = "^witness plus face plane does not have rank d-1$"
         with pytest.raises(GeometryError, match=message):
             oracle_crossing_probe(p, cid, rows, la.primitive(rows[0]))
         with pytest.raises(GeometryError, match=message):
-            wk.crossing_probe(p, cid, la.Subspace(rows), la.primitive(rows[0]))
+            wk.crossing_probe(p, cid, plane.int_rows, plane.int_mults, la.primitive(rows[0]))
 
 
 def check_visible_pairs(p):

@@ -12,10 +12,17 @@ import shadowlab.linalg as la
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 import shadowlab.walk as wk
-from shadowlab.errors import DimensionError, ParameterError, PolytopeError
+from shadowlab.errors import (
+    DimensionError,
+    InadmissiblePlaneError,
+    ParameterError,
+    PolytopeError,
+)
 
 CUBE = fam.hypercube(3)
 PLANE = sh.ProjectionPlane(((1, 2, 0), (0, 1, 3)))
+# orthogonal to the cube's edges along x: each of them collapses
+X_EDGES_COLLAPSE = ((0, 1, 0), (0, 0, 1))
 SEGMENT = wk.WalkSegment(((1, 2, 0),), ((0, 1, 0),), (0, 1))
 
 REJECTIONS = [
@@ -42,6 +49,10 @@ REJECTIONS = [
     (lambda: wk.elementary_transformation(CUBE, 0, None, la.span_of([(1, 2, 0, 0)])),
      DimensionError, "span lives in the wrong ambient dimension"),
     (lambda: wk.boundary_chains(CUBE, 99, PLANE), ParameterError, "no 2-face with id 99"),
+    (lambda: wk.boundary_chains(CUBE, 1, sh.ProjectionPlane(X_EDGES_COLLAPSE)),
+     InadmissiblePlaneError, "edge (1, 5) collapses to a point"),
+    (lambda: wk.frame_chains(CUBE, pt.k_faces(CUBE, 2)[2], X_EDGES_COLLAPSE),
+     InadmissiblePlaneError, "edge (2, 6) collapses to a point"),
 ]
 
 
