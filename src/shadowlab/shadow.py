@@ -279,13 +279,13 @@ def degenerate_classes(p, rows):
     """Ids of the classes degenerating for the orthogonal span of rows.
 
     A class degenerates when det(rows | its direction plane) is zero.
-    The rows are scaled to integers and their complementary minors taken
-    once; each class then costs one dot product with its cached plane
-    minors (Laplace expansion along the plane rows). Positive factors
-    keep every zero. Lazy and in class order, so next() stops at the
-    first.
+    The rows are scaled to integers (all-integer rows are taken as they
+    are) and their complementary minors taken once; each class then
+    costs one dot product with its cached plane minors (Laplace
+    expansion along the plane rows). Positive factors keep every zero.
+    Lazy and in class order, so next() stops at the first.
     """
-    ints = la.int_matrix(rows)[0]
+    ints = rows if all(type(x) is int for r in rows for x in r) else la.int_matrix(rows)[0]
     if len(ints) + 2 != p.dim or any(len(r) != p.dim for r in ints):
         raise DimensionError("stacked family is not square")
     rmin = kernels.complementary_minors(ints, p.dim)

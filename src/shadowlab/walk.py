@@ -20,8 +20,12 @@ segment the walks build; a class's two end values are then two dot
 products, over one positive denominator (AffinePoly). Their signs alone
 say whether a class degenerates on the segment, at an end, or along all
 of it. One scan (_segment_events) reads them for planning, whose events
-the plan keeps, and for verify_walk, and keys each event time by an
-integer, so no Fraction is hashed or sorted. verify_walk tests that two
+the plan keeps, and for verify_walk. It keys each event time by an exact
+fixed-point integer, floor(|a| 2^K / |a - b|) for a root at the fraction
+|a| / |a - b| of the range, with K = 2B + 1 and B the largest bit length
+of the |a - b| on the segment: two distinct such fractions differ by
+more than 2^-2B, so equal keys are one time and integer order is time
+order, and no Fraction is hashed or sorted. verify_walk tests that two
 segments meet in one span by the proportionality of their minor vectors
 there, and needs no rank test of its own: where the rows are dependent
 every class determinant is zero, so the scan reports that time as one
@@ -519,16 +523,19 @@ def _require_admissible(p, rows, what):
         raise InadmissiblePlaneError(f"{what} span degenerates class {cid}")
 
 
-def _segment_events(polys, classes):
-    """(events, faults) of the classes on a segment, given its
+def _keyed_roots(polys, classes):
+    """(roots, faults) of the classes on a segment, given its
     SegmentMinors, each class classed by the signs of its end values.
-    events lists (t, class ids) for the roots inside the range, one
-    entry per time, in time order; faults lists (class id, "whole" |
-    "end" | "not affine", the end or None) in class order. Only a class
-    that vanishes on the closed range gets an AffinePoly. A root sits
-    at the fraction a / (a - b) of the range, so over L, the lcm of the
-    |a - b|, the integer a * (L / (a - b)) keys its time. One Fraction
-    is built per time."""
+    roots lists (key, class id, a, b, class) for each class with a root
+    strictly inside the range; faults lists (class id, "whole" | "end" |
+    "not affine", the end or None) in class order.
+
+    A root sits at the fraction r = |a| / |a - b| of the range. With B
+    the largest bit length of the |a - b|, two distinct such fractions
+    differ by more than 2^-2B, so at K = 2B + 1 the integer
+    floor(|a| 2^K / |a - b|) keys its time: equal keys are one time, and
+    integer order is time order. A key costs one shift and one division
+    of numbers of about 3B bits."""
     inside, faults = [], []
     for cid, cls in enumerate(classes):
         try:
@@ -539,14 +546,29 @@ def _segment_events(polys, classes):
         if not (a and b):
             faults.append((cid, *polys.poly(cls, a, b).crossing()))
         elif (a < 0) != (b < 0):
-            inside.append((polys.poly(cls, a, b), cid))
-    scale = lcm(*(poly.a - poly.b for poly, _cid in inside))
+            inside.append((cid, a, b, cls))
+    bits = max((abs(a - b).bit_length() for _cid, a, b, _cls in inside), default=0)
+    shift = 2 * bits + 1
+    return [
+        ((abs(a) << shift) // abs(a - b), cid, a, b, cls) for cid, a, b, cls in inside
+    ], faults
+
+
+def _segment_events(polys, classes):
+    """(events, faults) of the classes on a segment (_keyed_roots).
+    events lists (t, class ids) for the roots inside the range, one
+    entry per time, in time order. The roots are grouped and sorted by
+    their integer keys, so no Fraction is hashed or sorted, and one
+    Fraction is built per time, from the AffinePoly of its first class."""
+    roots, faults = _keyed_roots(polys, classes)
     groups = {}
-    for poly, cid in inside:
-        key = poly.a * (scale // (poly.a - poly.b))
-        groups.setdefault(key, (poly, []))[1].append(cid)
+    for key, cid, a, b, cls in roots:
+        groups.setdefault(key, (a, b, cls, []))[3].append(cid)
     # the keys are distinct, so the sort compares integers only
-    return [(poly.root(), ids) for _key, (poly, ids) in sorted(groups.items())], faults
+    return [
+        (polys.poly(cls, a, b).root(), ids)
+        for _key, (a, b, cls, ids) in sorted(groups.items())
+    ], faults
 
 
 def _planned_events(seg, classes):
@@ -573,10 +595,17 @@ def _half_step(classes, base, i, w):
     t in [0, s], where s is half the smallest positive root of any class
     determinant on that line, capped at 1: half the first event time
     inside (0, 2), or 1 when there is none. No class determinant is zero
-    at t = 0, so none is zero along the whole line."""
+    at t = 0, so none is zero along the whole line. The first time is
+    the smallest key (_keyed_roots), and its Fraction the only one
+    built."""
     seg = WalkSegment(base, _slope(len(base), i, w), (0, 2))
-    events, _faults = _segment_events(SegmentMinors(seg), classes)
-    step = events[0][0] / 2 if events else la.ONE
+    polys = SegmentMinors(seg)
+    roots, _faults = _keyed_roots(polys, classes)
+    if roots:
+        _key, _cid, a, b, cls = min(roots)
+        step = polys.poly(cls, a, b).root() / 2
+    else:
+        step = la.ONE
     return WalkSegment._of(seg._rows, (la.ZERO, step))
 
 

@@ -10,8 +10,11 @@ round runs every operation once on A and once on B, back to back, A
 first on even rounds and B first on odd ones, so both trees see the
 same stretch of host speed. At the end it prints, per tree, the sum
 over the operations of each one's median time, and B/A of those sums
-(below 1 when B is faster), and whether the first round's outputs of
-the two trees agree under the workload's own comparison. Timing the
+(below 1 when B is faster), the same sums and B/A per operation group
+(the part of an operation's key before its first ':', such as the
+polytope of a walk-suite walk), so that a change that moves one input
+shows, and whether the first round's outputs of the two trees agree
+under the workload's own comparison. Timing the
 same tree as A and B is the control: its ratio shows the method's
 resolution on the host.
 
@@ -82,13 +85,20 @@ def main(argv=None):
                     if rounds == 0:
                         first[t].append(wl.collect(raw))
             rounds += 1
-    a_sum, b_sum = (sum(map(statistics.median, per_op)) for per_op in times)
+    medians = [list(map(statistics.median, per_op)) for per_op in times]
+    a_sum, b_sum = map(sum, medians)
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key.split(":")[0], []).append(i)
     agree = all(trees[0][0].same(x, y) for x, y in zip(*first))
     print(f"workload {args.workload}, seed {args.seed}, {rounds} rounds of {len(keys)} operations")
     print(f"A {args.a_root}: {1000 * a_sum:.2f} ms per round (sum of medians)")
     print(f"B {args.b_root}: {1000 * b_sum:.2f} ms per round (sum of medians)")
     print(f"outputs agree: {'yes' if agree else 'NO'}")
     print(f"B/A {b_sum / a_sum:.3f}")
+    for group, ids in groups.items():
+        a_ms, b_ms = (1000 * sum(m[i] for i in ids) for m in medians)
+        print(f"  {group}: A {a_ms:.2f} ms, B {b_ms:.2f} ms, B/A {b_ms / a_ms:.3f}")
     return 0 if agree else 1
 
 

@@ -107,9 +107,24 @@ MUTANTS = [
     Mutant(
         "scan-keys-each-class-apart",
         WALK,
-        "key = poly.a * (scale // (poly.a - poly.b))",
-        "key = (poly.a * (scale // (poly.a - poly.b)), cid)",
+        "groups.setdefault(key, (a, b, cls, []))[3].append(cid)",
+        "groups.setdefault((key, cid), (a, b, cls, []))[3].append(cid)",
         [DIFFERENTIAL],
+    ),
+    # the fixed-point event keys
+    Mutant(
+        "scan-keys-shift-b-bits",
+        WALK,
+        "shift = 2 * bits + 1",
+        "shift = bits",
+        ["tests/test_walk.py::test_segment_event_keys_split_farey_neighbours"],
+    ),
+    Mutant(
+        "half-step-takes-the-last-root",
+        WALK,
+        "_key, _cid, a, b, cls = min(roots)",
+        "_key, _cid, a, b, cls = max(roots)",
+        ["tests/test_walk.py::test_half_step_stops_at_half_the_first_root"],
     ),
     Mutant(
         "verify-drops-end-faults",

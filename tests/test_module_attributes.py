@@ -161,7 +161,8 @@ UNREAD = {
     "equiproj.definitions_equivalence_check": "API for tests and users",
     "polytope.facets": "API for tests and users",
     "polytope.facet_planes": (
-        "API for tests and users; ROADMAP item 5 reads the stored planes"
+        "API for tests and users; package code reads the stored planes"
+        " directly (apply_isometry)"
     ),
 }
 

@@ -1153,6 +1153,21 @@ def test_degenerate_classes_match_det_int_oracle(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(zoo_rows())
+def test_degenerate_classes_take_integer_rows_as_they_are(case):
+    # Fraction rows give the ids of their integer scaling, which is
+    # read as it is, with no second scaling
+    p, rows = case
+    want = oracle_degenerate_classes(p, rows)
+    assert list(sh.degenerate_classes(p, rows)) == want
+    ints = la.int_matrix(rows)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "int_matrix", None)
+        assert list(sh.degenerate_classes(p, ints)) == want
+        assert list(sh.degenerate_classes(p, [list(r) for r in ints])) == want
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FRAME_ZOO[2:]), st.data())
 def test_pull_back_matches_the_rational_inverse(p, data):
     frame = wk.reference_frame(p)
@@ -1646,6 +1661,130 @@ def test_segment_events_hash_and_compare_no_fraction(monkeypatch):
     # the counters do count
     assert hash(Fr(1, 3)) and Fr(1, 3) < Fr(1, 2)
     assert calls == Counter({"__hash__": 1, "__lt__": 1})
+
+
+class GivenEndValues:
+    """Stands in for a segment's SegmentMinors: class cid (the classes
+    are 0, 1, ...) has the end values pairs[cid] on t_range."""
+
+    def __init__(self, pairs, t_range):
+        self.pairs, self.t_range = pairs, t_range
+
+    def end_values(self, cid):
+        return self.pairs[cid]
+
+    def poly(self, cid, a, b):
+        return wk.AffinePoly(a, b, 1, *self.t_range)
+
+
+def fraction_sorted_events(pairs, t_range):
+    """The interior roots of the end value pairs, grouped by their
+    Fraction times and sorted."""
+    lo, hi = t_range
+    found = {}
+    for cid, (a, b) in enumerate(pairs):
+        if a and b and (a < 0) != (b < 0):
+            found.setdefault(lo + (hi - lo) * Fr(a, a - b), []).append(cid)
+    return sorted(found.items())
+
+
+def assert_keys_order_roots(roots, t_range=(Fr(0), Fr(1))):
+    """Scan the end values of roots, a list of (p, q, scale, sign), each
+    a class whose root sits at the fraction p/q of the range, plus a
+    class with no root and one vanishing at an end; the scan must group
+    and order the times as the Fraction sort does."""
+    pairs = [(sign * p * s, -sign * (q - p) * s) for p, q, s, sign in roots]
+    pairs += [(3, 5), (0, -1)]
+    events, faults = wk._segment_events(GivenEndValues(pairs, t_range), range(len(pairs)))
+    assert events == fraction_sorted_events(pairs, t_range)
+    assert [cid for cid, _kind, _t in faults] == [len(pairs) - 1]
+    return events
+
+
+def farey_neighbours(q):
+    """Pairs of Farey neighbours with denominators up to an odd q:
+    (q-2)/(q-1) and (q-1)/q, 1/q and 1/(q-1), and k/(2k+1) and
+    (k+1)/(2k+3) near 1/2, with 2k + 3 = q; each pair's cross
+    difference is 1, so its two roots are 1/(q1 q2) apart."""
+    k = (q - 3) // 2
+    return [
+        (q - 2, q - 1), (q - 1, q),
+        (1, q), (1, q - 1),
+        (k, 2 * k + 1), (k + 1, 2 * k + 3),
+    ]
+
+
+@pytest.mark.parametrize("bits", [3, 8, 33, 64, 200])
+def test_segment_event_keys_split_farey_neighbours(bits):
+    # denominators near 2^B put two distinct roots just over 2^-2B apart,
+    # the closest two fractions of bit length B can be
+    roots = farey_neighbours(2**bits - 1)
+    for p, q in roots:
+        assert 0 < p < q
+    for (p1, q1), (p2, q2) in zip(roots[::2], roots[1::2]):
+        assert abs(p1 * q2 - p2 * q1) == 1
+    events = assert_keys_order_roots([(p, q, 1, (-1) ** i) for i, (p, q) in enumerate(roots)])
+    assert len(events) == len(roots)
+    events = assert_keys_order_roots(
+        [(p, q, 1, 1) for p, q in roots], (Fr(-1, 3), Fr(5, 7))
+    )
+    assert len(events) == len(roots)
+
+
+def test_segment_event_keys_share_one_time_across_scales():
+    # one root, 5/13, through (a, b) pairs of both signs and scales up to
+    # 2^90, next to its Farey neighbours 2/5 and 3/8
+    roots = [(5, 13, s, sign) for s in (1, 3, 2**40 + 1, 2**90) for sign in (1, -1)]
+    events = assert_keys_order_roots(roots + [(2, 5, 7, 1), (3, 8, 1, -1)])
+    assert events == [(Fr(3, 8), [9]), (Fr(5, 13), list(range(8))), (Fr(2, 5), [8])]
+
+
+@st.composite
+def farey_roots(draw):
+    """A root p1/q1 with q1 of a drawn bit length, its right Farey
+    neighbour p2/q2 and their mediant, each class at a small scale, and
+    copies of them at drawn scales and signs."""
+    bits = draw(st.integers(2, 160))
+    q1 = draw(st.integers(2 ** (bits - 1) + 1, 2**bits - 1))
+    p1 = draw(st.integers(1, q1 - 1).filter(lambda p: gcd(p, q1) == 1))
+    q2 = -pow(p1, -1, q1) % q1
+    p2 = (1 + p1 * q2) // q1
+    assume(p2 < q2)
+    base = [(p1, q1), (p2, q2), (p1 + p2, q1 + q2)]
+    small = st.integers(1, 3)
+    sign = st.sampled_from((1, -1))
+    roots = [(p, q, draw(small), draw(sign)) for p, q in base]
+    copies = st.tuples(st.sampled_from(base), st.integers(1, 2**80), sign)
+    roots += [(p, q, s, g) for (p, q), s, g in draw(st.lists(copies, max_size=4))]
+    return draw(st.permutations(roots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(farey_roots())
+def test_segment_event_keys_match_the_fraction_sort(roots):
+    assert_keys_order_roots(roots)
+
+
+@st.composite
+def half_steps(draw):
+    """Zoo rows, a row index and a direction to move it along."""
+    p, rows = draw(zoo_rows())
+    return p, rows, draw(st.integers(0, len(rows) - 1)), draw(st.tuples(*[RATS] * p.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_steps())
+# on the cube, (3, 1, 2) - t (4, 4, 4) has roots 1/4, 1/2 and 3/4
+@example((CUBE, [(3, 1, 2)], 0, (-4, -4, -4)))
+def test_half_step_stops_at_half_the_first_root(case):
+    p, rows, i, w = case
+    assume(not oracle_degenerate_classes(p, rows))
+    classes = pt.parallel_classes(p)
+    line = wk.WalkSegment(rows, wk._slope(len(rows), i, w), (0, 2))
+    events, _faults = oracle_segment_events(line, classes)
+    seg = wk._half_step(classes, tuple(rows), i, w)
+    assert seg.t_range == (0, events[0][0] / 2 if events else 1)
+    assert seg.rows_at(1) == line.rows_at(1)
 
 
 def test_first_shared_follows_class_order():
