@@ -2,7 +2,7 @@
 
 Vectors are tuples of Fraction and matrices are tuples of such rows.
 Every function clears denominators row by row and runs on the integer
-kernels; rref, kernel_basis and the Subspace constructors share one
+kernels; kernel_basis and the Subspace constructors share one
 fraction-free reduced form, kernels.rref_int, and build Fractions only
 from its result. There is no general solver: the one rotation the walks
 need, plane_rotation, has a closed form. A Subspace stores only integer
@@ -155,12 +155,6 @@ def int_kernel(rows):
     multiples of rational rows give the same kernel."""
     reduced, pivots, den = _rref(rows)
     return _kernel_ints(reduced, pivots, den, len(rows[0]))
-
-
-def rref(m):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    reduced, pivots, den = _reduce(m)
-    return _rationals(reduced, den), pivots
 
 
 def kernel_basis(m, ncols=None):

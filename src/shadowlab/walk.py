@@ -9,27 +9,33 @@ to exactly one parallel class.
 
 Everything here is exact. A segment stores each row as an integer
 base and slope pair over one positive multiplier (WalkSegment);
-rescaling, reversal and the reference rotation run on those integers,
-the walk fragments hand each other integer rows, and Fraction rows are
-built only at the API edge (base, slope, rows_at, to_json_dict). The
-complementary minors of a segment's integer rows at its two ends, the
-Pluecker vector of its span there, are built once per segment
-(SegmentMinors), which also proves once that every class determinant
-is affine on it when the slope rows have rank at most 1, as on every
-segment the walks build; a class's two end values are then two dot
-products, over one positive denominator (AffinePoly). Their signs alone
-say whether a class degenerates on the segment, at an end, or along all
-of it. One scan (_segment_events) reads them for planning, whose events
-the plan keeps, and for verify_walk. It keys each event time by an exact
-fixed-point integer, floor(|a| 2^K / |a - b|) for a root at the fraction
-|a| / |a - b| of the range, with K = 2B + 1 and B the largest bit length
-of the |a - b| on the segment: two distinct such fractions differ by
-more than 2^-2B, so equal keys are one time and integer order is time
-order, and no Fraction is hashed or sorted. verify_walk tests that two
-segments meet in one span by the proportionality of their minor vectors
-there, and needs no rank test of its own: where the rows are dependent
-every class determinant is zero, so the scan reports that time as one
-shared by every class, or as a fault of every class.
+rescaling, reversal and the reference rotation run on those integers.
+The planner runs on them from the start span to the plan: it reads
+integer echelon rows off kernels.rref_int, builds every crossing,
+nudge, staircase step and contraction in the stored form, and moves a
+row by integer ratios, so Fraction rows are built only at the API edge
+(base, slope, rows_at, to_json_dict). The complementary minors of a
+segment's integer rows at its two ends, the Pluecker vector of its
+span there, are built once per segment (SegmentMinors), which also
+proves once that every class determinant is affine on it when the
+slope rows have rank at most 1, as on every segment the walks build; a
+class's two end values are then two dot products, over one positive
+denominator (AffinePoly). Their signs alone say whether a class
+degenerates on the segment, at an end, or along all of it. One scan
+(_segment_events) reads them for planning, whose events the plan
+keeps, and for verify_walk. It keys each event time by an exact
+fixed-point integer, floor(a 2^K / (a - b)) for a root at the fraction
+a / (a - b) of the range (a > 0 > b, up to the sign of both), with
+K = 2B + 1 and B the largest bit length of the a - b on the segment:
+two distinct such fractions differ by more than 2^-2B, so equal keys
+are one time and integer order is time order. It gives each time as an
+integer pair (num, den), den > 0, and builds no Fraction: _assemble
+builds one per event, on the plan's clock, and verify_walk one per
+time, for its certificate. verify_walk tests that two segments meet in
+one span by the proportionality of their minor vectors there, and
+needs no rank test of its own: where the rows are dependent every
+class determinant is zero, so the scan reports that time as one shared
+by every class, or as a fault of every class.
 A crossing's frame is read off its direction v (the witness plane is
 span(w1, v)), and a chain split slides on the face plane's (ebar, v).
 Randomness only picks candidate directions; every candidate is accepted
@@ -58,20 +64,12 @@ _SEARCH_CAP = 64
 _NOT_AFFINE = "degeneration determinant is not affine on the segment"
 
 
-def _zero_vec(d):
-    return (la.ZERO,) * d
-
-
-def _slope(n, i, w):
-    """n slope rows, all zero but row i, which is w."""
-    zero = _zero_vec(len(w))
-    return tuple(w if k == i else zero for k in range(n))
-
-
 def _reduced(b, s, c):
-    """A row pair (b + t*s) / c over a positive c, with gcd(c, *b, *s)
-    divided out."""
+    """A row pair (b + t*s) / c over a nonzero c, with gcd(c, *b, *s)
+    divided out and c made positive."""
     g = gcd(c, *b, *s)
+    if c < 0:
+        g = -g
     if g == 1:
         return b, s, c
     return tuple(x // g for x in b), tuple(x // g for x in s), c // g
@@ -82,6 +80,24 @@ def _int_map(m, row):
     return tuple(kernels.dot(mi, row) for mi in m)
 
 
+def _root(a, b, lo, hi):
+    """The zero of the affine function with the values a at lo and b at
+    hi, a != b, as an integer pair (num, den), den > 0 when a > b:
+    (hi*a - lo*b) / (a - b) on the integer parts of the Fractions lo
+    and hi."""
+    return (
+        hi.numerator * lo.denominator * a - lo.numerator * hi.denominator * b,
+        hi.denominator * lo.denominator * (a - b),
+    )
+
+
+def _echelon(ints):
+    """The reduced row echelon form of integer rows, as reduced integer
+    rows (B, 0, c) of WalkSegment, and its pivot columns."""
+    red, pivots, den = kernels.rref_int(ints)
+    return [_reduced(r, (0,) * len(r), den) for r in red], pivots
+
+
 class WalkSegment:
     """One affine piece of a walk.
 
@@ -89,10 +105,13 @@ class WalkSegment:
     (B_i + t * S_i) / c_i, with integer tuples B_i, S_i and a positive
     integer c_i reduced so that gcd(c_i, *B_i, *S_i) = 1. That is the
     stored form: c_i is la.int_row's minimal multiplier of the rational
-    pair, so the integers do not grow along chains of rescaling,
-    reversal and rotation, all of which run on them. The Fraction rows
-    (base, slope, rows_at) are built only when asked for, at the API
-    edge. Row independence over the closed range is a promise of the
+    pair, so the form is unique and the integers do not grow along
+    chains of rescaling, reversal and rotation, all of which run on
+    them. The walk planner builds its segments in this form directly
+    (_of), from integer echelon rows and integer ratios; this
+    constructor, from Fraction rows, is for callers at the API edge, as
+    are the Fraction rows (base, slope, rows_at), built only when asked
+    for. Row independence over the closed range is a promise of the
     constructors; verify_walk rejects a family that breaks it, since
     every class determinant is zero where the rows are dependent.
     """
@@ -236,15 +255,9 @@ class AffinePoly(namedtuple("AffinePoly", ["a", "b", "den", "lo", "hi"])):
 
     def root(self):
         """The zero of c0 + c1*t anywhere on the line, or None when c1 = 0:
-        (hi*a - lo*b) / (a - b), one Fraction from integer parts."""
-        a, b = self.a, self.b
-        if a == b:
-            return None
-        lo, hi = self.lo, self.hi
-        return Fraction(
-            hi.numerator * lo.denominator * a - lo.numerator * hi.denominator * b,
-            hi.denominator * lo.denominator * (a - b),
-        )
+        the one Fraction of _root's integer pair."""
+        if self.a != self.b:
+            return Fraction(*_root(self.a, self.b, self.lo, self.hi))
 
     @property
     def kind(self):
@@ -526,14 +539,15 @@ def _require_admissible(p, rows, what):
 def _keyed_roots(polys, classes):
     """(roots, faults) of the classes on a segment, given its
     SegmentMinors, each class classed by the signs of its end values.
-    roots lists (key, class id, a, b, class) for each class with a root
-    strictly inside the range; faults lists (class id, "whole" | "end" |
+    roots lists (key, class id, a, b) for each class with a root
+    strictly inside the range, its end values a > 0 > b up to the sign
+    of both; faults lists (class id, "whole" | "end" |
     "not affine", the end or None) in class order.
 
-    A root sits at the fraction r = |a| / |a - b| of the range. With B
-    the largest bit length of the |a - b|, two distinct such fractions
+    A root sits at the fraction r = a / (a - b) of the range. With B
+    the largest bit length of the a - b, two distinct such fractions
     differ by more than 2^-2B, so at K = 2B + 1 the integer
-    floor(|a| 2^K / |a - b|) keys its time: equal keys are one time, and
+    floor(a 2^K / (a - b)) keys its time: equal keys are one time, and
     integer order is time order. A key costs one shift and one division
     of numbers of about 3B bits."""
     inside, faults = [], []
@@ -546,29 +560,26 @@ def _keyed_roots(polys, classes):
         if not (a and b):
             faults.append((cid, *polys.poly(cls, a, b).crossing()))
         elif (a < 0) != (b < 0):
-            inside.append((cid, a, b, cls))
-    bits = max((abs(a - b).bit_length() for _cid, a, b, _cls in inside), default=0)
+            inside.append((cid, a, b) if a > 0 else (cid, -a, -b))
+    bits = max(((a - b).bit_length() for _cid, a, b in inside), default=0)
     shift = 2 * bits + 1
-    return [
-        ((abs(a) << shift) // abs(a - b), cid, a, b, cls) for cid, a, b, cls in inside
-    ], faults
+    return [((a << shift) // (a - b), cid, a, b) for cid, a, b in inside], faults
 
 
 def _segment_events(polys, classes):
     """(events, faults) of the classes on a segment (_keyed_roots).
     events lists (t, class ids) for the roots inside the range, one
-    entry per time, in time order. The roots are grouped and sorted by
-    their integer keys, so no Fraction is hashed or sorted, and one
-    Fraction is built per time, from the AffinePoly of its first class."""
+    entry per time, in time order, where t is the integer pair (num,
+    den) of _root, den > 0. The roots are grouped and sorted by their
+    integer keys, and no Fraction is built: a caller builds one per
+    time where it needs the time itself (_assemble, verify_walk)."""
     roots, faults = _keyed_roots(polys, classes)
     groups = {}
-    for key, cid, a, b, cls in roots:
-        groups.setdefault(key, (a, b, cls, []))[3].append(cid)
+    for key, cid, a, b in roots:
+        groups.setdefault(key, (a, b, []))[2].append(cid)
+    t_range = polys.segment.t_range
     # the keys are distinct, so the sort compares integers only
-    return [
-        (polys.poly(cls, a, b).root(), ids)
-        for _key, (a, b, cls, ids) in sorted(groups.items())
-    ], faults
+    return [(_root(a, b, *t_range), ids) for _key, (a, b, ids) in sorted(groups.items())], faults
 
 
 def _planned_events(seg, classes):
@@ -590,64 +601,72 @@ def _first_shared(events):
     return min((ids for _t, ids in events if len(ids) > 1), default=None)
 
 
-def _half_step(classes, base, i, w):
-    """The segment that moves row i of the admissible base along w for
-    t in [0, s], where s is half the smallest positive root of any class
-    determinant on that line, capped at 1: half the first event time
-    inside (0, 2), or 1 when there is none. No class determinant is zero
-    at t = 0, so none is zero along the whole line. The first time is
-    the smallest key (_keyed_roots), and its Fraction the only one
-    built."""
-    seg = WalkSegment(base, _slope(len(base), i, w), (0, 2))
-    polys = SegmentMinors(seg)
-    roots, _faults = _keyed_roots(polys, classes)
+def _half_step(classes, rows, i, w, m=1):
+    """The segment that moves row i of an admissible span's reduced
+    integer rows (B, 0, c) along the integer row w / m, m != 0 (over
+    m*m*c, positive for either sign of m), for t in [0, s], where s is
+    half the smallest positive root of any class determinant on that
+    line, capped at 1: half the first event time inside (0, 2), or 1
+    when there is none. No class determinant is zero at t = 0, so none
+    is zero along the whole line. The first time is the smallest key
+    (_keyed_roots), at the fraction a / (a - b) of the range [0, 2]:
+    that fraction is s, the only Fraction built. Returns the segment
+    and the rows at s, row i read off the family held constant at s.
+    """
+    line = list(rows)
+    b, _s, c = rows[i]
+    line[i] = _reduced(tuple(m * m * x for x in b), tuple(m * c * y for y in w), m * m * c)
+    seg = WalkSegment._of(tuple(line), (la.ZERO, Fraction(2)))
+    roots, _faults = _keyed_roots(SegmentMinors(seg), classes)
+    step = la.ONE
     if roots:
-        _key, _cid, a, b, cls = min(roots)
-        step = polys.poly(cls, a, b).root() / 2
-    else:
-        step = la.ONE
-    return WalkSegment._of(seg._rows, (la.ZERO, step))
+        _key, _cid, a, b = min(roots)
+        step = Fraction(a, a - b)
+    line[i] = seg._reparametrised(step, la.ZERO, seg.t_range)._rows[i]
+    return WalkSegment._of(seg._rows, (la.ZERO, step)), line
 
 
-def _separate_junction_spans(p, classes, u1, others, ca, cb, rng):
-    """Nudge the second basis row until the two classes stop sharing a
+def _separate_junction_spans(p, classes, rows, ca, cb, rng):
+    """Nudge the second start row until the two classes stop sharing a
     junction span.
 
+    rows are the start's reduced integer rows (B, 0, c), u1's first.
     Builds the nudge inside the reference hyperplane by sliding a fresh
-    direction along a proscribed direction of the first class. Returns
-    the nudge segment and mutates others[0], or returns None when no
-    candidate works.
+    integer direction along a proscribed direction of the first class.
+    Returns the nudge segment and sets rows to the rows at its end, or
+    returns None when no candidate works.
     """
     d = p.dim
     fa = classes[ca].direction_plane.int_rows
     fb = classes[cb].direction_plane.int_rows
-    fixed = tuple(others[1:]) + fa + (fb[0],)
-    base_rank = la.rank(fixed)
+    tail = tuple(r[0] for r in rows[2:])
+    fixed = tail + fa + (fb[0],)
+    base_rank = kernels.rank_int(fixed)
     w = None
     for _ in range(_SEARCH_CAP // 2):
-        cand = tuple(Fraction(rng.randint(-9, 9)) for _ in range(d))
-        if la.rank(fixed + (cand,)) > base_rank:
+        cand = tuple(rng.randint(-9, 9) for _ in range(d))
+        if kernels.rank_int(fixed + (cand,)) > base_rank:
             w = cand
             break
     if w is None:
         return None
-    if w[0] != 0:
+    m = 1
+    if w[0]:
         span_a = classes[ca].direction_plane
         lines = (pd.line for pd in pt.proscribed_directions(p))
         pf = next(ln for ln in lines if span_a.contains(ln))
-        if pf[0] == 0:
+        if not pf[0]:
             return None
         # pf spans a line of the class plane, already inside fixed, so
-        # the translated w keeps its rank contribution
-        w = la.sub(w, la.scale(pf, w[0] / pf[0]))
+        # the translated w - (w[0] / pf[0]) pf keeps its rank contribution
+        m = pf[0]
+        w = tuple(m * x - w[0] * y for x, y in zip(w, pf))
     # det(w, fixed) is, up to sign, class ca's degeneracy determinant
     # against the rest; zero means the fixed family is itself dependent
     # and the nudged junction determinant would stay zero for every step
-    rest = (w, *others[1:], fb[0])
-    if ca in sh.degenerate_classes(p, rest):
+    if ca in sh.degenerate_classes(p, (w, *tail, fb[0])):
         return None
-    seg = _half_step(classes, (u1, *others), 1, w)
-    others[0] = la.add(others[0], la.scale(w, seg.t_range[1]))
+    seg, rows[:] = _half_step(classes, rows, 1, w, m)
     return seg
 
 
@@ -659,10 +678,9 @@ def _fragment_to_hyperplane(p, rows0, seed):
     if all(r[0] == 0 for r in rows0):
         return [], rows0
     classes = pt.parallel_classes(p)
-    # some row has a nonzero first coordinate, so the first pivot is there
-    arr = la.rref(rows0)[0]
-    u1 = arr[0]
-    others = list(arr[1:])
+    # some row has a nonzero first coordinate, so the first pivot is
+    # there, in u1's row
+    rows = _echelon(rows0)[0]
     segs = []
     rng = random.Random(f"walk-to:{seed}")
     last_error = "no candidate crossing direction was admissible"
@@ -670,7 +688,8 @@ def _fragment_to_hyperplane(p, rows0, seed):
         # a v whose end span meets an eta direction, or whose end rows
         # are dependent, has a class degenerate at t = 1: an end fault
         v = (1,) + tuple(rng.randint(-9, 9) for _ in range(d - 1))
-        seg = WalkSegment((u1, *others), _slope(d - 2, 0, la.neg(v)), (0, 1))
+        u1, _s, c = rows[0]
+        seg = WalkSegment._of(((u1, tuple(-c * x for x in v), c), *rows[1:]), (la.ZERO, la.ONE))
         try:
             events = _planned_events(seg, classes)
         except WalkError as exc:
@@ -686,12 +705,12 @@ def _fragment_to_hyperplane(p, rows0, seed):
         # of all of them has rank d - 1
         fa = classes[ca].direction_plane.int_rows
         fb = classes[cb].direction_plane.int_rows
-        if la.rank(tuple(others) + fa + fb) != d - 1:
+        if kernels.rank_int(tuple(r[0] for r in rows[1:]) + fa + fb) != d - 1:
             last_error = (
                 f"classes {ca} and {cb} shared a degeneration time"
             )
             continue
-        pre = _separate_junction_spans(p, classes, u1, others, ca, cb, rng)
+        pre = _separate_junction_spans(p, classes, rows, ca, cb, rng)
         if pre is None:
             last_error = (
                 f"could not split the junction span of classes {ca} and {cb}"
@@ -704,41 +723,37 @@ def _fragment_to_hyperplane(p, rows0, seed):
 def _fragment_within(p, rows0):
     """Raw pieces (_assemble) from the admissible span of the integer
     rows rows0, inside the reference hyperplane, down to span(e2, ...,
-    e_{d-1}). p must be in the reference arrangement."""
+    e_{d-1}). p must be in the reference arrangement. The first column
+    of rows0 is zero, so the echelon pivots lie in columns 1 to d-1."""
     d = p.dim
     if any(r[0] != 0 for r in rows0):
         raise ParameterError("start must lie inside the reference hyperplane")
     classes = pt.parallel_classes(p)
-    cols = d - 1
-    target = cols - 1
-    arr, pivots = la.rref(tuple(r[1:] for r in rows0))
+    rows, pivots = _echelon(rows0)
     segs = []
 
     # staircase: advance the single non-pivot column one slot at a time
-    for _ in range(cols):
-        missing = next(c for c in range(cols) if c not in pivots)
-        if missing == target:
+    for _ in range(d - 1):
+        missing = next(c for c in range(1, d) if c not in pivots)
+        if missing == d - 1:
             break
-        idx = pivots.index(missing + 1)
-        base = tuple((la.ZERO, *r) for r in arr)
-        seg = _half_step(classes, base, idx, la.unit(d, missing + 1))
-        segs.append((seg, ()))
-        nudge = la.scale(la.unit(cols, missing), seg.t_range[1])
-        arr, pivots = la.rref(
-            tuple(la.add(r, nudge) if i == idx else r for i, r in enumerate(arr))
+        # row missing - 1 pivots at missing + 1; moved along e_missing, it turns that column pivot
+        seg, rows = _half_step(
+            classes, rows, missing - 1, tuple(int(k == missing) for k in range(d))
         )
+        segs.append((seg, ()))
+        rows, pivots = _echelon([r[0] for r in rows])
     else:
         raise WalkError("staircase did not reach the last column")
 
-    # now every row reads unit(p) + x_p * e_last in reduced coordinates
-    xs = [row[target] for row in arr]
-    last = la.unit(d, d - 1)
+    # now row p reads e_{p+1} + x_p e_last, and contracts along -x_p e_last
+    last = (0,) * (d - 1)
     for _ in range(_SEARCH_CAP):
-        if all(x == 0 for x in xs):
+        if not any(r[0][-1] for r in rows):
             return segs
-        base = tuple(la.add(la.unit(d, i + 1), la.scale(last, x)) for i, x in enumerate(xs))
-        slope = tuple(la.scale(last, -x) for x in xs)
-        seg = WalkSegment(base, slope, (Fraction(0), Fraction(1)))
+        seg = WalkSegment._of(
+            tuple((b, last + (-b[-1],), c) for b, _s, c in rows), (la.ZERO, la.ONE)
+        )
         events = _planned_events(seg, classes)
         shared = _first_shared(events)
         if shared is None:
@@ -751,28 +766,28 @@ def _fragment_within(p, rows0):
         if j is None:
             raise WalkError(f"classes {ca} and {cb} share an eta direction")
         # one unit of x along coordinate j separates the two roots
-        pre = _half_step(classes, base, j - 1, last)
+        pre, rows = _half_step(classes, rows, j - 1, last + (1,))
         segs.append((pre, ()))
-        xs[j - 1] += pre.t_range[1]
     raise WalkError("contraction produced inseparable degenerations")
 
 
 def _assemble(pieces, isometry, isometry_inv):
     """Chain raw pieces onto [0, 1] and place their events on that clock.
 
-    A piece is a raw segment and its planning scan's events, (t, [class
-    id]) in time order: planning keeps a segment only when no two
-    classes share a time (_first_shared), and half-steps have none. A
-    piece with events runs on [0, 1]; the k-th of n, rescaled onto
-    [k/n, (k+1)/n], has raw time num/den at (k den + num) / (n den).
+    A piece is a raw segment and its planning scan's events, ((num,
+    den), [class id]) in time order: planning keeps a segment only when
+    no two classes share a time (_first_shared), and half-steps have
+    none. A piece with events runs on [0, 1]; the k-th of n, rescaled
+    onto [k/n, (k+1)/n], has raw time num/den at (k den + num) / (n
+    den), the one Fraction built for the event.
     """
     n = len(pieces)
     segments, events = [], []
     for k, (seg, found) in enumerate(pieces):
         segments.append(seg.rescaled(Fraction(k, n), Fraction(k + 1, n)))
         events.extend(
-            DegenerationEvent(Fraction(k * t.denominator + t.numerator, n * t.denominator), ids[0])
-            for t, ids in found
+            DegenerationEvent(Fraction(k * den + num, n * den), ids[0])
+            for (num, den), ids in found
         )
     return WalkPlan(tuple(segments), tuple(events), isometry, isometry_inv)
 
@@ -841,7 +856,10 @@ def full_walk(p, frm, to, seed=0):
     a_in = _fragment_within(q, a_end)
     b_to, b_end = _fragment_to_hyperplane(q, push(span_b), f"{seed}:b")
     b_in = _fragment_within(q, b_end)
-    back = [(s.reversed(), [(1 - t, ids) for t, ids in ev[::-1]]) for s, ev in b_to + b_in]
+    back = [
+        (s.reversed(), [((den - num, den), ids) for (num, den), ids in ev[::-1]])
+        for s, ev in b_to + b_in
+    ]
     pieces = [
         (s.mapped(int_inv), [(t, [to_p[c] for c in ids]) for t, ids in ev])
         for s, ev in a_to + a_in + back[::-1]
@@ -852,10 +870,12 @@ def full_walk(p, frm, to, seed=0):
 def verify_walk(p, plan):
     """Independent certificate for a walk plan.
 
-    Recomputes every degeneration polynomial, isolates the roots, and
-    checks: affine determinants, no event at a segment end, no two
-    classes sharing a time, junction spans equal, and the plan event log
-    matching the recomputation entry by entry. Two segments meet in one
+    Recomputes every degeneration polynomial, isolates the roots with
+    its own run of the scan (_segment_events), builds one Fraction per
+    time for the certificate, and checks: affine determinants, no event
+    at a segment end, no two classes sharing a time, junction spans
+    equal, and the plan event log matching the recomputation entry by
+    entry. Two segments meet in one
     span exactly when their minor vectors at the junction, the earlier
     segment's hi_vals and the later one's lo_vals, are proportional; a
     junction next to a segment of the wrong shape is not compared.
@@ -909,6 +929,7 @@ def verify_walk(p, plan):
             else:
                 violations.append(f"segment {i}, class {cid}: {_NOT_AFFINE}")
         for t, ids in found:
+            t = Fraction(*t)
             if len(ids) > 1:
                 violations.append(
                     f"classes {ids[0]} and {ids[1]} share the event time {t}"
@@ -1096,7 +1117,9 @@ def _edge_slide(p, face_id, other_id, edge, witness):
     """(eps, w_minus, w_plus) around the event of the sorted edge: on
     the face plane's orthogonal integer pair (ebar, v), v turned so that
     u1 / alpha = ebar + lam v with lam > 0, the witness slides as
-    span(ebar + s v, tail), the event at s = 0, w_minus at s = eps."""
+    span(ebar + s v, tail), the event at s = 0, w_minus at s = eps: eps
+    is half of lam or of the nearest nonzero |event time| n / m, the
+    nearest found by cross-multiplication."""
     d = p.dim
     span = _ortho_span(p, witness)
     u1 = _validate_visibility_witness(p, face_id, other_id, span)[1]
@@ -1132,8 +1155,12 @@ def _edge_slide(p, face_id, other_id, edge, witness):
     rows = ((ebar, v, 1),) + tuple((r, (0,) * d, 1) for r in tail)
     seg = WalkSegment._of(rows, (-lam, lam))
     events, _faults = _segment_events(SegmentMinors(seg), pt.parallel_classes(p))
-    eps = min([lam] + [abs(s) for s, _ids in events if s != 0]) / 2
-    n, m = eps.numerator, eps.denominator
+    n, m = lam.as_integer_ratio()
+    for (num, den), _ids in events:
+        if num and abs(num) * m < n * den:
+            n, m = abs(num), den
+    eps = Fraction(n, 2 * m)
+    n, m = eps.as_integer_ratio()
     w_minus, w_plus = (
         la.span_of((tuple(m * x + k * y for x, y in zip(ebar, v)),) + tail)
         for k in (n, -n)

@@ -10,12 +10,14 @@ round runs every operation once on A and once on B, back to back, A
 first on even rounds and B first on odd ones, so both trees see the
 same stretch of host speed. At the end it prints, per tree, the sum
 over the operations of each one's median time, and B/A of those sums
-(below 1 when B is faster), the same sums and B/A per operation group
-(the part of an operation's key before its first ':', such as the
-polytope of a walk-suite walk), so that a change that moves one input
-shows, and whether the first round's outputs of the two trees agree
-under the workload's own comparison. Timing the
-same tree as A and B is the control: its ratio shows the method's
+(below 1 when B is faster); the median and quartiles of the per-round
+B/A, each round's summed B time over its summed A time, whose spread
+shows the method's own resolution on the host; the same sums and B/A
+per operation group (the part of an operation's key before its first
+':', such as the polytope of a walk-suite walk), so that a change that
+moves one input shows; and whether the first round's outputs of the
+two trees agree under the workload's own comparison. Timing the same
+tree as A and B is the control: its ratio shows the method's
 resolution on the host.
 
 Only the standard library is used, and nothing is written outside a
@@ -96,6 +98,11 @@ def main(argv=None):
     print(f"B {args.b_root}: {1000 * b_sum:.2f} ms per round (sum of medians)")
     print(f"outputs agree: {'yes' if agree else 'NO'}")
     print(f"B/A {b_sum / a_sum:.3f}")
+    per_round = [
+        sum(op[r] for op in times[1]) / sum(op[r] for op in times[0]) for r in range(rounds)
+    ]
+    q1, med, q3 = statistics.quantiles(per_round, n=4)
+    print(f"per-round B/A: median {med:.3f}, quartiles {q1:.3f} .. {q3:.3f}")
     for group, ids in groups.items():
         a_ms, b_ms = (1000 * sum(m[i] for i in ids) for m in medians)
         print(f"  {group}: A {a_ms:.2f} ms, B {b_ms:.2f} ms, B/A {b_ms / a_ms:.3f}")

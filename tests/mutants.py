@@ -40,6 +40,7 @@ KERNELS = "src/shadowlab/kernels.py"
 SHADOW = "src/shadowlab/shadow.py"
 CHAINS = "tests/test_face_chains.py::test_frame_chains_match_the_degree_count"
 DIFFERENTIAL = "tests/test_walk.py::test_verify_walk_rejects_every_rank_loss_the_oracle_finds"
+PLANNER = "tests/test_walk_planner.py::"
 
 MUTANTS = [
     # verify_walk's junction test
@@ -54,8 +55,8 @@ MUTANTS = [
     Mutant(
         "shared-span-rank-d-2",
         WALK,
-        "if la.rank(tuple(others) + fa + fb) != d - 1:",
-        "if la.rank(tuple(others) + fa + fb) != d - 2:",
+        "if kernels.rank_int(tuple(r[0] for r in rows[1:]) + fa + fb) != d - 1:",
+        "if kernels.rank_int(tuple(r[0] for r in rows[1:]) + fa + fb) != d - 2:",
         ["tests/test_cli.py::test_pn4_junction_walk_runs_rare_branches"],
     ),
     # the elementary transformation's frame
@@ -70,8 +71,8 @@ MUTANTS = [
     Mutant(
         "slide-eps-takes-zero",
         WALK,
-        "for s, _ids in events if s != 0]",
-        "for s, _ids in events]",
+        "if num and abs(num) * m < n * den:",
+        "if abs(num) * m < n * den:",
         ["tests/test_walk.py::test_prism_chain_split"],
     ),
     Mutant(
@@ -92,23 +93,59 @@ MUTANTS = [
     Mutant(
         "reversed-events-unflipped",
         WALK,
-        "[(1 - t, ids) for t, ids in ev[::-1]]",
-        "[(t, ids) for t, ids in ev[::-1]]",
+        "[((den - num, den), ids) for (num, den), ids in ev[::-1]]",
+        "[((num, den), ids) for (num, den), ids in ev[::-1]]",
         ["tests/test_walk_assembly.py"],
+    ),
+    Mutant(
+        "reversed-events-negated",
+        WALK,
+        "[((den - num, den), ids) for (num, den), ids in ev[::-1]]",
+        "[((num - den, den), ids) for (num, den), ids in ev[::-1]]",
+        ["tests/test_walk_assembly.py::test_planned_events_match_the_rescan"],
     ),
     Mutant(
         "clock-k-off-by-one",
         WALK,
-        "Fraction(k * t.denominator + t.numerator, n * t.denominator)",
-        "Fraction((k + 1) * t.denominator + t.numerator, n * t.denominator)",
+        "Fraction(k * den + num, n * den)",
+        "Fraction((k + 1) * den + num, n * den)",
         ["tests/test_walk_assembly.py"],
+    ),
+    Mutant(
+        "clock-slot-k-num",
+        WALK,
+        "Fraction(k * den + num, n * den)",
+        "Fraction(k * num + den, n * den)",
+        ["tests/test_walk_assembly.py::test_assemble_places_events_on_the_plan_clock"],
+    ),
+    # the planner's integer rows
+    Mutant(
+        "contraction-slope-sign-flipped",
+        WALK,
+        "last + (-b[-1],)",
+        "last + (b[-1],)",
+        [PLANNER + "test_planner_matches_the_fraction_constructions_on_walks"],
+    ),
+    Mutant(
+        "staircase-moves-the-next-column",
+        WALK,
+        "tuple(int(k == missing) for k in range(d))",
+        "tuple(int(k == missing + 1) for k in range(d))",
+        [PLANNER + "test_staircase_matches_the_fraction_constructions"],
+    ),
+    Mutant(
+        "reduced-keeps-a-negative-multiplier",
+        WALK,
+        "    if c < 0:\n        g = -g\n",
+        "",
+        [PLANNER + "test_planner_matches_the_fraction_constructions_on_walks"],
     ),
     # a rank loss is rejected by the scan alone
     Mutant(
         "scan-keys-each-class-apart",
         WALK,
-        "groups.setdefault(key, (a, b, cls, []))[3].append(cid)",
-        "groups.setdefault((key, cid), (a, b, cls, []))[3].append(cid)",
+        "groups.setdefault(key, (a, b, []))[2].append(cid)",
+        "groups.setdefault((key, cid), (a, b, []))[2].append(cid)",
         [DIFFERENTIAL],
     ),
     # the fixed-point event keys
@@ -122,8 +159,15 @@ MUTANTS = [
     Mutant(
         "half-step-takes-the-last-root",
         WALK,
-        "_key, _cid, a, b, cls = min(roots)",
-        "_key, _cid, a, b, cls = max(roots)",
+        "_key, _cid, a, b = min(roots)",
+        "_key, _cid, a, b = max(roots)",
+        ["tests/test_walk.py::test_half_step_stops_at_half_the_first_root"],
+    ),
+    Mutant(
+        "half-step-takes-the-whole-root",
+        WALK,
+        "step = Fraction(a, a - b)",
+        "step = Fraction(2 * a, a - b)",
         ["tests/test_walk.py::test_half_step_stops_at_half_the_first_root"],
     ),
     Mutant(

@@ -18,7 +18,9 @@ matchings, visible configurations from a seeded search over
 random witness planes, walk degeneration polynomials from rational
 determinants at d - 1 times and from per-class integer dot products at
 the ends and interior times (the three-point scan), walk segments from
-Fraction row arithmetic, degenerate classes from one stacked integer
+Fraction row arithmetic, the walk planner's crossings, nudges,
+staircase steps and contractions from Fraction echelon rows (the
+former rref) and Fraction row arithmetic, degenerate classes from one stacked integer
 determinant per class, sampled plane bases from Fraction Subspaces, the
 cells of a class from its difference body built as a Polytope,
 witnesses, crossing probes, elementary transformations and certificates from
@@ -234,6 +236,15 @@ def oracle_rref(m):
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def rref(m):
+    """The reduced row echelon form of rational rows as the library's
+    linalg.rref once built it: kernels.rref_int of the rows scaled to
+    integers, read back as Fractions. Returns (nonzero rows, pivot
+    columns)."""
+    reduced, pivots, den = kernels.rref_int([la.int_row(r)[0] for r in m])
+    return tuple(tuple(Fraction(x, den) for x in r) for r in reduced), pivots
 
 
 def oracle_cayley_rotation(d, i, j, t):
@@ -1395,6 +1406,7 @@ def oracle_assemble(p, raw_segments, isometry, isometry_inv):
     for k, seg in enumerate(raw_segments):
         piece = seg.rescaled(Fraction(k, n), Fraction(k + 1, n))
         for t, ids in wk._planned_events(piece, classes):
+            t = Fraction(*t)
             if len(ids) > 1:
                 raise WalkError(
                     f"classes {ids[0]} and {ids[1]} degenerate together at t={t}"
@@ -1465,10 +1477,11 @@ def oracle_edge_slide(p, face_id, other_id, edge, witness):
     u1n = la.scale(u1, 1 / alpha)
     keep = kernels.independent([u1], span.int_rows, d - 2)
     tail = tuple(span.int_rows[i] for i in keep)
-    slope = wk._slope(d - 2, 0, la.neg(v))
+    slope = oracle_slope(d - 2, 0, la.neg(v))
     seg = wk.WalkSegment((u1n,) + tail, slope, (0, 2 * lam))
     events, _faults = wk._segment_events(wk.SegmentMinors(seg), pt.parallel_classes(p))
-    eps = min([lam] + [abs(t - lam) for t, _ids in events if t != lam]) / 2
+    times = [Fraction(*t) for t, _ids in events]
+    eps = min([lam] + [abs(t - lam) for t in times if t != lam]) / 2
     u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
     w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))
     t_minus, t_plus = _oracle_tilde(v, u_minus), _oracle_tilde(v, u_plus)
@@ -1506,3 +1519,147 @@ def oracle_chain_split_transformations(p, face_id, other_id, edge, witness):
                     for w, tr, rev in zip(sides, forward, (rev1, rev2))
                 )
     raise GeometryError("no orientation pairing splits the chains at the edge")
+
+
+# ------------------------------------------- the former walk planner
+
+
+def oracle_slope(n, i, w):
+    """n slope rows, all zero but row i, which is w: the moving rows the
+    walk planner once built."""
+    zero = (la.ZERO,) * len(w)
+    return tuple(w if k == i else zero for k in range(n))
+
+
+def _oracle_planned(seg, classes):
+    """The events of a planned segment by the three-point scan; its
+    first fault raises WalkError with the planner's message."""
+    events, faults = oracle_segment_events(seg, classes)
+    if faults:
+        raise WalkError(faults[0][1])
+    return events
+
+
+def oracle_half_step(classes, base, i, w):
+    """walk._half_step as the planner once built it: the Fraction rows
+    base with row i moving along the Fraction row w, a WalkSegment on
+    [0, 2] cut at half the first event time of the three-point scan, or
+    at 1 when there is none."""
+    line = wk.WalkSegment(base, oracle_slope(len(base), i, w), (0, 2))
+    events, _faults = oracle_segment_events(line, classes)
+    return wk.WalkSegment._of(line._rows, (la.ZERO, events[0][0] / 2 if events else la.ONE))
+
+
+def oracle_separate_junction_spans(p, classes, u1, others, ca, cb, rng):
+    """walk._separate_junction_spans on Fraction rows, as the planner
+    once built it: the nudge direction and others[0] by la.sub, la.scale
+    and la.add. Returns the nudge segment and updates others[0], or
+    returns None."""
+    d = p.dim
+    fa = classes[ca].direction_plane.int_rows
+    fb = classes[cb].direction_plane.int_rows
+    fixed = tuple(others[1:]) + fa + (fb[0],)
+    base_rank = la.rank(fixed)
+    w = None
+    for _ in range(wk._SEARCH_CAP // 2):
+        cand = tuple(Fraction(rng.randint(-9, 9)) for _ in range(d))
+        if la.rank(fixed + (cand,)) > base_rank:
+            w = cand
+            break
+    if w is None:
+        return None
+    if w[0] != 0:
+        span_a = classes[ca].direction_plane
+        lines = (pd.line for pd in pt.proscribed_directions(p))
+        pf = next(ln for ln in lines if span_a.contains(ln))
+        if pf[0] == 0:
+            return None
+        w = la.sub(w, la.scale(pf, w[0] / pf[0]))
+    if ca in sh.degenerate_classes(p, (w, *others[1:], fb[0])):
+        return None
+    seg = oracle_half_step(classes, (u1, *others), 1, w)
+    others[0] = la.add(others[0], la.scale(w, seg.t_range[1]))
+    return seg
+
+
+def oracle_fragment_to_hyperplane(p, rows0, rng):
+    """walk._fragment_to_hyperplane as the planner once built it: the
+    start's Fraction echelon rows (rref), each crossing candidate a
+    WalkSegment of Fraction rows, scanned by the three-point scan, with
+    the candidates drawn from rng. Returns (pieces, end rows), each
+    piece (segment, events, kind), kind "crossing" or "nudge"."""
+    d = p.dim
+    if all(r[0] == 0 for r in rows0):
+        return [], rows0
+    classes = pt.parallel_classes(p)
+    arr = rref(rows0)[0]
+    u1, others = arr[0], list(arr[1:])
+    pieces = []
+    for _ in range(wk._SEARCH_CAP):
+        v = (1,) + tuple(rng.randint(-9, 9) for _ in range(d - 1))
+        seg = wk.WalkSegment((u1, *others), oracle_slope(d - 2, 0, la.neg(v)), (0, 1))
+        try:
+            events = _oracle_planned(seg, classes)
+        except WalkError:
+            continue
+        shared = wk._first_shared(events)
+        if shared is None:
+            pieces.append((seg, events, "crossing"))
+            return pieces, seg.int_rows_at(1)[0]
+        ca, cb = shared[0], shared[1]
+        fa = classes[ca].direction_plane.int_rows
+        fb = classes[cb].direction_plane.int_rows
+        if la.rank(tuple(others) + fa + fb) != d - 1:
+            continue
+        pre = oracle_separate_junction_spans(p, classes, u1, others, ca, cb, rng)
+        if pre is not None:
+            pieces.append((pre, [], "nudge"))
+    raise WalkError("crossing search exhausted its budget")
+
+
+def oracle_fragment_within(p, rows0):
+    """walk._fragment_within as the planner once built it: the staircase
+    on Fraction echelon rows (rref after each nudge), and each
+    contraction and its pre-steps a WalkSegment of the Fraction rows
+    e_{i+1} + x_i e_last. Returns pieces (segment, events, kind), kind
+    "staircase", "contraction" or "pre-step"."""
+    d = p.dim
+    classes = pt.parallel_classes(p)
+    cols = d - 1
+    target = cols - 1
+    arr, pivots = rref(tuple(r[1:] for r in rows0))
+    pieces = []
+    for _ in range(cols):
+        missing = next(c for c in range(cols) if c not in pivots)
+        if missing == target:
+            break
+        idx = pivots.index(missing + 1)
+        base = tuple((la.ZERO, *r) for r in arr)
+        seg = oracle_half_step(classes, base, idx, la.unit(d, missing + 1))
+        pieces.append((seg, [], "staircase"))
+        nudge = la.scale(la.unit(cols, missing), seg.t_range[1])
+        arr, pivots = rref(tuple(la.add(r, nudge) if i == idx else r for i, r in enumerate(arr)))
+    else:
+        raise WalkError("staircase did not reach the last column")
+    xs = [row[target] for row in arr]
+    last = la.unit(d, d - 1)
+    for _ in range(wk._SEARCH_CAP):
+        if all(x == 0 for x in xs):
+            return pieces
+        base = tuple(la.add(la.unit(d, i + 1), la.scale(last, x)) for i, x in enumerate(xs))
+        slope = tuple(la.scale(last, -x) for x in xs)
+        seg = wk.WalkSegment(base, slope, (0, 1))
+        events = _oracle_planned(seg, classes)
+        shared = wk._first_shared(events)
+        if shared is None:
+            pieces.append((seg, events, "contraction"))
+            return pieces
+        ca, cb = shared[0], shared[1]
+        ea, eb = (wk._eta_line(*classes[c].direction_plane.int_rows) for c in (ca, cb))
+        j = next((i for i in range(1, d - 1) if ea[i] * eb[-1] != eb[i] * ea[-1]), None)
+        if j is None:
+            raise WalkError(f"classes {ca} and {cb} share an eta direction")
+        pre = oracle_half_step(classes, base, j - 1, last)
+        pieces.append((pre, [], "pre-step"))
+        xs[j - 1] += pre.t_range[1]
+    raise WalkError("contraction produced inseparable degenerations")

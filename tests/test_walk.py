@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction as Fr
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,6 +38,8 @@ from oracles import (
     oracle_hull_2d,
     oracle_rank_losses,
     oracle_segment_events,
+    oracle_separate_junction_spans,
+    oracle_slope,
 )
 
 CUBE = fam.hypercube(3)
@@ -1059,23 +1062,34 @@ def _junction_case(p, seed):
             return classes, la.as_vec(u1), others, ca, cb
 
 
+def fixed_rows(rows):
+    """Rational rows as the planner's reduced integer rows (B, 0, c)."""
+    return list(wk.WalkSegment(rows, [(0,) * len(rows[0])] * len(rows), (0, 1))._rows)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_separate_junction_spans_nudges_to_an_admissible_span(seed):
     q = wk.reference_frame(fam.hypercube(4)).moved
     classes, u1, others, ca, cb = _junction_case(q, seed)
     start = others[0]
-    seg = wk._separate_junction_spans(q, classes, u1, others, ca, cb, random.Random(seed))
+    rows = fixed_rows((u1, *others))
+    seg = wk._separate_junction_spans(q, classes, rows, ca, cb, random.Random(seed))
     assert seg is not None
     lo, hi = seg.t_range
     assert lo == 0 < hi
     assert seg.rows_at(0) == (u1, start)
     # the nudge moves the second row inside the reference hyperplane
-    assert seg.slope[0] == wk._zero_vec(4) and seg.slope[1][0] == 0
+    assert seg.slope[0] == (0,) * 4 and seg.slope[1][0] == 0
     # no class degenerates anywhere on the closed nudge segment
     for cls in classes:
         c0, c1 = oracle_degeneration_polynomial(seg, cls)
         assert oracle_affine_roots(c0, c1, lo, hi) == []
-    assert others[0] == seg.rows_at(hi)[1]
+    # the rows are set to the rows at the nudge's end, as the former
+    # Fraction construction moves them
+    assert rows == fixed_rows(seg.rows_at(hi))
+    want = oracle_separate_junction_spans(q, classes, u1, others, ca, cb, random.Random(seed))
+    assert (want._rows, want.t_range) == (seg._rows, seg.t_range)
+    assert rows == fixed_rows((u1, *others))
     fa = classes[ca].direction_plane.basis
     fb = classes[cb].direction_plane.basis
     assert la.span_of(tuple(others) + fa) != la.span_of(tuple(others) + fb)
@@ -1090,9 +1104,10 @@ def test_separate_junction_spans_rejects_a_dependent_fixed_family():
     fa0 = classes[ca].direction_plane.basis[0]
     fb0 = classes[cb].direction_plane.basis[0]
     others[1] = la.add(la.scale(fa0, 2), fb0)
-    before = list(others)
-    assert wk._separate_junction_spans(q, classes, u1, others, ca, cb, random.Random(0)) is None
-    assert others == before
+    rows = fixed_rows((u1, *others))
+    before = list(rows)
+    assert wk._separate_junction_spans(q, classes, rows, ca, cb, random.Random(0)) is None
+    assert rows == before
 
 
 def _sign(x):
@@ -1395,9 +1410,10 @@ def assert_scan_matches_oracle(seg, classes, got=None):
         got = wk._segment_events(wk.SegmentMinors(seg), classes)
     events, faults = got
     want_events, want_faults = oracle_segment_events(seg, classes)
-    # groups, their order and their exact times
-    assert events == want_events
-    assert all(type(t) is Fr for t, _ids in events)
+    # groups, their order and their exact times, each an integer pair
+    # over a positive denominator
+    assert all(type(n) is int and type(q) is int and q > 0 for (n, q), _ids in events)
+    assert [(Fr(*t), ids) for t, ids in events] == want_events
     assert [f[0] for f in faults] == [cid for cid, _msg in want_faults]
     for fault, (_cid, msg) in zip(faults, want_faults):
         assert _planning_error(seg, classes, fault) == msg
@@ -1496,7 +1512,7 @@ def test_a_cubic_that_passes_the_midpoint_test_is_not_affine():
         oracle_degeneration_polynomial(seg, classes[cid])
     events, faults = wk._segment_events(wk.SegmentMinors(seg), classes)
     assert (cid, "not affine", None) in faults
-    assert all(cid not in ids and t != Fr(-1, 4) for t, ids in events)
+    assert all(cid not in ids and Fr(*t) != Fr(-1, 4) for t, ids in events)
     assert_scan_matches_oracle(seg, classes)
     ident = la.identity(5)
     cert = wk.verify_walk(p, wk.WalkPlan((seg,), (), ident, ident))
@@ -1521,7 +1537,7 @@ def _dependent_at(seg, t, c):
     """seg with row 0 reset so that at t it is c times row 1, or zero
     when there is one row: the rows at t are dependent."""
     rows = seg.rows_at(t)
-    target = la.scale(rows[1], c) if len(rows) > 1 else wk._zero_vec(len(rows[0]))
+    target = la.scale(rows[1], c) if len(rows) > 1 else (0,) * len(rows[0])
     base = (la.sub(target, la.scale(seg.slope[0], t)),) + seg.base[1:]
     return wk.WalkSegment(base, seg.slope, seg.t_range)
 
@@ -1668,13 +1684,13 @@ class GivenEndValues:
     are 0, 1, ...) has the end values pairs[cid] on t_range."""
 
     def __init__(self, pairs, t_range):
-        self.pairs, self.t_range = pairs, t_range
+        self.pairs, self.segment = pairs, SimpleNamespace(t_range=t_range)
 
     def end_values(self, cid):
         return self.pairs[cid]
 
     def poly(self, cid, a, b):
-        return wk.AffinePoly(a, b, 1, *self.t_range)
+        return wk.AffinePoly(a, b, 1, *self.segment.t_range)
 
 
 def fraction_sorted_events(pairs, t_range):
@@ -1696,6 +1712,7 @@ def assert_keys_order_roots(roots, t_range=(Fr(0), Fr(1))):
     pairs = [(sign * p * s, -sign * (q - p) * s) for p, q, s, sign in roots]
     pairs += [(3, 5), (0, -1)]
     events, faults = wk._segment_events(GivenEndValues(pairs, t_range), range(len(pairs)))
+    events = [(Fr(*t), ids) for t, ids in events]
     assert events == fraction_sorted_events(pairs, t_range)
     assert [cid for cid, _kind, _t in faults] == [len(pairs) - 1]
     return events
@@ -1780,11 +1797,16 @@ def test_half_step_stops_at_half_the_first_root(case):
     p, rows, i, w = case
     assume(not oracle_degenerate_classes(p, rows))
     classes = pt.parallel_classes(p)
-    line = wk.WalkSegment(rows, wk._slope(len(rows), i, w), (0, 2))
+    line = wk.WalkSegment(rows, oracle_slope(len(rows), i, w), (0, 2))
     events, _faults = oracle_segment_events(line, classes)
-    seg = wk._half_step(classes, tuple(rows), i, w)
-    assert seg.t_range == (0, events[0][0] / 2 if events else 1)
-    assert seg.rows_at(1) == line.rows_at(1)
+    step = events[0][0] / 2 if events else 1
+    # w as an integer row over a positive m, and over -m
+    ints, m = la.int_row(w)
+    for k in (m, -m):
+        seg, moved = wk._half_step(classes, fixed_rows(rows), i, [x * k // m for x in ints], k)
+        assert seg.t_range == (0, step)
+        assert seg._rows == line._rows
+        assert moved == fixed_rows(line.rows_at(step))
 
 
 def test_first_shared_follows_class_order():
@@ -1820,7 +1842,7 @@ def test_a_shared_time_is_refused_by_planning_and_by_verify_walk():
     x1 = class_id_by_span(CUBE, ((1, 0, 0), (0, 0, 1)))
     ca, cb = sorted((x0, x1))
     events = wk._planned_events(shared, pt.parallel_classes(CUBE))
-    assert events == [(Fr(1, 2), [ca, cb])]
+    assert [(Fr(*t), ids) for t, ids in events] == [(Fr(1, 2), [ca, cb])]
     # planning keeps a segment only when no time is shared
     assert wk._first_shared(events) == [ca, cb]
     # a plan that kept it anyway lists the first class at 3/4, and

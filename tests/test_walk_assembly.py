@@ -72,12 +72,15 @@ def assert_matches_rescan(p, plan, pieces):
     want = oracle_assemble(p, [seg for seg, _events in pieces], plan.isometry, plan.isometry_inv)
     assert plan.events == want.events
     assert [segment_key(s) for s in plan.segments] == [segment_key(s) for s in want.segments]
-    # every event lies strictly inside its own segment's slot
+    # every event lies strictly inside its own segment's slot; a raw
+    # time is an integer pair over a positive denominator
     n = len(plan.segments)
     for seg, (_s, events) in zip(plan.segments, pieces):
         lo, hi = seg.t_range
-        assert all(len(ids) == 1 and 0 < t < 1 for t, ids in events)
-        assert all(lo < (lo * n + t) / n < hi for t, _ids in events)
+        assert all(type(num) is int and den > 0 for (num, den), _ids in events)
+        times = [Fr(*t) for t, _ids in events]
+        assert all(len(ids) == 1 for _t, ids in events)
+        assert all(0 < t < 1 and lo < (lo * n + t) / n < hi for t in times)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
@@ -107,7 +110,8 @@ def test_pieces_with_events_run_on_the_unit_range(monkeypatch, name):
         for seg, events in pieces:
             if events:
                 assert seg.t_range == (0, 1)
-                assert [t for t, _ids in events] == sorted(t for t, _ids in events)
+                times = [Fr(*t) for t, _ids in events]
+                assert times == sorted(times)
 
 
 # name -> (classes whose id the rotation moves, classes)
@@ -139,10 +143,11 @@ def test_frame_class_ids_name_the_same_faces(name):
 
 
 def test_assemble_places_events_on_the_plan_clock():
-    # three pieces on [0, 1]: raw 1/3 in the second lands at (1 + 1/3) / 3
+    # three pieces on [0, 1]: raw 1/3 in the second lands at (1 + 1/3) / 3;
+    # raw times come as integer pairs, not always in lowest terms
     seg = wk.WalkSegment(((1, 2, 3),), ((0, 0, 0),), (0, 1))
     half = wk.WalkSegment(((1, 2, 3),), ((0, 0, 0),), (0, Fr(1, 2)))
-    pieces = [(half, []), (seg, [(Fr(1, 3), [4]), (Fr(5, 7), [0])]), (seg, [(Fr(1, 2), [2])])]
+    pieces = [(half, []), (seg, [((2, 6), [4]), ((5, 7), [0])]), (seg, [((3, 6), [2])])]
     plan = wk._assemble(pieces, None, None)
     assert plan.events == (
         wk.DegenerationEvent(Fr(4, 9), 4),

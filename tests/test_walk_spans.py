@@ -33,6 +33,8 @@ from oracles import (
     oracle_crossing_prefilter,
     oracle_junction_violations,
     oracle_shared_junction_span,
+    oracle_slope,
+    rref,
 )
 from test_walk import CUBE, RATS, zoo_segments
 from test_walk_checker import check_plan, checks  # noqa: F401 (fixture)
@@ -74,12 +76,12 @@ def junction_plans(draw):
         elif kind == "other":
             rows = tuple(draw(row) for _ in range(d - 2))
         elif kind == "dependent":
-            dep = la.scale(rows[-1], draw(RATS)) if d > 3 else wk._zero_vec(d)
+            dep = la.scale(rows[-1], draw(RATS)) if d > 3 else (0,) * d
             rows = (dep,) + rows[1:]
         elif kind == "dependent-before":
             # the previous segment's first row turned to end at a multiple
             # of its last one (or at zero)
-            end = la.scale(rows[-1], draw(RATS)) if d > 3 else wk._zero_vec(d)
+            end = la.scale(rows[-1], draw(RATS)) if d > 3 else (0,) * d
             base = (la.sub(end, la.scale(prev.slope[0], t)),) + prev.base[1:]
             segs[-1] = wk.WalkSegment(base, prev.slope, prev.t_range)
             rows = segs[-1].rows_at(t)
@@ -184,14 +186,14 @@ def crossing_starts(draw):
     q = draw(st.sampled_from(MOVED_ZOO))
     junction = q.dim > 3 and draw(st.booleans())
     rows, _pair = admissible_start(q, random.Random(draw(st.integers(0, 10**6))), junction)
-    arr, pivots = la.rref(rows)
+    arr, pivots = rref(rows)
     assert pivots[0] == 0
     return q, arr[0], arr[1:]
 
 
 def crossing(q, u1, others, v):
     """The crossing segment of candidate v, as the search builds it."""
-    return wk.WalkSegment((u1, *others), wk._slope(q.dim - 2, 0, la.neg(v)), (0, 1))
+    return wk.WalkSegment((u1, *others), oracle_slope(q.dim - 2, 0, la.neg(v)), (0, 1))
 
 
 @settings(max_examples=120, deadline=None)
@@ -225,7 +227,7 @@ def test_prefilter_skips_only_end_faults_on_the_search_grid(q):
     rng = random.Random(f"grid:{q.dim}")
     skipped = 0
     for junction in (False, True) if q.dim > 3 else (False,):
-        arr, _ = la.rref(admissible_start(q, rng, junction)[0])
+        arr, _ = rref(admissible_start(q, rng, junction)[0])
         u1, others = arr[0], arr[1:]
         for _ in range(300):
             v = (1,) + tuple(rng.randint(-9, 9) for _ in range(q.dim - 1))
@@ -253,7 +255,7 @@ def test_shared_span_rank_test_matches_two_spans(case):
 def test_junction_starts_share_a_span():
     for q in MOVED_ZOO[1:]:
         rows, (a, b) = admissible_start(q, random.Random(0), junction=True)
-        others = la.rref(rows)[0][1:]
+        others = rref(rows)[0][1:]
         fa, fb = (pt.parallel_classes(q)[c].direction_plane.int_rows for c in (a, b))
         assert oracle_shared_junction_span(others, fa, fb)
         assert la.rank(tuple(others) + fa + fb) == q.dim - 1
@@ -281,7 +283,7 @@ def outcome(q, rows, v):
     """What the crossing search makes of the candidate v from the start
     rows: "fault", "clean", or "equal" / "unequal" for a shared time
     whose junction spans are one or two."""
-    arr, _ = la.rref(rows)
+    arr, _ = rref(rows)
     classes = pt.parallel_classes(q)
     try:
         shared = wk._first_shared(wk._planned_events(crossing(q, arr[0], arr[1:], v), classes))
@@ -387,7 +389,7 @@ def once(monkeypatch, module, name, value, skip=0):
 def junction_planes(q, rows, v):
     """The integer plane rows of the two classes that share a junction
     span on the crossing from the start rows toward candidate v."""
-    arr, _ = la.rref(rows)
+    arr, _ = rref(rows)
     classes = pt.parallel_classes(q)
     shared = wk._first_shared(wk._planned_events(crossing(q, arr[0], arr[1:], v), classes))
     return [classes[c].direction_plane.int_rows for c in shared[:2]]
@@ -396,7 +398,7 @@ def junction_planes(q, rows, v):
 def rank_raising(q, rows, v, first):
     """A nudge candidate w that _separate_junction_spans accepts from the
     start rows after candidate v, with w[0] == 0 or not."""
-    arr, _ = la.rref(rows)
+    arr, _ = rref(rows)
     fa, fb = junction_planes(q, rows, v)
     fixed = tuple(arr[2:]) + fa + (fb[0],)
     for tail in product(range(-3, 4), repeat=q.dim - 1):
