@@ -115,9 +115,14 @@ def rref_int(rows):
     Returns (reduced, pivots, den): reduced / den is the reduced row
     echelon form without its zero rows, every pivot entry of reduced is
     den, and each Bareiss step divides exactly by the previous pivot.
+    den > 0: when the last pivot is negative, the rows and den are
+    negated, which leaves reduced / den as it is.
     """
     m, pivots, _sign, den = _bareiss(rows, len(rows[0]) if rows else 0, jordan=True)
-    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots), den
+    m = m[: len(pivots)]
+    if den < 0:
+        return tuple(tuple(-x for x in r) for r in m), tuple(pivots), -den
+    return tuple(map(tuple, m)), tuple(pivots), den
 
 
 def dot(u, v):

@@ -208,10 +208,9 @@ class Subspace:
     @classmethod
     def _of(cls, rows, den, ambient):
         """The Subspace with basis rows / den, for independent integer
-        rows, without re-validation: with g = gcd(den, *r) carrying the
-        sign of den, row r is stored as r // g over den // g."""
-        sign = -1 if den < 0 else 1
-        gs = [sign * gcd(den, *r) for r in rows]
+        rows over a positive den, without re-validation: with g =
+        gcd(den, *r), row r is stored as r // g over den // g."""
+        gs = [gcd(den, *r) for r in rows]
         s = object.__new__(cls)
         s.int_rows = tuple(tuple(x // g for x in r) for r, g in zip(rows, gs))
         s.int_mults = tuple(den // g for g in gs)

@@ -19,11 +19,13 @@ segment's integer rows at its two ends, the Pluecker vector of its
 span there, are built once per segment (SegmentMinors), which also
 proves once that every class determinant is affine on it when the
 slope rows have rank at most 1, as on every segment the walks build; a
-class's two end values are then two dot products, over one positive
-denominator (AffinePoly). Their signs alone say whether a class
-degenerates on the segment, at an end, or along all of it. One scan
-(_segment_events) reads them for planning, whose events the plan
-keeps, and for verify_walk. It keys each event time by an exact
+class is read on it by its two end values alone, two integer dot
+products over one positive denominator (end_values). Their signs say
+whether a class degenerates on the segment, at an end, or along all of
+it. One scan (_segment_events) reads them for planning, whose events
+the plan keeps, and for verify_walk; one reader (_nearest_root) gives
+the nearest nonzero root on a range [-L, L], for a crossing probe's
+eps and a chain split's slide. The scan keys each event time by an exact
 fixed-point integer, floor(a 2^K / (a - b)) for a root at the fraction
 a / (a - b) of the range (a > 0 > b, up to the sign of both), with
 K = 2B + 1 and B the largest bit length of the a - b on the segment:
@@ -65,11 +67,9 @@ _NOT_AFFINE = "degeneration determinant is not affine on the segment"
 
 
 def _reduced(b, s, c):
-    """A row pair (b + t*s) / c over a nonzero c, with gcd(c, *b, *s)
-    divided out and c made positive."""
+    """A row pair (b + t*s) / c over a positive c, with gcd(c, *b, *s)
+    divided out."""
     g = gcd(c, *b, *s)
-    if c < 0:
-        g = -g
     if g == 1:
         return b, s, c
     return tuple(x // g for x in b), tuple(x // g for x in s), c // g
@@ -231,55 +231,6 @@ class WalkSegment:
         return f"WalkSegment(rows={len(self._rows)}, range=[{lo}, {hi}])"
 
 
-class AffinePoly(namedtuple("AffinePoly", ["a", "b", "den", "lo", "hi"])):
-    """An affine determinant c0 + c1*t on [lo, hi], held by its end values.
-
-    a / den and b / den are its exact values at t = lo and t = hi: a and
-    b are integers over one positive integer den, so their signs are the
-    signs of the determinant at the two ends. c0 and c1 are built only
-    when asked for.
-    """
-
-    __slots__ = ()
-
-    @property
-    def c1(self):
-        return Fraction(self.b - self.a, self.den) / (self.hi - self.lo)
-
-    @property
-    def c0(self):
-        return Fraction(self.a, self.den) - self.c1 * self.lo
-
-    def at(self, t):
-        return self.c0 + self.c1 * la.as_rat(t)
-
-    def root(self):
-        """The zero of c0 + c1*t anywhere on the line, or None when c1 = 0:
-        the one Fraction of _root's integer pair."""
-        if self.a != self.b:
-            return Fraction(*_root(self.a, self.b, self.lo, self.hi))
-
-    @property
-    def kind(self):
-        """How the determinant vanishes on the closed range, from the
-        signs of a and b alone: "whole" (a = b = 0), "end" (one is 0),
-        "inside" (strictly opposite signs) or "none"."""
-        a, b = self.a, self.b
-        if a and b:
-            return "none" if (a < 0) == (b < 0) else "inside"
-        return "end" if a or b else "whole"
-
-    def crossing(self):
-        """(kind, t): t is the vanishing end (lo or hi) for "end", root()
-        for "inside" (the only Fraction built), else None."""
-        kind = self.kind
-        if kind == "inside":
-            return kind, self.root()
-        if kind == "end":
-            return kind, self.hi if self.a else self.lo
-        return kind, None
-
-
 DegenerationEvent = namedtuple("DegenerationEvent", ["time", "class_id"])
 
 EtaVector = namedtuple("EtaVector", ["class_id", "eta"])
@@ -380,24 +331,19 @@ class SegmentMinors:
                     raise WalkError(_NOT_AFFINE)
         return a, b
 
-    def poly(self, cls, a, b):
-        """The AffinePoly of a class with end values (a, b)."""
-        lo, hi = self.segment.t_range
-        return AffinePoly(a, b, self.den * cls.direction_plane.int_scale, lo, hi)
-
-    def __call__(self, cls):
-        return self.poly(cls, *self.end_values(cls))
-
 
 def degeneration_polynomial(segment, cls):
-    """Exact affine degeneration determinant of one class on a segment.
-
-    Its integer end values, two dot products of the segment's end minor
-    vectors with the class's plane minors (SegmentMinors); a determinant
-    that is not affine in t raises WalkError. A loop over classes builds
-    the SegmentMinors once and calls it on each class.
-    """
-    return SegmentMinors(segment)(cls)
+    """(c0, c1) of the class determinant c0 + c1*t on a segment, read
+    off its integer end values (SegmentMinors.end_values) over den *
+    the plane's int_scale; a determinant that is not affine in t raises
+    WalkError. The walk layer itself reads classes by their end values
+    alone."""
+    polys = SegmentMinors(segment)
+    a, b = polys.end_values(cls)
+    lo, hi = segment.t_range
+    den = polys.den * cls.direction_plane.int_scale
+    c1 = Fraction(b - a, den) / (hi - lo)
+    return Fraction(a, den) - c1 * lo, c1
 
 
 def _eta_line(a, b):
@@ -542,7 +488,7 @@ def _keyed_roots(polys, classes):
     roots lists (key, class id, a, b) for each class with a root
     strictly inside the range, its end values a > 0 > b up to the sign
     of both; faults lists (class id, "whole" | "end" |
-    "not affine", the end or None) in class order.
+    "not affine", the vanishing end or None) in class order.
 
     A root sits at the fraction r = a / (a - b) of the range. With B
     the largest bit length of the a - b, two distinct such fractions
@@ -550,6 +496,7 @@ def _keyed_roots(polys, classes):
     floor(a 2^K / (a - b)) keys its time: equal keys are one time, and
     integer order is time order. A key costs one shift and one division
     of numbers of about 3B bits."""
+    lo, hi = polys.segment.t_range
     inside, faults = [], []
     for cid, cls in enumerate(classes):
         try:
@@ -558,7 +505,7 @@ def _keyed_roots(polys, classes):
             faults.append((cid, "not affine", None))
             continue
         if not (a and b):
-            faults.append((cid, *polys.poly(cls, a, b).crossing()))
+            faults.append((cid, "end", hi if a else lo) if a or b else (cid, "whole", None))
         elif (a < 0) != (b < 0):
             inside.append((cid, a, b) if a > 0 else (cid, -a, -b))
     bits = max(((a - b).bit_length() for _cid, a, b in inside), default=0)
@@ -870,7 +817,7 @@ def full_walk(p, frm, to, seed=0):
 def verify_walk(p, plan):
     """Independent certificate for a walk plan.
 
-    Recomputes every degeneration polynomial, isolates the roots with
+    Recomputes every class's end values, isolates the roots with
     its own run of the scan (_segment_events), builds one Fraction per
     time for the certificate, and checks: affine determinants, no event
     at a segment end, no two classes sharing a time, junction spans
@@ -1005,6 +952,21 @@ def _tilde(v, u):
     return tuple(uu * a - vu * b for a, b in zip(v, u))
 
 
+def _nearest_root(polys, classes):
+    """The smallest nonzero |root| of a class on a segment [-L, L],
+    given its SegmentMinors, over L: a class with end values a and b
+    has its root at L (a + b) / (a - b), so this is the smallest
+    nonzero |a + b| / |a - b|, found by cross-multiplication and given
+    as that integer pair, or None when no class has such a root."""
+    near = None
+    for cls in classes:
+        a, b = polys.end_values(cls)
+        gap = (abs(a + b), abs(a - b))
+        if gap[0] and gap[1] and (near is None or gap[0] * near[1] < near[0] * gap[1]):
+            near = gap
+    return near
+
+
 def crossing_probe(p, cid, rows, mults, u1, reverse=False):
     """The segment that moves a single-class witness off its class.
 
@@ -1014,13 +976,12 @@ def crossing_probe(p, cid, rows, mults, u1, reverse=False):
     v generates the orthogonal complement of witness + P, which has
     rank d-1, so v is unique up to sign; reverse flips it. Returns
     (probe, v, eps): probe moves the witness, based at u1 and its rows,
-    along v for t in [-1, 1]. eps is half the smallest |root| of another
-    class anywhere on the probe's line (1 when none has one), and class
-    cid's determinant is t det(v, tail, P), so only cid degenerates on
-    (-eps, eps), at 0: no edge collapses at -eps / 2, where frame_chains'
-    local test is exact. A class's root is (a + b) / (a - b) in its end
-    values at -1 and 1, so the smallest |root| is found by
-    cross-multiplication and eps is the one Fraction built.
+    along v for t in [-1, 1]. eps is half the smallest nonzero |root|
+    of a class anywhere on the probe's line (_nearest_root; 1 when none
+    has one), the one Fraction built. Class cid's determinant is
+    t det(v, tail, P), and it is the only class zero at the witness, t =
+    0, so only cid degenerates on (-eps, eps), at 0: no edge collapses
+    at -eps / 2, where frame_chains' local test is exact.
     """
     d = p.dim
     classes = pt.parallel_classes(p)
@@ -1037,18 +998,8 @@ def crossing_probe(p, cid, rows, mults, u1, reverse=False):
     if len(fixed) != d - 3:
         raise GeometryError("degenerating direction escapes the witness")
     probe = WalkSegment._of(((tuple(u1), v, 1), *fixed), (Fraction(-1), la.ONE))
-    polys = SegmentMinors(probe)
-    # the smallest |root| so far, as (|a + b|, |a - b|)
-    near = None
-    for k, cls in enumerate(classes):
-        if k == cid:
-            continue
-        a, b = polys.end_values(cls)
-        if a != b:
-            gap = (abs(a + b), abs(a - b))
-            if near is None or gap[0] * near[1] < near[0] * gap[1]:
-                near = gap
-    eps = Fraction(1) if near is None else Fraction(near[0], 2 * near[1])
+    near = _nearest_root(SegmentMinors(probe), classes)
+    eps = la.ONE if near is None else Fraction(near[0], 2 * near[1])
     return probe, v, eps
 
 
@@ -1118,8 +1069,9 @@ def _edge_slide(p, face_id, other_id, edge, witness):
     the face plane's orthogonal integer pair (ebar, v), v turned so that
     u1 / alpha = ebar + lam v with lam > 0, the witness slides as
     span(ebar + s v, tail), the event at s = 0, w_minus at s = eps: eps
-    is half of lam or of the nearest nonzero |event time| n / m, the
-    nearest found by cross-multiplication."""
+    is half of lam or of the nearest nonzero |root| of a class on the
+    slide [-lam, lam] (_nearest_root), whichever is smaller; a root at
+    s = 0, the event itself, is not counted."""
     d = p.dim
     span = _ortho_span(p, witness)
     u1 = _validate_visibility_witness(p, face_id, other_id, span)[1]
@@ -1154,12 +1106,8 @@ def _edge_slide(p, face_id, other_id, edge, witness):
     tail = tuple(span.int_rows[i] for i in keep)
     rows = ((ebar, v, 1),) + tuple((r, (0,) * d, 1) for r in tail)
     seg = WalkSegment._of(rows, (-lam, lam))
-    events, _faults = _segment_events(SegmentMinors(seg), pt.parallel_classes(p))
-    n, m = lam.as_integer_ratio()
-    for (num, den), _ids in events:
-        if num and abs(num) * m < n * den:
-            n, m = abs(num), den
-    eps = Fraction(n, 2 * m)
+    near = _nearest_root(SegmentMinors(seg), pt.parallel_classes(p))
+    eps = lam * (la.ONE if near is None else min(la.ONE, Fraction(*near))) / 2
     n, m = eps.as_integer_ratio()
     w_minus, w_plus = (
         la.span_of((tuple(m * x + k * y for x, y in zip(ebar, v)),) + tail)

@@ -11,9 +11,12 @@ would otherwise put the unmutated src first) to a temporary directory,
 applies the edit and runs `python -m pytest -q -x -p no:cacheprovider`
 there on the tests named for it, files or node ids, with no bytecode
 written. The unmutated copy must first pass every test that some
-mutant names. A mutant whose tests all pass has survived, and the run
-exits 1; a surviving mutant is a finding, to be met with a test, never
-by deleting the entry. Only the standard library is used, and nothing
+mutant names. A mutated run that outlasts both two minutes and twice
+the unmutated run, which ran every test the mutant names, has hung: it
+is stopped and counts as killed, and the report says it timed out. A
+mutant whose tests all pass has survived, and the run exits 1; a
+surviving mutant is a finding, to be met with a test, never by
+deleting the entry. Only the standard library is used, and nothing
 is written outside the temporary directory. pytest does not collect
 this file; tests/test_mutants.py checks that every old text still
 occurs exactly once.
@@ -67,12 +70,12 @@ MUTANTS = [
         "w1, w2 = la.primitive(_tilde(v, pick)), la.primitive(v)",
         ["tests/test_walk.py::test_transformation_sign_data"],
     ),
-    # the chain split's slide
+    # the chain split's slide, and the nearest root it shares with the probe
     Mutant(
-        "slide-eps-takes-zero",
+        "nearest-root-keeps-zero-roots",
         WALK,
-        "if num and abs(num) * m < n * den:",
-        "if abs(num) * m < n * den:",
+        "if gap[0] and gap[1] and (near is None",
+        "if gap[1] and (near is None",
         ["tests/test_walk.py::test_prism_chain_split"],
     ),
     Mutant(
@@ -133,12 +136,13 @@ MUTANTS = [
         "tuple(int(k == missing + 1) for k in range(d))",
         [PLANNER + "test_staircase_matches_the_fraction_constructions"],
     ),
+    # rref_int's den made positive, which the planner's rows rely on
     Mutant(
         "reduced-keeps-a-negative-multiplier",
-        WALK,
-        "    if c < 0:\n        g = -g\n",
-        "",
-        [PLANNER + "test_planner_matches_the_fraction_constructions_on_walks"],
+        KERNELS,
+        "    if den < 0:\n",
+        "    if False:\n",
+        ["tests/test_kernels.py::test_bareiss_loop_matches_the_two_old_loops"],
     ),
     # a rank loss is rejected by the scan alone
     Mutant(
@@ -155,6 +159,21 @@ MUTANTS = [
         "shift = 2 * bits + 1",
         "shift = bits",
         ["tests/test_walk.py::test_segment_event_keys_split_farey_neighbours"],
+    ),
+    # a class on a segment read by its two end values alone
+    Mutant(
+        "end-fault-time-swapped",
+        WALK,
+        '"end", hi if a else lo',
+        '"end", lo if a else hi',
+        ["tests/test_walk.py::test_segment_events_match_the_former_path_on_planted_segments"],
+    ),
+    Mutant(
+        "affine-test-forced-true",
+        WALK,
+        "if all(not any(kernels.plane_minors(moving[0], s)) for s in moving[1:]):",
+        "if True:",
+        ["tests/test_walk.py::test_polynomial_rejects_nonaffine"],
     ),
     Mutant(
         "half-step-takes-the-last-root",
@@ -293,6 +312,27 @@ MUTANTS = [
         "if rank >= len(basis) - 1:",
         ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
     ),
+    Mutant(
+        "cells-visible-argmax-only",
+        EQUIPROJ,
+        "ends = (min(vals), max(vals))",
+        "ends = (max(vals),)",
+        ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
+    ),
+    Mutant(
+        "cells-skip-vertex-cones",
+        EQUIPROJ,
+        "for k in range(len(basis)):",
+        "for k in range(1, len(basis)):",
+        ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
+    ),
+    Mutant(
+        "cells-keep-invalid-cones",
+        EQUIPROJ,
+        "            if seen != full:\n                continue\n",
+        "",
+        ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
+    ),
 ]
 
 
@@ -310,11 +350,11 @@ def _copy(dest):
             shutil.copy2(src, dest / name)
 
 
-def _pytest(root, tests):
+def _pytest(root, tests, timeout=None):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def _mutated(mutant, tmp):
@@ -344,16 +384,20 @@ def main(argv):
             print(run.stdout[-4000:], run.stderr[-2000:], sep="\n")
             print("the unmutated tree fails the named tests")
             return 1
+        limit = max(120, 2 * (time.monotonic() - start))
         print(f"unmutated: passed ({time.monotonic() - start:.0f} s)", flush=True)
         survivors = []
         for mutant in chosen:
             t0 = time.monotonic()
             root = _mutated(mutant, tmp)
-            killed = _pytest(root, mutant.tests).returncode != 0
+            try:
+                killed = _pytest(root, mutant.tests, limit).returncode != 0
+                verdict = "killed" if killed else "SURVIVED"
+            except subprocess.TimeoutExpired:
+                killed, verdict = True, "killed, timed out"
             shutil.rmtree(root)
             if not killed:
                 survivors.append(mutant.id)
-            verdict = "killed" if killed else "SURVIVED"
             print(f"{mutant.id}: {verdict} ({time.monotonic() - t0:.0f} s)", flush=True)
     print(
         f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "

@@ -700,6 +700,39 @@ def oracle_degeneration_polynomial(segment, cls):
     return a - c1 * lo, c1
 
 
+class AffinePoly(namedtuple("AffinePoly", ["a", "b", "den", "lo", "hi"])):
+    """An affine determinant on [lo, hi], held by its end values.
+
+    a / den and b / den are its exact values at t = lo and t = hi: a and
+    b are integers over one positive integer den, so their signs are the
+    signs of the determinant at the two ends. This was the walk layer's
+    reading of a class on a segment, before it read the two end values
+    alone.
+    """
+
+    __slots__ = ()
+
+    def root(self):
+        """The zero of the determinant anywhere on the line, or None when
+        it is constant."""
+        if self.a != self.b:
+            return (self.hi * self.a - self.lo * self.b) / (self.a - self.b)
+
+    def crossing(self):
+        """(kind, t) from the signs of a and b alone: ("whole", None) when
+        both are 0, ("end", the vanishing end) when one is, ("inside",
+        root()) when they have strictly opposite signs, else ("none",
+        None)."""
+        a, b = self.a, self.b
+        if not (a or b):
+            return "whole", None
+        if not (a and b):
+            return "end", self.hi if a else self.lo
+        if (a < 0) != (b < 0):
+            return "inside", self.root()
+        return "none", None
+
+
 def oracle_segment_polynomials(segment):
     """The former segment_polynomials, the three-point scan: per class,
     dot products of the class's plane minors with the complementary
@@ -726,7 +759,7 @@ def oracle_segment_polynomials(segment):
             v = Fraction(kernels.dot(r, cls.minors), s)
             if not _oracle_on_line(lo, hi, Fraction(a, s_ends), Fraction(b, s_ends), t, v):
                 raise WalkError("degeneration determinant is not affine on the segment")
-        return wk.AffinePoly(a, b, s_ends * cls.direction_plane.int_scale, lo, hi)
+        return AffinePoly(a, b, s_ends * cls.direction_plane.int_scale, lo, hi)
 
     return poly
 

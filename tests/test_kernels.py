@@ -153,7 +153,7 @@ def test_rref_int_rejects_ragged():
 )
 def test_rref_int_rank_and_pivots(m):
     reduced, pivots, den = kernels.rref_int(m)
-    assert den != 0
+    assert den > 0
     assert len(reduced) == len(pivots) == oracle_rank(m)
     for i, p in enumerate(pivots):
         assert [r[p] for r in reduced] == [den if k == i else 0 for k in range(len(reduced))]
@@ -293,7 +293,13 @@ def outcome(fn, m):
 @settings(max_examples=400, deadline=None)
 @given(int_matrices())
 def test_bareiss_loop_matches_the_two_old_loops(m):
-    assert kernels.rref_int(m) == oracle_rref_int(m)
+    # the old loop's den has the sign of its last pivot; rref_int makes
+    # it positive by negating the rows with it
+    red, pivots, den = oracle_rref_int(m)
+    s = -1 if den < 0 else 1
+    got = kernels.rref_int(m)
+    assert got == (tuple(tuple(s * x for x in r) for r in red), pivots, s * den)
+    assert got[2] > 0
     assert kernels.rank_int(m) == oracle_rank_int(m)
     # non-square matrices raise on both sides
     assert outcome(kernels.det_int, m) == outcome(oracle_det_int, m)

@@ -166,16 +166,19 @@ def test_constant_segment_polynomial():
     rows = (la.unit(3, 1),)
     seg = wk.WalkSegment(rows, ((0, 0, 0),), (0, 1))
     for cls in pt.parallel_classes(MOVED3):
-        poly = wk.degeneration_polynomial(seg, cls)
-        assert poly.c1 == 0
-        assert poly.c0 == oracle_class_degeneracy_det(rows, cls.direction_plane)
-        assert poly.at(Fr(1, 3)) == poly.c0
+        c0, c1 = wk.degeneration_polynomial(seg, cls)
+        assert c1 == 0
+        assert c0 == oracle_class_degeneracy_det(rows, cls.direction_plane)
 
 
 def test_polynomial_roots_match_dense_scan():
     seg = wk.WalkSegment(((1, 1, 1),), ((-1, -2, -5),), (0, 1))
-    for cls in pt.parallel_classes(MOVED3):
-        poly = wk.degeneration_polynomial(seg, cls)
+    classes = pt.parallel_classes(MOVED3)
+    events, faults = wk._segment_events(wk.SegmentMinors(seg), classes)
+    assert not faults
+    times = {cid: Fr(*t) for t, ids in events for cid in ids}
+    for cid, cls in enumerate(classes):
+        c0, c1 = wk.degeneration_polynomial(seg, cls)
         f1, f2 = cls.direction_plane.basis
         grid = [Fr(i, 200) for i in range(201)]
         vals = [la.det((seg.rows_at(t)[0], f1, f2)) for t in grid]
@@ -185,8 +188,9 @@ def test_polynomial_roots_match_dense_scan():
             if vals[i] * vals[i + 1] < 0
         ]
         exact_zeros = [t for t, v in zip(grid, vals) if v == 0]
-        root = poly.root()
-        if root is None or not 0 <= root <= 1:
+        # the scan's time of the class is the one zero inside the range
+        root = times.get(cid)
+        if root is None:
             assert not brackets and not exact_zeros
         elif exact_zeros:
             assert exact_zeros == [root]
@@ -196,7 +200,7 @@ def test_polynomial_roots_match_dense_scan():
             assert lo < root < hi
         # the polynomial reproduces the determinant everywhere
         for t in (Fr(1, 7), Fr(3, 5), Fr(9, 11)):
-            assert poly.at(t) == la.det((seg.rows_at(t)[0], f1, f2))
+            assert c0 + c1 * t == la.det((seg.rows_at(t)[0], f1, f2))
 
 
 def test_polynomial_rejects_nonaffine():
@@ -884,11 +888,14 @@ def test_chain_split_rejects_an_edge_that_changes_sides(monkeypatch, u1):
     # The slide ebar + s v holds the direction of another face edge e at
     # some s0, where the other 2-face through e degenerates, so a scan
     # of the lattice's classes keeps eps below |s0| and e never changes
-    # sides. A scan that misses that class leaves eps = lam / 2: on the
+    # sides. A scan that misses that class leaves eps = lam / 2 (the
+    # library's slide reads _nearest_root, the oracle's the event scan,
+    # and both are stubbed to find no root): on the
     # prism's triangle (0, 1, 2), with edge (0, 1), ebar = e0 and v = e1,
     # the edge (1, 2) runs along ebar - v, so s0 = -1, which is -eps at
     # u1 = (1, 2, 0) (e's component is 0 on one side) and inside
     # (-eps, eps) at u1 = (1, 3, 0).
+    monkeypatch.setattr(wk, "_nearest_root", lambda polys, classes: None)
     monkeypatch.setattr(wk, "_segment_events", lambda polys, classes: ([], []))
     witness = la.span_of([u1])
     message = "^edge \\(1, 2\\) changes sides across the event$"
@@ -970,13 +977,11 @@ def test_segment_polynomials_match_rational_oracle(case):
             want = oracle_degeneration_polynomial(seg, cls)
         except WalkError:
             with pytest.raises(WalkError, match="not affine"):
-                polys(cls)
+                polys.end_values(cls)
             continue
-        got = polys(cls)
-        assert (got.c0, got.c1) == want
+        assert wk.degeneration_polynomial(seg, cls) == want
         # zero along the whole segment exactly when the oracle says so
-        assert (got.c0 == 0 and got.c1 == 0) == (want == (0, 0))
-        assert wk.degeneration_polynomial(seg, cls) == got
+        assert (polys.end_values(cls) == (0, 0)) == (want == (0, 0))
 
 
 def test_segment_polynomials_on_rotated_class_planes():
@@ -988,10 +993,8 @@ def test_segment_polynomials_on_rotated_class_planes():
         ((Fr(-1, 3), 0, 2, 0), (0, 0, 0, 0)),
         (Fr(-1, 2), Fr(5, 4)),
     )
-    polys = wk.SegmentMinors(seg)
     for cls in classes:
-        got = polys(cls)
-        assert (got.c0, got.c1) == oracle_degeneration_polynomial(seg, cls)
+        assert wk.degeneration_polynomial(seg, cls) == oracle_degeneration_polynomial(seg, cls)
 
 
 def test_segment_polynomials_reject_a_non_square_stack():
@@ -1005,34 +1008,44 @@ def test_segment_polynomials_reject_a_non_square_stack():
 def test_end_value_signs_match_rational_oracle(case):
     p, seg = case
     lo, hi = seg.t_range
+    classes = pt.parallel_classes(p)
     polys = wk.SegmentMinors(seg)
-    for cls in pt.parallel_classes(p):
+    roots, faults = wk._keyed_roots(polys, classes)
+    inside = {cid: (a, b) for _key, cid, a, b in roots}
+    faulted = {cid: (kind, t) for cid, kind, t in faults}
+    assert not inside.keys() & faulted.keys()
+    for cid, cls in enumerate(classes):
         try:
             c0, c1 = oracle_degeneration_polynomial(seg, cls)
         except WalkError:
+            assert faulted[cid] == ("not affine", None)
             continue
-        got = polys(cls)
+        a, b = polys.end_values(cls)
         # the end values over their denominator are the exact values
-        assert got.den > 0
-        assert Fr(got.a, got.den) == c0 + c1 * lo
-        assert Fr(got.b, got.den) == c0 + c1 * hi
-        assert got.root() == (None if c1 == 0 else -c0 / c1)
-        roots = oracle_affine_roots(c0, c1, lo, hi)
-        if roots is None:
-            want = ("whole", None)
-        elif not roots:
-            want = ("none", None)
-        elif roots[0] in (lo, hi):
-            want = ("end", roots[0])
+        den = polys.den * cls.direction_plane.int_scale
+        assert den > 0
+        assert Fr(a, den) == c0 + c1 * lo
+        assert Fr(b, den) == c0 + c1 * hi
+        # the zero of the line through them, wherever it lies
+        if a != b:
+            assert Fr(*wk._root(a, b, lo, hi)) == -c0 / c1
+        want = oracle_affine_roots(c0, c1, lo, hi)
+        if want is None:
+            assert faulted[cid] == ("whole", None)
+        elif not want:
+            assert cid not in faulted and cid not in inside
+        elif want[0] in (lo, hi):
+            assert faulted[cid] == ("end", want[0])
         else:
-            want = ("inside", roots[0])
-        assert got.crossing() == want
-        if want[0] == "inside":
+            # a root inside, keyed on end values a > 0 > b
+            t = want[0]
+            ka, kb = inside[cid]
+            assert ka > 0 > kb and (ka, kb) in ((a, b), (-a, -b))
+            assert Fr(*wk._root(ka, kb, lo, hi)) == t
             # the same family cut at the root puts it at either end
-            t = want[1]
             for cut in ((lo, t), (t, hi)):
-                cut = wk.WalkSegment(seg.base, seg.slope, cut)
-                assert wk.degeneration_polynomial(cut, cls).crossing() == ("end", t)
+                cut = wk.SegmentMinors(wk.WalkSegment(seg.base, seg.slope, cut))
+                assert (cid, "end", t) in wk._keyed_roots(cut, classes)[1]
 
 
 def _junction_case(p, seed):
@@ -1688,9 +1701,6 @@ class GivenEndValues:
 
     def end_values(self, cid):
         return self.pairs[cid]
-
-    def poly(self, cid, a, b):
-        return wk.AffinePoly(a, b, 1, *self.segment.t_range)
 
 
 def fraction_sorted_events(pairs, t_range):

@@ -7,6 +7,7 @@ the walk layer's event scan by independent code in every test run, not
 only in benchmark runs.
 """
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import shadowlab.families as fam
+import shadowlab.linalg as la
 import shadowlab.polytope as pt
 import shadowlab.shadow as sh
 import shadowlab.walk as wk
@@ -79,6 +82,32 @@ def test_walk_suite_plans_pass_the_bench_checker(name, checks):
         [(s.base, s.slope, s.t_range) for s in plan.segments],
         [(e.time, e.class_id) for e in plan.events],
     )
+
+
+# sha256 of the event log "t:class;..." of the staircase walk below
+STAIRCASE_DIGEST = "979e817e605ae1d1c7ef7bb4607d59e350f88303610ede8b86c66229dafbd8d8"
+
+
+def test_staircase_walk_passes_the_bench_checker(checks):
+    # a start inside the reference hyperplane whose normal there has
+    # last coordinate 0: its non-pivot column is not the last, so the
+    # walk takes a staircase step, which no walk of the benchmark takes
+    q = wk.reference_frame(fam.hypercube(4)).moved
+    rows = ((0, 2, -1, 0), (0, 0, 0, 1))
+    assert wk._echelon(rows)[1] == (1, 3)
+    start = la.span_of(rows)
+    plan = wk.walk_within_hyperplane(q, start)
+    assert len(plan.segments) == 2 and plan.events
+    assert wk.verify_walk(q, plan).valid
+    # the walk ends at the reference span(e1, e2), whose plane is span(e0, e3)
+    check_plan(
+        checks, q, "cube4", sh.ProjectionPlane.from_orthogonal(start).basis.basis,
+        ((1, 0, 0, 0), (0, 0, 0, 1)),
+        [(s.base, s.slope, s.t_range) for s in plan.segments],
+        [(e.time, e.class_id) for e in plan.events],
+    )
+    log = ";".join(f"{e.time}:{e.class_id}" for e in plan.events)
+    assert hashlib.sha256(log.encode()).hexdigest() == STAIRCASE_DIGEST
 
 
 def test_bench_checker_rejects_a_moved_event(checks):
