@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import equiproj as eq
@@ -637,8 +638,13 @@ def build_parser():
     return parser
 
 
+# built on the first run, not at import, and reused: parsing leaves the
+# parser as it was, and the handlers look sh, eq and wk up at call time
+_parser = cache(build_parser)
+
+
 def run(argv):
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
     except UsageError as exc:

@@ -179,14 +179,15 @@ def _cells(p, cid, one_per_pair=False):
     clears span j, and a cone lies in that complement iff no normal
     through G clears it. Inside any other cone, the sum weighted by the
     powers of t = 1, 2, ... leaves every such complement for all but
-    finitely many t. These tests run on l, against the rows B r of the
-    other classes (c . r = l . B r). Classes whose projected rows span
-    one space share a bit, keyed by the primitive minors of the two rows
-    or, when they are parallel, by the primitive row. A class whose
-    projected rows span the whole (d-2)-space gets none: the normals
-    and the weighted sums are nonzero, since a proper face's normal cone
-    is pointed, so they always clear it. members are the ids of the
-    class's faces lying in the face of p that maximises or minimises c.
+    finitely many t (_inner_direction). These tests run on l, against
+    the rows B r of the other classes (c . r = l . B r). Classes whose
+    projected rows span one space share a bit, keyed by the primitive
+    minors of the two rows or, when they are parallel, by the primitive
+    row. A class whose projected rows span the whole (d-2)-space gets
+    none: the normals and the weighted sums are nonzero, since a proper
+    face's normal cone is pointed, so they always clear it. members are
+    the ids of the class's faces lying in the face of p that maximises
+    or minimises c.
 
     D is closed under negation, sorted, so the mirror -G of a face G
     has the ids n - 1 - i of G's. Its cell is -1 times G's, valid iff
@@ -217,16 +218,8 @@ def _cells(p, cid, one_per_pair=False):
     _keep, body, by_dim = pt.int_facets(points)
     faces = pt.k_faces(p, 2)
 
-    def cleared(l):
-        # bit j: c = B^T l is off the orthogonal complement of other class j
-        return sum(
-            1 << j
-            for j, (r1, r2) in enumerate(others)
-            if kernels.dot(l, r1) or kernels.dot(l, r2)
-        )
-
     # each facet's vertex ids, its normal, its mask
-    facets = [(frozenset(ids), n, cleared(n)) for ids, n, _off in body]
+    facets = [(frozenset(ids), n, _cleared(n, others)) for ids, n, _off in body]
     full = (1 << len(others)) - 1
 
     last = len(points) - 1
@@ -242,14 +235,7 @@ def _cells(p, cid, one_per_pair=False):
                     seen |= mask
             if seen != full:
                 continue
-            t = 1
-            while True:
-                l = tuple(
-                    sum(t**i * x for i, x in enumerate(col)) for col in zip(*cone)
-                )
-                if cleared(l) == full:
-                    break
-                t += 1
+            l = _inner_direction(cone, others)
             c = tuple(kernels.dot(l, col) for col in zip(*basis))
             vals = [kernels.dot(c, v) for v in verts]
             ends = (min(vals), max(vals))
@@ -261,6 +247,34 @@ def _cells(p, cid, one_per_pair=False):
                 )
             )
             yield c, members
+
+
+def _cleared(l, others):
+    """Bit j set when c = B^T l is off the orthogonal complement of
+    other class j, whose projected rows are others[j] = (r1, r2)."""
+    return sum(
+        1 << j
+        for j, (r1, r2) in enumerate(others)
+        if kernels.dot(l, r1) or kernels.dot(l, r2)
+    )
+
+
+def _inner_direction(cone, others):
+    """l = sum of t^i times the cone's i-th normal, for the first t =
+    1, 2, ... at which l clears every span of others (_cleared).
+
+    For each span some normal clears, l . r1 or l . r2 is a nonzero
+    polynomial in t of degree at most len(cone) - 1, so at most
+    len(others) * (len(cone) - 1) values of t fail. A cone that no t up
+    to one past that clears lies in some span's complement, which
+    _cells filters out: GeometryError.
+    """
+    full = (1 << len(others)) - 1
+    for t in range(1, len(others) * (len(cone) - 1) + 2):
+        l = tuple(sum(t**i * x for i, x in enumerate(col)) for col in zip(*cone))
+        if _cleared(l, others) == full:
+            return l
+    raise GeometryError("no direction inside the cone clears every class, cone data broken")
 
 
 def _witness(p, cid, c):

@@ -11,27 +11,31 @@ counterclockwise order, fibers, collinearity and boundary containment
 are therefore the same in both frames, so hulls and boundary tests run
 on integer pairs. Every public point is an integer numerator pair over
 the one positive denominator det(Gram) times the multiplier, so the
-smallest public point is read off the numerators, and only the k hull
-points become Fractions.
+smallest public point is read off the numerators, and a shadow keeps
+its k hull points as those pairs: Fractions are built only when its
+points are read.
 
 A parallel class with integer plane rows F degenerates at W exactly
 when its plane meets the orthogonal complement, that is when A kills a
 nonzero x f1 + y f2, that is when det(A F^T) = 0. By Cauchy-Binet that
 determinant is the dot product of the 2x2 minors of A with those of F,
-which each class caches, so admissibility needs no complement.
+which each class caches, so admissibility needs no complement. A
+sampled candidate is decided on its own minors: all zero when its two
+rows are dependent, and then by the same dot product per class.
 Everything stays exact.
 """
 
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from operator import mul, sub
 
 from . import kernels
 from . import linalg as la
 from . import polytope as pt
 from .errors import (
-    DegenerateBasisError,
     DegenerateShadowError,
     DimensionError,
     InadmissiblePlaneError,
@@ -115,9 +119,28 @@ class ProjectionPlane:
         return self.image_coords(self.image(x), mult)
 
 
-ShadowPolygon = namedtuple(
-    "ShadowPolygon", ["hull_vertex_ids", "points", "k", "fibers"]
-)
+class ShadowPolygon(
+    namedtuple("ShadowPolygon", ["hull_vertex_ids", "nums", "den", "k", "fibers"])
+):
+    """A shadow polygon: its k hull vertices in counterclockwise order
+    from the lexicographically smallest public point, each as the
+    smallest vertex id over it (hull_vertex_ids), the numerator pair of
+    its public point (nums) and the ids of every vertex over it
+    (fibers).
+
+    The public points are nums over the one positive denominator den,
+    in lowest terms: no integer above 1 divides den and every
+    numerator. Equal point tuples therefore have equal (nums, den), so
+    two shadows compare equal exactly when their ids, points, k and
+    fibers do. points, the Fraction pairs, is built on each read.
+    """
+
+    __slots__ = ()
+
+    @property
+    def points(self):
+        den = self.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.nums)
 
 
 class HullFrame:
@@ -205,7 +228,8 @@ def shadow(p, w):
 
     The cycle starts at the lexicographically smallest public point.
     The public points share the positive denominator det * mult, so
-    that is the smallest numerator pair.
+    that is the smallest numerator pair. One gcd over that denominator
+    and the hull's pairs puts them in lowest terms.
     """
     images, mult = int_images(p, w)
     fibers = {}
@@ -216,11 +240,14 @@ def shadow(p, w):
     nums = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in hull]
     s = nums.index(min(nums))
     hull = hull[s:] + hull[:s]
+    nums = nums[s:] + nums[:s]
     den = det * mult
-    points = tuple((Fraction(x, den), Fraction(y, den)) for x, y in nums[s:] + nums[:s])
+    g = gcd(den, *chain.from_iterable(nums))
     ids = tuple(fibers[q][0] for q in hull)
     fib = tuple(tuple(fibers[q]) for q in hull)
-    return ShadowPolygon(ids, points, len(hull), fib)
+    return ShadowPolygon(
+        ids, tuple((x // g, y // g) for x, y in nums), den // g, len(hull), fib
+    )
 
 
 def hull_frame(p, w):
@@ -304,16 +331,22 @@ def _plane_minors(p, w):
     return kernels.plane_minors(*w.basis.int_rows)
 
 
+def _violating_class(p, wmin):
+    """Id of the first class with det(A F^T) = 0, or None, for the
+    plane minors wmin of A: one dot product per class (Cauchy-Binet)."""
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        if not kernels.dot(wmin, cls.minors):
+            return cid
+    return None
+
+
 def is_admissible(p, w):
     """Exact admissibility with the first violating class on failure.
 
     One dot product per class: det(A F^T) by Cauchy-Binet.
     """
-    wmin = _plane_minors(p, w)
-    for cid, cls in enumerate(pt.parallel_classes(p)):
-        if not kernels.dot(wmin, cls.minors):
-            return Admissibility(False, cid)
-    return Admissibility(True, None)
+    cid = _violating_class(p, _plane_minors(p, w))
+    return Admissibility(cid is None, cid)
 
 
 def degeneration_report(p, w):
@@ -354,7 +387,12 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
     """Admissible planes with seeded integer-grid bases.
 
     Rejection sampling over bases with entries in [-grid_bound,
-    grid_bound]; deterministic for a fixed seed. Raises ParameterError
+    grid_bound]; deterministic for a fixed seed. Each candidate pair is
+    decided on its 2x2 minors, taken once: all zero means the rows are
+    dependent (in dimension 2, with no classes, the only test), and
+    otherwise it is admissible when no class's det(A F^T) is zero
+    (is_admissible's test). Only an accepted pair becomes a
+    ProjectionPlane, its rows taken as they are. Raises ParameterError
     for count or grid_bound below 1 or count above MAX_SAMPLES,
     DimensionError below dimension 2 and SamplingError after 1000 *
     count failed attempts.
@@ -379,11 +417,8 @@ def sample_admissible(p, rng_seed, count, grid_bound=100):
         budget -= 1
         b1 = tuple(rng.randint(-grid_bound, grid_bound) for _ in range(d))
         b2 = tuple(rng.randint(-grid_bound, grid_bound) for _ in range(d))
-        try:
-            w = ProjectionPlane(la.int_subspace((b1, b2)))
-        except DegenerateBasisError:
-            continue
-        if is_admissible(p, w).ok:
-            out.append(w)
+        wmin = kernels.plane_minors(b1, b2)
+        if any(wmin) and _violating_class(p, wmin) is None:
+            out.append(ProjectionPlane(la.Subspace._of((b1, b2), 1, d)))
     return out
 

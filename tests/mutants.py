@@ -326,12 +326,40 @@ MUTANTS = [
         "for k in range(1, len(basis)):",
         ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
     ),
+    # an invalid cone reaches _inner_direction's capped search, which
+    # raises GeometryError
     Mutant(
         "cells-keep-invalid-cones",
         EQUIPROJ,
         "            if seen != full:\n                continue\n",
         "",
         ["tests/test_difference_body.py::test_cells_match_the_polytope_route"],
+    ),
+    # sampled candidates decided on their 2x2 minors; only a polygon,
+    # with no classes, shows a dependent pair kept
+    Mutant(
+        "sampling-keeps-dependent-draws",
+        SHADOW,
+        "if any(wmin) and _violating_class(p, wmin) is None:",
+        "if _violating_class(p, wmin) is None:",
+        ["tests/test_shadow.py::test_sample_admissible_skips_dependent_draws"],
+    ),
+    Mutant(
+        "admissibility-skips-the-last-class",
+        SHADOW,
+        "    for cid, cls in enumerate(pt.parallel_classes(p)):\n"
+        "        if not kernels.dot(wmin, cls.minors):\n",
+        "    for cid, cls in enumerate(pt.parallel_classes(p)[:-1]):\n"
+        "        if not kernels.dot(wmin, cls.minors):\n",
+        ["tests/test_shadow.py::test_sample_admissible_skips_dependent_draws"],
+    ),
+    # shadow points kept as numerator pairs, built on read
+    Mutant(
+        "points-from-unrotated-nums",
+        SHADOW,
+        "    nums = nums[s:] + nums[:s]\n",
+        "",
+        ["tests/test_shadow.py::test_shadow_points_are_the_projected_hull_in_lowest_terms"],
     ),
 ]
 

@@ -1064,10 +1064,18 @@ def oracle_pull_back(int_inverse, row):
     return tuple(Fraction(kernels.dot(mi, ints), c * s) for mi in m)
 
 
-def oracle_sample_admissible(p, rng_seed, count, grid_bound=100):
+def oracle_sample_admissible(p, rng_seed, count, grid_bound=100, skipped=None):
     """sample_admissible's draws with each basis validated as a Fraction
-    Subspace (la.Subspace of the integer rows)."""
+    Subspace (la.Subspace of the integer rows), and admissibility read
+    from det(A F^T) itself: the 2x2 matrix of dot products of the drawn
+    rows with each class's Fraction basis rows. Each dependent draw is
+    appended to skipped, when given."""
     rng = random.Random(rng_seed)
+    planes = [cls.direction_plane.basis for cls in pt.parallel_classes(p)]
+
+    def dot(u, v):
+        return sum(Fraction(a) * b for a, b in zip(u, v))
+
     out = []
     while len(out) < count:
         b1, b2 = (
@@ -1077,8 +1085,12 @@ def oracle_sample_admissible(p, rng_seed, count, grid_bound=100):
         try:
             w = sh.ProjectionPlane(la.Subspace((b1, b2)))
         except DegenerateBasisError:
+            if skipped is not None:
+                skipped.append((b1, b2))
             continue
-        if sh.is_admissible(p, w).ok:
+        if all(
+            dot(b1, f1) * dot(b2, f2) != dot(b1, f2) * dot(b2, f1) for f1, f2 in planes
+        ):
             out.append(w)
     return out
 
@@ -1470,7 +1482,8 @@ def oracle_shared_junction_span(others, fa, fb):
 def oracle_edge_slide(p, face_id, other_id, edge, witness):
     """walk._edge_slide as the chain split once made it: u1 scaled by
     1 / alpha in Fractions, the slide scanned as a Fraction WalkSegment
-    u1 / alpha - t v on (0, 2 lam), and both sides tested on the
+    u1 / alpha - t v on (0, 2 lam) by the three-point scan
+    (oracle_segment_events), and both sides tested on the
     components of every face edge, the chosen one included, along the
     Fraction frame _tilde(v, u) of the two sliding rows. edge is
     sorted; returns (eps, w_minus, w_plus)."""
@@ -1512,8 +1525,8 @@ def oracle_edge_slide(p, face_id, other_id, edge, witness):
     tail = tuple(span.int_rows[i] for i in keep)
     slope = oracle_slope(d - 2, 0, la.neg(v))
     seg = wk.WalkSegment((u1n,) + tail, slope, (0, 2 * lam))
-    events, _faults = wk._segment_events(wk.SegmentMinors(seg), pt.parallel_classes(p))
-    times = [Fraction(*t) for t, _ids in events]
+    events, _faults = oracle_segment_events(seg, pt.parallel_classes(p))
+    times = [t for t, _ids in events]
     eps = min([lam] + [abs(t - lam) for t in times if t != lam]) / 2
     u_minus, u_plus = (la.sub(u1n, la.scale(v, lam + s)) for s in (-eps, eps))
     w_minus, w_plus = (la.span_of((u,) + tail) for u in (u_minus, u_plus))

@@ -25,6 +25,7 @@ import shadowlab.families as fam
 import shadowlab.kernels as kernels
 import shadowlab.linalg as la
 import shadowlab.polytope as pt
+from shadowlab.errors import GeometryError
 from oracles import (
     oracle_cells,
     oracle_faces_by_dim,
@@ -53,6 +54,16 @@ def test_cells_match_the_polytope_route(name):
     p = POLYTOPES[name]()
     for cid in range(len(pt.parallel_classes(p))):
         assert list(eq._cells(p, cid)) == list(oracle_cells(p, cid))
+
+
+def test_inner_direction_stops_at_its_bound():
+    # n1 + t n2 = (1, -t) is orthogonal to (1, 1) at t = 1 alone: one
+    # span and two normals allow one failing t, and t = 2 is found
+    assert eq._inner_direction([(1, 0), (0, -1)], [((1, 1), (0, 0))]) == (1, -2)
+    # both normals lie in the span's complement, as in a cone _cells
+    # filters out: no t clears it, and the search is refused
+    with pytest.raises(GeometryError, match="cone data broken"):
+        eq._inner_direction([(1, 0), (2, 0)], [((0, 1), (0, 3))])
 
 
 def check_lattice(pts):

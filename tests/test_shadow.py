@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import chain, product
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -310,6 +311,23 @@ def test_report_consistency_battery():
             assert cert == report.degenerating[0].class_id
 
 
+def test_shadow_points_are_the_projected_hull_in_lowest_terms():
+    """points, built on read from nums over den, are the frame
+    coordinates of the hull vertices, from the smallest; (nums, den) is
+    in lowest terms, so shadows are equal exactly when their points
+    are."""
+    for p, w in battery():
+        poly = sh.shadow(p, w)
+        coords = sh.project(p, w)
+        assert poly.points == tuple(coords[v] for v in poly.hull_vertex_ids)
+        assert poly.points[0] == min(poly.points)
+        assert poly.den > 0 and gcd(poly.den, *chain.from_iterable(poly.nums)) == 1
+        again = sh.shadow(p, w)
+        assert again == poly and hash(again) == hash(poly)
+        ids = poly.hull_vertex_ids
+        assert poly._replace(hull_vertex_ids=ids[1:] + ids[:1]) != poly
+
+
 def test_sample_admissible_cube_seed1():
     planes = sh.sample_admissible(CUBE, 1, 10)
     assert len(planes) == 10
@@ -407,22 +425,18 @@ def test_sample_admissible_needs_two_dimensions(monkeypatch):
         sh.sample_admissible(segment, 0, 64)
 
 
-def test_sample_admissible_skips_dependent_draws(monkeypatch):
-    # on the unit grid many drawn pairs are dependent; each is skipped
-    skipped = []
-    int_subspace = sh.la.int_subspace
-
-    def counted(rows):
-        try:
-            return int_subspace(rows)
-        except DegenerateBasisError:
-            skipped.append(rows)
-            raise
-
-    monkeypatch.setattr(sh.la, "int_subspace", counted)
-    planes = sh.sample_admissible(CUBE, 0, 20, grid_bound=1)
-    assert len(planes) == 20 and skipped
-    assert all(sh.is_admissible(CUBE, w).ok for w in planes)
+def test_sample_admissible_skips_dependent_draws():
+    # on the unit grid many drawn pairs are dependent; each is skipped.
+    # A pentagon has no classes, so the dependence test alone rejects
+    # them there; in the cubes every class degenerates for them too.
+    pentagon = pt.build([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
+    for p, seed in product((pentagon, CUBE, HYPERCUBE), (0, 1, 2)):
+        skipped = []
+        want = oracle_sample_admissible(p, seed, 20, grid_bound=1, skipped=skipped)
+        planes = sh.sample_admissible(p, seed, 20, grid_bound=1)
+        assert len(planes) == 20 and skipped
+        assert [w.basis.int_rows for w in planes] == [w.basis.int_rows for w in want]
+        assert all(sh.is_admissible(p, w).ok for w in planes)
 
 
 def test_sample_count_above_the_cap_fails_before_any_draw(monkeypatch):

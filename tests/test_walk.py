@@ -27,6 +27,7 @@ from shadowlab.errors import (
     ParameterError,
     WalkError,
 )
+import oracles
 from oracles import (
     OracleSegment,
     oracle_affine_roots,
@@ -889,14 +890,14 @@ def test_chain_split_rejects_an_edge_that_changes_sides(monkeypatch, u1):
     # some s0, where the other 2-face through e degenerates, so a scan
     # of the lattice's classes keeps eps below |s0| and e never changes
     # sides. A scan that misses that class leaves eps = lam / 2 (the
-    # library's slide reads _nearest_root, the oracle's the event scan,
-    # and both are stubbed to find no root): on the
-    # prism's triangle (0, 1, 2), with edge (0, 1), ebar = e0 and v = e1,
-    # the edge (1, 2) runs along ebar - v, so s0 = -1, which is -eps at
-    # u1 = (1, 2, 0) (e's component is 0 on one side) and inside
-    # (-eps, eps) at u1 = (1, 3, 0).
+    # library's slide reads _nearest_root, the oracle's its three-point
+    # scan, oracle_segment_events, and both are stubbed to find no
+    # root): on the prism's triangle (0, 1, 2), with edge (0, 1), ebar =
+    # e0 and v = e1, the edge (1, 2) runs along ebar - v, so s0 = -1,
+    # which is -eps at u1 = (1, 2, 0) (e's component is 0 on one side)
+    # and inside (-eps, eps) at u1 = (1, 3, 0).
     monkeypatch.setattr(wk, "_nearest_root", lambda polys, classes: None)
-    monkeypatch.setattr(wk, "_segment_events", lambda polys, classes: ([], []))
+    monkeypatch.setattr(oracles, "oracle_segment_events", lambda seg, classes: ([], []))
     witness = la.span_of([u1])
     message = "^edge \\(1, 2\\) changes sides across the event$"
     for split in (wk.chain_split_transformations, oracle_chain_split_transformations):
