@@ -512,7 +512,8 @@ def is_equiprojective_sampled(p, seed=0, trials=200):
     k0 = None
     first = None
     for w in planes:
-        k = len(kernels.strict_hull_2d(set(sh.int_images(p, w)[0])))
+        images, _mult, csum = sh.int_images(p, w)
+        k = len(kernels.strict_hull_2d(set(images), csum))
         if k0 is None:
             k0, first = k, w
         elif k != k0:

@@ -11,8 +11,11 @@ holds limit rows. in_plane tests a vector against a plane
 through the plane's 2x2 minors, and generalized_cross gives the
 cofactor normal of d-1 rows. The one 2D convex hull (monotone
 chain) lives here too: shadows, family self-tests and the gift wrap of
-polytope all end in it. It only compares and multiplies, so it is exact
-on integers and on Fractions alike.
+polytope all end in it. It splits the points once by the line through
+the first and last, so each chain scans its own side, and a centrally
+symmetric set given with its centre sum scans one side and reflects
+it. It only compares and multiplies, so it is exact on integers and on
+Fractions alike.
 """
 
 from functools import cache
@@ -202,16 +205,41 @@ def _hull_chain(pts):
     return out
 
 
-def strict_hull_2d(points):
+def strict_hull_2d(points, centre_sum=None):
     """Counterclockwise strict convex hull of distinct 2D points.
 
-    Andrew's monotone chain: starts at the smallest point, keeps no
-    point interior to an edge. Two or fewer points come back sorted.
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979): starts at
+    the smallest point, keeps no point interior to an edge. Two or
+    fewer points come back sorted. The sorted points are split once by
+    the side of the line through the first and last, a and b: every
+    other hull vertex lies strictly on one side, so the lower chain
+    from a to b scans only the points below the line and the upper
+    chain back only those above. Given centre_sum, the sum of each pair
+    of a centrally symmetric set (twice its centre), the upper chain is
+    the lower one reflected, q -> centre_sum - q: only one chain runs.
     """
     pts = sorted(points)
     if len(pts) <= 2:
         return pts
-    return _hull_chain(pts)[:-1] + _hull_chain(reversed(pts))[:-1]
+    a, b = pts[0], pts[-1]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    # cross2(a, b, q) = dx * qy - dy * qx - o
+    o = dx * a[1] - dy * a[0]
+    below, above = [a], [a]
+    for q in pts[1:-1]:
+        c = dx * q[1] - dy * q[0]
+        if c < o:
+            below.append(q)
+        elif c > o:
+            above.append(q)
+    below.append(b)
+    above.append(b)
+    lower = _hull_chain(below)
+    if centre_sum is not None:
+        sx, sy = centre_sum
+        return lower[:-1] + [(sx - x, sy - y) for x, y in lower[:-1]]
+    above.reverse()
+    return lower[:-1] + _hull_chain(above)[:-1]
 
 
 def complementary_minors(rows, width):

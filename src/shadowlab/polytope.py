@@ -21,8 +21,9 @@ A Polytope stores its face ids by dimension and its facets' planes.
 The rest is computed on demand and cached: every Face and its span in
 k_faces (the one builder), parallel classes of 2-faces by span
 equality, proscribed directions as the pairwise span intersections,
-2-face cycles, each the planar hull of its polygon (face_cycle), and
-each vertex's graph neighbours (neighbours).
+2-face cycles, each the planar hull of its polygon (face_cycle),
+each vertex's graph neighbours (neighbours) and, for a centrally
+symmetric polytope, each vertex's antipode (antipodes).
 """
 
 from fractions import Fraction
@@ -111,6 +112,8 @@ class Polytope:
         self._edge_idx = None
         # each vertex's graph neighbours (neighbours)
         self._neighbours = None
+        # the central symmetry, False when there is none (antipodes)
+        self._antipodes = None
         # 2-face boundary cycles by vertex ids (face_cycle)
         self._cycles = {}
 
@@ -362,6 +365,20 @@ def _hull_facets(pts, memo, symmetric=False, seed=None):
     return found
 
 
+def _sorted_pairs(points):
+    """(order, s) for distinct integer points: order sorts their ids,
+    and s is the sum of the first and last sorted points when every
+    pair order[i], order[n - 1 - i] has that sum, that is when the
+    points are centrally symmetric about s / 2; otherwise s is None."""
+    n = len(points)
+    order = sorted(range(n), key=points.__getitem__)
+    s = tuple(map(add, points[order[0]], points[order[-1]]))
+    for i in range(1, (n + 1) // 2):
+        if tuple(map(add, points[order[i]], points[order[n - 1 - i]])) != s:
+            return order, None
+    return order, s
+
+
 def int_facets(points):
     """Vertices, facets and faces of the hull of distinct integer points.
 
@@ -390,12 +407,8 @@ def int_facets(points):
     if _affine_rank(points) != d:
         raise PolytopeError("vertex set is not full-dimensional")
     n = len(points)
-    order = sorted(range(n), key=points.__getitem__)
-    s = tuple(map(add, points[order[0]], points[order[-1]]))
-    symmetric = all(
-        tuple(map(add, points[order[i]], points[order[n - 1 - i]])) == s
-        for i in range(1, (n + 1) // 2)
-    )
+    order, s = _sorted_pairs(points)
+    symmetric = s is not None
     if symmetric and (any(s) or order != list(range(n))):
         return _centred(points, order, s)
     memo = {}
@@ -602,6 +615,25 @@ def neighbours(p):
             adj[b].append(a)
         p._neighbours = tuple(map(tuple, adj))
     return p._neighbours
+
+
+def antipodes(p):
+    """The central symmetry of p on int_vertices(), cached on the
+    polytope: (half, anti, s) with half one vertex id per antipodal
+    pair, in sorted vertex order, anti[i] the id of vertex s - v_i and
+    s the integer centre sum, twice the centre. None when p is not
+    centrally symmetric. Sorted, antipodal vertices pair off from both
+    ends (_sorted_pairs)."""
+    if p._antipodes is None:
+        order, s = _sorted_pairs(p.int_vertices()[0])
+        if s is None:
+            p._antipodes = False
+        else:
+            anti = [0] * len(order)
+            for i, j in zip(order, reversed(order)):
+                anti[i] = j
+            p._antipodes = (tuple(order[: (len(order) + 1) // 2]), tuple(anti), s)
+    return p._antipodes or None
 
 
 def face_cycle(p, face):

@@ -13,7 +13,10 @@ on integer pairs. Every public point is an integer numerator pair over
 the one positive denominator det(Gram) times the multiplier, so the
 smallest public point is read off the numerators, and a shadow keeps
 its k hull points as those pairs: Fractions are built only when its
-points are read.
+points are read. A centrally symmetric polytope, whose vertices pair
+off as v and s - v (polytope.antipodes), is projected one vertex per
+pair: the other image is the image of s minus it, and the hull, given
+that image, scans one side of the polygon and reflects it.
 
 A parallel class with integer plane rows F degenerates at W exactly
 when its plane meets the orthogonal complement, that is when A kills a
@@ -44,8 +47,9 @@ from .errors import (
 )
 from .kernels import cross2, strict_hull_2d
 
-# every plane drawn is kept (650 JSON bytes and 0.65 to 3.9 ms a plane on
-# the 8-cube, 2-CPU host), so counts stop where the 8-cube stays in 20 s
+# every plane drawn is kept (650 JSON bytes and 0.64 to 1.16 ms a plane on
+# the 8-cube, 2-CPU host, once 3.9 ms loaded), so counts stop where the
+# 8-cube stays in 20 s
 MAX_SAMPLES = 5000
 
 
@@ -149,24 +153,32 @@ class HullFrame:
 
     Edge i joins hull[i] to hull[i + 1]. The hull vertex at position i
     lies on edges i - 1 and i; any other image is found by one scan of
-    the edges, memoised.
+    the edges' integer lines n . q = o, memoised. Every image lies in
+    the hull, and a strictly convex polygon meets an edge's line in
+    that edge only, so an image on the line lies in the closed edge.
     """
 
-    __slots__ = ("images", "hull", "_edges")
+    __slots__ = ("images", "hull", "_edges", "_lines")
 
     def __init__(self, images, hull):
         self.images = images
         self.hull = hull
         k = len(hull)
         self._edges = {q: frozenset(((i - 1) % k, i)) for i, q in enumerate(hull)}
+        # n = (ay - by, bx - ax), the edge a -> b turned ccw (inward), o = n . a
+        self._lines = [
+            (ay - by, bx - ax, (ay - by) * ax + (bx - ax) * ay)
+            for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])
+        ]
 
     def edges_at(self, q):
         """Positions of the closed hull edges holding the image q."""
         edges = self._edges.get(q)
         if edges is None:
-            hull = self.hull
-            ends = zip(hull, hull[1:] + hull[:1])
-            edges = frozenset(i for i, (a, b) in enumerate(ends) if on_segment(q, a, b))
+            x, y = q
+            edges = frozenset(
+                i for i, (n0, n1, o) in enumerate(self._lines) if n0 * x + n1 * y == o
+            )
             self._edges[q] = edges
         return edges
 
@@ -206,16 +218,30 @@ def project(p, w):
 
 
 def int_images(p, w):
-    """Integer images of the vertices, in vertex order, and the multiplier."""
+    """Integer images of the vertices, in vertex order, the multiplier
+    and the image of the centre sum s of a centrally symmetric p (None
+    otherwise). Such a p projects one vertex per antipodal pair
+    (polytope.antipodes): the other image is image(s) minus it."""
     pts, mult = p.int_vertices()
     a1, a2 = w.basis.int_rows
     if len(pts[0]) != len(a1):
         raise DimensionError("plane and polytope dimensions differ")
-    return [(sum(map(mul, a1, x)), sum(map(mul, a2, x))) for x in pts], mult
+    sym = pt.antipodes(p)
+    if sym is None:
+        return [(sum(map(mul, a1, x)), sum(map(mul, a2, x))) for x in pts], mult, None
+    half, anti, s = sym
+    cx, cy = sum(map(mul, a1, s)), sum(map(mul, a2, s))
+    images = [None] * len(pts)
+    for i in half:
+        x = pts[i]
+        qx, qy = sum(map(mul, a1, x)), sum(map(mul, a2, x))
+        images[i] = (qx, qy)
+        images[anti[i]] = (cx - qx, cy - qy)
+    return images, mult, (cx, cy)
 
 
-def _polygon(points):
-    hull = strict_hull_2d(points)
+def _polygon(points, csum):
+    hull = strict_hull_2d(points, csum)
     if len(hull) < 3:
         raise DegenerateShadowError(
             "vertex images are collinear; input cannot be full-dimensional"
@@ -231,11 +257,11 @@ def shadow(p, w):
     that is the smallest numerator pair. One gcd over that denominator
     and the hull's pairs puts them in lowest terms.
     """
-    images, mult = int_images(p, w)
+    images, mult, csum = int_images(p, w)
     fibers = {}
     for vid, q in enumerate(images):
         fibers.setdefault(q, []).append(vid)
-    hull = _polygon(fibers)
+    hull = _polygon(fibers, csum)
     m00, m01, m10, m11, det = w._unmap
     nums = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in hull]
     s = nums.index(min(nums))
@@ -252,8 +278,8 @@ def shadow(p, w):
 
 def hull_frame(p, w):
     """Integer images of p's vertices and their hull, for boundary tests."""
-    images = int_images(p, w)[0]
-    return HullFrame(images, _polygon(set(images)))
+    images, _mult, csum = int_images(p, w)
+    return HullFrame(images, _polygon(set(images), csum))
 
 
 def in_boundary(frame, vertex_ids):

@@ -361,6 +361,37 @@ MUTANTS = [
         "",
         ["tests/test_shadow.py::test_shadow_points_are_the_projected_hull_in_lowest_terms"],
     ),
+    # the planar hull's split by the first-last line, and its reflected
+    # chain for a centrally symmetric set
+    Mutant(
+        "reflected-chain-keeps-its-last-point",
+        KERNELS,
+        "for x, y in lower[:-1]]",
+        "for x, y in lower]",
+        ["tests/test_kernels.py::test_strict_hull_2d_reflects_a_symmetric_set_given_its_centre"],
+    ),
+    Mutant(
+        "upper-side-unreversed",
+        KERNELS,
+        "    above.reverse()\n",
+        "",
+        ["tests/test_kernels.py::test_strict_hull_2d_matches_the_extreme_point_oracle"],
+    ),
+    # the antipode map, and the hull edge lines of a frame
+    Mutant(
+        "antipode-map-shifted-by-one",
+        POLYTOPE,
+        "                anti[i] = j\n",
+        "                anti[i] = (j + 1) % len(order)\n",
+        ["tests/test_polytope.py::test_antipodes_pair_the_vertices_of_symmetric_polytopes"],
+    ),
+    Mutant(
+        "edges-at-negated-offset",
+        SHADOW,
+        "if n0 * x + n1 * y == o",
+        "if n0 * x + n1 * y == -o",
+        ["tests/test_shadow.py::test_projection_matches_every_vertex_projected"],
+    ),
 ]
 
 

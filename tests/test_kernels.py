@@ -1,6 +1,7 @@
 """Integer kernel tests against the definitions and sympy oracles."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -336,13 +337,49 @@ def clouds(draw):
     return set(pts)
 
 
-@settings(max_examples=120, deadline=None)
-@given(clouds())
-def test_strict_hull_2d_matches_the_extreme_point_oracle(pts):
-    got = kernels.strict_hull_2d(pts)
+@st.composite
+def split_clouds(draw):
+    """Sets that strain the split by the line through the first and last
+    sorted points: a scaled cloud with lattice points added on that
+    line, a collinear set, or two points or fewer."""
+    kind = draw(st.sampled_from(("on-line", "collinear", "few")))
+    if kind == "few":
+        return set(draw(st.lists(st.tuples(small_int, small_int), max_size=2)))
+    if kind == "collinear":
+        ox, oy = draw(st.tuples(small_int, small_int))
+        dx, dy = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        assume(dx or dy)
+        ts = draw(st.sets(st.integers(-5, 5), min_size=1, max_size=8))
+        return {(ox + t * dx, oy + t * dy) for t in ts}
+    m = draw(st.integers(2, 4))
+    pts = {(m * x, m * y) for x, y in draw(clouds())}
+    assume(len(pts) >= 2)
+    (ax, ay), (bx, by) = min(pts), max(pts)
+    g = gcd(bx - ax, by - ay)
+    ts = draw(st.sets(st.integers(1, g - 1), min_size=1))
+    return pts | {(ax + t * (bx - ax) // g, ay + t * (by - ay) // g) for t in ts}
+
+
+def oracle_cycle(pts):
+    """oracle_hull_2d as integer points, from the smallest."""
     want = [tuple(int(x) for x in q) for q in oracle_hull_2d(pts)]
     if len(want) > 2:
         # the same ccw cycle, started at the smallest point
         s = want.index(min(want))
         want = want[s:] + want[:s]
-    assert got == want
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(clouds(), split_clouds()))
+def test_strict_hull_2d_matches_the_extreme_point_oracle(pts):
+    assert kernels.strict_hull_2d(pts) == oracle_cycle(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(clouds(), split_clouds()), st.tuples(small_int, small_int))
+def test_strict_hull_2d_reflects_a_symmetric_set_given_its_centre(pts, centre_sum):
+    sx, sy = centre_sum
+    sym = pts | {(sx - x, sy - y) for x, y in pts}
+    got = kernels.strict_hull_2d(sym, centre_sum)
+    assert got == kernels.strict_hull_2d(sym) == oracle_cycle(sym)

@@ -1,5 +1,6 @@
 """Exact linear algebra tests against the sympy-based oracles."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -313,6 +314,27 @@ def test_span_of_matches_the_validating_constructor(m):
     assert got.ambient == want.ambient
     assert got.canonical_key() == want.canonical_key()
     assert got == want and hash(got) == hash(want)
+
+
+def test_span_of_one_vector_is_its_primitive_over_its_lead():
+    # the span of one nonzero vector is primitive(v) over that row's
+    # first nonzero entry, with no elimination: the form an edge span
+    # could take without rref_int, checked on integer and Fraction rows
+    rng = random.Random(11)
+    for i in range(3000):
+        d = rng.randint(1, 6)
+        if i % 2:
+            v = tuple(Fr(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(d))
+        else:
+            v = tuple(rng.choice((0, 0, rng.randint(-60, 60))) for _ in range(d))
+        got = la.span_of([v])
+        if not any(v):
+            assert got.dim == 0
+            continue
+        row = la.primitive(v)
+        want = la.Subspace._of((row,), next(x for x in row if x), d)
+        assert (got.int_rows, got.int_mults) == (want.int_rows, want.int_mults)
+        assert got.canonical_key() == want.canonical_key()
 
 
 @st.composite

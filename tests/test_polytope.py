@@ -597,3 +597,68 @@ def test_gift_wrapping_matches_oracle_on_zoo():
         for b in (0, 1)
     }
     assert {frozenset(f.vertex_ids) for f in pt.facets(pt.build(pts))} == want
+
+
+# ------------------------------------------------ central symmetry (antipodes)
+
+SYMMETRIC_ZOO = {
+    "cube3": lambda: fam.hypercube(3),
+    "cube4": lambda: fam.hypercube(4),
+    "cube5": lambda: fam.hypercube(5),
+    "zono4": lambda: fam.zonotope(fam.random_generators(5, 4, 4)),
+    "zono7": lambda: fam.zonotope(fam.random_generators(6, 4, 7)),
+    "zono8": lambda: fam.zonotope(fam.random_generators(6, 5, 8)),
+    "perturbed": lambda: fam.perturbed_hypercube(Fr(1, 100)),
+}
+
+ASYMMETRIC_ZOO = {
+    "pentagonal": lambda: fam.prism(((0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)), (0, 0, 1)),
+    "pn4": lambda: fam.pn_polytope(4),
+    "pnd5": lambda: fam.hyperprism_pnd(2, 5, 0),
+    "tetrahedron": tetrahedron,
+    "simplex4": simplex4,
+}
+
+
+def assert_antipodes(p):
+    """The cached map pairs every vertex with the one it sums to s with,
+    and half holds one vertex of each pair."""
+    half, anti, s = pt.antipodes(p)
+    verts = p.int_vertices()[0]
+    n = len(verts)
+    assert len(anti) == n and len(half) == n // 2
+    for i, v in enumerate(verts):
+        assert tuple(a + b for a, b in zip(v, verts[anti[i]])) == tuple(s)
+        assert anti[anti[i]] == i != anti[i]
+    assert sorted(half + tuple(anti[i] for i in half)) == list(range(n))
+    assert pt.antipodes(p) is pt.antipodes(p)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_ZOO)
+def test_antipodes_pair_the_vertices_of_symmetric_polytopes(name):
+    assert_antipodes(SYMMETRIC_ZOO[name]())
+
+
+@pytest.mark.parametrize("name", ASYMMETRIC_ZOO)
+def test_antipodes_are_absent_on_asymmetric_polytopes(name):
+    p = ASYMMETRIC_ZOO[name]()
+    assert pt.antipodes(p) is None
+    # the answer is cached, not recomputed
+    assert p._antipodes is False and pt.antipodes(p) is None
+
+
+@pytest.mark.parametrize("name", ("cube4", "zono4", "perturbed"))
+def test_antipodes_survive_an_isometry(name):
+    p = SYMMETRIC_ZOO[name]()
+    q = pt.apply_isometry(p, la.plane_rotation(p.dim, 0, p.dim - 1, Fr(1, 3)))
+    assert_antipodes(q)
+    # the map is linear, so the same ids pair off
+    assert pt.antipodes(q)[1] == pt.antipodes(p)[1]
+
+
+def test_one_moved_vertex_breaks_the_symmetry():
+    pts = cube_vertices(3)
+    assert pt.antipodes(pt.build(pts)) is not None
+    pts[-1] = (Fr(11, 10),) * 3
+    assert pt.antipodes(pt.build(pts)) is None
+    assert pt.antipodes(pt.build(pts[::-1])) is None

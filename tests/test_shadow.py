@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Fr
 from itertools import chain, product
 from math import gcd
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -182,9 +183,13 @@ def test_shadow_collinear_images_error():
     vertices = tuple(
         la.as_vec(v) for v in ((0, 0, 0), (1, 0, 1), (2, 0, 5), (3, 0, 2))
     )
-    # no Polytope can hold these points, so a stub stands in for one
+    # no Polytope can hold these points, so a stub stands in for one,
+    # with polytope.antipodes' empty cache
     stub = SimpleNamespace(
-        dim=3, vertices=vertices, int_vertices=lambda: pt.int_points(vertices)
+        dim=3,
+        vertices=vertices,
+        int_vertices=lambda: pt.int_points(vertices),
+        _antipodes=None,
     )
     w = sh.ProjectionPlane(((1, 0, 0), (0, 1, 0)))
     with pytest.raises(DegenerateShadowError):
@@ -764,3 +769,88 @@ def test_sampled_planes_never_build_their_complement(p, monkeypatch):
         assert c.int_rows == kernel_space(w.basis).int_rows
         assert c == kernel_space(w.basis) and w.complement is c
     assert len(calls) == len(planes)
+
+
+# ------------------------- the symmetric projection against every vertex's own
+
+# polytope.antipodes finds a symmetry on all but the last two
+PROJECTION_ZOO = (
+    CUBE,
+    HYPERCUBE,
+    fam.hypercube(5),
+    ZOO[3],
+    fam.zonotope(fam.random_generators(6, 4, 7)),
+    ZOO[4],
+    PERT,
+    ZOO[2],
+    PN4,
+)
+
+
+def all_vertex_frame(p, w):
+    """Every vertex projected on its own, the multiplier, and the ccw
+    hull of the images from the smallest image: by oracle_hull_2d, or
+    past 32 vertices, where that oracle takes seconds, by wrap_hull."""
+    pts, mult = p.int_vertices()
+    a1, a2 = w.basis.int_rows
+    images = [(sum(map(mul, a1, x)), sum(map(mul, a2, x))) for x in pts]
+    if len(pts) > 32:
+        return images, mult, wrap_hull(images)
+    hull = [tuple(int(c) for c in q) for q in oracle_hull_2d(images)]
+    s = hull.index(min(hull))
+    return images, mult, hull[s:] + hull[:s]
+
+
+def all_vertex_report(p, w, frame):
+    """degeneration_report's fields from the class images and
+    oracle_in_boundary on the all-vertex frame."""
+    faces = pt.k_faces(p, 2)
+    out = []
+    for cid, cls in enumerate(pt.parallel_classes(p)):
+        g, h = (w.image(f) for f in cls.direction_plane.int_rows)
+        if sh.cross2((0, 0), g, h):
+            continue
+        members = [
+            (
+                fid,
+                oracle_in_boundary(frame, faces[fid].vertex_ids),
+                any(oracle_in_boundary(frame, (i,)) for i in faces[fid].vertex_ids),
+            )
+            for fid in cls.member_ids
+        ]
+        out.append((cid, int(any(g + h)), members))
+    return out
+
+
+@pytest.mark.parametrize("p", PROJECTION_ZOO, ids=lambda p: p.label)
+def test_projection_matches_every_vertex_projected(p):
+    assert (pt.antipodes(p) is None) == (p in (ZOO[2], PN4))
+    planes = zoo_plane_battery(p, 2)[:6]
+    planes += [w for q, w in FIGURE_PLANES if q is p]
+    for w in planes:
+        images, mult, hull = all_vertex_frame(p, w)
+        got_images, got_mult, csum = sh.int_images(p, w)
+        assert (got_images, got_mult) == (images, mult)
+        assert (csum is None) == (pt.antipodes(p) is None)
+        # the shadow, from the smallest public point
+        pub = [w.image_coords(q, mult) for q in hull]
+        s = pub.index(min(pub))
+        ring = hull[s:] + hull[:s]
+        fibers = tuple(tuple(i for i, q in enumerate(images) if q == h) for h in ring)
+        poly = sh.shadow(p, w)
+        assert (poly.hull_vertex_ids, poly.points, poly.k, poly.fibers) == (
+            tuple(f[0] for f in fibers), tuple(pub[s:] + pub[:s]), len(hull), fibers
+        )
+        frame = sh.hull_frame(p, w)
+        assert (frame.images, frame.hull) == (images, hull)
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+        for q in images:
+            want = frozenset(i for i, (a, b) in enumerate(edges) if sh.on_segment(q, a, b))
+            assert frame.edges_at(q) == want
+        report = sh.degeneration_report(p, w)
+        ref = all_vertex_report(p, w, SimpleNamespace(images=images, hull=hull))
+        assert [
+            (c.class_id, c.projected_rank,
+             [(m.face_id, m.contained_in_edge, m.touches_hull) for m in c.members])
+            for c in report.degenerating
+        ] == ref
